@@ -83,12 +83,11 @@ def main() -> None:
               f"ERT at convergence would skip {ert.terminated_fraction * 100:4.1f}%")
 
     # Quality check on a held-out dataset view using the reloaded model.
-    from repro.nerf.renderer import render_image
+    from repro.pipeline import wrap_model
 
-    view = render_image(
-        model, dataset.cameras[-1], dataset.normalizer, trainer.marcher,
-        occupancy=trainer.occupancy,
-    )
+    view = wrap_model(
+        model, marcher=trainer.marcher, occupancy=trainer.occupancy
+    ).render_image(dataset.cameras[-1], dataset.normalizer)
     target = dataset.images[-1]
     print(f"\nReloaded-model quality: {psnr(view, target):.1f} dB PSNR, "
           f"{ssim(view, target):.3f} SSIM")

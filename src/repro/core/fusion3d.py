@@ -25,9 +25,9 @@ from ..nerf.hash_encoding import HashEncodingConfig
 from ..nerf.model import InstantNGPModel, ModelConfig
 from ..nerf.moe import MoENeRF, MoEConfig, MoETrainer
 from ..nerf.rays import generate_rays
-from ..nerf.renderer import render_image
 from ..nerf.trainer import Trainer, TrainerConfig
 from ..nerf.volume_rendering import psnr as compute_psnr
+from ..pipeline.registry import wrap_model
 from ..sim.chip import ChipConfig, SingleChipAccelerator
 from ..sim.multichip import MultiChipConfig, MultiChipSystem
 from ..sim.trace import WorkloadTrace, trace_from_rays
@@ -217,13 +217,9 @@ class Fusion3D:
             colors = trainer.render_rays(origins, directions)
             image = np.clip(colors, 0.0, 1.0).reshape(camera.height, camera.width, 3)
         else:
-            image = render_image(
-                self._model,
-                camera,
-                dataset.normalizer,
-                trainer.marcher,
-                occupancy=trainer.occupancy,
-            )
+            image = wrap_model(
+                self._model, marcher=trainer.marcher, occupancy=trainer.occupancy
+            ).render_image(camera, dataset.normalizer)
         trace = self._extract_trace(dataset, trainer, camera=camera)
         report = self._simulate(trace, trace.n_samples, training=False)
         quality = compute_psnr(image, target)

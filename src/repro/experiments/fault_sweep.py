@@ -34,10 +34,11 @@ from ..nerf.hash_encoding import HashEncodingConfig
 from ..nerf.model import InstantNGPModel, ModelConfig
 from ..nerf.moe import MoEConfig, MoENeRF, MoETrainer
 from ..nerf.occupancy import OccupancyGrid
-from ..nerf.renderer import render_image
+from ..nerf.rays import generate_rays
 from ..nerf.sampling import RayMarcher, SamplerConfig
 from ..nerf.trainer import Trainer, TrainerConfig
-from ..nerf.volume_rendering import composite, psnr
+from ..nerf.volume_rendering import psnr
+from ..pipeline.registry import wrap_model
 from ..robustness import (
     ChipletFaultConfig,
     DivergenceWatchdog,
@@ -119,10 +120,9 @@ def sram_severity(quick: bool = True) -> list:
     ).cameras[0]
     marcher = RayMarcher(SamplerConfig(max_samples=16, jitter=False))
     occupancy = OccupancyGrid(resolution=8)  # keep everything: worst case
-    model = _tiny_model(seed=0)
-    clean = render_image(
-        model, camera, normalizer, marcher, occupancy=occupancy
-    )
+    clean = wrap_model(
+        _tiny_model(seed=0), marcher=marcher, occupancy=occupancy
+    ).render_image(camera, normalizer)
     rows = []
     for hash_flips, mlp_flips in SRAM_SEVERITIES:
         plan = FaultPlan(
@@ -136,9 +136,9 @@ def sram_severity(quick: bool = True) -> list:
             applied = inject_model_faults(
                 faulted, plan.sram, plan.rng("sram:fault_sweep")
             )
-            image = render_image(
-                faulted, camera, normalizer, marcher, occupancy=occupancy
-            )
+            image = wrap_model(
+                faulted, marcher=marcher, occupancy=occupancy
+            ).render_image(camera, normalizer)
         rows.append(
             {
                 "hash_flips": applied["hash_table_flips"],
@@ -155,36 +155,6 @@ def sram_severity(quick: bool = True) -> list:
             sum(r["mlp_flips"] for r in rows)
         )
     return rows
-
-
-def _fused_render(trainer: MoETrainer, camera, skip_expert: int = None) -> np.ndarray:
-    """Fused MoE render of one view, optionally dropping one expert."""
-    from ..nerf.rays import generate_rays
-
-    rays = generate_rays(camera)
-    origins, directions = trainer.normalizer.rays_to_unit(
-        rays.origins, rays.directions
-    )
-    expert_colors = []
-    for e, expert in enumerate(trainer.model.experts):
-        if e == skip_expert:
-            continue
-        batch = trainer.marcher.sample(
-            origins, directions, occupancy=trainer.occupancies[e]
-        )
-        if len(batch) == 0:
-            expert_colors.append(
-                np.full((camera.n_pixels, 3), trainer.config.background)
-            )
-            continue
-        sigma, rgb, _ = expert.forward(batch.positions, batch.directions)
-        result = composite(
-            sigma, rgb, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays,
-            background=trainer.config.background,
-        )
-        expert_colors.append(result.colors)
-    fused = MoENeRF.fuse(expert_colors, trainer.config.background)
-    return np.clip(fused, 0.0, 1.0).reshape(camera.height, camera.width, 3)
 
 
 def drop_policy_cost(quick: bool = True) -> dict:
@@ -213,8 +183,23 @@ def drop_policy_cost(quick: bool = True) -> dict:
     )
     trainer.train(48 if quick else 128)
     camera = dataset.cameras[0]
-    healthy = _fused_render(trainer, camera)
-    degraded = _fused_render(trainer, camera, skip_expert=2)
+    rays = generate_rays(camera)
+    origins, directions = dataset.normalizer.rays_to_unit(
+        rays.origins, rays.directions
+    )
+    background = trainer.config.background
+    expert_colors = [
+        r.render_rays(origins, directions)[0]
+        for r in trainer.expert_renderers(background)
+    ]
+
+    def fused_image(colors):
+        fused = MoENeRF.fuse(colors, background)
+        return np.clip(fused, 0.0, 1.0).reshape(camera.height, camera.width, 3)
+
+    healthy = fused_image(expert_colors)
+    # The drop policy: chip 2's partial pixels never reach the adder.
+    degraded = fused_image(expert_colors[:2] + expert_colors[3:])
     target = dataset.images[0]
     healthy_psnr = psnr(healthy, target)
     degraded_psnr = psnr(degraded, target)

@@ -13,9 +13,11 @@ quality/speed/size pareto front.
 Every low-precision row is checked against the
 :class:`~repro.nerf.precision.PrecisionGate` budget; the summary's
 ``pareto: PASS`` line (greppable by CI) asserts that all modes fit the
-budget *and* that the default full-precision stage remains bit-identical
-to the offline renderer.  Speed is reported but not gated here — the
-bench suite's 20% regression gate owns that contract.
+budget *and* that a frame served through
+:class:`~repro.serve.service.RenderService` from the default
+full-precision renderer is bit-identical to its offline render.  Speed
+is reported but not gated here — the bench suite's 20% regression gate
+owns that contract.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ import numpy as np
 from .. import pipeline
 from ..datasets import synthetic
 from ..nerf.precision import FULL_PRECISION, PRECISION_MODES, PrecisionGate
-from ..nerf.renderer import render_image
 from ..nerf.sampling import RayMarcher, SamplerConfig
 from ..nerf.trainer import Trainer, TrainerConfig
 from ..nerf.volume_rendering import psnr
 from ..perf.timing import time_callable
+from ..serve import RenderService, SceneRegistry, ServiceConfig, run_closed_loop
 from .base import ExperimentResult
 
 #: Training/eval seed — fixed so rows are run-to-run reproducible.
@@ -100,6 +102,19 @@ def _mode_renderer(model, occupancy, mode: str):
     )
 
 
+def _served_frame(renderer, camera, normalizer):
+    """One frame of ``renderer`` served through a :class:`RenderService`.
+
+    The serving slice (4096 rays) covers the whole probe frame, so the
+    served frame must equal the offline ``render_image`` bit for bit.
+    """
+    registry = SceneRegistry()
+    registry.deploy("pareto", renderer=renderer, normalizer=normalizer)
+    service = RenderService(registry, config=ServiceConfig(keep_frames=True))
+    report = run_closed_loop(service, "pareto", n_frames=1, camera=camera)
+    return report.responses[0].frame
+
+
 def run(quick: bool = True) -> ExperimentResult:
     """Sweep every precision mode over one trained scene."""
     dataset = synthetic.make_dataset(
@@ -112,16 +127,10 @@ def run(quick: bool = True) -> ExperimentResult:
     camera = dataset.cameras[-1]
     target = dataset.images[-1]
     model, occupancy = _train_field(dataset, quick)
-
-    # The full-precision stage is the quality anchor; it must stay
-    # bit-identical to the offline renderer (the tentpole's "default
-    # path unchanged" guarantee).
-    direct = render_image(
-        model,
+    served = _served_frame(
+        _mode_renderer(model, occupancy, FULL_PRECISION),
         camera,
         dataset.normalizer,
-        RayMarcher(SamplerConfig(max_samples=MAX_SAMPLES)),
-        occupancy=occupancy,
     )
 
     modes = (FULL_PRECISION,) + PRECISION_MODES + ("fp16-int8+adaptive",)
@@ -162,7 +171,7 @@ def run(quick: bool = True) -> ExperimentResult:
             }
         )
 
-    bit_identical = np.array_equal(full_image, direct)
+    bit_identical = np.array_equal(served, full_image)
     lowp_ok = all(
         reports[m].passed for m in modes if m != FULL_PRECISION
     )

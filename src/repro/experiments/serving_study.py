@@ -5,8 +5,9 @@ within a latency budget.  This experiment drives the serve subsystem
 (:mod:`repro.serve`) with an open-loop Poisson sweep over offered rates —
 each row is one operating point of the latency–throughput curve, with
 the admission ladder's shed/degrade counts — plus one single-client
-closed-loop run whose frames are checked bit-identical against a direct
-:func:`~repro.nerf.renderer.render_image` call (the end-to-end
+closed-loop run whose frames are checked bit-identical against the
+scene renderer's offline
+:meth:`~repro.pipeline.renderer.Renderer.render_image` (the end-to-end
 correctness anchor of the whole request path).
 
 Overload behavior is the point of the top rates: queue growth is bounded
@@ -20,7 +21,6 @@ import math
 
 import numpy as np
 
-from ..nerf.renderer import render_image
 from ..serve import (
     AdmissionPolicy,
     RenderService,
@@ -90,14 +90,8 @@ def run(quick: bool = True) -> ExperimentResult:
     scene = registry.scenes()[0]["name"]
     closed = run_closed_loop(service, scene, n_frames=n_frames, camera=camera)
     handle = registry.acquire(scene)
-    direct = render_image(
-        handle.model,
-        camera,
-        handle.normalizer,
-        handle.marcher,
-        occupancy=handle.occupancy,
-        background=handle.background,
-        chunk=service.config.batch.slice_rays,
+    direct = handle.renderer.render_image(
+        camera, handle.normalizer, chunk=service.config.batch.slice_rays
     )
     handle.release()
     bit_identical = all(

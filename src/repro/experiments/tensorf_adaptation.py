@@ -19,10 +19,11 @@ import numpy as np
 from ..datasets import synthetic
 from ..nerf.moe import MoENeRF
 from ..nerf.optimizer import Adam, mse_loss
-from ..nerf.rays import sample_training_rays
+from ..nerf.rays import generate_rays, sample_training_rays
 from ..nerf.sampling import RayMarcher, SamplerConfig
 from ..nerf.tensorf import DenseGridConfig, DenseGridField
 from ..nerf.volume_rendering import composite, composite_backward, psnr
+from ..pipeline.registry import wrap_model
 from .base import ExperimentResult
 
 PAPER = {"psnr_gap_db": -0.5}
@@ -62,24 +63,19 @@ def _train_dense(models, dataset, iterations: int, seed: int = 0) -> float:
                 batch.n_rays, background=background,
             )
             opt.step(m.backward(grad_sigma, grad_rgb, cache))
-    # Evaluate the fused render on a held-out view.
+    # Evaluate the fused render on a held-out view, one renderer per model.
     camera = dataset.cameras[-1]
     target = dataset.images[-1]
-    from ..nerf.rays import generate_rays
-
     rays = generate_rays(camera)
     origins, directions = dataset.normalizer.rays_to_unit(
         rays.origins, rays.directions
     )
-    batch = marcher.sample(origins, directions)
-    colors = []
-    for m in models:
-        sigma, rgb, _ = m.forward(batch.positions, batch.directions)
-        result = composite(
-            sigma, rgb, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays,
-            background=background,
-        )
-        colors.append(result.colors)
+    colors = [
+        wrap_model(m, marcher=marcher, background=background).render_rays(
+            origins, directions
+        )[0]
+        for m in models
+    ]
     fused = np.clip(MoENeRF.fuse(colors, background), 0.0, 1.0)
     image = fused.reshape(camera.height, camera.width, 3)
     return psnr(image, target)

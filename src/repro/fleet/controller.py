@@ -36,9 +36,11 @@ Every submitted request terminates in exactly one of
 {completed, shed, failed} — :meth:`FleetController.accounting` proves
 it, and the report prints the ``unaccounted requests: 0`` line CI
 greps.  Pixels are exact and worker-independent: frames render through
-the shared registry's models in ``slice_rays`` chunks, so a
+the shared registry's renderers in ``slice_rays`` chunks, so a
 replica-served frame is bit-identical to the primary's, and both match
-a direct :func:`~repro.nerf.renderer.render_image` call.
+the scene renderer's offline
+:meth:`~repro.pipeline.renderer.Renderer.render_image` at that chunk
+size, for every stage config.
 
 Determinism: the event loop is a seeded discrete-event simulation —
 arrival stream, fault schedule (:class:`FleetFaultConfig` sites wired
@@ -55,12 +57,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import telemetry
-from ..nerf.renderer import render_rays
-from ..nerf.sampling import RayMarcher, SamplerConfig
 from ..robustness.backoff import BackoffPolicy
 from ..robustness.faults import FaultPlan
 from ..serve.admission import AdmissionController, AdmissionPolicy
-from ..serve.batching import RenderRequest, activate_request, slice_request
+from ..serve.batching import (
+    RenderRequest,
+    activate_request,
+    degraded_renderer,
+    slice_request,
+)
 from ..serve.registry import SceneRegistry, UnknownSceneError
 from ..serve.service import FAILED_UNKNOWN_SCENE
 from ..serve.slo import SLOTracker, format_slo_report
@@ -127,7 +132,7 @@ class FleetConfig:
     #: (routing prefers healthy workers over slow ones).
     slow_factor: float = 2.0
     #: Rays of one hardware dispatch chunk — the bit-identity anchor
-    #: (frames match ``render_image`` at this chunk size).
+    #: (frames match ``Renderer.render_image`` at this chunk size).
     slice_rays: int = 4096
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     slo_targets: dict = None
@@ -168,7 +173,7 @@ class _Entry:
 
     request: RenderRequest
     handle: object
-    marcher: object
+    renderer: object
     samples_per_ray: int
     resolution_scale: float
     degrade_level: int
@@ -339,7 +344,7 @@ class FleetController:
             self._reject(request, FAILED_UNKNOWN_SCENE)
             return
         full_spr = handle.marcher.config.max_samples
-        key = (request.scene, handle.renderer, handle.precision)
+        key = (request.scene, handle.renderer.name, handle.renderer.precision)
         est = self._s_per_ray.get(key)
         if est is None:
             est = self._seed_s_per_ray(key)
@@ -357,16 +362,10 @@ class FleetController:
             handle.release()
             self._reject(request, decision.status)
             return
-        if decision.samples_per_ray == full_spr:
-            marcher = handle.marcher
-        else:
-            marcher = RayMarcher(
-                SamplerConfig(max_samples=decision.samples_per_ray)
-            )
         entry = _Entry(
             request=request,
             handle=handle,
-            marcher=marcher,
+            renderer=degraded_renderer(handle.renderer, decision.samples_per_ray),
             samples_per_ray=decision.samples_per_ray,
             resolution_scale=decision.resolution_scale,
             degrade_level=decision.degrade_level,
@@ -474,11 +473,12 @@ class FleetController:
     def _execute(self, entry: _Entry, worker, now: float) -> tuple:
         """Render the request's pixels and price its board time.
 
-        Rendering happens in ``slice_rays`` chunks through the shared
-        registry models — the exact computation
-        :func:`~repro.nerf.renderer.render_image` performs at the same
-        chunk size, on *any* worker, which is the bit-identity
-        guarantee.  Board time is the scene trace stretched to the
+        Rendering happens in ``slice_rays`` chunks through the entry's
+        renderer (the shared registry renderer, or its degraded-sampler
+        copy) — the exact computation
+        :meth:`~repro.pipeline.renderer.Renderer.render_image` performs
+        at the same chunk size, on *any* worker, which is the
+        bit-identity guarantee.  Board time is the scene trace stretched to the
         billed sample volume (the serve layer's billing model), scaled
         by the worker's current service multiplier (inherited experts,
         slow-degrades).
@@ -487,7 +487,7 @@ class FleetController:
         active = activate_request(
             entry.request,
             handle,
-            entry.marcher,
+            entry.renderer,
             entry.samples_per_ray,
             entry.resolution_scale,
             entry.degrade_level,
@@ -496,13 +496,9 @@ class FleetController:
         slices = slice_request(active, self.config.slice_rays)
         billed = 0.0
         for item in slices:
-            colors, samples, _ = render_rays(
-                handle.model,
+            colors, samples, _ = entry.renderer.render_rays(
                 active.origins[item.start : item.stop],
                 active.directions[item.start : item.stop],
-                active.marcher,
-                occupancy=handle.occupancy,
-                background=handle.background,
             )
             active.out[item.start : item.stop] = colors
             billed += len(samples) * entry.request.hw_scale
@@ -678,7 +674,7 @@ class FleetController:
         entry.via_hedge = rpc.hedge
         self.slo.record(request.priority, "completed", latency)
         self.completions.append((self.now_s, request.priority, latency))
-        key = (request.scene, entry.handle.renderer, entry.handle.precision)
+        key = (request.scene, entry.renderer.name, entry.renderer.precision)
         if rpc.service_s > 0 and entry.n_rays > 0:
             observed = rpc.service_s / entry.n_rays
             previous = self._s_per_ray.get(key)

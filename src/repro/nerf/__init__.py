@@ -19,7 +19,13 @@ from .aabb import (
     RayCubePairs,
 )
 from .occupancy import HierarchicalOccupancy, OccupancyGrid, traverse_grid
-from .sampling import RayMarcher, SamplerConfig, SampleBatch, SamplingStats
+from .sampling import (
+    RayMarcher,
+    SamplerConfig,
+    SampleBatch,
+    SamplingStats,
+    batch_to_stats,
+)
 from .hash_encoding import (
     Fp16HashEncoding,
     HashEncoding,
@@ -42,7 +48,6 @@ from .volume_rendering import (
 from .model import InstantNGPModel, ModelConfig, ForwardCache
 from .optimizer import Adam, mse_loss
 from .trainer import Trainer, TrainerConfig, TrainState
-from .renderer import render_image, render_rays, batch_to_stats
 from .quantization import (
     quantize_int8,
     quantize_int8_fixed,
@@ -55,7 +60,6 @@ from .early_termination import (
     TerminationStats,
     live_sample_mask,
     render_batch_adaptive,
-    render_batch_ert,
     termination_stats,
     truncate_batch,
     per_ray_live_counts,
@@ -132,8 +136,6 @@ __all__ = [
     "Trainer",
     "TrainerConfig",
     "TrainState",
-    "render_image",
-    "render_rays",
     "batch_to_stats",
     "quantize_int8",
     "quantize_int8_fixed",
@@ -142,7 +144,6 @@ __all__ = [
     "PeriodicQuantizationHook",
     "TerminationStats",
     "AdaptiveStats",
-    "render_batch_ert",
     "render_batch_adaptive",
     "live_sample_mask",
     "termination_stats",

@@ -113,90 +113,6 @@ def per_ray_live_counts(
     return np.bincount(batch.ray_idx[mask], minlength=batch.n_rays)
 
 
-def render_batch_ert(
-    model,
-    batch: SampleBatch,
-    background: float = 1.0,
-    threshold: float = 1e-3,
-    round_size: int = 32,
-) -> tuple:
-    """Render a sample batch with *actual* early ray termination.
-
-    Unlike :func:`live_sample_mask` — which post-hoc accounts for the
-    work an ERT unit would have skipped — this evaluates the model the
-    way the hardware does: samples are fetched front-to-back in rounds of
-    at most ``round_size`` per ray, transmittance accumulates after every
-    round, and a ray whose transmittance has fallen below ``threshold``
-    fetches no further rounds.  Samples the full render would never have
-    evaluated are never handed to the model.
-
-    A sample contributes to its pixel exactly when its entry
-    transmittance is at least ``threshold`` — the same prefix rule as
-    :func:`live_sample_mask` — so the returned colors equal
-    ``composite(truncate_batch(batch, full_result, threshold))`` up to
-    float-sum reordering (verified to PSNR 1e-4 by the equivalence
-    suite).
-
-    Returns ``(colors, stats)`` where ``colors`` is ``(n_rays, 3)`` and
-    ``stats`` counts the samples actually evaluated (round granularity
-    means slightly more than the exact live count).
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
-    if round_size < 1:
-        raise ValueError("round_size must be positive")
-    n_rays = batch.n_rays
-    fences = segment_starts(batch.ray_idx, n_rays)
-    counts = np.diff(fences)
-    acc_rgb = np.zeros((n_rays, 3), dtype=np.float64)
-    acc_opacity = np.zeros(n_rays, dtype=np.float64)
-    optical_sum = np.zeros(n_rays, dtype=np.float64)
-    offset = np.zeros(n_rays, dtype=np.int64)
-    live = np.flatnonzero(counts > 0)
-    evaluated = 0
-    while live.size:
-        take = np.minimum(counts[live] - offset[live], round_size)
-        round_fences = np.concatenate([[0], np.cumsum(take)])
-        total = int(round_fences[-1])
-        # Flat sample index of each (ray, within-round) pair.
-        base = np.repeat(fences[live] + offset[live] - round_fences[:-1], take)
-        idx = base + np.arange(total)
-        seg_id = np.repeat(np.arange(live.size), take)
-        sigma, rgb, _ = model.forward(batch.positions[idx], batch.directions[idx])
-        evaluated += total
-        optical = np.asarray(sigma, dtype=np.float64).reshape(-1) * batch.deltas[idx]
-        entry = optical_sum[live][seg_id] + segmented_exclusive_cumsum(
-            optical, round_fences
-        )
-        t_entry = np.exp(-entry)
-        live_mask = t_entry >= threshold
-        alphas = 1.0 - np.exp(-optical)
-        weights = np.where(live_mask, t_entry * alphas, 0.0)
-        rgb = np.atleast_2d(np.asarray(rgb, dtype=np.float64))
-        rays = live[seg_id]
-        for channel in range(3):
-            acc_rgb[:, channel] += np.bincount(
-                rays, weights=weights * rgb[:, channel], minlength=n_rays
-            )
-        acc_opacity += np.bincount(rays, weights=weights, minlength=n_rays)
-        optical_sum[live] += np.bincount(
-            seg_id, weights=np.where(live_mask, optical, 0.0), minlength=live.size
-        )
-        offset[live] += take
-        # A ray keeps marching while it has samples left and its exit
-        # transmittance is still above threshold; transmittance is
-        # non-increasing, so termination is a pure prefix rule.
-        survive = (offset[live] < counts[live]) & (
-            np.exp(-optical_sum[live]) >= threshold
-        )
-        live = live[survive]
-    colors = acc_rgb + (1.0 - acc_opacity)[:, None] * background
-    stats = TerminationStats(
-        total_samples=len(batch), live_samples=evaluated, threshold=threshold
-    )
-    return colors, stats
-
-
 @dataclass
 class AdaptiveStats:
     """Workload split of one transmittance-adaptive render."""
@@ -234,25 +150,37 @@ def render_batch_adaptive(
     switch_threshold: float = 0.1,
     round_size: int = 32,
 ) -> tuple:
-    """ERT rendering with per-ray transmittance-adaptive precision.
+    """Render a sample batch with *actual* early ray termination.
 
-    The round machinery is exactly :func:`render_batch_ert`'s; the new
-    part is *which field* evaluates each round.  A ray whose entry
-    transmittance at the start of a round has fallen below
-    ``switch_threshold`` can no longer contribute more than that
-    fraction of the pixel value, so its remaining samples are routed to
-    ``lowp_field`` (an fp16/INT8 snapshot of ``model`` — see
-    :class:`repro.nerf.precision.LowPrecisionField`); rays still above
-    it keep the full-precision ``model``.  ``switch_threshold=0``
-    disables switching (pure ERT), values near 1 route almost all
-    occluded samples to the cheap field.
+    Unlike :func:`live_sample_mask` — which post-hoc accounts for the
+    work an ERT unit would have skipped — this evaluates the field the
+    way the hardware does: samples are fetched front-to-back in rounds of
+    at most ``round_size`` per ray, transmittance accumulates after every
+    round, and a ray whose transmittance has fallen below ``threshold``
+    fetches no further rounds.  Samples the full render would never have
+    evaluated are never handed to a field.
 
-    The selection depends only on accumulated optical depth, which is a
-    deterministic function of the batch and the fields — re-rendering
-    the same rays reproduces the same precision split bit for bit.
+    A sample contributes to its pixel exactly when its entry
+    transmittance is at least ``threshold`` — the same prefix rule as
+    :func:`live_sample_mask` — so with one field the returned colors
+    equal ``composite(truncate_batch(batch, full_result, threshold))`` up
+    to float-sum reordering (verified to PSNR 1e-4 by the equivalence
+    suite).
+
+    Per-ray precision: a ray whose transmittance on entry to a round has
+    fallen below ``switch_threshold`` can no longer contribute more than
+    that fraction of the pixel value, so its remaining samples are routed
+    to ``lowp_field`` (an fp16/INT8 snapshot of ``model`` — see
+    :class:`repro.nerf.precision.LowPrecisionField`); rays still above it
+    keep the full-precision ``model``.  ``lowp_field=None`` or
+    ``switch_threshold=0`` never switches (pure ERT); values near 1 route
+    almost all occluded samples to the cheap field.  The selection
+    depends only on accumulated optical depth, so re-rendering the same
+    rays reproduces the same precision split bit for bit.
 
     Returns ``(colors, stats)`` with :class:`AdaptiveStats` counting how
-    many samples each field evaluated.
+    many samples each field evaluated (round granularity means slightly
+    more than the exact live count).
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
@@ -260,6 +188,8 @@ def render_batch_adaptive(
         raise ValueError("switch_threshold must be in [0, 1)")
     if round_size < 1:
         raise ValueError("round_size must be positive")
+    if lowp_field is None:
+        switch_threshold = 0.0
     n_rays = batch.n_rays
     fences = segment_starts(batch.ray_idx, n_rays)
     counts = np.diff(fences)
@@ -274,6 +204,7 @@ def render_batch_adaptive(
         take = np.minimum(counts[live] - offset[live], round_size)
         round_fences = np.concatenate([[0], np.cumsum(take)])
         total = int(round_fences[-1])
+        # Flat sample index of each (ray, within-round) pair.
         base = np.repeat(fences[live] + offset[live] - round_fences[:-1], take)
         idx = base + np.arange(total)
         seg_id = np.repeat(np.arange(live.size), take)
@@ -316,6 +247,9 @@ def render_batch_adaptive(
             seg_id, weights=np.where(live_mask, optical, 0.0), minlength=live.size
         )
         offset[live] += take
+        # A ray keeps marching while it has samples left and its exit
+        # transmittance is still above threshold; transmittance is
+        # non-increasing, so termination is a pure prefix rule.
         survive = (offset[live] < counts[live]) & (
             np.exp(-optical_sum[live]) >= threshold
         )

@@ -195,29 +195,38 @@ class MoETrainer:
                 )
         return self.state
 
+    def expert_renderers(self, background: float) -> list:
+        """One :class:`~repro.pipeline.renderer.Renderer` per expert.
+
+        Each runs the full pipeline over the shared marcher and that
+        expert's occupancy grid, compositing against ``background``.
+        Built per call, so a replaced occupancy grid can never leave a
+        stale renderer behind.
+        """
+        # Imported here: repro.pipeline.registry imports this module.
+        from ..pipeline.registry import wrap_model
+
+        return [
+            wrap_model(
+                expert,
+                marcher=self.marcher,
+                occupancy=occupancy,
+                background=background,
+            )
+            for expert, occupancy in zip(self.model.experts, self.occupancies)
+        ]
+
     def render_rays(self, origins: np.ndarray, directions: np.ndarray) -> np.ndarray:
-        """Fused inference render of unit-space rays."""
-        expert_colors = []
-        for e, expert in enumerate(self.model.experts):
-            batch = self.marcher.sample(
-                origins, directions, occupancy=self.occupancies[e]
-            )
-            n = np.atleast_2d(origins).shape[0]
-            if len(batch) == 0:
-                expert_colors.append(np.full((n, 3), self.config.background))
-                continue
-            sigma, rgb, _ = expert.forward(batch.positions, batch.directions)
-            result = composite(
-                sigma,
-                rgb,
-                batch.deltas,
-                batch.ts,
-                batch.ray_idx,
-                batch.n_rays,
-                background=self.config.background,
-            )
-            expert_colors.append(result.colors)
-        return MoENeRF.fuse(expert_colors, self.config.background)
+        """Fused inference render of unit-space rays: the I/O adder over
+        every expert's :meth:`~repro.pipeline.renderer.Renderer.render_rays`."""
+        background = self.config.background
+        return MoENeRF.fuse(
+            [
+                r.render_rays(origins, directions)[0]
+                for r in self.expert_renderers(background)
+            ],
+            background,
+        )
 
     def eval_psnr(self, cameras: list = None, images: np.ndarray = None, n_views: int = 2) -> float:
         if cameras is None:
@@ -247,21 +256,10 @@ class MoETrainer:
 
         Returns an ``(n_rays,)`` int array of dominating expert indices.
         """
-        contributions = []
-        for e, expert in enumerate(self.model.experts):
-            batch = self.marcher.sample(
-                origins, directions, occupancy=self.occupancies[e]
-            )
-            n = np.atleast_2d(origins).shape[0]
-            if len(batch) == 0:
-                contributions.append(np.zeros(n))
-                continue
-            sigma, rgb, _ = expert.forward(batch.positions, batch.directions)
-            result = composite(
-                sigma, rgb, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays,
-                background=0.0,
-            )
-            contributions.append(np.abs(result.colors).sum(axis=-1))
+        contributions = [
+            np.abs(r.render_rays(origins, directions)[0]).sum(axis=-1)
+            for r in self.expert_renderers(0.0)
+        ]
         return np.argmax(np.stack(contributions, axis=0), axis=0)
 
     def _refresh_occupancies(self) -> None:

@@ -78,15 +78,26 @@ class RayMarcher:
         Directions are re-normalized to unit length first, so ``t`` is a
         spatial distance in unit-cube units and a fixed step of
         ``sqrt(3)/max_samples`` (the cube diagonal over the budget) covers
-        any chord with at most ``max_samples`` points.
+        any chord with at most ``max_samples`` points.  A ray whose
+        direction has zero or non-finite length is a miss: it keeps its
+        slot in ``n_rays`` but gets no samples.
         """
         tel = telemetry.get_session()
         with tel.tracer.span("sampler.march"):
             origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
             directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-            directions = directions / np.linalg.norm(directions, axis=-1, keepdims=True)
+            norms = np.linalg.norm(directions, axis=-1, keepdims=True)
+            valid = np.isfinite(norms[:, 0]) & (norms[:, 0] > 0.0)
+            if not valid.all():
+                # A zero-length or non-finite direction names no ray:
+                # march it as a miss (zero samples) through a placeholder
+                # unit direction instead of dividing by its norm.
+                directions = np.where(valid[:, None], directions, [0.0, 0.0, 1.0])
+                norms = np.where(valid[:, None], norms, 1.0)
+            directions = directions / norms
             n_rays = origins.shape[0]
             t0, t1, hit = intersect_unit_cube(origins, directions)
+            hit &= valid
             step = np.sqrt(3.0) / self.config.max_samples
             spans = np.where(hit, t1 - t0, 0.0)
             counts = np.minimum(
@@ -239,3 +250,15 @@ class SamplingStats:
         if self.candidates == 0:
             return 0.0
         return self.kept / self.candidates
+
+
+def batch_to_stats(batch: SampleBatch) -> dict:
+    """Summarize a sample batch for logging or trace extraction."""
+    per_ray = batch.samples_per_ray
+    return {
+        "n_rays": batch.n_rays,
+        "n_samples": len(batch),
+        "candidates": batch.candidates,
+        "mean_samples_per_ray": float(per_ray.mean()) if batch.n_rays else 0.0,
+        "max_samples_per_ray": int(per_ray.max()) if batch.n_rays else 0,
+    }

@@ -20,7 +20,6 @@ from .aabb import SceneNormalizer
 from .occupancy import OccupancyGrid
 from .optimizer import Adam, mse_loss
 from .rays import sample_training_rays
-from .renderer import render_image
 from .sampling import RayMarcher, SamplerConfig
 from .volume_rendering import composite, composite_backward, psnr
 
@@ -280,18 +279,21 @@ class Trainer:
         if cameras is None:
             cameras = self.cameras[:n_views]
             images = self.images[:n_views]
+        # Imported here: at module level the import is circular
+        # (repro.pipeline.registry -> nerf.moe -> nerf.trainer).
+        from ..pipeline.registry import wrap_model
+
+        renderer = wrap_model(
+            self.model,
+            marcher=self.marcher,
+            occupancy=self.occupancy,
+            background=self.config.background,
+        )
         tel = telemetry.get_session()
         scores = []
         with tel.tracer.span("trainer.eval_psnr"):
             for camera, target in zip(cameras, images):
-                rendered = render_image(
-                    self.model,
-                    camera,
-                    self.normalizer,
-                    self.marcher,
-                    occupancy=self.occupancy,
-                    background=self.config.background,
-                )
+                rendered = renderer.render_image(camera, self.normalizer)
                 scores.append(psnr(rendered, target))
         score = float(np.mean(scores))
         tel.metrics.gauge("trainer.psnr").set(score)

@@ -16,9 +16,10 @@ immutable once handles pin them).  Two obligations meet here:
   replaces by a minimum delta (:class:`QualityGate`), so serving never
   hot-swaps sideways or backwards.
 
-Each deployment records a *reference frame*: the deployed clone rendered
-offline through :func:`~repro.nerf.renderer.render_image` with the
-registry record's own marcher and the serving slice size as ``chunk``.
+Each deployment records a *reference frame*: the registry record's own
+renderer drawing the deployed clone offline through
+:meth:`~repro.pipeline.renderer.Renderer.render_image`, with the serving
+slice size as ``chunk``.
 That frame is the generation's ground truth — any frame later served
 from a handle pinning this generation must equal it bit-for-bit.
 """
@@ -31,7 +32,6 @@ import numpy as np
 
 from ..nerf.camera import Camera
 from ..nerf.occupancy import OccupancyGrid
-from ..nerf.renderer import render_image
 from ..serve.registry import SceneRegistry
 
 
@@ -165,9 +165,10 @@ class Deployer:
     def render_reference(self, generation: int) -> np.ndarray:
         """Offline ground-truth frame of the *current* record.
 
-        Rendered through a freshly acquired handle so the marcher,
-        occupancy, and background are exactly the record's own; the
-        caller must only ask while ``generation`` is still current.
+        Rendered through a freshly acquired handle's renderer, so the
+        marcher, occupancy, compositor and background are exactly the
+        record's own; the caller must only ask while ``generation`` is
+        still current.
         """
         handle = self.registry.acquire(self.scene_name)
         try:
@@ -176,14 +177,8 @@ class Deployer:
                     f"generation {generation} is no longer current "
                     f"(registry serves {handle.generation})"
                 )
-            return render_image(
-                handle.model,
-                self.reference_camera,
-                handle.normalizer,
-                handle.marcher,
-                occupancy=handle.occupancy,
-                background=handle.background,
-                chunk=self.slice_rays,
+            return handle.renderer.render_image(
+                self.reference_camera, handle.normalizer, chunk=self.slice_rays
             )
         finally:
             handle.release()

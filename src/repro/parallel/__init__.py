@@ -14,7 +14,7 @@ The scaling layer of the reproduction, three parts:
   experiments are skipped and *any* relevant source edit silently
   invalidates stale entries;
 * :mod:`~repro.parallel.chunking` — thread-pool sharding of one large
-  ray batch (used by ``repro.nerf.renderer`` / ``sampling``) under a
+  ray batch (used by ``repro.pipeline.renderer`` / ``sampling``) under a
   bit-identical chunk-ordering contract.
 
 Every future scaling PR (multi-backend, distributed sweeps) plugs into

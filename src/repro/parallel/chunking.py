@@ -10,8 +10,8 @@ concatenated in) chunk order — never completion order.  Scheduling
 nondeterminism therefore cannot reach the numbers.
 
 These helpers are deliberately tiny; the policy (chunk size, when to
-engage threads) lives at the call sites in :mod:`repro.nerf.renderer`
-and :mod:`repro.nerf.sampling`.
+engage threads) lives at the call sites in
+:mod:`repro.pipeline.renderer` and :mod:`repro.nerf.sampling`.
 """
 
 from __future__ import annotations

@@ -19,10 +19,10 @@ from ..datasets import synthetic
 from ..nerf.model import InstantNGPModel, ModelConfig
 from ..nerf.hash_encoding import HashEncodingConfig
 from ..nerf.occupancy import OccupancyGrid
-from ..nerf.renderer import render_image
 from ..nerf.sampling import RayMarcher, SamplerConfig
 from ..nerf.tensorf import TensoRFConfig, TensoRFModel
 from ..nerf.trainer import Trainer, TrainerConfig
+from ..pipeline.registry import wrap_model
 from .reference import ReferenceHashEncoding, ReferencePlaneLineEncoding
 from .timing import PairedTiming, time_callable
 
@@ -114,18 +114,20 @@ def _time_train_iteration(smoke: bool, model_builder) -> PairedTiming:
 
 
 def _time_render_frame(smoke: bool, model_builder) -> PairedTiming:
-    """Time one full :func:`render_image` frame for both kernel sides."""
+    """Time one full ``Renderer.render_image`` frame for both kernel sides."""
     dataset = _bench_dataset(smoke)
     marcher = RayMarcher(SamplerConfig(max_samples=32))
     occupancy = OccupancyGrid(resolution=16)
     camera = dataset.cameras[0]
 
     def run(reference_kernels: bool) -> float:
-        model = model_builder(smoke, reference_kernels)
+        renderer = wrap_model(
+            model_builder(smoke, reference_kernels),
+            marcher=marcher,
+            occupancy=occupancy,
+        )
         return time_callable(
-            lambda: render_image(
-                model, camera, dataset.normalizer, marcher, occupancy=occupancy
-            ),
+            lambda: renderer.render_image(camera, dataset.normalizer),
             repeats=2 if smoke else 3,
         )
 
@@ -139,7 +141,7 @@ def bench_train_iteration(smoke: bool = False) -> dict:
 
 
 def bench_render_frame(smoke: bool = False) -> dict:
-    """One full ``ngp`` rendered frame through :func:`render_image`."""
+    """One full ``ngp`` rendered frame through ``Renderer.render_image``."""
     timing = _time_render_frame(smoke, _bench_model)
     return dict(timing.as_record(), renderer="ngp")
 
@@ -184,7 +186,6 @@ def bench_render_frame_precision(smoke: bool = False) -> dict:
     configuration the ``precision_pareto`` experiment quality-gates.
     """
     from ..nerf.occupancy import HierarchicalOccupancy
-    from ..pipeline.registry import wrap_model
 
     dataset = _bench_dataset(smoke)
     camera = dataset.cameras[0]
@@ -230,7 +231,7 @@ def bench_tensorf_train_iteration(smoke: bool = False) -> dict:
 
 
 def bench_tensorf_render_frame(smoke: bool = False) -> dict:
-    """One full ``tensorf`` rendered frame through :func:`render_image`."""
+    """One full ``tensorf`` rendered frame through ``Renderer.render_image``."""
     timing = _time_render_frame(smoke, _bench_tensorf_model)
     return dict(timing.as_record(), renderer="tensorf")
 

@@ -11,12 +11,15 @@ swappable stages — :class:`~repro.pipeline.stages.Encoding`,
 by name + config dict.  Two renderers ship in-tree:
 
 * ``ngp`` — the reference Instant-NGP path (hash encoding, MLP field,
-  occupancy sampler, ERT-aware compositor), proven bit-identical to the
-  monolithic :func:`repro.nerf.renderer.render_image`;
+  occupancy sampler, ERT- and precision-aware compositor);
 * ``tensorf`` — the VM plane/line factor decomposition
   (:class:`~repro.nerf.tensorf.TensoRFModel`) behind the same stages.
 
-Renderer *names* are the tag the rest of the repo keys on: scene
+:class:`~repro.pipeline.renderer.Renderer` is the only code that turns
+rays into colors: training eval, serving, the fleet, online reference
+frames, MoE fusion and the experiments all call its ``render_rays`` /
+``render_image``.  Renderer *names* are the tag the rest of the repo
+keys on: scene
 deployment (:mod:`repro.serve.registry`), per-(scene, renderer)
 admission estimates (:mod:`repro.serve.service`), per-renderer bench
 baselines (:mod:`repro.perf`), fault-site classification

@@ -23,7 +23,7 @@ from ..nerf.precision import FULL_PRECISION, LowPrecisionField
 from ..nerf.sampling import RayMarcher, SamplerConfig
 from ..nerf.tensorf import DenseGridField, TensoRFConfig, TensoRFModel
 from .renderer import Renderer
-from .stages import OccupancySampler, PrecisionCompositor, VolumeCompositor
+from .stages import OccupancySampler, VolumeCompositor
 
 
 class UnknownRendererError(KeyError):
@@ -49,24 +49,6 @@ def _split_common(config: dict) -> tuple:
     return cfg, max_samples, background, ert_threshold, precision, switch_threshold
 
 
-def _precision_compositor(
-    model, ert_threshold, precision, switch_threshold
-):
-    """The compositing stage for a precision mode (and its guards)."""
-    if precision == FULL_PRECISION:
-        if switch_threshold is not None:
-            raise ValueError(
-                "switch_threshold needs a low-precision mode "
-                '(precision="fp16" or "fp16-int8")'
-            )
-        return VolumeCompositor(ert_threshold)
-    return PrecisionCompositor(
-        LowPrecisionField(model, mode=precision),
-        ert_threshold=ert_threshold,
-        switch_threshold=switch_threshold,
-    )
-
-
 def _assemble(
     name,
     model,
@@ -75,19 +57,31 @@ def _assemble(
     ert_threshold,
     precision=FULL_PRECISION,
     switch_threshold=None,
+    marcher: RayMarcher = None,
+    occupancy: OccupancyGrid = None,
 ) -> Renderer:
-    """Standard stage assembly shared by the stock factories."""
+    """Standard stage assembly shared by the stock factories and wrapping.
+
+    A non-full ``precision`` snapshots the model into a
+    :class:`~repro.nerf.precision.LowPrecisionField` the compositor
+    evaluates; the model itself stays the renderer's trainable field.
+    """
+    lowp = (
+        None
+        if precision == FULL_PRECISION
+        else LowPrecisionField(model, mode=precision)
+    )
     return Renderer(
         name,
         model,
         sampler=OccupancySampler(
-            RayMarcher(SamplerConfig(max_samples=max_samples))
+            marcher or RayMarcher(SamplerConfig(max_samples=max_samples)),
+            occupancy,
         ),
-        compositor=_precision_compositor(
-            model, ert_threshold, precision, switch_threshold
+        compositor=VolumeCompositor(
+            ert_threshold, lowp_field=lowp, switch_threshold=switch_threshold
         ),
         background=background,
-        precision=precision,
     )
 
 
@@ -223,18 +217,16 @@ def wrap_model(
     through it (adaptively, when ``switch_threshold`` is set); the model
     itself stays the renderer's trainable field.
     """
-    precision = precision or FULL_PRECISION
-    return Renderer(
+    return _assemble(
         name or renderer_name_for(model),
         model,
-        sampler=OccupancySampler(
-            marcher or RayMarcher(SamplerConfig()), occupancy
-        ),
-        compositor=_precision_compositor(
-            model, ert_threshold, precision, switch_threshold
-        ),
-        background=background,
-        precision=precision,
+        SamplerConfig().max_samples,
+        background,
+        ert_threshold,
+        precision or FULL_PRECISION,
+        switch_threshold,
+        marcher=marcher,
+        occupancy=occupancy,
     )
 
 

@@ -1,12 +1,11 @@
 """The staged :class:`Renderer`: sampler -> field -> compositor.
 
-Re-expresses :func:`repro.nerf.renderer.render_rays` /
-:func:`~repro.nerf.renderer.render_image` as a composition of the stage
-interfaces in :mod:`repro.pipeline.stages`, preserving the exact
-operation sequence — the same marcher call, the same empty-batch
-background fill, the same forward + composite (or ERT) path, the same
-fault scrub — so a staged renderer is provably bit-identical to the
-monolithic functions (``tests/test_pipeline.py`` holds the proofs).
+The one code path that turns rays into colors.  Training eval, offline
+frames, serving, the fleet, online reference frames, MoE fusion and the
+experiments all render through :meth:`Renderer.render_rays`, so a served
+frame equals the offline :meth:`Renderer.render_image` at the serving
+slice size for every stage configuration (exact, ERT, low precision,
+adaptive).
 """
 
 from __future__ import annotations
@@ -15,9 +14,38 @@ import numpy as np
 
 from ..nerf.camera import Camera
 from ..nerf.checkpoint import save_model
+from ..nerf.precision import FULL_PRECISION
 from ..nerf.rays import generate_rays
-from ..nerf.renderer import scrub_rendered_colors
+from ..robustness import faults
+from ..robustness.injection import scrub_colors
 from .stages import Compositor, Field, OccupancySampler, Sampler, VolumeCompositor
+
+
+def scrub_rendered_colors(colors: np.ndarray, background: float) -> np.ndarray:
+    """Clamp-and-flag non-finite pixels when fault injection is active.
+
+    A corrupted sample (e.g. an injected SRAM bit flip driving sigma to
+    inf) degrades its own pixel to background instead of poisoning the
+    whole image and every PSNR after it.  No-op (and zero-cost) outside
+    an active fault scope.
+    """
+    if faults.get_active() is None:
+        return colors
+    colors, n_flagged = scrub_colors(colors, background)
+    if n_flagged:
+        from .. import telemetry
+
+        log = faults.get_log()
+        if log is not None:
+            log.record(
+                "renderer", f"clamped {n_flagged} non-finite pixel values"
+            )
+        tel = telemetry.get_session()
+        if tel.enabled:
+            tel.metrics.counter("robustness.render.nonfinite_clamped").inc(
+                n_flagged
+            )
+    return colors
 
 
 class Renderer:
@@ -39,16 +67,24 @@ class Renderer:
         sampler: Sampler = None,
         compositor: Compositor = None,
         background: float = 1.0,
-        precision: str = "full",
     ):
         self.name = name
         self.field = field
         self.sampler = sampler or OccupancySampler()
         self.compositor = compositor or VolumeCompositor()
         self.background = background
-        #: Inference precision tag (``"full"``, ``"fp16"``,
-        #: ``"fp16-int8"``); serving keys its admission EWMA on it.
-        self.precision = precision
+
+    @property
+    def precision(self) -> str:
+        """Inference precision tag (``"full"``, ``"fp16"``, ``"fp16-int8"``).
+
+        Read from the stages: the compositor's low-precision snapshot
+        when it has one, else the field's own tag (a
+        :class:`~repro.nerf.precision.LowPrecisionField` used directly as
+        the field).  Serving keys its admission EWMA on it.
+        """
+        lowp = getattr(self.compositor, "lowp_field", None)
+        return getattr(lowp or self.field, "precision", FULL_PRECISION)
 
     @property
     def encoding(self):
@@ -73,9 +109,11 @@ class Renderer:
     def render_rays(self, origins: np.ndarray, directions: np.ndarray) -> tuple:
         """Render a unit-space ray batch: ``(colors, batch, result)``.
 
-        Stage-for-stage the same operation sequence as
-        :func:`repro.nerf.renderer.render_rays`, so outputs are
-        bit-identical for equivalent stage configurations.
+        Returns the sample batch so callers can bill or trace it, and the
+        per-sample :class:`~repro.nerf.volume_rendering.RenderResult`
+        (``None`` for an empty batch or an ERT compositor).  Colors are
+        float64 and unclipped; a batch with no kept samples is all
+        background.
         """
         batch = self.sampler.sample(origins, directions)
         if len(batch) == 0:
@@ -97,10 +135,13 @@ class Renderer:
     ) -> np.ndarray:
         """Render a full frame, chunked to bound peak memory.
 
-        Mirrors :func:`repro.nerf.renderer.render_image`: fixed
-        ``chunk``-sized pixel slices through :meth:`render_rays` into a
-        float32 frame buffer, bit-identical across ``jobs`` settings.
-        Returns an ``(h, w, 3)`` float32 image in [0, 1].
+        Fixed ``chunk``-sized pixel slices go through :meth:`render_rays`
+        into a float32 frame buffer (the serving pixel format).  With
+        ``jobs > 1`` the chunks evaluate on a thread pool; each chunk only
+        reads shared state and writes its own slice, and chunk boundaries
+        depend on ``chunk`` alone, so the image is bit-identical for every
+        ``jobs`` setting.  Returns an ``(h, w, 3)`` float32 image in
+        [0, 1].
         """
         if chunk < 1:
             raise ValueError("chunk must be positive")

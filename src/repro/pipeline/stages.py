@@ -9,22 +9,25 @@ swappable stages, mirroring the paper's pipeline decomposition:
 * :class:`Sampler` — rays to a :class:`~repro.nerf.sampling.SampleBatch`
   (Stage I's occupancy-gated marching);
 * :class:`Compositor` — per-sample ``(sigma, rgb)`` to per-ray colors
-  (Stage III's transmittance-weighted blend, optionally ERT-truncated).
+  (Stage III's transmittance-weighted blend, optionally ERT-truncated
+  or evaluated on a low-precision snapshot).
 
 The interfaces are *structural*: existing classes
 (:class:`~repro.nerf.hash_encoding.HashEncoding`,
 :class:`~repro.nerf.model.InstantNGPModel`, ...) satisfy them without
 inheriting — the bases exist to document the contract and to give new
 renderers a checked skeleton to subclass.  See ``docs/renderers.md`` for
-the authoring guide and the obligations (bit-identity, bench, fault
-classification) a new renderer must meet.
+the authoring guide and the obligations (served == offline for every
+stage config, bench, fault classification) a new renderer must meet.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..nerf.early_termination import render_batch_adaptive
 from ..nerf.occupancy import OccupancyGrid
+from ..nerf.precision import FULL_PRECISION
 from ..nerf.sampling import RayMarcher, SampleBatch, SamplerConfig
 from ..nerf.volume_rendering import composite
 
@@ -104,10 +107,7 @@ class OccupancySampler(Sampler):
     """Occupancy-gated ray marching — the stock Stage I.
 
     Wraps the library :class:`~repro.nerf.sampling.RayMarcher` plus an
-    optional :class:`~repro.nerf.occupancy.OccupancyGrid`; ``sample``
-    makes exactly the call :func:`repro.nerf.renderer.render_rays`
-    makes, so the staged pipeline is bit-identical to the monolithic
-    path.
+    optional :class:`~repro.nerf.occupancy.OccupancyGrid`.
     """
 
     def __init__(self, marcher: RayMarcher = None, occupancy: OccupancyGrid = None):
@@ -133,62 +133,30 @@ class Compositor:
 
 
 class VolumeCompositor(Compositor):
-    """Exact transmittance-weighted compositing, optionally ERT-gated.
+    """Transmittance-weighted compositing: exact, ERT-gated, or low precision.
 
-    With ``ert_threshold=None`` (default) this is the bit-reproducible
-    full evaluation: one ``field.forward`` over the batch and the
-    segmented-prefix :func:`~repro.nerf.volume_rendering.composite`.
-    A threshold switches to early ray termination
-    (:func:`~repro.nerf.early_termination.render_batch_ert`): samples
-    behind the transmittance cutoff are never evaluated, the color error
-    is bounded by the threshold, and ``result`` is ``None`` because the
-    skipped samples have no per-sample render state.
-    """
+    ``lowp_field`` (a :class:`~repro.nerf.precision.LowPrecisionField`
+    snapshot of the renderer's field) and the two thresholds pick one of
+    four regimes:
 
-    def __init__(self, ert_threshold: float = None):
-        self.ert_threshold = ert_threshold
+    * nothing set (default) — the bit-reproducible full evaluation: one
+      ``field.forward`` over the batch and the segmented-prefix
+      :func:`~repro.nerf.volume_rendering.composite`;
+    * ``ert_threshold`` — early ray termination
+      (:func:`~repro.nerf.early_termination.render_batch_adaptive` with
+      no switch): samples behind the transmittance cutoff are never
+      evaluated and the color error is bounded by the threshold;
+    * ``lowp_field`` — the same two regimes evaluated on the snapshot
+      instead of the field;
+    * ``lowp_field`` + ``switch_threshold`` — transmittance-adaptive
+      rendering: the full field evaluates each ray until its
+      transmittance drops below ``switch_threshold``, the snapshot
+      evaluates the occluded tail.  Adaptive rendering is round-based,
+      so an ERT threshold always applies (``ert_threshold`` or
+      :attr:`DEFAULT_ERT`).
 
-    def render(self, field: Field, batch: SampleBatch, background: float) -> tuple:
-        """Composite one sample batch: ``(colors, result)``."""
-        if self.ert_threshold is not None:
-            from ..nerf.early_termination import render_batch_ert
-
-            colors, _ = render_batch_ert(
-                field, batch, background=background, threshold=self.ert_threshold
-            )
-            return colors, None
-        sigma, rgb, _ = field.forward(batch.positions, batch.directions)
-        result = composite(
-            sigma,
-            rgb,
-            batch.deltas,
-            batch.ts,
-            batch.ray_idx,
-            batch.n_rays,
-            background=background,
-        )
-        return result.colors, result
-
-
-class PrecisionCompositor(VolumeCompositor):
-    """Compositing through a low-precision field snapshot.
-
-    Holds a :class:`~repro.nerf.precision.LowPrecisionField` built from
-    the renderer's full-precision field and picks one of three regimes:
-
-    * ``switch_threshold`` set — transmittance-adaptive rendering
-      (:func:`~repro.nerf.early_termination.render_batch_adaptive`):
-      the *full* field evaluates each ray until its transmittance drops
-      below ``switch_threshold``, the snapshot evaluates the occluded
-      tail.  Adaptive rendering is inherently round-based, so an ERT
-      threshold always applies (``ert_threshold`` or the library default
-      ``1e-3``).
-    * ``ert_threshold`` only — ERT rendering entirely on the snapshot.
-    * neither — one snapshot forward over the batch plus the exact
-      segmented composite.
-
-    ``result`` is a per-sample ``RenderResult`` only in the last regime,
-    matching :class:`VolumeCompositor`'s contract.
+    ``result`` is a per-sample ``RenderResult`` only without ERT, since
+    terminated samples have no per-sample render state.
     """
 
     #: ERT threshold adaptive rendering falls back to when none is set.
@@ -196,38 +164,56 @@ class PrecisionCompositor(VolumeCompositor):
 
     def __init__(
         self,
-        lowp_field,
-        ert_threshold: float | None = None,
-        switch_threshold: float | None = None,
+        ert_threshold: float = None,
+        lowp_field=None,
+        switch_threshold: float = None,
         round_size: int = 32,
     ):
-        super().__init__(ert_threshold)
+        if ert_threshold is not None and not 0.0 < ert_threshold < 1.0:
+            raise ValueError(
+                f"ert_threshold must be in (0, 1) or None, got {ert_threshold!r}"
+            )
+        if switch_threshold is not None and lowp_field is None:
+            raise ValueError(
+                "switch_threshold needs a low-precision mode "
+                '(precision="fp16" or "fp16-int8")'
+            )
+        self.ert_threshold = ert_threshold
         self.lowp_field = lowp_field
         self.switch_threshold = switch_threshold
         self.round_size = round_size
 
     @property
     def precision(self) -> str:
-        """The snapshot's precision tag (``"fp16"`` / ``"fp16-int8"``)."""
+        """The snapshot's precision tag, or ``"full"`` without one."""
+        if self.lowp_field is None:
+            return FULL_PRECISION
         return self.lowp_field.precision
 
     def render(self, field: Field, batch: SampleBatch, background: float) -> tuple:
-        """Composite one sample batch at inference precision."""
-        if self.switch_threshold is not None:
-            from ..nerf.early_termination import render_batch_adaptive
-
-            colors, _ = render_batch_adaptive(
-                field,
-                self.lowp_field,
-                batch,
-                background=background,
-                threshold=(
-                    self.ert_threshold
-                    if self.ert_threshold is not None
-                    else self.DEFAULT_ERT
-                ),
-                switch_threshold=self.switch_threshold,
-                round_size=self.round_size,
-            )
-            return colors, None
-        return super().render(self.lowp_field, batch, background)
+        """Composite one sample batch: ``(colors, result)``."""
+        adaptive = self.switch_threshold is not None
+        if not adaptive:
+            field = self.lowp_field or field
+            if self.ert_threshold is None:
+                sigma, rgb, _ = field.forward(batch.positions, batch.directions)
+                result = composite(
+                    sigma,
+                    rgb,
+                    batch.deltas,
+                    batch.ts,
+                    batch.ray_idx,
+                    batch.n_rays,
+                    background=background,
+                )
+                return result.colors, result
+        colors, _ = render_batch_adaptive(
+            field,
+            self.lowp_field if adaptive else None,
+            batch,
+            background=background,
+            threshold=self.ert_threshold or self.DEFAULT_ERT,
+            switch_threshold=self.switch_threshold or 0.0,
+            round_size=self.round_size,
+        )
+        return colors, None

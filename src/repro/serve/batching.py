@@ -7,18 +7,22 @@ unit cube, a pixel buffer, and a list of fixed-size :class:`RaySlice`
 work items.  Slices are the scheduler's currency: they are small enough
 to coalesce across requests into one hardware dispatch, and their
 boundaries depend only on the request itself (never on what else is
-queued), which is what keeps served pixels bit-identical to a direct
-:func:`~repro.nerf.renderer.render_image` call at the same chunk size.
+queued), which is what keeps served pixels bit-identical to an offline
+:meth:`~repro.pipeline.renderer.Renderer.render_image` call of the
+scene's renderer at the same chunk size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..nerf.camera import Camera
 from ..nerf.rays import generate_rays
+from ..nerf.sampling import RayMarcher
+from ..pipeline.stages import OccupancySampler
 
 #: Request priority classes, best first.  The admission controller sheds
 #: from the bottom of this ladder under overload.
@@ -99,7 +103,7 @@ class ActiveRequest:
     handle: object  # repro.serve.registry.SceneHandle
     origins: np.ndarray
     directions: np.ndarray
-    marcher: object  # repro.nerf.sampling.RayMarcher (possibly degraded)
+    renderer: object  # repro.pipeline.Renderer (possibly degraded)
     #: Degradation applied at admission: 0 = full quality.
     degrade_level: int = 0
     #: Effective samples-per-ray budget after degradation.
@@ -182,10 +186,29 @@ def degraded_camera(camera: Camera, resolution_scale: float) -> Camera:
     return Camera(width=width, height=height, focal=focal, c2w=camera.c2w)
 
 
+def degraded_renderer(renderer, samples_per_ray: int):
+    """The renderer a request runs at a ``samples_per_ray`` budget.
+
+    The admission degrade ladder keeps the scene's renderer and changes
+    only its sampler config: the same field, occupancy grid, compositor
+    and background behind a marcher capped at ``samples_per_ray``.  At
+    the scene's own budget this is the renderer itself.
+    """
+    config = renderer.marcher.config
+    if samples_per_ray == config.max_samples:
+        return renderer
+    degraded = copy.copy(renderer)
+    degraded.sampler = OccupancySampler(
+        RayMarcher(replace(config, max_samples=samples_per_ray)),
+        renderer.occupancy,
+    )
+    return degraded
+
+
 def activate_request(
     request: RenderRequest,
     handle,
-    marcher,
+    renderer,
     samples_per_ray: int,
     resolution_scale: float,
     degrade_level: int,
@@ -197,7 +220,7 @@ def activate_request(
     resolution), maps them through the scene normalizer into unit-cube
     space, and allocates the output pixel buffer.  Ray order is row-major
     over the requested pixels — identical to
-    :func:`~repro.nerf.renderer.render_image`'s ordering.
+    :meth:`~repro.pipeline.renderer.Renderer.render_image`'s ordering.
     """
     camera = request.camera
     tile = request.tile
@@ -218,14 +241,13 @@ def activate_request(
         handle=handle,
         origins=origins,
         directions=directions,
-        marcher=marcher,
+        renderer=renderer,
         degrade_level=degrade_level,
         samples_per_ray=samples_per_ray,
         resolution_scale=resolution_scale,
-        # float32: the pixel format of the rendering pipeline — the old
-        # float64 buffer silently doubled the frame-memory footprint and
-        # upcast every slice store (repro.nerf.renderer keeps its frame
-        # buffer float32 for the same reason).
+        # float32: the pixel format of the rendering pipeline (the
+        # offline Renderer.render_image frame buffer is float32 too); a
+        # float64 buffer would double the frame-memory footprint.
         out=np.empty((n, 3), dtype=np.float32),
         slices_remaining=0,
         admitted_s=now,

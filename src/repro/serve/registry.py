@@ -14,7 +14,7 @@ the old weights until their refcount drains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .. import telemetry
 from ..nerf.checkpoint import load_scene
 from ..nerf.occupancy import OccupancyGrid
 from ..nerf.sampling import RayMarcher, SamplerConfig
-from ..pipeline.registry import renderer_name_for
+from ..pipeline.registry import wrap_model
+from ..pipeline.renderer import Renderer
 from ..sim.trace import WorkloadTrace, trace_from_rays
 
 #: Ray grid of the deploy-time representative workload trace (per-scene
@@ -49,11 +50,11 @@ class SceneRecord:
 
     name: str
     generation: int
-    model: object
-    occupancy: OccupancyGrid
+    #: The scene's full-quality rendering pipeline; its ``name`` and
+    #: ``precision`` are the renderer / precision components of the
+    #: (scene, renderer, precision) admission-EWMA key.
+    renderer: Renderer
     normalizer: object
-    marcher: RayMarcher
-    background: float
     #: Representative workload trace the scheduler bills hardware time
     #: against (scaled by each dispatch's actual kept samples).
     trace: WorkloadTrace
@@ -64,13 +65,6 @@ class SceneRecord:
     #: Whether the occupancy grid came from trained state (checkpoint /
     #: caller) rather than the permissive keep-everything fallback.
     warmed: bool = True
-    #: Renderer family of the deployed model (``repro.pipeline`` name);
-    #: the scheduler/admission cost estimates key on
-    #: (scene, renderer, precision).
-    renderer: str = "ngp"
-    #: Inference precision of the deployed model (``"full"``, ``"fp16"``,
-    #: ``"fp16-int8"``); the third admission-EWMA key component.
-    precision: str = "full"
 
 
 class SceneHandle:
@@ -102,14 +96,20 @@ class SceneHandle:
         return self._record.generation
 
     @property
+    def renderer(self) -> Renderer:
+        """The pinned generation's full-quality renderer (hot-swaps may
+        change its family, so in-flight requests read their pinned one)."""
+        return self._record.renderer
+
+    @property
     def model(self):
-        """The pinned radiance-field model."""
-        return self._record.model
+        """The pinned radiance-field model (the renderer's field)."""
+        return self._record.renderer.field
 
     @property
     def occupancy(self) -> OccupancyGrid:
         """The pinned occupancy grid."""
-        return self._record.occupancy
+        return self._record.renderer.occupancy
 
     @property
     def normalizer(self):
@@ -119,28 +119,17 @@ class SceneHandle:
     @property
     def marcher(self) -> RayMarcher:
         """The scene's default (full-quality) ray marcher."""
-        return self._record.marcher
+        return self._record.renderer.marcher
 
     @property
     def background(self) -> float:
         """Background color the scene composites against."""
-        return self._record.background
+        return self._record.renderer.background
 
     @property
     def trace(self) -> WorkloadTrace:
         """Representative workload trace for hardware billing."""
         return self._record.trace
-
-    @property
-    def renderer(self) -> str:
-        """Renderer family of the pinned generation (hot-swaps may
-        change it, so in-flight requests read their pinned tag)."""
-        return self._record.renderer
-
-    @property
-    def precision(self) -> str:
-        """Inference precision of the pinned generation."""
-        return self._record.precision
 
     def release(self) -> None:
         """Drop the pin; frees the record when its refcount drains."""
@@ -234,8 +223,8 @@ class SceneRegistry:
             {
                 "name": r.name,
                 "generation": r.generation,
-                "renderer": r.renderer,
-                "precision": r.precision,
+                "renderer": r.renderer.name,
+                "precision": r.renderer.precision,
                 "bytes": r.n_bytes,
                 "refcount": r.refcount,
                 "warmed": r.warmed,
@@ -255,42 +244,51 @@ class SceneRegistry:
         checkpoint=None,
         background: float = 1.0,
         max_samples_per_ray: int = None,
-        renderer: str = None,
-        precision: str = None,
+        renderer: Renderer = None,
     ) -> dict:
         """Deploy (or hot-swap) a scene; returns its summary dict.
 
-        Either ``checkpoint`` (a path readable by
-        :func:`~repro.nerf.checkpoint.load_scene`) or ``model`` +
-        ``normalizer`` must be given.  A checkpoint saved with its
-        occupancy grid cold-starts without re-warmup; without one, the
-        registry falls back to a permissive keep-everything grid
-        (correct, but ungated — ``warmed`` is ``False`` in the summary).
-        Re-deploying a live name installs a new generation: in-flight
-        requests keep their pinned handles, new acquisitions get the new
-        weights, and the old generation is freed when its refcount
-        drains.
+        The scene is one :class:`~repro.pipeline.renderer.Renderer`
+        plus its ``normalizer``.  Pass the renderer directly (any stage
+        config: ERT, low precision, adaptive), or give ``checkpoint`` (a
+        path readable by :func:`~repro.nerf.checkpoint.load_scene`) or
+        ``model`` and the registry wraps it with
+        :func:`~repro.pipeline.registry.wrap_model` at
+        ``max_samples_per_ray``.  A checkpoint saved with its occupancy
+        grid cold-starts without re-warmup; without one, the registry
+        falls back to a permissive keep-everything grid (correct, but
+        ungated — ``warmed`` is ``False`` in the summary).  Re-deploying
+        a live name installs a new generation: in-flight requests keep
+        their pinned handles, new acquisitions get the new weights, and
+        the old generation is freed when its refcount drains.
 
-        ``renderer`` tags the generation with its renderer family;
-        when omitted it is inferred from the model type via
-        :func:`repro.pipeline.registry.renderer_name_for`.  A hot-swap
-        may change the tag (e.g. redeploying an ``ngp`` scene as
-        ``tensorf``); per-(scene, renderer, precision) cost estimates
-        downstream key on it.  ``precision`` likewise defaults to the
-        model's own tag (``model.precision`` when present, else
-        ``"full"``) — deploy a
-        :class:`~repro.nerf.precision.LowPrecisionField` and the record
-        is tagged ``"fp16"`` / ``"fp16-int8"`` automatically.
+        The summary's ``renderer`` / ``precision`` tags come from the
+        renderer (its ``name`` and stage precision); a wrapped model
+        gets the name :func:`repro.pipeline.registry.renderer_name_for`
+        infers, and a :class:`~repro.nerf.precision.LowPrecisionField`
+        deployed as the model keeps its ``"fp16"`` / ``"fp16-int8"``
+        tag.  Per-(scene, renderer, precision) cost estimates
+        downstream key on both, and a hot-swap may change them.
         """
-        if checkpoint is not None:
-            loaded_model, loaded_occupancy, loaded_normalizer = load_scene(checkpoint)
-            model = model if model is not None else loaded_model
-            occupancy = occupancy if occupancy is not None else loaded_occupancy
-            normalizer = normalizer if normalizer is not None else loaded_normalizer
-        if model is None:
-            raise SceneRegistryError(
-                f"deploy({name!r}) needs a model or a checkpoint"
-            )
+        if renderer is not None:
+            if model is not None or occupancy is not None or checkpoint is not None:
+                raise SceneRegistryError(
+                    f"deploy({name!r}) takes a renderer or a model/checkpoint, "
+                    "not both"
+                )
+            occupancy = renderer.occupancy
+        else:
+            if checkpoint is not None:
+                loaded_model, loaded_occupancy, loaded_normalizer = load_scene(
+                    checkpoint
+                )
+                model = model if model is not None else loaded_model
+                occupancy = occupancy if occupancy is not None else loaded_occupancy
+                normalizer = normalizer if normalizer is not None else loaded_normalizer
+            if model is None:
+                raise SceneRegistryError(
+                    f"deploy({name!r}) needs a model, a renderer or a checkpoint"
+                )
         if normalizer is None:
             raise SceneRegistryError(
                 f"deploy({name!r}) needs a normalizer (in-memory or stored "
@@ -299,20 +297,27 @@ class SceneRegistry:
         warmed = occupancy is not None
         if occupancy is None:
             occupancy = OccupancyGrid(resolution=16)
-        max_samples = max_samples_per_ray or self.max_samples_per_ray
+        if renderer is None:
+            renderer = wrap_model(
+                model,
+                marcher=RayMarcher(
+                    SamplerConfig(
+                        max_samples=max_samples_per_ray or self.max_samples_per_ray
+                    )
+                ),
+                occupancy=occupancy,
+                background=background,
+            )
         record = SceneRecord(
             name=name,
             generation=1,
-            model=model,
-            occupancy=occupancy,
+            renderer=renderer,
             normalizer=normalizer,
-            marcher=RayMarcher(SamplerConfig(max_samples=max_samples)),
-            background=background,
-            trace=_representative_trace(occupancy, max_samples),
-            n_bytes=_scene_bytes(model, occupancy),
+            trace=_representative_trace(
+                occupancy, renderer.marcher.config.max_samples
+            ),
+            n_bytes=_scene_bytes(renderer.field, occupancy),
             warmed=warmed,
-            renderer=renderer or renderer_name_for(model),
-            precision=precision or getattr(model, "precision", "full"),
         )
         previous = self._records.get(name)
         if previous is not None:
@@ -327,7 +332,7 @@ class SceneRegistry:
         self._enforce_budget(keep=record)
         self._record_metrics()
         for listener in self._deploy_listeners:
-            listener(name, record.generation, record.renderer)
+            listener(name, record.generation, renderer.name)
         return self.scenes()[-1] if len(self._records) == 1 else next(
             s for s in self.scenes() if s["name"] == name
         )

@@ -13,11 +13,13 @@ hardware time (the board is serial: one batch occupies it at a time, so
 queueing delay is real).
 
 Pixels are exact, time is simulated: every slice renders through its own
-``render_rays`` call with boundaries fixed at admission, so a request
-served alone is bit-identical to a direct
-:func:`~repro.nerf.renderer.render_image` call at ``chunk=slice_rays`` —
-coalescing and billing affect *when* work happens, never what it
-computes.
+:meth:`~repro.pipeline.renderer.Renderer.render_rays` call on the
+scene's renderer with boundaries fixed at admission, so a full-quality
+served frame is bit-identical to that renderer's offline
+:meth:`~repro.pipeline.renderer.Renderer.render_image` at
+``chunk=slice_rays`` for every stage config (exact, ERT, low precision,
+adaptive) — coalescing and billing affect *when* work happens, never
+what it computes.
 """
 
 from __future__ import annotations
@@ -28,11 +30,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import telemetry
-from ..nerf.renderer import render_rays
-from ..nerf.sampling import RayMarcher, SamplerConfig
 from ..sim.multichip import MultiChipSystem
 from .admission import AdmissionController, AdmissionPolicy
-from .batching import ActiveRequest, RenderRequest, activate_request, slice_request
+from .batching import (
+    ActiveRequest,
+    RenderRequest,
+    activate_request,
+    degraded_renderer,
+    slice_request,
+)
 from .registry import SceneRegistry, UnknownSceneError
 from .scheduler import (
     ACTION_DISPATCH,
@@ -195,7 +201,7 @@ class RenderService:
                 self._reject(request, FAILED_UNKNOWN_SCENE)
                 return
             full_spr = handle.marcher.config.max_samples
-            key = (request.scene, handle.renderer, handle.precision)
+            key = (request.scene, handle.renderer.name, handle.renderer.precision)
             est_s_per_ray = self._s_per_ray.get(key)
             if est_s_per_ray is None:
                 est_s_per_ray = self._seed_s_per_ray(key)
@@ -210,16 +216,10 @@ class RenderService:
                 handle.release()
                 self._reject(request, decision.status)
                 return
-            if decision.samples_per_ray == full_spr:
-                marcher = handle.marcher
-            else:
-                marcher = RayMarcher(
-                    SamplerConfig(max_samples=decision.samples_per_ray)
-                )
             active = activate_request(
                 request,
                 handle,
-                marcher,
+                degraded_renderer(handle.renderer, decision.samples_per_ray),
                 decision.samples_per_ray,
                 decision.resolution_scale,
                 decision.degrade_level,
@@ -302,8 +302,7 @@ class RenderService:
         billed_samples = 0.0
         finished = []
         trace = None
-        renderer = None
-        precision = None
+        key = None
         with tel.tracer.span(
             "serve.dispatch",
             scene=batch.scene,
@@ -318,15 +317,10 @@ class RenderService:
                     self._finish(active, FAILED_SCENE_EVICTED)
                     continue
                 trace = active.handle.trace
-                renderer = active.handle.renderer
-                precision = active.handle.precision
-                colors, samples, _ = render_rays(
-                    active.handle.model,
+                key = (batch.scene, active.renderer.name, active.renderer.precision)
+                colors, samples, _ = active.renderer.render_rays(
                     active.origins[item.start : item.stop],
                     active.directions[item.start : item.stop],
-                    active.marcher,
-                    occupancy=active.handle.occupancy,
-                    background=active.handle.background,
                 )
                 active.out[item.start : item.stop] = colors
                 billed_samples += len(samples) * active.request.hw_scale
@@ -337,9 +331,8 @@ class RenderService:
         self.now_s += runtime_s
         self.hardware_busy_s += runtime_s
         self.batches_dispatched += 1
-        if runtime_s > 0 and batch.n_rays > 0 and renderer is not None:
+        if runtime_s > 0 and batch.n_rays > 0 and key is not None:
             observed = runtime_s / batch.n_rays
-            key = (batch.scene, renderer, precision)
             previous = self._s_per_ray.get(key)
             if previous is None or key in self._stale_s_per_ray:
                 # First observation for the key, or first observation of

@@ -7,9 +7,9 @@ from repro.datasets import synthetic
 from repro.nerf.camera import Camera, sphere_poses
 from repro.nerf.occupancy import OccupancyGrid
 from repro.nerf.rays import generate_rays
-from repro.nerf.renderer import render_image
 from repro.nerf.sampling import RayMarcher, SamplerConfig
 from repro.parallel import chunk_spans, parallel_map_chunks
+from repro.pipeline import wrap_model
 from repro.sim.trace import trace_from_rays
 
 
@@ -91,13 +91,8 @@ def test_trace_from_rays_chunked_identical(scene_rays):
 def test_render_image_jobs_invariant(scene_rays, tiny_model):
     _, normalizer, occupancy, camera, _, _ = scene_rays
     marcher = RayMarcher(SamplerConfig(max_samples=24))
-    serial = render_image(
-        tiny_model, camera, normalizer, marcher,
-        occupancy=occupancy, chunk=200, jobs=1,
-    )
-    threaded = render_image(
-        tiny_model, camera, normalizer, marcher,
-        occupancy=occupancy, chunk=200, jobs=4,
-    )
+    renderer = wrap_model(tiny_model, marcher=marcher, occupancy=occupancy)
+    serial = renderer.render_image(camera, normalizer, chunk=200, jobs=1)
+    threaded = renderer.render_image(camera, normalizer, chunk=200, jobs=4)
     assert np.array_equal(serial, threaded)
     assert serial.shape == (camera.height, camera.width, 3)

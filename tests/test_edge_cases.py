@@ -1,5 +1,7 @@
 """Failure injection and degenerate-input behaviour across the stack."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,11 +44,15 @@ def test_sampling_module_empty_workload(empty_trace):
 
 
 def test_marcher_zero_direction_does_not_crash():
+    """Zero-length, underflowing and non-finite directions are silent
+    misses; the valid ray beside them still marches."""
     marcher = RayMarcher(SamplerConfig(max_samples=8))
-    batch = marcher.sample(
-        np.array([[0.5, 0.5, 0.5]]), np.array([[0.0, 0.0, 1e-300]])
-    )
-    assert np.isfinite(batch.positions).all() if len(batch) else True
+    directions = [[0, 0, 1e-300], [0, 0, 0], [np.nan, 0, 1], [0, 0, 1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = marcher.sample(np.full((4, 3), 0.5), np.array(directions))
+    assert batch.samples_per_ray.tolist() == [0, 0, 0, 3]
+    assert np.isfinite(batch.positions).all()
 
 
 def test_marcher_grazing_ray():

@@ -14,7 +14,6 @@ from repro.nerf.checkpoint import (
     save_model,
 )
 from repro.nerf.occupancy import OccupancyGrid
-from repro.nerf.renderer import render_image
 from repro.nerf.early_termination import (
     live_sample_mask,
     per_ray_live_counts,
@@ -27,6 +26,7 @@ from repro.nerf.model import InstantNGPModel, ModelConfig
 from repro.nerf.moe import MoEConfig, MoENeRF
 from repro.nerf.sampling import RayMarcher, SamplerConfig
 from repro.nerf.volume_rendering import composite
+from repro.pipeline import wrap_model
 
 
 # -- early ray termination ------------------------------------------------------
@@ -291,14 +291,14 @@ def test_first_frame_after_save_load_bit_identical(small_model, tmp_path):
         width=8, height=8, focal=9.0, c2w=sphere_poses(1, radius=2.5)[0]
     )
     marcher = RayMarcher(SamplerConfig(max_samples=24))
-    before = render_image(
-        small_model, camera, norm, marcher, occupancy=occ, background=1.0
+    before = wrap_model(small_model, marcher=marcher, occupancy=occ).render_image(
+        camera, norm
     )
     path = tmp_path / "scene.npz"
     save_model(small_model, path, occupancy=occ, normalizer=norm)
     model, occ2, norm2 = load_scene(path)
-    after = render_image(
-        model, camera, norm2, marcher, occupancy=occ2, background=1.0
+    after = wrap_model(model, marcher=marcher, occupancy=occ2).render_image(
+        camera, norm2
     )
     assert np.array_equal(before, after)
 

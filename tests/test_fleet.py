@@ -24,7 +24,6 @@ from repro.fleet import (
     status_bucket,
     workers_from_fault_config,
 )
-from repro.nerf.renderer import render_image
 from repro.robustness import BackoffPolicy
 from repro.robustness.errors import FaultConfigError
 from repro.robustness.faults import FaultPlan, FleetFaultConfig
@@ -193,14 +192,8 @@ def test_closed_loop_frames_bit_identical_to_render_image():
     camera = demo_camera(16, 16)
     report = run_closed_loop(controller, scenes[0], n_frames=2, camera=camera)
     handle = registry.acquire(scenes[0])
-    direct = render_image(
-        handle.model,
-        camera,
-        handle.normalizer,
-        handle.marcher,
-        occupancy=handle.occupancy,
-        background=handle.background,
-        chunk=controller.config.slice_rays,
+    direct = handle.renderer.render_image(
+        camera, handle.normalizer, chunk=controller.config.slice_rays
     )
     handle.release()
     assert report.completed == 2

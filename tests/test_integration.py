@@ -4,10 +4,10 @@ renderer round trip."""
 import numpy as np
 import pytest
 
-from repro.nerf.renderer import batch_to_stats, render_image, render_rays
-from repro.nerf.sampling import RayMarcher, SamplerConfig
+from repro.nerf.sampling import RayMarcher, SamplerConfig, batch_to_stats
 from repro.nerf.trainer import Trainer, TrainerConfig
 from repro.nerf.volume_rendering import psnr
+from repro.pipeline import wrap_model
 from repro.sim.chip import ChipConfig, SingleChipAccelerator
 from repro.sim.trace import trace_from_rays
 
@@ -27,10 +27,9 @@ def test_training_then_rendering_improves_psnr(lego_dataset, tiny_model):
     target = lego_dataset.images[5]
 
     def held_out_psnr():
-        image = render_image(
-            tiny_model, camera, lego_dataset.normalizer, trainer.marcher,
-            occupancy=trainer.occupancy,
-        )
+        image = wrap_model(
+            tiny_model, marcher=trainer.marcher, occupancy=trainer.occupancy
+        ).render_image(camera, lego_dataset.normalizer)
         return psnr(image, target)
 
     before = held_out_psnr()
@@ -43,7 +42,9 @@ def test_render_rays_returns_batch_and_result(tiny_model):
     marcher = RayMarcher(SamplerConfig(max_samples=16))
     origins = np.array([[-1.0, 0.5, 0.5]])
     directions = np.array([[1.0, 0.0, 0.0]])
-    colors, batch, result = render_rays(tiny_model, origins, directions, marcher)
+    colors, batch, result = wrap_model(tiny_model, marcher=marcher).render_rays(
+        origins, directions
+    )
     assert colors.shape == (1, 3)
     assert len(batch) > 0
     assert result is not None
@@ -54,12 +55,9 @@ def test_render_rays_returns_batch_and_result(tiny_model):
 
 def test_render_rays_all_miss_gives_background(tiny_model):
     marcher = RayMarcher(SamplerConfig(max_samples=16))
-    colors, batch, result = render_rays(
-        tiny_model,
-        np.array([[9.0, 9.0, 9.0]]),
-        np.array([[1.0, 0.0, 0.0]]),
-        marcher,
-        background=0.5,
+    renderer = wrap_model(tiny_model, marcher=marcher, background=0.5)
+    colors, batch, result = renderer.render_rays(
+        np.array([[9.0, 9.0, 9.0]]), np.array([[1.0, 0.0, 0.0]])
     )
     assert np.allclose(colors, 0.5)
     assert result is None
@@ -68,15 +66,12 @@ def test_render_rays_all_miss_gives_background(tiny_model):
 def test_render_image_chunking_invariant(tiny_model, mic_dataset):
     marcher = RayMarcher(SamplerConfig(max_samples=12))
     camera = mic_dataset.cameras[0]
-    small = render_image(
-        tiny_model, camera, mic_dataset.normalizer, marcher, chunk=64
-    )
-    large = render_image(
-        tiny_model, camera, mic_dataset.normalizer, marcher, chunk=100000
-    )
+    renderer = wrap_model(tiny_model, marcher=marcher)
+    small = renderer.render_image(camera, mic_dataset.normalizer, chunk=64)
+    large = renderer.render_image(camera, mic_dataset.normalizer, chunk=100000)
     assert np.allclose(small, large)
     with pytest.raises(ValueError):
-        render_image(tiny_model, camera, mic_dataset.normalizer, marcher, chunk=0)
+        renderer.render_image(camera, mic_dataset.normalizer, chunk=0)
 
 
 def test_real_scene_trace_drives_chip_simulation(tiny_trainer, mic_dataset):

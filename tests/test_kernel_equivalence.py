@@ -10,13 +10,13 @@ would silently drop contributions.
 import numpy as np
 import pytest
 
-from repro.nerf.early_termination import render_batch_ert, truncate_batch
+from repro.nerf.early_termination import render_batch_adaptive, truncate_batch
 from repro.nerf.hash_encoding import HashEncoding, HashEncodingConfig
 from repro.nerf.occupancy import OccupancyGrid, traverse_grid
-from repro.nerf.renderer import render_image, render_rays
 from repro.nerf.sampling import RayMarcher, SamplerConfig
 from repro.nerf.volume_rendering import composite, psnr, segment_sum
 from repro.perf import reference
+from repro.pipeline import wrap_model
 from repro.sim.trace import distribute_samples_over_pairs
 
 
@@ -185,11 +185,12 @@ def test_ert_colors_match_truncated_composite(tiny_model):
         sigma_t, rgb_t, truncated.deltas, truncated.ts, truncated.ray_idx,
         truncated.n_rays,
     )
-    colors, stats = render_batch_ert(
-        Scaled(), batch, threshold=threshold, round_size=8
+    colors, stats = render_batch_adaptive(
+        Scaled(), None, batch, threshold=threshold, round_size=8
     )
     np.testing.assert_allclose(colors, expected.colors, atol=1e-9)
-    assert stats.live_samples < stats.total_samples
+    assert stats.lowp_samples == 0
+    assert stats.evaluated < stats.total_samples
     assert stats.terminated_fraction > 0.0
 
 
@@ -199,10 +200,11 @@ def test_ert_frame_psnr_identical_to_full_render(tiny_model, mic_dataset):
     marcher = RayMarcher(SamplerConfig(max_samples=24))
     camera = mic_dataset.cameras[0]
     target = mic_dataset.images[0]
-    full = render_image(tiny_model, camera, mic_dataset.normalizer, marcher)
-    ert = render_image(
-        tiny_model, camera, mic_dataset.normalizer, marcher,
-        ert_threshold=1e-7,
+    full = wrap_model(tiny_model, marcher=marcher).render_image(
+        camera, mic_dataset.normalizer
+    )
+    ert = wrap_model(tiny_model, marcher=marcher, ert_threshold=1e-7).render_image(
+        camera, mic_dataset.normalizer
     )
     assert full.dtype == np.float32
     assert np.max(np.abs(full.astype(np.float64) - ert.astype(np.float64))) < 1e-5
@@ -210,24 +212,26 @@ def test_ert_frame_psnr_identical_to_full_render(tiny_model, mic_dataset):
 
 
 def test_ert_off_is_bitwise_default(tiny_model, mic_dataset):
-    """ert_threshold=None must leave the exact path untouched."""
+    """ert_threshold=None must leave the exact path untouched: one
+    forward over the marched batch plus the segmented composite."""
     marcher = RayMarcher(SamplerConfig(max_samples=24))
-    camera = mic_dataset.cameras[0]
-    a = render_image(tiny_model, camera, mic_dataset.normalizer, marcher)
-    b = render_image(
-        tiny_model, camera, mic_dataset.normalizer, marcher, ert_threshold=None
+    renderer = wrap_model(tiny_model, marcher=marcher, ert_threshold=None)
+    colors, batch, result = renderer.render_rays(
+        np.full((16, 3), -0.5), np.tile([1.0, 0.9, 0.8], (16, 1))
     )
-    assert np.array_equal(a, b)
+    sigma, rgb, _ = tiny_model.forward(batch.positions, batch.directions)
+    expected = composite(
+        sigma, rgb, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays
+    )
+    assert len(batch) > 0 and result is not None
+    assert np.array_equal(colors, expected.colors)
 
 
 def test_render_rays_ert_returns_no_per_sample_result(tiny_model):
     marcher = RayMarcher(SamplerConfig(max_samples=16))
-    colors, batch, result = render_rays(
-        tiny_model,
-        np.array([[-1.0, 0.5, 0.5]]),
-        np.array([[1.0, 0.0, 0.0]]),
-        marcher,
-        ert_threshold=1e-3,
+    renderer = wrap_model(tiny_model, marcher=marcher, ert_threshold=1e-3)
+    colors, batch, result = renderer.render_rays(
+        np.array([[-1.0, 0.5, 0.5]]), np.array([[1.0, 0.0, 0.0]])
     )
     assert colors.shape == (1, 3)
     assert len(batch) > 0

@@ -223,20 +223,12 @@ def test_pinned_handle_stays_bit_identical_across_hot_swap():
     second = deployer.deploy(loop.trainer, t_s=1.0, psnr_db=11.0)
     assert second.generation == first.generation + 1
     assert pinned.generation == first.generation
-    from repro.nerf.renderer import render_image
-
-    served = render_image(
-        pinned.model, camera, pinned.normalizer, pinned.marcher,
-        occupancy=pinned.occupancy, background=pinned.background, chunk=32,
-    )
+    served = pinned.renderer.render_image(camera, pinned.normalizer, chunk=32)
     assert np.array_equal(served, deployer.reference_frames[first.generation])
     fresh = registry.acquire("mic")
     assert fresh.generation == second.generation
     assert np.array_equal(
-        render_image(
-            fresh.model, camera, fresh.normalizer, fresh.marcher,
-            occupancy=fresh.occupancy, background=fresh.background, chunk=32,
-        ),
+        fresh.renderer.render_image(camera, fresh.normalizer, chunk=32),
         deployer.reference_frames[second.generation],
     )
     pinned.release()

@@ -1,11 +1,8 @@
-"""The staged Renderer abstraction: registry, bit-identity, round trips.
+"""The staged Renderer abstraction: registry, render paths, round trips.
 
-The load-bearing proofs of ``repro.pipeline``: the ``ngp`` renderer
-assembled from stages is *bit-identical* — ``np.array_equal``, not
-allclose — to the pre-refactor monolithic
-:func:`repro.nerf.renderer.render_rays` / ``render_image`` on every
-path (plain, ERT, empty batch), and the registry/wrap/checkpoint
-surfaces preserve renderer names across round trips.
+The registry/wrap/checkpoint surfaces of ``repro.pipeline`` preserve
+renderer names and frames across round trips; served-equals-offline
+for every stage config lives in ``tests/test_stage_configs.py``.
 """
 
 import numpy as np
@@ -13,7 +10,6 @@ import pytest
 
 from repro import pipeline
 from repro.nerf.occupancy import OccupancyGrid
-from repro.nerf.renderer import render_image, render_rays
 from repro.nerf.sampling import RayMarcher, SamplerConfig
 from repro.nerf.tensorf import DenseGridConfig, DenseGridField, TensoRFConfig, TensoRFModel
 from repro.pipeline import (
@@ -120,70 +116,20 @@ def test_wrap_model_infers_name(tiny_model):
     assert pipeline.wrap_model(tiny_model, name="ngp-frozen").name == "ngp-frozen"
 
 
-# ------------------------------------------------------------ bit-identity
-
-
-def test_render_rays_bit_identical_to_monolithic(
-    tiny_model, marcher, unit_rays, full_occupancy
-):
-    origins, directions = unit_rays
-    expected, expected_batch, expected_result = render_rays(
-        tiny_model, origins, directions, marcher, occupancy=full_occupancy
-    )
-    renderer = pipeline.wrap_model(
-        tiny_model, marcher=marcher, occupancy=full_occupancy
-    )
-    colors, batch, result = renderer.render_rays(origins, directions)
-    assert np.array_equal(colors, expected)
-    assert np.array_equal(batch.positions, expected_batch.positions)
-    assert np.array_equal(result.colors, expected_result.colors)
-
-
-def test_render_rays_ert_path_bit_identical(tiny_model, marcher, unit_rays):
-    origins, directions = unit_rays
-    expected, _, expected_result = render_rays(
-        tiny_model, origins, directions, marcher, ert_threshold=1e-3
-    )
-    renderer = pipeline.wrap_model(tiny_model, marcher=marcher, ert_threshold=1e-3)
-    colors, _, result = renderer.render_rays(origins, directions)
-    assert expected_result is None and result is None
-    assert np.array_equal(colors, expected)
+# ------------------------------------------------------------ render paths
 
 
 def test_render_rays_empty_batch_background(tiny_model, marcher, unit_rays):
     origins, directions = unit_rays
     dead = OccupancyGrid(resolution=4)
     dead.mask[...] = False
-    expected, _, _ = render_rays(
-        tiny_model, origins, directions, marcher, occupancy=dead, background=0.25
-    )
     renderer = pipeline.wrap_model(
         tiny_model, marcher=marcher, occupancy=dead, background=0.25
     )
     colors, batch, result = renderer.render_rays(origins, directions)
     assert len(batch) == 0 and result is None
-    assert np.array_equal(colors, expected)
+    assert colors.shape == (len(origins), 3)
     assert np.all(colors == 0.25)
-
-
-def test_render_image_bit_identical_to_monolithic(
-    tiny_model, marcher, mic_dataset, full_occupancy
-):
-    camera = mic_dataset.cameras[0]
-    expected = render_image(
-        tiny_model,
-        camera,
-        mic_dataset.normalizer,
-        marcher,
-        occupancy=full_occupancy,
-        chunk=97,
-    )
-    renderer = pipeline.wrap_model(
-        tiny_model, marcher=marcher, occupancy=full_occupancy
-    )
-    frame = renderer.render_image(camera, mic_dataset.normalizer, chunk=97)
-    assert frame.dtype == np.float32
-    assert np.array_equal(frame, expected)
 
 
 def test_tensorf_renderer_renders_frames(mic_dataset):

@@ -12,10 +12,7 @@ import pytest
 
 from repro import pipeline
 from repro.nerf.aabb import SceneNormalizer
-from repro.nerf.early_termination import (
-    render_batch_adaptive,
-    render_batch_ert,
-)
+from repro.nerf.early_termination import render_batch_adaptive
 from repro.nerf.hash_encoding import HashEncodingConfig
 from repro.nerf.mlp import MLP, Int8MLP, InferenceMLP
 from repro.nerf.model import InstantNGPModel, ModelConfig
@@ -26,7 +23,6 @@ from repro.nerf.precision import (
     PrecisionGate,
 )
 from repro.nerf.quantization import quantize_int8, quantize_int8_fixed
-from repro.nerf.renderer import render_image, render_rays
 from repro.nerf.sampling import RayMarcher, SamplerConfig
 from repro.nerf.camera import Camera, sphere_poses
 from repro.robustness.faults import SramFaultConfig
@@ -86,20 +82,21 @@ def _opaque_batch(max_samples=32, n_px=6, density_bias=12.0):
 
 
 def test_default_path_bit_identical():
-    model = _model()
-    camera = _camera()
-    marcher = RayMarcher(SamplerConfig(max_samples=16))
-    occupancy = OccupancyGrid(resolution=8)
-    direct = render_image(
-        model, camera, _normalizer(), marcher, occupancy=occupancy
-    )
-    staged = pipeline.wrap_model(
-        model,
-        marcher=RayMarcher(SamplerConfig(max_samples=16)),
-        occupancy=occupancy,
-    )
+    """The full-precision default evaluates the float64 field itself:
+    one forward plus the exact composite, no snapshot in between."""
+    from repro.nerf.volume_rendering import composite
+
+    model, batch = _opaque_batch(density_bias=None)
+    staged = pipeline.wrap_model(model)
     assert staged.precision == "full"
-    assert np.array_equal(staged.render_image(camera, _normalizer()), direct)
+    assert staged.compositor.lowp_field is None
+    colors, result = staged.compositor.render(model, batch, 1.0)
+    sigma, rgb, _ = model.forward(batch.positions, batch.directions)
+    expected = composite(
+        sigma, rgb, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays
+    )
+    assert np.array_equal(colors, expected.colors)
+    assert np.array_equal(result.weights, expected.weights)
 
 
 def test_snapshot_construction_leaves_source_untouched():
@@ -250,39 +247,24 @@ def test_quantize_int8_round_trip_error_bound():
 
 
 def test_render_entry_points_validate_ert_threshold():
+    """The compositor range-checks ``ert_threshold`` where it is built, so
+    every way of assembling a renderer rejects a bad one up front."""
     model = _model()
-    camera = _camera(4)
-    marcher = RayMarcher(SamplerConfig(max_samples=8))
     origins = np.zeros((2, 3))
     directions = np.tile([0.0, 0.0, 1.0], (2, 1))
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
-            render_rays(model, origins, directions, marcher, ert_threshold=bad)
+            pipeline.wrap_model(model, ert_threshold=bad)
         with pytest.raises(ValueError):
-            render_image(
-                model, camera, _normalizer(), marcher, ert_threshold=bad
-            )
+            pipeline.VolumeCompositor(bad)
     # None (ERT off) and in-range values remain accepted.
-    render_rays(model, origins, directions, marcher, ert_threshold=None)
-    render_rays(model, origins, directions, marcher, ert_threshold=0.5)
+    for good in (None, 0.5):
+        pipeline.wrap_model(model, ert_threshold=good).render_rays(
+            origins, directions
+        )
 
 
 # ------------------------------------------------------- adaptive sampling
-
-
-def test_adaptive_switch_zero_matches_pure_ert():
-    model, batch = _opaque_batch()
-    lowp = LowPrecisionField(model, mode="fp16-int8")
-    ert_colors, _ = render_batch_ert(
-        model, batch, threshold=1e-2, round_size=4
-    )
-    colors, stats = render_batch_adaptive(
-        model, lowp, batch, threshold=1e-2, switch_threshold=0.0, round_size=4
-    )
-    # switch_threshold=0 never routes to the snapshot, so the adaptive
-    # loop degenerates to exact ERT.
-    assert stats.lowp_samples == 0
-    assert np.array_equal(colors, ert_colors)
 
 
 def test_adaptive_routes_and_bounds_color_error():
@@ -520,7 +502,7 @@ def test_deploy_tags_lowp_model_precision():
     assert summary["renderer"] == "ngp"  # resolved through the source
     assert summary["precision"] == "fp16-int8"
     handle = registry.acquire("lowp-scene")
-    assert handle.precision == "fp16-int8"
+    assert handle.renderer.precision == "fp16-int8"
     handle.release()
 
 

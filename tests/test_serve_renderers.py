@@ -5,7 +5,7 @@ a renderer tag (inferred from the model type), the admission EWMA is
 keyed per ``(scene, renderer)`` so one slow renderer cannot poison
 another's deadline feasibility, and an ``ngp`` → ``tensorf`` hot-swap
 drains cleanly with served frames bit-identical to each renderer's own
-offline ``render_image``.
+offline ``Renderer.render_image``.
 """
 
 import numpy as np
@@ -13,8 +13,8 @@ import pytest
 
 from repro.nerf.aabb import SceneNormalizer
 from repro.nerf.occupancy import OccupancyGrid
-from repro.nerf.renderer import render_image
 from repro.nerf.tensorf import TensoRFConfig, TensoRFModel
+from repro.pipeline import wrap_model
 from repro.serve import (
     RenderRequest,
     RenderService,
@@ -25,6 +25,7 @@ from repro.serve import (
     run_closed_loop,
 )
 from repro.serve.admission import REJECT_DEADLINE_INFEASIBLE
+from repro.serve.registry import SceneRegistryError
 from repro.serve.loadgen import demo_model
 
 
@@ -62,20 +63,20 @@ def test_deploy_infers_renderer_tags():
     tags = {s["name"]: s["renderer"] for s in registry.scenes()}
     assert tags == {"hash-scene": "ngp", "vm-scene": "tensorf"}
     handle = registry.acquire("vm-scene")
-    assert handle.renderer == "tensorf"
+    assert handle.renderer.name == "tensorf"
     handle.release()
 
 
 def test_deploy_accepts_explicit_renderer_tag():
+    """A deployed renderer's own name is the scene's tag."""
     registry = SceneRegistry()
-    registry.deploy(
-        "scene",
-        model=demo_model(seed=0),
-        occupancy=_permissive_occupancy(),
-        normalizer=_normalizer(),
-        renderer="ngp-int8",
-    )
+    renderer = wrap_model(demo_model(seed=0), name="ngp-int8")
+    registry.deploy("scene", renderer=renderer, normalizer=_normalizer())
     assert registry.scenes()[0]["renderer"] == "ngp-int8"
+    with pytest.raises(SceneRegistryError):  # a renderer carries its model
+        registry.deploy(
+            "scene", renderer=renderer, model=demo_model(), normalizer=_normalizer()
+        )
 
 
 # --------------------------------------- per-(scene, renderer) admission
@@ -163,16 +164,8 @@ def test_hot_swap_ngp_to_tensorf_drains_bit_identically():
     # Serve a frame from the ngp generation and pin its handle.
     before = run_closed_loop(service, scene, n_frames=1, camera=camera)
     old = registry.acquire(scene)
-    assert old.renderer == "ngp"
-    direct_ngp = render_image(
-        old.model,
-        camera,
-        old.normalizer,
-        old.marcher,
-        occupancy=old.occupancy,
-        background=old.background,
-        chunk=chunk,
-    )
+    assert old.renderer.name == "ngp"
+    direct_ngp = old.renderer.render_image(camera, old.normalizer, chunk=chunk)
     assert np.array_equal(before.responses[0].frame, direct_ngp)
 
     # Hot-swap the scene to a tensorf generation while the old handle
@@ -186,15 +179,7 @@ def test_hot_swap_ngp_to_tensorf_drains_bit_identically():
     )
     row = next(s for s in registry.scenes() if s["name"] == scene)
     assert row["renderer"] == "tensorf"
-    still_old = render_image(
-        old.model,
-        camera,
-        old.normalizer,
-        old.marcher,
-        occupancy=old.occupancy,
-        background=old.background,
-        chunk=chunk,
-    )
+    still_old = old.renderer.render_image(camera, old.normalizer, chunk=chunk)
     assert np.array_equal(still_old, direct_ngp)
     old.release()
 
@@ -202,16 +187,8 @@ def test_hot_swap_ngp_to_tensorf_drains_bit_identically():
     # bit-identical to its own offline render.
     after = run_closed_loop(service, scene, n_frames=1, camera=camera)
     new = registry.acquire(scene)
-    assert new.renderer == "tensorf"
-    direct_tensorf = render_image(
-        new.model,
-        camera,
-        new.normalizer,
-        new.marcher,
-        occupancy=new.occupancy,
-        background=new.background,
-        chunk=chunk,
-    )
+    assert new.renderer.name == "tensorf"
+    direct_tensorf = new.renderer.render_image(camera, new.normalizer, chunk=chunk)
     new.release()
     assert np.array_equal(after.responses[0].frame, direct_tensorf)
     assert not np.array_equal(direct_tensorf, direct_ngp)

@@ -48,7 +48,7 @@ def _active(registry, scene, camera, now=0.0, request_id=0, priority=1):
         priority=priority,
     )
     return activate_request(
-        request, handle, handle.marcher,
+        request, handle, handle.renderer,
         handle.marcher.config.max_samples, 1.0, 0, now,
     )
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.experiments import runner
-from repro.nerf.renderer import render_image
 from repro.serve import (
     AdmissionPolicy,
     BatchPolicy,
@@ -44,14 +43,8 @@ def test_closed_loop_frame_bit_identical_to_render_image():
     camera = demo_camera(16, 16)
     report = run_closed_loop(service, scene, n_frames=2, camera=camera)
     handle = registry.acquire(scene)
-    direct = render_image(
-        handle.model,
-        camera,
-        handle.normalizer,
-        handle.marcher,
-        occupancy=handle.occupancy,
-        background=handle.background,
-        chunk=service.config.batch.slice_rays,
+    direct = handle.renderer.render_image(
+        camera, handle.normalizer, chunk=service.config.batch.slice_rays
     )
     handle.release()
     assert report.completed == 2
@@ -75,10 +68,7 @@ def test_coalesced_batches_keep_pixels_bit_identical():
         )
     service.run()
     handle = registry.acquire(scene)
-    direct = render_image(
-        handle.model, camera, handle.normalizer, handle.marcher,
-        occupancy=handle.occupancy, background=handle.background, chunk=64,
-    )
+    direct = handle.renderer.render_image(camera, handle.normalizer, chunk=64)
     handle.release()
     assert service.batches_dispatched == 1  # genuinely coalesced
     for i in range(2):
@@ -96,10 +86,8 @@ def test_tile_request_matches_full_frame_crop():
     )
     service.run()
     handle = registry.acquire(scene)
-    full = render_image(
-        handle.model, camera, handle.normalizer, handle.marcher,
-        occupancy=handle.occupancy, background=handle.background,
-        chunk=service.config.batch.slice_rays,
+    full = handle.renderer.render_image(
+        camera, handle.normalizer, chunk=service.config.batch.slice_rays
     )
     handle.release()
     frame = service.responses[0].frame

@@ -47,12 +47,13 @@ _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HOT_MODULES = (
     "src/repro/nerf/hash_encoding.py",
     "src/repro/nerf/sampling.py",
-    "src/repro/nerf/renderer.py",
     "src/repro/nerf/volume_rendering.py",
     "src/repro/nerf/early_termination.py",
     "src/repro/nerf/occupancy.py",
     "src/repro/nerf/precision.py",
     "src/repro/sim/trace.py",
+    "src/repro/pipeline/renderer.py",
+    "src/repro/pipeline/stages.py",
     "src/repro/serve/batching.py",
 )
 
