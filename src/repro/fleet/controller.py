@@ -67,7 +67,7 @@ from ..serve.batching import (
     slice_request,
 )
 from ..serve.registry import SceneRegistry, UnknownSceneError
-from ..serve.service import FAILED_UNKNOWN_SCENE
+from ..serve.service import FAILED_UNKNOWN_SCENE, board_time
 from ..serve.slo import SLOTracker, format_slo_report
 from ..sim.multichip import MultiChipSystem
 from .placement import HashRing, place_experts, rebalance_experts
@@ -503,21 +503,8 @@ class FleetController:
             active.out[item.start : item.stop] = colors
             billed += len(samples) * entry.request.hw_scale
         active.finish("completed", now)
-        board_s = self._board_time(entry.request.scene, handle.trace, billed)
+        board_s = board_time(self.system, entry.request.scene, handle.trace, billed)
         return active.frame, billed, board_s * worker.service_multiplier(now)
-
-    def _board_time(self, scene: str, trace, billed_samples: float) -> float:
-        """One worker-board's simulated time for a billed sample volume."""
-        n = self.system.config.n_chips
-        if billed_samples <= 0 or trace.n_samples == 0:
-            comm = self.system.communication([trace] * n, workload_scale=0.0)
-            return comm.transfer_s
-        report = self.system.simulate_batch(
-            scene,
-            [trace] * n,
-            workload_scale=billed_samples / trace.n_samples,
-        )
-        return report.runtime_s
 
     # -- replies, deadlines, retries -------------------------------------
 

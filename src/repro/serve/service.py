@@ -327,7 +327,11 @@ class RenderService:
                 active.slices_remaining -= 1
                 if active.slices_remaining == 0:
                     finished.append(active)
-            runtime_s = self._charge_hardware(batch.scene, trace, billed_samples)
+            runtime_s = (
+                0.0  # every slice was dead: nothing reached the board
+                if trace is None
+                else board_time(self.system, batch.scene, trace, billed_samples)
+            )
         self.now_s += runtime_s
         self.hardware_busy_s += runtime_s
         self.batches_dispatched += 1
@@ -366,28 +370,6 @@ class RenderService:
                 # The ops plane samples on the *service* clock, so queue
                 # and rate dynamics line up with simulated time.
                 tel.publisher.maybe_publish(self.now_s)
-
-    def _charge_hardware(self, scene: str, trace, billed_samples: float) -> float:
-        """Simulated board time for one dispatch.
-
-        ``billed_samples`` is the kept-sample total scaled by each
-        request's ``hw_scale``; the scene's representative trace is
-        stretched to that volume (the standard ``workload_scale`` linear
-        extrapolation).  An all-background batch (zero kept samples)
-        still pays the camera-broadcast round trip.
-        """
-        n = self.system.config.n_chips
-        if trace is None:
-            return 0.0  # every slice was dead: nothing reached the board
-        if billed_samples <= 0 or trace.n_samples == 0:
-            comm = self.system.communication([trace] * n, workload_scale=0.0)
-            return comm.transfer_s
-        report = self.system.simulate_batch(
-            scene,
-            [trace] * n,
-            workload_scale=billed_samples / trace.n_samples,
-        )
-        return report.runtime_s
 
     def _finish(self, active: ActiveRequest, status: str) -> None:
         """Terminally resolve an in-flight request at the current clock."""
@@ -464,3 +446,24 @@ class RenderService:
     def report(self) -> str:
         """The greppable SLO attainment report for this service run."""
         return format_slo_report(self.slo)
+
+
+def board_time(
+    system: MultiChipSystem, scene: str, trace, billed_samples: float
+) -> float:
+    """Simulated board seconds for one dispatch of ``scene``.
+
+    ``billed_samples`` is the kept-sample total scaled by each request's
+    ``hw_scale``; the scene's representative trace is stretched to that
+    volume (the standard ``workload_scale`` linear extrapolation).  An
+    all-background dispatch (zero kept samples) still pays the
+    camera-broadcast round trip.  The one billing rule of
+    :class:`RenderService` and :class:`~repro.fleet.FleetController`.
+    """
+    traces = [trace] * system.config.n_chips
+    if billed_samples <= 0 or trace.n_samples == 0:
+        return system.communication(traces, workload_scale=0.0).transfer_s
+    report = system.simulate_batch(
+        scene, traces, workload_scale=billed_samples / trace.n_samples
+    )
+    return report.runtime_s

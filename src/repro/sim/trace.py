@@ -31,7 +31,13 @@ from ..nerf.sampling import RayMarcher, SamplerConfig
 
 @dataclass
 class WorkloadTrace:
-    """Per-batch workload description consumed by the chip simulator."""
+    """Per-batch workload description consumed by the chip simulator.
+
+    A trace is immutable after construction: nothing mutates its fields
+    in place (fault injection and scrubbing build new traces), which is
+    what lets :meth:`~repro.sim.chip.SingleChipAccelerator.simulate`
+    memoize the trace's unscaled Stage I-III reports on the trace itself.
+    """
 
     n_rays: int
     #: ``pair_durations[r]`` lists, for ray r, the kept-sample count of
@@ -51,6 +57,12 @@ class WorkloadTrace:
     #: Occupancy-grid cells the DDA walk visits (Stage I mask reads);
     #: falls back to a candidate-derived estimate when not traced.
     n_cells_visited: int = 0
+    #: ``(chip config, training, optimized_sampling) -> (stage I, II, III
+    #: reports)`` at workload scale 1, filled by the chip simulator and
+    #: freed with the trace.
+    _stage_reports: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.n_rays < 0 or self.n_samples < 0 or self.n_candidates < 0:
