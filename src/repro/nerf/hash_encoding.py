@@ -13,6 +13,21 @@ Two properties of this function matter to the hardware (Sec. V-B):
   land far apart in the table (Level-2 "interpolation level" tiling);
 * the X factor is 1, so vertices that differ by one in X always have
   opposite index parity when ``T`` is even (Level-3 "parity" tiling).
+
+The kernel is laid out **corner-major**, much as the paper's hash tiling
+gives each cell corner its own SRAM bank: each of the eight corners is
+one contiguous ``(L, n)`` vector of table indices and one of trilinear
+weights, stored together as ``(8, L, n)`` arrays.  The per-axis hash
+terms ``b * P`` and ``(b + 1) * P`` are computed once per point and
+level, and a corner's index is the XOR of three of them, masked to the
+table.  Each corner gathers its features per channel from the
+``(F, L*T)`` transpose of the tables and adds them, weighted, to the
+blend, so corners always accumulate in the fixed order ``c = 0..7``
+(x-fastest, see :data:`CORNER_OFFSETS`), each weight being
+``(w_x * w_y) * w_z``.  The backward scatter reads the same arrays in
+``(L, n, 8)`` order.  That corner order, association order and scatter
+order are what make the kernel bit-identical to the per-level reference
+in :mod:`repro.perf.reference`.
 """
 
 from __future__ import annotations
@@ -103,57 +118,42 @@ def hash_vertices(coords: np.ndarray, table_size: int) -> np.ndarray:
     return (h % np.uint64(table_size)).astype(np.int64)
 
 
-class _LazyCorners:
-    """List-like view deferring corner materialization.
-
-    The fused forward no longer needs the ``(L, n, 8, 3)`` integer corner
-    array (the hash is computed from per-axis terms), but the
-    :class:`EncodingTrace` contract exposes ``corners[level]`` for the
-    hash-tiling simulator and tests.  This sequence rebuilds a level's
-    corners from the cached ``(L, n, 3)`` base coordinates only when
-    asked, keeping the training hot path free of the allocation.
-    """
-
-    def __init__(self, base: np.ndarray):
-        self._base = base
-
-    def __len__(self) -> int:
-        return self._base.shape[0]
-
-    def __getitem__(self, level):
-        return self._base[level][:, None, :] + CORNER_OFFSETS[None, :, :]
-
-    def __iter__(self):
-        for level in range(len(self)):
-            yield self[level]
-
-
 @dataclass
 class EncodingTrace:
-    """Per-level access records cached for backward and for the simulator.
+    """Stage II access record, cached for backward and for the simulator.
 
-    ``indices[l]`` is ``(n, 8)`` table indices; ``weights[l]`` the matching
-    trilinear weights; ``corners[l]`` the integer vertex coordinates (the
-    hash-tiling simulation derives bank ids from these).
-
-    When produced by the fused forward, the per-level entries are views
-    into level-stacked arrays also carried here (``indices_lnk`` /
-    ``weights_lnk``, shaped ``(L, n, 8)``) so backward can scatter all
-    levels in one pass without re-stacking.
+    Stored once, corner-major: ``flat_indices`` and ``corner_weights``
+    are ``(8, L, n)`` (level-offset indices into the ``(L*T, F)``
+    flattened tables, and their trilinear weights), ``base`` is the
+    ``(L, 3, n)`` clipped cell origin and ``level_offsets`` the ``(L,)``
+    offset of each level's slab.  The per-level lists are derived on
+    access: ``indices[l]`` is ``(n, 8)`` table indices, ``weights[l]`` the
+    matching weights and ``corners[l]`` the ``(n, 8, 3)`` integer vertex
+    coordinates (the hash-tiling simulation derives bank ids from these).
     """
 
-    indices: list
-    weights: list
-    corners: list
-    n_points: int
-    #: Optional ``(L, n, 8)`` stacked table indices (fused-forward cache).
-    indices_lnk: np.ndarray = None
-    #: Optional ``(L, n, 8)`` stacked trilinear weights.
-    weights_lnk: np.ndarray = None
-    #: Optional ``(L, n, 8)`` level-offset indices into the flattened
-    #: ``(L*T, F)`` table view, shared by the forward gather and the
-    #: backward scatter.
-    flat_indices: np.ndarray = None
+    flat_indices: np.ndarray
+    corner_weights: np.ndarray
+    base: np.ndarray
+    level_offsets: np.ndarray
+
+    @property
+    def n_points(self) -> int:
+        return self.flat_indices.shape[2]
+
+    @property
+    def indices(self) -> list:
+        by_level = self.flat_indices.transpose(1, 2, 0)
+        return list(by_level - self.level_offsets[:, None, None])
+
+    @property
+    def weights(self) -> list:
+        return list(self.corner_weights.transpose(1, 2, 0))
+
+    @property
+    def corners(self) -> list:
+        by_level = self.base.transpose(0, 2, 1)[:, :, None, :]
+        return list(by_level + CORNER_OFFSETS[None, None, :, :])
 
 
 class HashEncoding:
@@ -169,7 +169,7 @@ class HashEncoding:
             size=(config.n_levels, config.table_size, config.n_features),
         ).astype(np.float64)
         #: Flat offset of each level's slab in the level-stacked table
-        #: view; the fused kernels gather/scatter through ``offset + idx``.
+        #: view; the kernel gathers and scatters through ``offset + idx``.
         self._level_offsets = (
             np.arange(config.n_levels, dtype=np.int64) * config.table_size
         )
@@ -178,7 +178,9 @@ class HashEncoding:
         """Corner coordinates, table indices and weights for one level.
 
         Returns ``(corners, indices, weights)`` with shapes
-        ``(n, 8, 3)``, ``(n, 8)`` and ``(n, 8)``.
+        ``(n, 8, 3)``, ``(n, 8)`` and ``(n, 8)``.  This is the per-level
+        specification of the address path; the Stage II kernel computes
+        the same values corner-major for all levels at once.
         """
         points = np.atleast_2d(points)
         resolution = int(self.config.level_resolutions[level])
@@ -196,102 +198,85 @@ class HashEncoding:
         weights = terms.prod(axis=-1)
         return corners, indices, weights
 
-    def _fused_lookup(self, points: np.ndarray) -> tuple:
-        """Fused Stage II address path over all levels at once.
+    def _interpolate(self, points: np.ndarray, tables: np.ndarray) -> tuple:
+        """The corner-major Stage II kernel, shared with the fp16 snapshot.
 
-        Returns ``(base, indices, weights)`` with shapes ``(L, n, 3)``,
-        ``(L, n, 8)`` and ``(L, n, 8)``; every per-level slice is
-        bit-identical to :meth:`level_lookup` at that level.  Two fusions
-        do the work of the retired per-level loop:
-
-        * the spatial hash is decomposed per axis — ``x*P0`` and
-          ``(x+1)*P0`` (and likewise for y, z) are computed once per
-          point, and the eight corner hashes are XOR combinations of
-          those six terms, so the hot multiply runs on ``(L, n)`` instead
-          of ``(L, n, 8)``;
-        * the trilinear corner weights come from per-axis ``{1-f, f}``
-          tables indexed by the corner bit pattern — two multiplies per
-          corner with association order ``(x*y)*z`` matching the
-          reference ``prod`` exactly.
-
-        Weight precision follows the ``points`` dtype (float32 sample
-        buffers keep float32 weights, matching the fp16 interpolation
-        hardware; nothing silently upcasts to float64).
+        Returns ``(features, flat_indices, weights, base)``: the
+        ``(n, L*F)`` level-major features blended from ``tables``, the
+        ``(8, L, n)`` level-offset indices and trilinear weights, and the
+        ``(L, 3, n)`` clipped cell origins.  Weights follow the ``points``
+        dtype (float32 sample buffers keep float32 weights, matching the
+        fp16 interpolation hardware); features follow the wider of the
+        weights and ``tables``.
         """
+        cfg = self.config
+        n_levels, n_features = cfg.n_levels, cfg.n_features
         points = np.atleast_2d(points)
-        resolutions = self.config.level_resolutions  # (L,) int64
-        scaled = points[None, :, :] * resolutions[:, None, None].astype(points.dtype)
+        n = points.shape[0]
+        resolutions = cfg.level_resolutions
+        scaled = (
+            np.ascontiguousarray(points.T)[None, :, :]
+            * resolutions[:, None, None].astype(points.dtype)
+        )
         base = np.floor(scaled).astype(np.int64)
         np.clip(base, 0, resolutions[:, None, None] - 1, out=base)
         frac = scaled - base.astype(points.dtype)
-        ox, oy, oz = CORNER_OFFSETS[:, 0], CORNER_OFFSETS[:, 1], CORNER_OFFSETS[:, 2]
-        base_u = base.astype(np.uint64)
-        lo = base_u * PRIMES  # (L, n, 3): x*P0, y*P1, z*P2
-        hi = (base_u + np.uint64(1)) * PRIMES
-        hashes = (
-            np.stack([lo[..., 0], hi[..., 0]], axis=-1)[..., ox]
-            ^ np.stack([lo[..., 1], hi[..., 1]], axis=-1)[..., oy]
-            ^ np.stack([lo[..., 2], hi[..., 2]], axis=-1)[..., oz]
+        # Per-axis hash terms, (L, 3, n), masked to the table: the mask
+        # distributes over XOR, and (b + 1) * P == b * P + P holds exactly
+        # under uint64 wraparound.
+        mask = np.uint64(cfg.table_size - 1)
+        lo = base.view(np.uint64) * PRIMES[:, None]
+        hi = lo + PRIMES[:, None]
+        lo &= mask
+        hi &= mask
+        # A masked hash is below T, so XOR-ing in the level's slab offset
+        # (a multiple of T) adds it: corner indices come out flat.
+        offsets = self._level_offsets.view(np.uint64)[:, None]
+        z_hash = (lo[:, 2] ^ offsets, hi[:, 2] ^ offsets)
+        # The four x/y combinations, shared by the two z layers of corners.
+        xy_hash = [lo[:, 0] ^ lo[:, 1], hi[:, 0] ^ lo[:, 1],
+                   lo[:, 0] ^ hi[:, 1], hi[:, 0] ^ hi[:, 1]]
+        w_hi = [frac[:, 0], frac[:, 1], frac[:, 2]]
+        w_lo = [1.0 - f for f in w_hi]
+        xy_weight = [w_lo[0] * w_lo[1], w_hi[0] * w_lo[1],
+                     w_lo[0] * w_hi[1], w_hi[0] * w_hi[1]]
+        z_weight = (w_lo[2], w_hi[2])
+        flat = np.empty((8, n_levels, n), dtype=np.uint64)
+        weights = np.empty((8, n_levels, n), dtype=frac.dtype)
+        # Flat indices are far below 2**63, so the signed view is exact.
+        indices = flat.view(np.int64)
+        table_t = np.ascontiguousarray(tables.reshape(-1, n_features).T)
+        blend = np.empty(
+            (n_features, n_levels, n), dtype=np.result_type(weights, tables)
         )
-        table_size = self.config.table_size
-        if table_size & (table_size - 1) == 0:
-            # Power-of-two tables (always, by construction): the modulo
-            # reduces to a mask, sparing a 64-bit division per vertex.
-            indices = (hashes & np.uint64(table_size - 1)).astype(np.int64)
-        else:
-            indices = (hashes % np.uint64(table_size)).astype(np.int64)
-        axis_terms = np.stack([1.0 - frac, frac], axis=-1)  # (L, n, 3, 2)
-        weights = (
-            axis_terms[:, :, 0, ox] * axis_terms[:, :, 1, oy]
-        ) * axis_terms[:, :, 2, oz]
-        return base, indices, weights
-
-    def multilevel_lookup(self, points: np.ndarray) -> tuple:
-        """Corner coordinates, table indices and weights for *all* levels.
-
-        Batched equivalent of calling :meth:`level_lookup` per level:
-        returns ``(corners, indices, weights)`` with shapes
-        ``(L, n, 8, 3)``, ``(L, n, 8)`` and ``(L, n, 8)``, every slice
-        bit-identical to the single-level call.
-        """
-        base, indices, weights = self._fused_lookup(points)
-        corners = base[:, :, None, :] + CORNER_OFFSETS[None, None, :, :]
-        return corners, indices, weights
+        gathered = np.empty((n_levels, n), dtype=blend.dtype)
+        for c in range(8):
+            xy, z = c & 3, c >> 2
+            np.bitwise_xor(xy_hash[xy], z_hash[z], out=flat[c])
+            np.multiply(xy_weight[xy], z_weight[z], out=weights[c])
+            # Accumulate explicitly in the order c = 0..7.  Every index
+            # is in range, so "clip" only skips the bounds-check buffer.
+            for f in range(n_features):
+                if c == 0:
+                    table_t[f].take(indices[c], out=blend[f], mode="clip")
+                    blend[f] *= weights[c]
+                else:
+                    table_t[f].take(indices[c], out=gathered, mode="clip")
+                    gathered *= weights[c]
+                    blend[f] += gathered
+        features = np.ascontiguousarray(blend.transpose(2, 1, 0))
+        return features.reshape(n, cfg.output_dim), indices, weights, base
 
     def forward(self, points: np.ndarray) -> tuple:
         """Encode points; returns ``(features, trace)``.
 
         ``features`` is ``(n, n_levels * n_features)`` with level-major
         layout; ``trace`` feeds :meth:`backward` and the hash-tiling
-        simulator.  All levels are gathered in one fused kernel (see
-        :meth:`multilevel_lookup`); the result is bit-identical to the
-        per-level reference in :mod:`repro.perf.reference`.
+        simulator.  The result is bit-identical to the per-level
+        reference in :mod:`repro.perf.reference` (see module docstring).
         """
-        points = np.atleast_2d(points)
-        n = points.shape[0]
-        cfg = self.config
-        base, indices, weights = self._fused_lookup(points)
-        flat_tables = self.tables.reshape(-1, cfg.n_features)  # (L*T, F)
-        flat_indices = indices + self._level_offsets[:, None, None]
-        # einsum fuses the corner-weighted reduction without the
-        # (L, n, 8, F) product temporary; its per-corner accumulation
-        # order matches ``(w[..., None] * g).sum(axis=2)`` bit-for-bit.
-        level_features = np.einsum(
-            "lnc,lncf->lnf", weights, flat_tables[flat_indices]
-        )
-        features = np.ascontiguousarray(level_features.transpose(1, 0, 2)).reshape(
-            n, cfg.output_dim
-        )
-        trace = EncodingTrace(
-            indices=list(indices),
-            weights=list(weights),
-            corners=_LazyCorners(base),
-            n_points=n,
-            indices_lnk=indices,
-            weights_lnk=weights,
-            flat_indices=flat_indices,
-        )
-        return features, trace
+        features, flat, weights, base = self._interpolate(points, self.tables)
+        return features, EncodingTrace(flat, weights, base, self._level_offsets)
 
     def backward(self, grad_features: np.ndarray, trace: EncodingTrace) -> np.ndarray:
         """Gradient of the loss w.r.t. the tables.
@@ -300,34 +285,29 @@ class HashEncoding:
         array shaped like :attr:`tables`.  This is the scatter-accumulate
         ("inverse adder tree") workload the reconfigurable interpolation
         array executes in training mode.  The scatter runs as one flat
-        ``np.bincount`` per feature channel over level-offset indices —
-        bit-identical to the per-level ``np.add.at`` reference (bincount
-        accumulates in the same input order) but without its
-        element-at-a-time buffered-ufunc cost.
+        ``np.bincount`` per feature channel over level-offset indices,
+        fed in ``(L, n, 8)`` order: bincount accumulates in input order,
+        so duplicate-index sums are bit-identical to the per-level
+        ``np.add.at`` reference, without its element-at-a-time
+        buffered-ufunc cost.
         """
         grad_features = np.atleast_2d(grad_features)
         if grad_features.shape != (trace.n_points, self.config.output_dim):
             raise ValueError("grad_features shape mismatch with trace")
         cfg = self.config
         n_levels, n_features = cfg.n_levels, cfg.n_features
-        weights = trace.weights_lnk
-        flat_indices = trace.flat_indices
-        if weights is None or flat_indices is None:
-            # Hand-built traces (tests, external tooling) carry only the
-            # per-level lists; stack them once.
-            weights = np.stack([np.asarray(w) for w in trace.weights])
-            indices = np.stack([np.asarray(i) for i in trace.indices])
-            flat_indices = indices + self._level_offsets[:, None, None]
-        # (n, L*F) level-major -> (L, n, F)
-        g = grad_features.reshape(trace.n_points, n_levels, n_features)
-        g = g.transpose(1, 0, 2)
-        contrib = (weights[:, :, :, None] * g[:, :, None, :]).reshape(-1, n_features)
-        flat_idx = flat_indices.reshape(-1)
+        n = trace.n_points
+        flat = trace.flat_indices.transpose(1, 2, 0).ravel()
+        weights = trace.corner_weights.transpose(1, 2, 0)
+        # (n, L*F) level-major -> (F, L, n), one (L, n) block per channel.
+        g = np.ascontiguousarray(grad_features.reshape(n, n_levels, n_features).T)
         n_bins = n_levels * cfg.table_size
         grad_flat = np.empty((n_bins, n_features), dtype=np.float64)
+        contrib = np.empty((n_levels, n, 8), dtype=np.float64)
         for feature in range(n_features):
+            np.multiply(weights, g[feature][:, :, None], out=contrib)
             grad_flat[:, feature] = np.bincount(
-                flat_idx, weights=contrib[:, feature], minlength=n_bins
+                flat, weights=contrib.ravel(), minlength=n_bins
             )
         return grad_flat.reshape(self.tables.shape)
 
@@ -364,9 +344,9 @@ class Fp16HashEncoding(HashEncoding):
         self.tables = np.asarray(source.tables, dtype=np.float16)
         # Dequantize-on-load mirror: fp16 -> fp32 is exact, so gathering
         # from the widened copy is numerically identical to widening each
-        # gathered corner — without paying a per-forward (L, n, 8, F)
-        # half-to-single conversion (measured ~1.5x slower than the
-        # fp16 gather it follows).  ``tables`` stays the storage truth:
+        # gathered corner — without paying a half-to-single conversion
+        # of every gathered corner on each forward (measured ~1.5x
+        # slower than the fp16 gather it follows).  ``tables`` stays the storage truth:
         # ``parameters()`` exposes it, fault injection flips its bits.
         self._tables_f32 = self.tables.astype(np.float32)
         self._level_offsets = (
@@ -389,28 +369,16 @@ class Fp16HashEncoding(HashEncoding):
     def forward(self, points: np.ndarray) -> tuple:
         """Encode points at inference precision: ``(features, None)``.
 
-        Same address path as :meth:`HashEncoding.forward` — the fused
-        lookup runs on float32 points, so table indices match the
-        training gather for every float32 sample buffer the render
-        pipeline produces — but the gather reads the fp16-rounded
-        feature values, accumulates the trilinear blend in fp32, and
-        builds no trace: the ``(L, n, 8)`` caches exist only to serve
+        The same corner-major kernel as :meth:`HashEncoding.forward`, on
+        float32 points, so table indices match the training gather for
+        every float32 sample buffer the render pipeline produces; but it
+        reads the fp16-rounded feature values, blends in fp32, and
+        builds no trace: the ``(8, L, n)`` arrays exist only to serve
         backward and the tiling simulator, neither of which runs at
         inference.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=np.float32))
-        n = points.shape[0]
-        cfg = self.config
-        _, indices, weights = self._fused_lookup(points)
-        flat_tables = self._tables_f32.reshape(-1, cfg.n_features)
-        flat_indices = indices + self._level_offsets[:, None, None]
-        level_features = np.einsum(
-            "lnc,lncf->lnf", weights, flat_tables[flat_indices]
-        )
-        features = np.ascontiguousarray(
-            level_features.transpose(1, 0, 2)
-        ).reshape(n, cfg.output_dim)
-        return features, None
+        points = np.asarray(points, dtype=np.float32)
+        return self._interpolate(points, self._tables_f32)[0], None
 
     def backward(self, grad_features: np.ndarray, trace) -> np.ndarray:
         raise NotImplementedError(

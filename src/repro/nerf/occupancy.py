@@ -87,19 +87,14 @@ class OccupancyGrid:
         base = (np.stack(np.meshgrid(*([np.arange(r)] * 3), indexing="ij"), axis=-1)
                 .reshape(-1, 3)
                 .astype(np.float64))
-        # One draw and one density_fn call for all jitter rounds.  PCG64
-        # fills row-major, so a single (S, n, 3) draw consumes the stream
-        # in the same order as S sequential (n, 3) draws — the grid is
-        # bit-identical to the per-round reference loop
-        # (repro.perf.reference.set_from_function_reference).
-        jitter = rng.uniform(0.0, 1.0, size=(samples_per_cell,) + base.shape)
-        points = (base[None, :, :] + jitter) / r
-        density = np.asarray(
-            density_fn(points.reshape(-1, 3)), dtype=np.float32
-        ).reshape(samples_per_cell, -1)
+        # One jitter round at a time: a single (S, n, 3) draw consumes
+        # the RNG stream identically but holds S times the points.
         best = np.zeros(self.n_cells, dtype=np.float32)
-        for round_density in density:
-            np.maximum(best, round_density, out=best)
+        for _ in range(samples_per_cell):
+            jitter = rng.uniform(0.0, 1.0, size=base.shape)
+            points = (base + jitter) / r
+            density = np.asarray(density_fn(points), dtype=np.float32).reshape(-1)
+            np.maximum(best, density, out=best)
         self.density_ema = best.reshape((r,) * 3)
         self.mask = self.density_ema > self.threshold
 

@@ -27,6 +27,7 @@ _SPARK = "▁▂▃▄▅▆▇█"
 
 #: Kernels shared by every renderer (compositing scatter, occupancy,
 #: trace accounting) — grouped separately from renderer-owned benches.
+#: ``occupancy_init`` is no longer benched but stays in older log entries.
 _COMMON_BENCHES = frozenset(
     {"scatter_add", "occupancy_init", "trace_pair_durations"}
 )

@@ -16,7 +16,6 @@ import numpy as np
 
 from ..nerf.hash_encoding import HashEncoding, HashEncodingConfig
 from ..nerf.model import InstantNGPModel, ModelConfig
-from ..nerf.occupancy import OccupancyGrid
 from ..nerf.precision import LowPrecisionField
 from ..nerf.tensorf import PlaneLineEncoding
 from ..nerf.volume_rendering import segment_sum
@@ -45,7 +44,7 @@ def _bench_encoding(smoke: bool) -> tuple:
 
 
 def bench_hash_forward(smoke: bool = False) -> dict:
-    """Multi-level hash-encoding forward: fused batch vs per-level loop."""
+    """Multi-level hash-encoding forward: corner-major kernel vs per-level loop."""
     opt, ref, points = _bench_encoding(smoke)
     timing = time_pair(
         lambda: ref.forward(points),
@@ -187,27 +186,6 @@ def bench_scatter_add(smoke: bool = False) -> dict:
     return timing.as_record()
 
 
-def bench_occupancy_init(smoke: bool = False) -> dict:
-    """Analytic grid init: one batched draw vs per-round jitter loop."""
-
-    def density_fn(p):
-        return np.exp(-10.0 * ((p - 0.5) ** 2).sum(axis=-1))
-
-    res = 16 if smoke else 48
-    opt = OccupancyGrid(resolution=res)
-    ref = OccupancyGrid(resolution=res)
-    timing = time_pair(
-        lambda: reference.set_from_function_reference(
-            ref, density_fn, samples_per_cell=4, rng=np.random.default_rng(SEED)
-        ),
-        lambda: opt.set_from_function(
-            density_fn, samples_per_cell=4, rng=np.random.default_rng(SEED)
-        ),
-        repeats=3 if smoke else 5,
-    )
-    return timing.as_record()
-
-
 def bench_trace_pair_durations(smoke: bool = False) -> dict:
     """Trace span accounting: vectorized slices vs per-pair Python loop."""
     rng = np.random.default_rng(SEED)
@@ -235,6 +213,5 @@ KERNEL_BENCHES = {
     "tensorf_fwd_bwd": bench_tensorf_fwd_bwd,
     "precision_field_fwd": bench_precision_field_fwd,
     "scatter_add": bench_scatter_add,
-    "occupancy_init": bench_occupancy_init,
     "trace_pair_durations": bench_trace_pair_durations,
 }

@@ -2,7 +2,7 @@
 
 The hot-path overhaul (fused multi-level hash lookups, ``np.bincount``
 scatters, sorted-segment occupancy maxima) must not change results, so
-the implementations it replaced live on here, verbatim:
+the implementations it replaced live on here:
 
 * the equivalence suite asserts the optimized kernels are bit-identical
   to these references (or PSNR-identical where a fusion reorders float
@@ -11,6 +11,12 @@ the implementations it replaced live on here, verbatim:
   optimized side by side in the same process, which makes the recorded
   speedups machine-portable — the CI regression gate compares speedup
   *ratios*, not wall-clock seconds.
+
+Bit-identity needs a fixed summation order on both sides.  The hash
+forward reference accumulates the eight corners explicitly in the order
+``c = 0..7``, the order the corner-major kernel uses: a plain
+``.sum(axis=1)`` over ``(n, 8, F)`` gets that order only for ``F >= 2``,
+and sums pairwise when ``F == 1``.
 
 Nothing here is a fallback: library code always runs the optimized
 kernels.  These functions exist to be measured against and tested
@@ -25,11 +31,28 @@ kernel and the original are the same code.)
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ..nerf.hash_encoding import EncodingTrace, HashEncoding
-from ..nerf.occupancy import OccupancyGrid
+from ..nerf.hash_encoding import HashEncoding
 from ..nerf.tensorf import LINE_AXES, PLANE_AXES, PlaneLineEncoding, PlaneLineTrace
+
+
+@dataclass
+class LevelTrace:
+    """The reference forward's per-level access record.
+
+    ``indices[l]`` and ``weights[l]`` are ``(n, 8)``, ``corners[l]`` is
+    ``(n, 8, 3)``: the views that
+    :class:`~repro.nerf.hash_encoding.EncodingTrace` derives from its
+    corner-major arrays.
+    """
+
+    indices: list
+    weights: list
+    corners: list
+    n_points: int
 
 
 def hash_forward_reference(encoding: HashEncoding, points: np.ndarray) -> tuple:
@@ -37,8 +60,8 @@ def hash_forward_reference(encoding: HashEncoding, points: np.ndarray) -> tuple:
 
     Mirrors the original :meth:`HashEncoding.forward`: one
     ``level_lookup`` + gather + weighted sum per resolution level, with a
-    Python-level loop over levels.  Returns ``(features, trace)`` with
-    the same contract as the optimized forward.
+    Python-level loop over levels, the corners summed in the order
+    ``c = 0..7``.  Returns ``(features, trace)``.
     """
     points = np.atleast_2d(points)
     n = points.shape[0]
@@ -47,21 +70,22 @@ def hash_forward_reference(encoding: HashEncoding, points: np.ndarray) -> tuple:
     all_indices, all_weights, all_corners = [], [], []
     for level in range(cfg.n_levels):
         corners, indices, weights = encoding.level_lookup(points, level)
-        gathered = encoding.tables[level][indices]  # (n, 8, F)
-        features[:, level * cfg.n_features : (level + 1) * cfg.n_features] = (
-            weights[:, :, None] * gathered
-        ).sum(axis=1)
+        contrib = weights[:, :, None] * encoding.tables[level][indices]  # (n, 8, F)
+        blend = contrib[:, 0]
+        for corner in range(1, 8):
+            blend = blend + contrib[:, corner]
+        features[:, level * cfg.n_features : (level + 1) * cfg.n_features] = blend
         all_indices.append(indices)
         all_weights.append(weights)
         all_corners.append(corners)
-    trace = EncodingTrace(
+    trace = LevelTrace(
         indices=all_indices, weights=all_weights, corners=all_corners, n_points=n
     )
     return features, trace
 
 
 def hash_backward_reference(
-    encoding: HashEncoding, grad_features: np.ndarray, trace: EncodingTrace
+    encoding: HashEncoding, grad_features: np.ndarray, trace: LevelTrace
 ) -> np.ndarray:
     """Per-level ``np.add.at`` hash-encoding backward (pre-bincount).
 
@@ -98,7 +122,7 @@ class ReferenceHashEncoding(HashEncoding):
         """Reference per-level-loop forward (see module docstring)."""
         return hash_forward_reference(self, points)
 
-    def backward(self, grad_features: np.ndarray, trace: EncodingTrace) -> np.ndarray:
+    def backward(self, grad_features: np.ndarray, trace: LevelTrace) -> np.ndarray:
         """Reference ``np.add.at`` backward (see module docstring)."""
         return hash_backward_reference(self, grad_features, trace)
 
@@ -204,34 +228,6 @@ def scatter_add_reference(
         out = np.zeros((size,) + values.shape[1:], dtype=np.float64)
     np.add.at(out, index, values)
     return out
-
-
-def set_from_function_reference(
-    grid: OccupancyGrid, density_fn, samples_per_cell: int = 2, rng=None
-) -> None:
-    """Pre-vectorization grid initialization: one jitter round per pass.
-
-    Draws and evaluates ``samples_per_cell`` jitter rounds sequentially —
-    the Python loop the optimized ``set_from_function`` collapses into a
-    single draw and a single ``density_fn`` call.  RNG consumption order
-    matches the vectorized version exactly, so both produce bit-identical
-    grids from equal seeds.
-    """
-    rng = rng or np.random.default_rng(0)
-    r = grid.resolution
-    base = (
-        np.stack(np.meshgrid(*([np.arange(r)] * 3), indexing="ij"), axis=-1)
-        .reshape(-1, 3)
-        .astype(np.float64)
-    )
-    best = np.zeros(grid.n_cells, dtype=np.float32)
-    for _ in range(samples_per_cell):
-        jitter = rng.uniform(0.0, 1.0, size=base.shape)
-        points = (base + jitter) / r
-        density = np.asarray(density_fn(points), dtype=np.float32).reshape(-1)
-        np.maximum(best, density, out=best)
-    grid.density_ema = best.reshape((r,) * 3)
-    grid.mask = grid.density_ema > grid.threshold
 
 
 def pair_durations_reference(

@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 from repro.nerf.early_termination import render_batch_adaptive, truncate_batch
-from repro.nerf.hash_encoding import HashEncoding, HashEncodingConfig
+from repro.nerf.hash_encoding import (
+    Fp16HashEncoding,
+    HashEncoding,
+    HashEncodingConfig,
+)
 from repro.nerf.occupancy import OccupancyGrid, traverse_grid
 from repro.nerf.sampling import RayMarcher, SamplerConfig
 from repro.nerf.volume_rendering import composite, psnr, segment_sum
@@ -20,45 +24,90 @@ from repro.pipeline import wrap_model
 from repro.sim.trace import distribute_samples_over_pairs
 
 
-@pytest.fixture
-def encoding_pair():
-    """Optimized and reference encodings with identical tables."""
-    config = HashEncodingConfig(
-        n_levels=4, n_features=2, log2_table_size=10, base_resolution=4,
-        finest_resolution=64,
+#: The seeded sweep every hash-encoding kernel is checked over.  Tiny
+#: tables (2**4 entries) make hash collisions, and so duplicate scatter
+#: indices, the common case.
+SWEEP_CONFIGS = [
+    HashEncodingConfig(
+        n_levels=n_levels, n_features=n_features, log2_table_size=log2_t,
+        base_resolution=4, finest_resolution=64,
     )
-    opt = HashEncoding(config, rng=np.random.default_rng(3))
-    ref = reference.ReferenceHashEncoding(config, rng=np.random.default_rng(3))
+    for n_levels in (1, 2, 4, 8)
+    for n_features in (1, 2, 4)
+    for log2_t in (4, 10, 14)
+]
+SWEEP_SIZES = (0, 1, 7, 257, 4096)
+
+
+def _sweep_points(n, dtype, seed):
+    """``n`` seeded points; from ``n = 3`` on, the last two sit at 0 and
+    at the largest value below 1."""
+    points = np.random.default_rng(seed).random((n, 3)).astype(dtype)
+    if n >= 3:
+        points[-2] = 0.0
+        points[-1] = np.nextafter(dtype(1), dtype(0))
+    return points
+
+
+def _encoding_pair(config, seed):
+    """Optimized and reference encodings with identical tables."""
+    opt = HashEncoding(config, rng=np.random.default_rng(seed))
+    ref = reference.ReferenceHashEncoding(config, rng=np.random.default_rng(seed))
     assert np.array_equal(opt.tables, ref.tables)
     return opt, ref
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_hash_forward_bit_identical(encoding_pair, dtype):
-    opt, ref = encoding_pair
-    points = np.random.default_rng(7).random((257, 3)).astype(dtype)
-    f_opt, t_opt = opt.forward(points)
-    f_ref, t_ref = ref.forward(points)
-    assert np.array_equal(f_opt, f_ref)
-    for level in range(opt.config.n_levels):
-        assert np.array_equal(t_opt.indices[level], t_ref.indices[level])
-        assert np.array_equal(t_opt.weights[level], t_ref.weights[level])
-        assert np.array_equal(t_opt.corners[level], t_ref.corners[level])
+def test_hash_forward_bit_identical(dtype):
+    for seed, config in enumerate(SWEEP_CONFIGS):
+        opt, ref = _encoding_pair(config, seed)
+        for n in SWEEP_SIZES:
+            where = (config, n)
+            points = _sweep_points(n, dtype, seed)
+            f_opt, t_opt = opt.forward(points)
+            f_ref, t_ref = ref.forward(points)
+            assert f_opt.dtype == f_ref.dtype and np.array_equal(f_opt, f_ref), where
+            assert t_opt.n_points == n and len(t_opt.indices) == config.n_levels
+            for level in range(config.n_levels):
+                for name in ("indices", "weights", "corners"):
+                    got = getattr(t_opt, name)[level]
+                    want = getattr(t_ref, name)[level]
+                    assert got.dtype == want.dtype, (where, level, name)
+                    assert np.array_equal(got, want), (where, level, name)
 
 
-def test_hash_backward_bit_identical_on_duplicate_indices(encoding_pair):
-    opt, ref = encoding_pair
+def test_hash_backward_bit_identical_on_duplicate_indices():
     rng = np.random.default_rng(11)
-    # Duplicate-heavy: many points in one cell, so many samples scatter
-    # into the same table rows.
-    points = rng.random((300, 3))
-    points[:150] = points[0]
-    _, t_opt = opt.forward(points)
-    _, t_ref = ref.forward(points)
-    grad = rng.normal(size=(300, opt.config.output_dim))
-    g_opt = opt.backward(grad, t_opt)
-    g_ref = ref.backward(grad, t_ref)
-    assert np.array_equal(g_opt, g_ref)
+    for seed, config in enumerate(SWEEP_CONFIGS):
+        opt, ref = _encoding_pair(config, seed)
+        # Duplicate-heavy: many points in one cell, so many samples
+        # scatter into the same table rows.
+        points = rng.random((300, 3))
+        points[:150] = points[0]
+        _, t_opt = opt.forward(points)
+        _, t_ref = ref.forward(points)
+        grad = rng.normal(size=(300, config.output_dim))
+        assert np.array_equal(
+            opt.backward(grad, t_opt), ref.backward(grad, t_ref)
+        ), config
+
+
+def test_fp16_forward_matches_float32_per_level_blend():
+    """The fp16 snapshot runs the training kernel on its float32 mirror:
+    bit-identical to the per-level reference over ``_tables_f32``."""
+    for seed, config in enumerate(SWEEP_CONFIGS):
+        fp16 = Fp16HashEncoding(HashEncoding(config, rng=np.random.default_rng(seed)))
+        mirror = HashEncoding(config)
+        mirror.tables = fp16._tables_f32
+        for dtype in (np.float64, np.float32):
+            for n in SWEEP_SIZES:
+                points = _sweep_points(n, dtype, seed)
+                features, trace = fp16.forward(points)
+                expected, _ = reference.hash_forward_reference(
+                    mirror, points.astype(np.float32)
+                )
+                assert trace is None and features.dtype == np.float32
+                assert np.array_equal(features, expected), (config, n, dtype)
 
 
 def test_segment_sum_bit_identical_to_add_at_on_duplicates():
@@ -75,25 +124,6 @@ def test_segment_sum_bit_identical_to_add_at_on_duplicates():
         segment_sum(stacked, index, size),
         reference.scatter_add_reference(stacked, index, size),
     )
-
-
-def test_set_from_function_bit_identical():
-    def density_fn(p):
-        return np.exp(-10.0 * ((p - 0.5) ** 2).sum(axis=-1))
-
-    for samples_per_cell in (1, 3):
-        opt = OccupancyGrid(resolution=8)
-        ref = OccupancyGrid(resolution=8)
-        opt.set_from_function(
-            density_fn, samples_per_cell=samples_per_cell,
-            rng=np.random.default_rng(9),
-        )
-        reference.set_from_function_reference(
-            ref, density_fn, samples_per_cell=samples_per_cell,
-            rng=np.random.default_rng(9),
-        )
-        assert np.array_equal(opt.density_ema, ref.density_ema)
-        assert np.array_equal(opt.mask, ref.mask)
 
 
 def test_pair_durations_bit_identical():
