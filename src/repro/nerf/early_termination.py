@@ -22,6 +22,7 @@ import numpy as np
 from .sampling import SampleBatch
 from .volume_rendering import (
     RenderResult,
+    evaluate_in_tiles,
     segment_starts,
     segmented_exclusive_cumsum,
 )
@@ -217,17 +218,19 @@ def render_batch_adaptive(
         full_mask = ~low_mask
         if full_mask.any():
             pick = idx[full_mask]
-            s, r, _ = model.forward(batch.positions[pick], batch.directions[pick])
-            sigma[full_mask] = np.asarray(s, dtype=np.float64).reshape(-1)
-            rgb[full_mask] = np.atleast_2d(np.asarray(r, dtype=np.float64))
+            sigma[full_mask], rgb[full_mask] = evaluate_in_tiles(
+                lambda p, d: model.forward(p, d)[:2],
+                batch.positions[pick],
+                batch.directions[pick],
+            )
             full_evaluated += int(pick.size)
         if low_mask.any():
             pick = idx[low_mask]
-            s, r, _ = lowp_field.forward(
-                batch.positions[pick], batch.directions[pick]
+            sigma[low_mask], rgb[low_mask] = evaluate_in_tiles(
+                lambda p, d: lowp_field.forward(p, d)[:2],
+                batch.positions[pick],
+                batch.directions[pick],
             )
-            sigma[low_mask] = np.asarray(s, dtype=np.float64).reshape(-1)
-            rgb[low_mask] = np.atleast_2d(np.asarray(r, dtype=np.float64))
             lowp_evaluated += int(pick.size)
         optical = sigma * batch.deltas[idx]
         entry = optical_sum[live][seg_id] + segmented_exclusive_cumsum(

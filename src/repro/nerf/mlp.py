@@ -54,12 +54,32 @@ def _activate(x: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
+def _layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, kind: str) -> tuple:
+    """One layer, ``act(x @ w + b)``: returns ``(pre_activation, output)``.
+
+    The bias add and a ReLU run in place on the matmul's output, so a
+    ReLU layer allocates one array and its ``pre_activation`` *is* its
+    output (backward reads the ReLU mask from the output).  The
+    arithmetic is that of the out-of-place expression.
+    """
+    pre = x @ w
+    pre += b
+    if kind == "relu":
+        return pre, np.maximum(pre, 0.0, out=pre)
+    return pre, _activate(pre, kind)
+
+
 def _activate_grad(x: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
-    """d(activation)/dx given pre-activation x and post-activation y."""
+    """d(activation)/dx given pre-activation x and post-activation y.
+
+    ReLU reads its mask from ``y``, since :func:`_layer` overwrites the
+    pre-activation: ``y > 0`` exactly where ``x > 0`` (NaN in both reads
+    as not positive).
+    """
     if kind == "none":
         return np.ones_like(x)
     if kind == "relu":
-        return (x > 0.0).astype(x.dtype)
+        return (y > 0.0).astype(y.dtype)
     if kind == "sigmoid":
         return y * (1.0 - y)
     if kind == "softplus":
@@ -74,6 +94,7 @@ class LayerCache:
     """Per-layer values saved by forward for backward."""
 
     inputs: np.ndarray
+    #: The same array as ``output`` on ReLU layers (applied in place).
     pre_activation: np.ndarray
     output: np.ndarray
 
@@ -112,7 +133,7 @@ class MLP:
             # He initialization suits the ReLU hidden layers.
             std = np.sqrt(2.0 / fan_in)
             self.weights.append(rng.normal(0.0, std, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+            self.biases.append(np.zeros(fan_out, dtype=np.float64))
 
     @property
     def n_layers(self) -> int:
@@ -136,8 +157,7 @@ class MLP:
         caches = []
         out = x
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            pre = out @ w + b
-            post = _activate(pre, act)
+            pre, post = _layer(out, w, b, act)
             caches.append(LayerCache(inputs=out, pre_activation=pre, output=post))
             out = post
         return out, caches
@@ -225,7 +245,7 @@ class InferenceMLP:
                 f"got {out.shape[1]}"
             )
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            out = _activate(out @ w + b, act)
+            _, out = _layer(out, w, b, act)
         return out, None
 
     def backward(self, grad_out: np.ndarray, caches: list) -> tuple:

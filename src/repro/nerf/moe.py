@@ -263,19 +263,8 @@ class MoETrainer:
         return np.argmax(np.stack(contributions, axis=0), axis=0)
 
     def _refresh_occupancies(self) -> None:
-        res = self.config.occupancy_resolution
-        base = (
-            np.stack(np.meshgrid(*([np.arange(res)] * 3), indexing="ij"), axis=-1)
-            .reshape(-1, 3)
-            .astype(np.float64)
-        )
-        for e, expert in enumerate(self.model.experts):
-            jitter = self.rng.uniform(0.0, 1.0, size=base.shape)
-            points = (base + jitter) / res
-            density = expert.density(points)
-            self.occupancies[e].update(points, density)
-            if not self.occupancies[e].mask.any():
-                self.occupancies[e].mask[:] = True
+        for expert, occupancy in zip(self.model.experts, self.occupancies):
+            occupancy.refresh_from_density(expert.density, self.rng)
 
 
 def dominance_map(trainer: MoETrainer, camera, normalizer) -> np.ndarray:

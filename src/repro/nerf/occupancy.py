@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .volume_rendering import evaluate_in_tiles
+
 
 class OccupancyGrid:
     """Binary occupancy over the unit cube with EMA density statistics.
@@ -84,9 +86,7 @@ class OccupancyGrid:
         """
         rng = rng or np.random.default_rng(0)
         r = self.resolution
-        base = (np.stack(np.meshgrid(*([np.arange(r)] * 3), indexing="ij"), axis=-1)
-                .reshape(-1, 3)
-                .astype(np.float64))
+        base = self._cell_origins()
         # One jitter round at a time: a single (S, n, 3) draw consumes
         # the RNG stream identically but holds S times the points.
         best = np.zeros(self.n_cells, dtype=np.float32)
@@ -97,6 +97,31 @@ class OccupancyGrid:
             np.maximum(best, density, out=best)
         self.density_ema = best.reshape((r,) * 3)
         self.mask = self.density_ema > self.threshold
+
+    def refresh_from_density(self, density_fn, rng: np.random.Generator) -> None:
+        """Re-estimate occupancy from a learned density field.
+
+        Queries ``density_fn`` at one uniformly jittered point per cell
+        (tiled, see :func:`~repro.nerf.volume_rendering.evaluate_in_tiles`)
+        and folds the result into the EMA with :meth:`update`.  The
+        training loops call this every ``occupancy_interval`` steps.
+        """
+        base = self._cell_origins()
+        points = (base + rng.uniform(0.0, 1.0, size=base.shape)) / self.resolution
+        (density,) = evaluate_in_tiles(lambda p: (density_fn(p),), points)
+        self.update(points, density)
+        # Never let the grid collapse to fully-empty early in training.
+        if not self.mask.any():
+            self.mask[:] = True
+
+    def _cell_origins(self) -> np.ndarray:
+        """Integer corner of every cell, ``(n_cells, 3)`` float64, C order."""
+        r = self.resolution
+        return (
+            np.stack(np.meshgrid(*([np.arange(r)] * 3), indexing="ij"), axis=-1)
+            .reshape(-1, 3)
+            .astype(np.float64)
+        )
 
     def occupied_aabbs(self) -> tuple:
         """Unit-space bounds of every occupied cell: ``(mins, maxs)``.

@@ -301,16 +301,4 @@ class Trainer:
 
     def _refresh_occupancy(self) -> None:
         """Re-estimate occupancy from the current density field."""
-        res = self.occupancy.resolution
-        base = (
-            np.stack(np.meshgrid(*([np.arange(res)] * 3), indexing="ij"), axis=-1)
-            .reshape(-1, 3)
-            .astype(np.float64)
-        )
-        jitter = self.rng.uniform(0.0, 1.0, size=base.shape)
-        points = (base + jitter) / res
-        density = self.model.density(points)
-        self.occupancy.update(points, density)
-        # Never let the grid collapse to fully-empty early in training.
-        if not self.occupancy.mask.any():
-            self.occupancy.mask[:] = True
+        self.occupancy.refresh_from_density(self.model.density, self.rng)

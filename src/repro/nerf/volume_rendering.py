@@ -8,6 +8,12 @@ Stage III's renderer integrates per-sample density and color into pixels:
 Samples are stored flat with a ``ray_idx`` map; all per-ray scans are
 vectorized with segmented prefix operations so the same code path handles
 4-sample sparse rays and 255-sample dense rays.
+
+Inference evaluates the field in fixed :data:`FIELD_TILE`-sample tiles
+(:func:`evaluate_in_tiles`), the NumPy analogue of the chip's fixed-size
+ping-pong batches: each tile's encoding trace and MLP activations stay
+cache-resident and are recycled by the allocator instead of growing with
+the frame.
 """
 
 from __future__ import annotations
@@ -15,6 +21,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+#: Samples per Stage II/III field evaluation at inference.  Bounds each
+#: tile's encoding trace and MLP activations to a few megabytes whatever
+#: the frame size; a sweep over dense ``ship`` frames measured 2048
+#: fastest (1024 and 4096 were both slower, see docs/performance.md).
+FIELD_TILE = 2048
+
+
+def evaluate_in_tiles(fn, *inputs) -> tuple:
+    """``fn`` over :data:`FIELD_TILE`-row slices of ``inputs``, reassembled.
+
+    ``fn(*tile_inputs)`` returns a tuple of per-row arrays (e.g.
+    ``(sigma, rgb)``); each tile's results are written into preallocated
+    float64 outputs, returned as a tuple in the same order.  A batch of
+    at most one tile makes exactly one call.  Only for calls that need no
+    backward caches, which ``fn`` should drop.
+
+    Rows are independent, so the tiled outputs equal one call on the
+    whole batch, except where BLAS picks a different kernel for the
+    smaller matmul (OpenBLAS switches on ``M*N*K``): outputs of narrow
+    layers, such as the 3-wide color head, can then differ in the last
+    bits.
+    """
+    n = len(inputs[0])
+    outputs = None
+    for start in range(0, max(n, 1), FIELD_TILE):
+        stop = start + FIELD_TILE
+        parts = fn(*(x[start:stop] for x in inputs))
+        if outputs is None:
+            outputs = tuple(
+                np.empty((n,) + np.shape(part)[1:], dtype=np.float64)
+                for part in parts
+            )
+        for out, part in zip(outputs, parts):
+            out[start:stop] = part
+    return outputs
 
 
 def segment_starts(ray_idx: np.ndarray, n_rays: int) -> np.ndarray:

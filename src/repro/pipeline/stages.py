@@ -29,7 +29,7 @@ from ..nerf.early_termination import render_batch_adaptive
 from ..nerf.occupancy import OccupancyGrid
 from ..nerf.precision import FULL_PRECISION
 from ..nerf.sampling import RayMarcher, SampleBatch, SamplerConfig
-from ..nerf.volume_rendering import composite
+from ..nerf.volume_rendering import composite, evaluate_in_tiles
 
 
 class Encoding:
@@ -139,9 +139,10 @@ class VolumeCompositor(Compositor):
     snapshot of the renderer's field) and the two thresholds pick one of
     four regimes:
 
-    * nothing set (default) — the bit-reproducible full evaluation: one
-      ``field.forward`` over the batch and the segmented-prefix
-      :func:`~repro.nerf.volume_rendering.composite`;
+    * nothing set (default) — the bit-reproducible full evaluation:
+      ``field.forward`` over fixed tiles of the batch
+      (:func:`~repro.nerf.volume_rendering.evaluate_in_tiles`) and the
+      segmented-prefix :func:`~repro.nerf.volume_rendering.composite`;
     * ``ert_threshold`` — early ray termination
       (:func:`~repro.nerf.early_termination.render_batch_adaptive` with
       no switch): samples behind the transmittance cutoff are never
@@ -196,7 +197,11 @@ class VolumeCompositor(Compositor):
         if not adaptive:
             field = self.lowp_field or field
             if self.ert_threshold is None:
-                sigma, rgb, _ = field.forward(batch.positions, batch.directions)
+                sigma, rgb = evaluate_in_tiles(
+                    lambda p, d: field.forward(p, d)[:2],
+                    batch.positions,
+                    batch.directions,
+                )
                 result = composite(
                     sigma,
                     rgb,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nerf.mlp import MLP, SH_DIM, spherical_harmonics
+from repro.nerf.mlp import MLP, SH_DIM, InferenceMLP, spherical_harmonics
 
 
 @pytest.fixture
@@ -131,3 +131,76 @@ def test_spherical_harmonics_rotational_symmetry():
     sh = spherical_harmonics(dirs)
     band1 = np.linalg.norm(sh[:, 1:4], axis=1)
     assert np.allclose(band1, band1[0], atol=1e-9)
+
+
+# Out-of-place oracle of one layer, ``act(x @ w + b)``, and its gradient
+# from the pristine pre-activation.
+_ACT = {
+    "none": lambda x: x,
+    "relu": lambda x: np.maximum(x, 0.0),
+    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0))),
+    "softplus": lambda x: np.logaddexp(0.0, x),
+    "exp": lambda x: np.exp(np.clip(x, -15.0, 15.0)),
+}
+_DACT = {
+    "none": lambda x, y: np.ones_like(x),
+    "relu": lambda x, y: (x > 0.0).astype(x.dtype),
+    "sigmoid": lambda x, y: y * (1.0 - y),
+    "softplus": lambda x, y: 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0))),
+    "exp": lambda x, y: y * (np.abs(x) < 15.0),
+}
+
+
+def _oracle(weights, biases, activations, x, grad_out):
+    inputs, pres, outs, grads = [], [], [], {}
+    for w, b, act in zip(weights, biases, activations):
+        inputs.append(x), pres.append(x @ w + b), outs.append(_ACT[act](pres[-1]))
+        x = outs[-1]
+    for i in reversed(range(len(weights))):
+        grad_out = grad_out * _DACT[activations[i]](pres[i], outs[i])
+        grads[f"w{i}"], grads[f"b{i}"] = inputs[i].T @ grad_out, grad_out.sum(axis=0)
+        grad_out = grad_out @ weights[i].T
+    return x, grad_out, grads
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 4096])
+@pytest.mark.parametrize("act", ["relu", "sigmoid", "softplus", "exp", "none"])
+def test_in_place_layer_step_matches_out_of_place_oracle(act, n):
+    """MLP.forward/backward and InferenceMLP.forward, bit for bit."""
+    rng = np.random.default_rng(n)
+    net = MLP([4, 6, 5], activations=[act, act], rng=rng)
+    # Integer-valued first layer and rows: many pre-activations are
+    # exactly 0, and pre[0, 0] is 0 by construction.
+    x = rng.normal(size=(n, 4)) * 4.0
+    x[: max(1, n // 2)] = rng.integers(-2, 3, size=(max(1, n // 2), 4))
+    net.weights[0] = rng.integers(-2, 3, size=(4, 6)).astype(np.float64)
+    net.biases[0] = rng.integers(-2, 3, size=6).astype(np.float64)
+    net.biases[0][0] = -(x[0] @ net.weights[0][:, 0])
+    if n > 1:
+        x[-1, 1] = np.nan
+    grad_out = rng.normal(size=(n, 5))
+    # softplus warns on the NaN row; both sides must still agree on it.
+    with np.errstate(invalid="ignore"):
+        out, caches = net.forward(x)
+        grad_in, grads = net.backward(grad_out, caches)
+        want_out, want_in, want_grads = _oracle(
+            net.weights, net.biases, net.activations, x, grad_out
+        )
+    assert (x[:1] @ net.weights[0] + net.biases[0])[0, 0] == 0.0
+    assert _same_bits(out, want_out)
+    assert _same_bits(grad_in, want_in)
+    assert grads.keys() == want_grads.keys()
+    for key, grad in grads.items():
+        assert _same_bits(grad, want_grads[key]), key
+    # The float32 inference snapshot runs the same layer step.
+    snapshot = InferenceMLP(net)
+    x32 = x.astype(np.float32)
+    with np.errstate(invalid="ignore"):
+        want32, _, _ = _oracle(
+            snapshot.weights, snapshot.biases, snapshot.activations, x32, grad_out
+        )
+        assert _same_bits(snapshot.forward(x32)[0], want32)

@@ -46,6 +46,8 @@ _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Hot-path modules where rule 1 (explicit dtype) applies.
 HOT_MODULES = (
     "src/repro/nerf/hash_encoding.py",
+    "src/repro/nerf/mlp.py",
+    "src/repro/nerf/model.py",
     "src/repro/nerf/sampling.py",
     "src/repro/nerf/volume_rendering.py",
     "src/repro/nerf/early_termination.py",
