@@ -11,8 +11,10 @@ The robustness core, in the order a request meets it:
 
 * **admission** — the serve layer's
   :class:`~repro.serve.admission.AdmissionController` ladder over the
-  fleet-wide outstanding-ray backlog, with the per-(scene, renderer)
-  EWMA optionally seeded from fitted cost models;
+  fleet-wide outstanding-ray backlog, priced by the serve layer's
+  :class:`~repro.serve.admission.CostEstimator` (per-(scene, renderer,
+  precision), reset by a new scene generation, optionally seeded from
+  fitted cost models) divided by the live workers;
 * **placement** — consistent-hash preference lists with replication
   (:mod:`repro.fleet.placement`): primary first, healthy before slow;
 * **per-RPC deadlines** — every dispatch schedules a timeout; a reply
@@ -59,7 +61,7 @@ import numpy as np
 from .. import telemetry
 from ..robustness.backoff import BackoffPolicy
 from ..robustness.faults import FaultPlan
-from ..serve.admission import AdmissionController, AdmissionPolicy
+from ..serve.admission import AdmissionController, AdmissionPolicy, CostEstimator
 from ..serve.batching import (
     RenderRequest,
     activate_request,
@@ -137,7 +139,6 @@ class FleetConfig:
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     slo_targets: dict = None
     keep_frames: bool = False
-    ewma_alpha: float = 0.2
 
     def __post_init__(self):
         if self.n_workers < 1:
@@ -253,7 +254,8 @@ class FleetController:
             if fault_plan is not None
             else np.random.default_rng(seed)
         )
-        self._cost_models = dict(cost_models or {})
+        #: Seconds-per-ray estimates, fed by RPC service times.
+        self.estimator = CostEstimator(cost_models)
         #: Fleet clock, virtual seconds.
         self.now_s = 0.0
         self._events = []  # heap of (t, kind, seq, payload)
@@ -263,7 +265,6 @@ class FleetController:
         self._next_rpc = 0
         self._callbacks = {}
         self.responses = {}
-        self._s_per_ray = {}
         self._outstanding_rays = 0
         self._pending_arrivals = 0
         self._in_flight = 0
@@ -345,9 +346,7 @@ class FleetController:
             return
         full_spr = handle.marcher.config.max_samples
         key = (request.scene, handle.renderer.name, handle.renderer.precision)
-        est = self._s_per_ray.get(key)
-        if est is None:
-            est = self._seed_s_per_ray(key)
+        est = self.estimator.estimate(key, handle.generation)
         n_live = max(len(self.ring), 1)
         decision = self.admission.decide(
             request,
@@ -382,23 +381,6 @@ class FleetController:
             return
         entry.primary = worker
         self._dispatch(entry, worker)
-
-    def _seed_s_per_ray(self, key: tuple) -> float:
-        """Cold-start EWMA prior from a fitted cost model, if one fits.
-
-        Mirrors the single-board service: models are profiled at full
-        precision under one renderer family, so mismatched renderers and
-        non-full precision keys start unseeded.
-        """
-        scene, renderer, precision = key
-        model = self._cost_models.get(scene)
-        if model is None or model.renderer != renderer or precision != "full":
-            return None
-        seed = float(model.sim_s_per_ray.mean)
-        if seed <= 0.0:
-            return None
-        self._s_per_ray[key] = seed
-        return seed
 
     # -- placement -------------------------------------------------------
 
@@ -661,17 +643,12 @@ class FleetController:
         entry.via_hedge = rpc.hedge
         self.slo.record(request.priority, "completed", latency)
         self.completions.append((self.now_s, request.priority, latency))
-        key = (request.scene, entry.renderer.name, entry.renderer.precision)
         if rpc.service_s > 0 and entry.n_rays > 0:
-            observed = rpc.service_s / entry.n_rays
-            previous = self._s_per_ray.get(key)
-            if previous is None:
-                self._s_per_ray[key] = observed
-            else:
-                alpha = self.config.ewma_alpha
-                self._s_per_ray[key] = (
-                    alpha * observed + (1 - alpha) * previous
-                )
+            self.estimator.observe(
+                (request.scene, entry.renderer.name, entry.renderer.precision),
+                entry.handle.generation,
+                rpc.service_s / entry.n_rays,
+            )
         callback = self._callbacks.pop(request.request_id, None)
         response = FleetResponse(
             request_id=request.request_id,
@@ -787,7 +764,11 @@ class FleetController:
         return met / total if total else float("nan")
 
     def stats(self) -> dict:
-        """Operational counters (superset of the serve layer's keys)."""
+        """Operational counters for experiment tables and smoke checks.
+
+        Unlike :meth:`repro.serve.RenderService.stats`, ``shed`` is the
+        accounting bucket (overload sheds *and* deadline rejections).
+        """
         busy = sum(w.busy_s for w in self.workers)
         horizon = self.now_s * self.config.n_workers
         accounting = self.accounting()
@@ -811,6 +792,7 @@ class FleetController:
             "rebalances": len(self.rebalances),
             "dead_workers": list(self.dead_workers),
             "workers": [w.summary() for w in self.workers],
+            **self.estimator.stats(),
         }
 
     def report(self) -> str:

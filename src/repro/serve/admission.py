@@ -25,6 +25,9 @@ REJECT_DEADLINE_EXPIRED = "rejected_deadline_expired"
 REJECT_DEADLINE_INFEASIBLE = "rejected_deadline_infeasible"
 REJECT_SHED = "shed_overload"
 
+#: EWMA smoothing of each delivered seconds-per-ray estimate.
+EWMA_ALPHA = 0.2
+
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
@@ -148,3 +151,70 @@ class AdmissionController:
             samples_per_ray=samples,
             resolution_scale=resolution_scale,
         )
+
+
+class CostEstimator:
+    """Seconds-per-ray estimates for deadline admission, in serve and fleet.
+
+    Keyed per ``(scene, renderer, precision)``, since renderer families
+    and precisions differ in cost by orders of magnitude.  Each estimate
+    remembers the scene generation it was measured on: a *newer*
+    generation's first observation replaces it and counts a reblend (a
+    2x-cost hot-swap would otherwise admit doomed deadline work for
+    ~1/alpha observations), the *same* generation blends in by
+    :data:`EWMA_ALPHA`, and an *older* one (a request still draining
+    after a hot-swap) is dropped.  A key starts from its fitted cost
+    model when one applies, else ``None`` (feasibility check skipped).
+    """
+
+    def __init__(self, cost_models: dict = None):
+        #: ``{scene: SceneCostModel}`` priors (:mod:`repro.obs.costmodel`).
+        self._cost_models = dict(cost_models or {})
+        self._estimates = {}  # key -> (s_per_ray, generation)
+        self.reblends = 0
+
+    def estimate(self, key: tuple, generation: int) -> float:
+        """The estimate admission at ``generation`` prices ``key`` with.
+
+        A stale estimate still prices a newer generation until that
+        generation's first observation.  An *older* generation means the
+        name was deployed afresh after an undeploy or eviction
+        (generations restart at 1): the key starts over from its prior.
+        """
+        entry = self._estimates.get(key)
+        if entry is None or generation < entry[1]:
+            self._estimates.pop(key, None)
+            scene, renderer, precision = key
+            model = self._cost_models.get(scene)
+            # Cost models are profiled on one renderer family at full
+            # precision; their costs do not transfer to other keys.
+            if model is None or model.renderer != renderer or precision != "full":
+                return None
+            seed = float(model.sim_s_per_ray.mean)
+            if seed <= 0.0:
+                return None
+            entry = self._estimates[key] = (seed, generation)
+        return entry[0]
+
+    def observe(self, key: tuple, generation: int, s_per_ray: float) -> None:
+        """Fold one measured seconds-per-ray of ``generation`` into ``key``."""
+        entry = self._estimates.get(key)
+        if entry is None or generation > entry[1]:
+            if entry is not None:
+                self.reblends += 1
+            self._estimates[key] = (s_per_ray, generation)
+        elif generation == entry[1]:
+            blended = EWMA_ALPHA * s_per_ray + (1 - EWMA_ALPHA) * entry[0]
+            self._estimates[key] = (blended, generation)
+
+    def stats(self) -> dict:
+        """``ewma_reblends`` and ``ewma_s_per_ray_by_key`` for ``stats()``."""
+        return {
+            "ewma_reblends": self.reblends,
+            "ewma_s_per_ray_by_key": {
+                f"{scene}/{renderer}/{precision}": value
+                for (scene, renderer, precision), (value, _) in sorted(
+                    self._estimates.items()
+                )
+            },
+        }

@@ -92,7 +92,8 @@ class SceneHandle:
 
     @property
     def generation(self) -> int:
-        """Generation counter of the pinned record (bumps on hot-swap)."""
+        """Generation counter of the pinned record (bumps on hot-swap,
+        restarts at 1 when a name is deployed afresh)."""
         return self._record.generation
 
     @property
@@ -188,18 +189,6 @@ class SceneRegistry:
         self._clock = 0
         self.evictions = 0
         self.hot_swaps = 0
-        #: Callbacks fired after each deploy (see :meth:`add_deploy_listener`).
-        self._deploy_listeners = []
-
-    def add_deploy_listener(self, callback) -> None:
-        """Subscribe ``callback(name, generation, renderer)`` to deploys.
-
-        Fired after every successful :meth:`deploy`, including hot-swaps
-        (``generation > 1``).  The serving layer uses this to re-blend
-        stale per-(scene, renderer) cost estimates when a retrained
-        generation replaces the weights they were measured against.
-        """
-        self._deploy_listeners.append(callback)
 
     # -- introspection ---------------------------------------------------
 
@@ -331,8 +320,6 @@ class SceneRegistry:
         self._records[name] = record
         self._enforce_budget(keep=record)
         self._record_metrics()
-        for listener in self._deploy_listeners:
-            listener(name, record.generation, renderer.name)
         return self.scenes()[-1] if len(self._records) == 1 else next(
             s for s in self.scenes() if s["name"] == name
         )

@@ -31,7 +31,7 @@ import numpy as np
 
 from .. import telemetry
 from ..sim.multichip import MultiChipSystem
-from .admission import AdmissionController, AdmissionPolicy
+from .admission import AdmissionController, AdmissionPolicy, CostEstimator
 from .batching import (
     ActiveRequest,
     RenderRequest,
@@ -65,9 +65,6 @@ class ServiceConfig:
     #: Keep completed frames on the response objects (tests / single
     #: clients); load generation leaves this off to bound memory.
     keep_frames: bool = False
-    #: EWMA smoothing of the delivered seconds-per-ray estimate feeding
-    #: deadline-feasibility checks.
-    ewma_alpha: float = 0.2
 
 
 @dataclass
@@ -105,10 +102,8 @@ class RenderService:
         self.registry = registry
         self.system = system or MultiChipSystem()
         self.config = config or ServiceConfig()
-        #: Optional ``{scene: SceneCostModel}`` priors (see
-        #: :mod:`repro.obs.costmodel`) that seed the per-(scene,
-        #: renderer, precision) EWMA before its first measurement lands.
-        self._cost_models = dict(cost_models or {})
+        #: Seconds-per-ray estimates, fed by each dispatched batch.
+        self.estimator = CostEstimator(cost_models)
         self.scheduler = DynamicRayBatchScheduler(self.config.batch)
         self.admission = AdmissionController(self.config.admission)
         self.slo = SLOTracker(self.config.slo_targets)
@@ -119,26 +114,8 @@ class RenderService:
         self._callbacks = {}
         #: request_id -> RenderResponse once terminal.
         self.responses = {}
-        #: EWMA of delivered seconds per queued ray, keyed per
-        #: (scene, renderer, precision).  Renderer families differ in
-        #: cost by orders of magnitude — and a low-precision deploy of
-        #: the same scene renders materially faster than its full
-        #: sibling — so a shared estimate would let a slow datapath
-        #: poison a fast one's deadline-feasibility checks; each key
-        #: starts fresh (None -> feasibility check skipped) until its
-        #: own first dispatched batch.
-        self._s_per_ray = {}
-        #: Keys whose EWMA was measured against a generation that has
-        #: since been hot-swapped out.  A stale estimate still serves
-        #: admission (better than skipping feasibility entirely), but the
-        #: first post-swap observation *replaces* it rather than EWMA-
-        #: blending — a retrained 2x-cost model would otherwise keep
-        #: admitting doomed deadline work for ~1/alpha dispatches.
-        self._stale_s_per_ray = set()
-        self.ewma_reblends = 0
         self.batches_dispatched = 0
         self.hardware_busy_s = 0.0
-        registry.add_deploy_listener(self._on_scene_deployed)
 
     # -- client surface --------------------------------------------------
 
@@ -202,15 +179,12 @@ class RenderService:
                 return
             full_spr = handle.marcher.config.max_samples
             key = (request.scene, handle.renderer.name, handle.renderer.precision)
-            est_s_per_ray = self._s_per_ray.get(key)
-            if est_s_per_ray is None:
-                est_s_per_ray = self._seed_s_per_ray(key)
             decision = self.admission.decide(
                 request,
                 self.now_s,
                 self.scheduler.queued_rays(),
                 full_spr,
-                est_s_per_ray=est_s_per_ray,
+                est_s_per_ray=self.estimator.estimate(key, handle.generation),
             )
             if not decision.admitted:
                 handle.release()
@@ -237,46 +211,6 @@ class RenderService:
             if decision.degrade_level:
                 tel.metrics.counter("serve.requests.degraded").inc()
 
-    def _on_scene_deployed(self, name: str, generation: int, renderer: str) -> None:
-        """Registry deploy hook: mark the scene's cost estimates stale.
-
-        A hot-swap (``generation > 1``) replaces the weights every
-        existing per-(scene, renderer, precision) s/ray estimate was
-        measured against.  The estimates are kept as admission priors but flagged
-        stale, so the first dispatch against the new generation replaces
-        them outright (see :meth:`_execute`) instead of EWMA-crawling
-        toward the new cost while deadline admission runs on the old one.
-        """
-        if generation <= 1:
-            return
-        for key in self._s_per_ray:
-            if key[0] == name:
-                self._stale_s_per_ray.add(key)
-
-    def _seed_s_per_ray(self, key: tuple) -> float:
-        """Cold-start prior for one (scene, renderer, precision) EWMA key.
-
-        Without a prior the feasibility check is skipped until the first
-        dispatched batch, so a freshly deployed scene briefly admits
-        doomed deadline work *and* cannot be mis-rejected; with a fitted
-        cost model available the estimate starts at the profiled
-        ``sim_s_per_ray`` instead.  Models fitted under a different
-        renderer family are ignored — their costs do not transfer — and
-        so are non-full precision keys: cost models are profiled on the
-        full-precision datapath, and seeding a fast low-precision deploy
-        with a slow full-precision estimate would mis-reject feasible
-        deadline work until the first real measurement lands.
-        """
-        scene, renderer, precision = key
-        model = self._cost_models.get(scene)
-        if model is None or model.renderer != renderer or precision != "full":
-            return None
-        seed = float(model.sim_s_per_ray.mean)
-        if seed <= 0.0:
-            return None
-        self._s_per_ray[key] = seed
-        return seed
-
     def _reject(self, request: RenderRequest, status: str) -> None:
         """Record a terminal pre-queue outcome and notify the client."""
         self.slo.record(request.priority, status)
@@ -301,8 +235,7 @@ class RenderService:
         tel = telemetry.get_session()
         billed_samples = 0.0
         finished = []
-        trace = None
-        key = None
+        handle = None  # the last live slice's: its trace bills the batch
         with tel.tracer.span(
             "serve.dispatch",
             scene=batch.scene,
@@ -316,8 +249,7 @@ class RenderService:
                 if not active.handle.valid:
                     self._finish(active, FAILED_SCENE_EVICTED)
                     continue
-                trace = active.handle.trace
-                key = (batch.scene, active.renderer.name, active.renderer.precision)
+                handle = active.handle
                 colors, samples, _ = active.renderer.render_rays(
                     active.origins[item.start : item.stop],
                     active.directions[item.start : item.stop],
@@ -329,27 +261,19 @@ class RenderService:
                     finished.append(active)
             runtime_s = (
                 0.0  # every slice was dead: nothing reached the board
-                if trace is None
-                else board_time(self.system, batch.scene, trace, billed_samples)
+                if handle is None
+                else board_time(self.system, batch.scene, handle.trace, billed_samples)
             )
         self.now_s += runtime_s
         self.hardware_busy_s += runtime_s
         self.batches_dispatched += 1
-        if runtime_s > 0 and batch.n_rays > 0 and key is not None:
-            observed = runtime_s / batch.n_rays
-            previous = self._s_per_ray.get(key)
-            if previous is None or key in self._stale_s_per_ray:
-                # First observation for the key, or first observation of
-                # a freshly hot-swapped generation: the old generation's
-                # estimate carries no information about the new weights,
-                # so snap instead of blending.
-                if key in self._stale_s_per_ray:
-                    self._stale_s_per_ray.discard(key)
-                    self.ewma_reblends += 1
-                self._s_per_ray[key] = observed
-            else:
-                alpha = self.config.ewma_alpha
-                self._s_per_ray[key] = alpha * observed + (1 - alpha) * previous
+        if runtime_s > 0 and batch.n_rays > 0:
+            renderer = handle.renderer
+            self.estimator.observe(
+                (batch.scene, renderer.name, renderer.precision),
+                handle.generation,
+                runtime_s / batch.n_rays,
+            )
         for active in finished:
             self._finish(active, "completed")
         if tel.enabled:
@@ -424,23 +348,10 @@ class RenderService:
                 self.hardware_busy_s / self.now_s if self.now_s > 0 else 0.0
             ),
             "admitted": self.admission.admitted,
-            "ewma_reblends": self.ewma_reblends,
             "degraded": self.admission.degraded,
             "shed": self.admission.shed,
             "rejected_deadline": self.admission.rejected_deadline,
-            # Aggregate kept for backward compatibility; the per-key
-            # detail is what admission actually consults.
-            "ewma_s_per_ray": (
-                sum(self._s_per_ray.values()) / len(self._s_per_ray)
-                if self._s_per_ray
-                else None
-            ),
-            "ewma_s_per_ray_by_key": {
-                f"{scene}/{renderer}/{precision}": value
-                for (scene, renderer, precision), value in sorted(
-                    self._s_per_ray.items()
-                )
-            },
+            **self.estimator.stats(),
         }
 
     def report(self) -> str:

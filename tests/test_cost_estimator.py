@@ -1,0 +1,195 @@
+"""The one cost estimator behind deadline admission in serve and fleet.
+
+Unit rules of :class:`repro.serve.admission.CostEstimator` (cost-model
+seeding, the per-key EWMA, the generation rule), then one seeded sweep
+driving both tiers through optional priors and a costlier hot-swap.
+"""
+
+import numpy as np
+import pytest
+
+from repro.fleet import FleetConfig, FleetController, status_bucket
+from repro.nerf.occupancy import OccupancyGrid
+from repro.obs.costmodel import FittedStat, SceneCostModel
+from repro.serve import RenderRequest, RenderService, build_demo_registry, demo_camera
+from repro.serve.admission import EWMA_ALPHA, CostEstimator
+from repro.serve.loadgen import demo_model
+
+KEY = ("chair", "ngp", "full")
+
+
+def _model(mean=2e-6, renderer="ngp", scene="chair"):
+    return SceneCostModel(
+        scene=scene, sim_s_per_ray=FittedStat.fit([mean]), renderer=renderer
+    )
+
+
+# -- seeding ---------------------------------------------------------------------
+
+
+def test_prior_seeds_a_cold_full_precision_key():
+    estimator = CostEstimator({"chair": _model(2e-6)})
+    assert estimator.estimate(KEY, 1) == 2e-6
+    assert estimator.stats()["ewma_s_per_ray_by_key"] == {"chair/ngp/full": 2e-6}
+
+
+@pytest.mark.parametrize(
+    "cost_models, key",
+    [
+        ({}, KEY),  # no model for the scene
+        ({"drums": _model(scene="drums")}, KEY),  # a model for another scene
+        ({"chair": _model(renderer="tensorf")}, KEY),  # other renderer family
+        ({"chair": _model()}, ("chair", "ngp", "fp16")),  # not full precision
+        ({"chair": _model(0.0)}, KEY),  # non-positive mean
+        ({"chair": _model(-1e-6)}, KEY),
+    ],
+    ids=["no-model", "other-scene", "other-renderer", "fp16", "zero", "negative"],
+)
+def test_prior_rejected_leaves_key_unseeded(cost_models, key):
+    estimator = CostEstimator(cost_models)
+    assert estimator.estimate(key, 1) is None
+    assert estimator.stats()["ewma_s_per_ray_by_key"] == {}
+
+
+# -- the EWMA and the generation rule --------------------------------------------
+
+
+def test_same_generation_blends_by_ewma_alpha():
+    estimator = CostEstimator()
+    estimator.observe(KEY, 2, 1e-6)
+    estimator.observe(KEY, 2, 2e-6)
+    expected = EWMA_ALPHA * 2e-6 + (1 - EWMA_ALPHA) * 1e-6
+    assert estimator.estimate(KEY, 2) == expected
+    assert estimator.reblends == 0
+
+
+def test_newer_generation_snaps_and_counts_a_reblend():
+    estimator = CostEstimator()
+    estimator.observe(KEY, 1, 1e-6)
+    # a stale estimate still serves the new generation's admission
+    assert estimator.estimate(KEY, 2) == 1e-6
+    estimator.observe(KEY, 2, 5e-6)
+    assert estimator.estimate(KEY, 2) == 5e-6
+    assert estimator.reblends == 1
+    # the new generation's later observations blend again
+    estimator.observe(KEY, 2, 1e-6)
+    assert estimator.estimate(KEY, 2) == EWMA_ALPHA * 1e-6 + (1 - EWMA_ALPHA) * 5e-6
+    assert estimator.stats()["ewma_reblends"] == 1
+
+
+def test_older_generation_observation_is_dropped():
+    estimator = CostEstimator()
+    estimator.observe(KEY, 2, 5e-6)
+    estimator.observe(KEY, 1, 1e-6)  # a request still draining after a swap
+    assert estimator.estimate(KEY, 2) == 5e-6
+    assert estimator.reblends == 0
+
+
+def test_fresh_deploy_after_undeploy_restarts_from_the_prior():
+    """Generations restart at 1 when a name is deployed afresh: the old
+    lifetime's estimate must not outrank (and so drop) every new
+    observation."""
+    estimator = CostEstimator({"chair": _model(4e-6)})
+    estimator.observe(KEY, 3, 9e-6)
+    assert estimator.estimate(KEY, 1) == 4e-6  # back to the prior
+    estimator.observe(KEY, 1, 1e-6)
+    assert estimator.estimate(KEY, 1) == EWMA_ALPHA * 1e-6 + (1 - EWMA_ALPHA) * 4e-6
+
+    unseeded = CostEstimator()
+    unseeded.observe(KEY, 3, 9e-6)
+    assert unseeded.estimate(KEY, 1) is None
+    unseeded.observe(KEY, 1, 1e-6)
+    assert unseeded.estimate(KEY, 1) == 1e-6
+
+
+# -- both tiers, seeded sweep ----------------------------------------------------
+
+
+#: Billing scale putting a 64-ray probe near a millisecond of board time,
+#: so the sweep's deadlines straddle what admission can promise.
+HW_SCALE = 2e4
+
+
+def _request(request_id, scene, camera, arrival_s, **kwargs):
+    return RenderRequest(
+        request_id=request_id, scene=scene, camera=camera,
+        arrival_s=arrival_s, hw_scale=HW_SCALE, **kwargs,
+    )
+
+
+def _busy_s(tier) -> float:
+    if isinstance(tier, RenderService):
+        return tier.hardware_busy_s
+    return sum(w.busy_s for w in tier.workers)
+
+
+def _submit_traffic(tier, scene, camera, rng, first_id, n):
+    """``n`` Poisson arrivals from now, half of them with a deadline."""
+    t = tier.now_s
+    for i in range(n):
+        t += float(rng.exponential(0.002))
+        deadline = t + float(rng.uniform(1e-4, 0.02)) if rng.random() < 0.5 else None
+        tier.submit(
+            _request(
+                first_id + i, scene, camera, t,
+                priority=int(rng.integers(3)), deadline_s=deadline,
+            )
+        )
+    tier.run()
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["no-swap", "costlier-swap"])
+@pytest.mark.parametrize("prior", [False, True], ids=["no-prior", "prior"])
+@pytest.mark.parametrize("tier_name", ["serve", "fleet"])
+def test_seeded_sweep_over_tiers_priors_and_swaps(tier_name, prior, swap):
+    rng = np.random.default_rng([prior, swap, tier_name == "fleet"])
+    registry = build_demo_registry(n_scenes=1)
+    scene = registry.scenes()[0]["name"]
+    key = (scene, "ngp", "full")
+    cost_models = {scene: _model(1e-3, scene=scene)} if prior else None
+    if tier_name == "serve":
+        tier = RenderService(registry, cost_models=cost_models)
+    else:
+        tier = FleetController(registry, FleetConfig(), cost_models=cost_models)
+    camera = demo_camera(8, 8)  # 64 rays
+
+    _submit_traffic(tier, scene, camera, rng, first_id=0, n=12)
+    offered = 12
+    generation = 1
+    if swap:
+        handle = registry.acquire(scene)
+        normalizer = handle.normalizer
+        handle.release()
+        registry.deploy(
+            scene,
+            model=demo_model(seed=1),
+            occupancy=OccupancyGrid(resolution=16),  # keeps every sample
+            normalizer=normalizer,
+        )
+        generation = 2
+    before = tier.estimator.estimate(key, generation)
+    busy = _busy_s(tier)
+    # One probe served alone: the first observation of this generation
+    # if the scene was just swapped.
+    tier.submit(_request(100, scene, camera, tier.now_s))
+    tier.run()
+    offered += 1
+    assert tier.responses[100].completed
+    observed = (_busy_s(tier) - busy) / 64
+    after = tier.estimator.estimate(key, generation)
+    if swap:
+        assert after == pytest.approx(observed, rel=1e-12)
+        assert tier.stats()["ewma_reblends"] == 1
+    else:
+        assert after == pytest.approx(
+            EWMA_ALPHA * observed + (1 - EWMA_ALPHA) * before, rel=1e-12
+        )
+        assert tier.stats()["ewma_reblends"] == 0
+
+    _submit_traffic(tier, scene, camera, rng, first_id=200, n=12)
+    offered += 12
+    buckets = {"completed": 0, "shed": 0, "failed": 0}
+    for status, count in tier.slo.status_counts().items():
+        buckets[status_bucket(status)] += count
+    assert offered == len(tier.responses) == sum(buckets.values())
+    assert buckets["completed"] > 0 and buckets["shed"] > 0

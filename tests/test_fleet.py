@@ -482,6 +482,83 @@ def test_cost_model_seed_rejects_infeasible_cold_start():
     assert controller2.responses[0].completed
 
 
+def test_hot_swap_snaps_stale_cost_estimate_and_blocks_doomed_deadlines():
+    """A 2x-cost hot-swap must not cause a deadline-miss storm in the fleet.
+
+    The fleet twin of the serve regression test: the first reply from a
+    costlier hot-swapped generation replaces the calibrated estimate
+    outright, so deadlines sized between the stale and the true cost
+    (per live worker) are rejected up front instead of admitted and
+    finished late.
+    """
+    from repro.nerf.occupancy import OccupancyGrid
+    from repro.serve.admission import REJECT_DEADLINE_INFEASIBLE
+    from repro.serve.loadgen import demo_model
+
+    registry, scenes, controller = _fresh_fleet(config=FleetConfig())
+    scene = scenes[0]
+    camera = demo_camera(8, 8)  # 64-ray probes
+    n_live = controller.config.n_workers
+
+    def busy_s():
+        return sum(w.busy_s for w in controller.workers)
+
+    def probe(request_id):
+        """One request served alone; returns its board seconds per ray."""
+        before = busy_s()
+        controller.submit(
+            RenderRequest(
+                request_id=request_id, scene=scene, camera=camera,
+                arrival_s=controller.now_s,
+            )
+        )
+        controller.run()
+        assert controller.responses[request_id].completed
+        return (busy_s() - before) / 64
+
+    for i in range(3):  # calibrate the estimate against generation 1
+        cost_old = probe(i)
+
+    # Hot-swap a much costlier generation: a full occupancy grid keeps
+    # every sample, so each ray bills far more board time.
+    handle = registry.acquire(scene)
+    normalizer, background = handle.normalizer, handle.background
+    handle.release()
+    registry.deploy(
+        scene,
+        model=demo_model(seed=1),
+        occupancy=OccupancyGrid(resolution=16),
+        normalizer=normalizer,
+        background=background,
+    )
+    cost_new = probe(10)
+    assert cost_new > cost_old * 1.5
+
+    # Deadlines sized between the stale and the true cost per live
+    # worker: the stale (or EWMA-crawling) estimate would admit them,
+    # dooming them to miss; the snapped estimate rejects them up front.
+    t = controller.now_s
+    slack = 64 * (cost_old + cost_new) / 2 / n_live
+    for i in range(20, 26):
+        controller.submit(
+            RenderRequest(
+                request_id=i, scene=scene, camera=camera,
+                arrival_s=t, deadline_s=t + slack,
+            )
+        )
+    controller.run()
+    for i in range(20, 26):
+        assert controller.responses[i].status == REJECT_DEADLINE_INFEASIBLE
+    # zero admitted-then-late requests: the storm never happens
+    assert controller.slo.completed == 4
+    assert controller.accounting()["unaccounted"] == 0
+
+    # snapped to the measurement, not EWMA-crawled toward it
+    key = (scene, "ngp", "full")
+    assert controller.estimator.estimate(key, 2) == pytest.approx(cost_new)
+    assert controller.stats()["ewma_reblends"] == 1
+
+
 def test_report_prints_accounting_invariant():
     registry, scenes, controller = _fresh_fleet(config=FleetConfig())
     run_open_loop(

@@ -236,7 +236,7 @@ def test_hot_swap_snaps_stale_cost_estimate_and_blocks_doomed_deadlines():
     already doomed under the expensive new weights.
     """
     from repro.nerf.occupancy import OccupancyGrid
-    from repro.serve.admission import REJECT_DEADLINE_INFEASIBLE
+    from repro.serve.admission import EWMA_ALPHA, REJECT_DEADLINE_INFEASIBLE
     from repro.serve.loadgen import demo_model
 
     registry, scene, service = _fresh_service()
@@ -250,7 +250,7 @@ def test_hot_swap_snaps_stale_cost_estimate_and_blocks_doomed_deadlines():
             )
         )
         service.run()
-    est_old = service._s_per_ray[key]
+    est_old = service.estimator.estimate(key, 1)
 
     # Hot-swap a much costlier generation: a full occupancy grid keeps
     # every sample, so each ray bills far more board time.
@@ -264,8 +264,8 @@ def test_hot_swap_snaps_stale_cost_estimate_and_blocks_doomed_deadlines():
         normalizer=normalizer,
         background=background,
     )
-    assert key in service._stale_s_per_ray
-    assert service._s_per_ray[key] == est_old  # kept as admission prior
+    # the stale estimate is kept as the new generation's admission prior
+    assert service.estimator.estimate(key, 2) == est_old
 
     busy_before = service.hardware_busy_s
     service.submit(
@@ -275,16 +275,14 @@ def test_hot_swap_snaps_stale_cost_estimate_and_blocks_doomed_deadlines():
         )
     )
     service.run()
-    est_new = service._s_per_ray[key]
+    est_new = service.estimator.estimate(key, 2)
     observed = (service.hardware_busy_s - busy_before) / 64
-    assert service.ewma_reblends == 1
+    assert service.estimator.reblends == 1
     assert service.stats()["ewma_reblends"] == 1
-    assert key not in service._stale_s_per_ray
     # snapped to the measurement, not EWMA-crawled toward it
     assert est_new == pytest.approx(observed)
     assert est_new > est_old * 1.5
-    alpha = service.config.ewma_alpha
-    assert est_new > alpha * observed + (1 - alpha) * est_old
+    assert est_new > EWMA_ALPHA * observed + (1 - EWMA_ALPHA) * est_old
 
     # Deadlines sized between the stale and true cost: the stale
     # estimate would have admitted all of them (64 * est_old < slack),
@@ -360,10 +358,10 @@ def test_cost_model_prior_blends_with_first_observation(registry, scenes):
         )
     )
     service.run()
-    key = (scenes[0], "ngp", "full")
     # the first measurement EWMA-corrects the prior instead of being
     # discarded (prior counts as the "previous" estimate)...
     assert service.responses[0].completed
-    assert service._s_per_ray[key] < prior_value
+    estimate = service.stats()["ewma_s_per_ray_by_key"][f"{scenes[0]}/ngp/full"]
+    assert estimate < prior_value
     # ...but the prior's influence is still present
-    assert service._s_per_ray[key] > prior_value * 0.5
+    assert estimate > prior_value * 0.5
