@@ -44,8 +44,7 @@ MAX_SAMPLES = 32
 #: ``precision_pareto`` acceptance line in docs/experiments.md).
 GATE = PrecisionGate(max_delta_db=1.0, min_agreement_db=30.0)
 
-#: ERT/adaptive operating point for the ``+adaptive`` row — the same
-#: configuration the ``render_frame_precision`` bench times.
+#: ERT/adaptive operating point for the ``+adaptive`` row.
 ERT_THRESHOLD = 1e-2
 SWITCH_THRESHOLD = 0.5
 ROUND_SIZE = 4

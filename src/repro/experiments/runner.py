@@ -527,7 +527,7 @@ def _cmd_bench(args) -> int:
     """Run the perf benches; optionally gate against the baseline."""
     from .. import perf
 
-    payload = perf.run_benches(smoke=args.smoke, kernels_only=args.smoke)
+    payload = perf.run_benches(smoke=args.smoke)
     logger.info("%s", perf.format_report(payload))
     if args.out:
         perf.write_payload(payload, args.out)
@@ -627,16 +627,11 @@ def _cmd_top(args) -> int:
     Drives the demo registry under a recording telemetry session with a
     periodic snapshot publisher, then renders the terminal dashboard:
     per-module throughput, queue depths, shed/degrade/eviction rates,
-    SLO attainment, and bench trends from the committed history log.
+    and SLO attainment.
     ``--snapshot`` (the CI mode) prints only the final frame; the
     default replays a few evenly spaced frames of the run's evolution.
     """
-    from ..obs import (
-        load_history,
-        render_dashboard,
-        run_demo_ops,
-        trend_rows,
-    )
+    from ..obs import render_dashboard, run_demo_ops
 
     history, slo, _ = run_demo_ops(
         rate_hz=args.rate,
@@ -647,9 +642,6 @@ def _cmd_top(args) -> int:
         interval_s=args.interval,
         seed=args.seed,
     )
-    bench_rows = trend_rows(
-        load_history(args.bench_history), mode=args.bench_mode
-    )
     if args.snapshot or len(history) <= 1:
         frames = [len(history)]
     else:
@@ -659,17 +651,12 @@ def _cmd_top(args) -> int:
         frames = list(range(step, len(history), step)) + [len(history)]
     for i, end in enumerate(frames):
         # Intermediate frames show the evolving window; the final frame
-        # includes the SLO table and bench trends.
+        # includes the SLO table.
         last = end == len(history)
         logger.info(
             "%s%s",
             "" if i == 0 else "\n",
-            render_dashboard(
-                history[:end],
-                slo=slo if last else None,
-                bench_rows=bench_rows if last else None,
-                bench_mode=args.bench_mode,
-            ),
+            render_dashboard(history[:end], slo=slo if last else None),
         )
     return 0
 
@@ -853,13 +840,13 @@ def main(argv: list = None) -> int:
     bench_parser = sub.add_parser(
         "bench",
         parents=[common],
-        help="run the perf benches (kernel + end-to-end) and optionally "
-        "gate against the committed BENCH_nerf.json baseline",
+        help="run the kernel perf benches and optionally gate their "
+        "speedups against the committed BENCH_nerf.json baseline",
     )
     bench_parser.add_argument(
         "--smoke",
         action="store_true",
-        help="CI preset: shrunken workloads, kernel benches only",
+        help="CI preset: shrunken kernel workloads",
     )
     bench_parser.add_argument(
         "--out",
@@ -1047,7 +1034,7 @@ def main(argv: list = None) -> int:
         "top",
         parents=[common],
         help="render the terminal ops dashboard over a demo serving burst "
-        "(throughput, queues, SLO attainment, bench trends)",
+        "(throughput, queues, SLO attainment)",
     )
     top_parser.add_argument(
         "--snapshot",
@@ -1080,15 +1067,6 @@ def main(argv: list = None) -> int:
     )
     top_parser.add_argument(
         "--seed", type=int, default=0, help="arrival-trace RNG seed"
-    )
-    top_parser.add_argument(
-        "--bench-history", metavar="FILE", default="BENCH_history.jsonl",
-        help="bench history log for the trends section "
-        "(default: BENCH_history.jsonl)",
-    )
-    top_parser.add_argument(
-        "--bench-mode", default="full", choices=("full", "smoke"),
-        help="bench mode whose speedups to trend (default: full)",
     )
     report_parser = sub.add_parser(
         "report",

@@ -18,7 +18,7 @@ from .aabb import (
     SceneNormalizer,
     RayCubePairs,
 )
-from .occupancy import HierarchicalOccupancy, OccupancyGrid, traverse_grid
+from .occupancy import OccupancyGrid, traverse_grid
 from .sampling import (
     RayMarcher,
     SamplerConfig,
@@ -103,7 +103,6 @@ __all__ = [
     "SceneNormalizer",
     "RayCubePairs",
     "OccupancyGrid",
-    "HierarchicalOccupancy",
     "traverse_grid",
     "RayMarcher",
     "SamplerConfig",

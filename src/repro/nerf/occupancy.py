@@ -135,67 +135,6 @@ class OccupancyGrid:
         return mins, maxs
 
 
-class HierarchicalOccupancy:
-    """Two-level occupancy query: coarse reject, fine confirm.
-
-    Wraps an :class:`OccupancyGrid` with a max-pooled coarse mask: a
-    coarse cell is occupied iff *any* of its ``factor^3`` fine children
-    is.  ``query`` tests the coarse level first and gathers from the
-    fine grid only for points whose coarse cell survived — the sparsity
-    fast path's memory-traffic saver.  Because pooling is a max, a
-    coarse reject implies every fine child rejects, so the result is
-    bit-identical to ``fine.query`` for every input.
-
-    The wrapper holds a *view policy*, not a copy of the data: call
-    :meth:`refresh` after the fine grid's mask changes (e.g. an EMA
-    ``update``).
-    """
-
-    def __init__(self, fine: OccupancyGrid, factor: int = 4):
-        if factor < 1:
-            raise ValueError("factor must be positive")
-        if fine.resolution % factor:
-            raise ValueError(
-                f"factor {factor} must divide the fine resolution "
-                f"{fine.resolution}"
-            )
-        self.fine = fine
-        self.factor = factor
-        self.coarse_resolution = fine.resolution // factor
-        self.coarse_mask = np.ones((self.coarse_resolution,) * 3, dtype=bool)
-        self.refresh()
-
-    @property
-    def resolution(self) -> int:
-        """The fine resolution — callers see the wrapped grid's grain."""
-        return self.fine.resolution
-
-    @property
-    def occupancy_fraction(self) -> float:
-        return self.fine.occupancy_fraction
-
-    @property
-    def coarse_occupancy_fraction(self) -> float:
-        return float(self.coarse_mask.mean())
-
-    def refresh(self) -> None:
-        """Rebuild the coarse mask by max-pooling the fine mask."""
-        r, f = self.coarse_resolution, self.factor
-        blocks = self.fine.mask.reshape(r, f, r, f, r, f)
-        self.coarse_mask = blocks.any(axis=(1, 3, 5))
-
-    def query(self, points: np.ndarray) -> np.ndarray:
-        """Boolean occupancy, identical to ``fine.query`` by construction."""
-        points = np.atleast_2d(points)
-        coarse = np.floor(points * self.coarse_resolution).astype(np.int64)
-        coarse = np.clip(coarse, 0, self.coarse_resolution - 1)
-        out = self.coarse_mask[coarse[:, 0], coarse[:, 1], coarse[:, 2]].copy()
-        survivors = np.flatnonzero(out)
-        if survivors.size:
-            out[survivors] = self.fine.query(points[survivors])
-        return out
-
-
 def traverse_grid(
     origins: np.ndarray,
     directions: np.ndarray,

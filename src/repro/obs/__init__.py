@@ -2,9 +2,9 @@
 
 ``repro.obs`` turns the telemetry the rest of the stack records
 (:mod:`repro.telemetry` spans and metrics, :mod:`repro.serve` SLO
-attainment, the committed ``BENCH_*.json`` perf baselines) into
-operational answers — the layer the paper's provisioning argument lives
-in, and the plane a distributed render fleet will be operated through:
+attainment) into operational answers — the layer the paper's
+provisioning argument lives in, and the plane a distributed render
+fleet will be operated through:
 
 * :mod:`~repro.obs.costmodel` — fit per-scene, per-module cost models
   (s/ray, cycles/sample, samples/ray distributions) from recorded
@@ -20,24 +20,13 @@ in, and the plane a distributed render fleet will be operated through:
   (``runner top``) over the periodic metrics snapshots a
   :class:`~repro.telemetry.metrics.SnapshotPublisher` retains:
   per-module throughput, queue depths, shed/degrade/eviction rates,
-  SLO attainment, bench trends;
-* :mod:`~repro.obs.bench_trends` — append-only bench-run log and trend
-  tables over ``BENCH_nerf.json`` history (CLI:
-  ``tools/bench_history.py``).
+  fleet and online-reconstruction panels, SLO attainment.
 
 The whole package is read-only with respect to the pipeline: it
 consumes telemetry, never mutates model or simulator state, so enabling
 it cannot change a rendered pixel.
 """
 
-from .bench_trends import (
-    append_entry,
-    entry_from_payload,
-    format_trend_table,
-    load_history,
-    sparkline,
-    trend_rows,
-)
 from .costmodel import (
     CostObservation,
     FittedStat,
@@ -68,21 +57,15 @@ __all__ = [
     "PlanTarget",
     "SCHEMA_VERSION",
     "SceneCostModel",
-    "append_entry",
-    "entry_from_payload",
     "fit_cost_model",
     "format_fleet_plan",
     "format_plan",
-    "format_trend_table",
-    "load_history",
     "observation_from_run",
     "plan_capacity",
     "plan_fleet",
     "profile_demo_scene",
     "render_dashboard",
     "run_demo_ops",
-    "sparkline",
-    "trend_rows",
     "validate_plan",
     "wall_s_per_ray_from_trace",
 ]

@@ -1,10 +1,11 @@
 """Live ops dashboard: terminal rendering of the telemetry plane.
 
 ``runner top`` is the operator's view of a running (simulated) service:
-per-module throughput, queue depths, shed/degrade/eviction rates, SLO
-attainment, and bench trends, rendered as plain text (stdlib only — no
-curses, no ANSI requirements) so the same frame works interactively, in
-CI snapshot mode, and pasted into an incident report.
+per-module throughput, queue depths, shed/degrade/eviction rates, the
+fleet and online-reconstruction panels, and SLO attainment, rendered as
+plain text (stdlib only — no curses, no ANSI requirements) so the same
+frame works interactively, in CI snapshot mode, and pasted into an
+incident report.
 
 Rates are derived by differencing the timestamped metrics snapshots a
 :class:`~repro.telemetry.metrics.SnapshotPublisher` retains: counters
@@ -16,7 +17,8 @@ feeding it recorded snapshots replays an incident exactly.
 
 from __future__ import annotations
 
-from . import bench_trends as bench_trends_mod
+#: Glyphs used for the trend sparkline (low -> high).
+_SPARK = "▁▂▃▄▅▆▇█"
 
 #: Counter names rendered in the request-outcome rate line, with labels.
 _REQUEST_COUNTERS = (
@@ -41,6 +43,18 @@ def _fmt_si(value: float) -> str:
         if abs(value) >= cut:
             return f"{value / cut:.2f}{suffix}"
     return f"{value:.2f}"
+
+
+def sparkline(values, width: int = 12) -> str:
+    """ASCII sparkline of a numeric series (most recent ``width`` values)."""
+    values = list(values)[-width:]
+    if not values:
+        return ""
+    lo, hi = min(values), max(values)
+    if hi <= lo:
+        return _SPARK[3] * len(values)
+    scale = (len(_SPARK) - 1) / (hi - lo)
+    return "".join(_SPARK[int((v - lo) * scale)] for v in values)
 
 
 def window(history) -> tuple:
@@ -216,7 +230,7 @@ def _online_section(online: dict) -> list:
             else ", not reached)"
         )
     if trend:
-        psnr += f"   trend {bench_trends_mod.sparkline(trend)}"
+        psnr += f"   trend {sparkline(trend)}"
     lines.append(psnr)
     return lines
 
@@ -224,8 +238,6 @@ def _online_section(online: dict) -> list:
 def render_dashboard(
     history,
     slo: dict = None,
-    bench_rows: list = None,
-    bench_mode: str = "full",
     fleet: dict = None,
     online: dict = None,
     title: str = "fusion3d ops",
@@ -234,9 +246,8 @@ def render_dashboard(
 
     ``history`` is a :meth:`~repro.telemetry.metrics.SnapshotPublisher.history`
     list (>= 1 snapshot; rates need >= 2), ``slo`` an
-    :meth:`~repro.serve.slo.SLOTracker.to_payload` dict, ``bench_rows``
-    the output of :func:`repro.obs.bench_trends.trend_rows`, ``fleet``
-    a :meth:`~repro.fleet.FleetController.stats` dict (adds the
+    :meth:`~repro.serve.slo.SLOTracker.to_payload` dict, ``fleet`` a
+    :meth:`~repro.fleet.FleetController.stats` dict (adds the
     per-worker fleet panel), ``online`` a
     :meth:`~repro.online.SessionResult.ops_panel` dict (adds the
     ingest/training/deploy panel of a live reconstruction session).
@@ -256,10 +267,6 @@ def render_dashboard(
         lines.extend(_online_section(online))
     if slo is not None:
         lines.extend(_slo_section(slo))
-    if bench_rows is not None:
-        lines.append(
-            bench_trends_mod.format_trend_table(bench_rows, mode=bench_mode)
-        )
     return "\n".join(lines)
 
 

@@ -9,14 +9,15 @@ does both:
   verbatim, so equivalence tests and benches always have the original to
   compare against;
 * :mod:`repro.perf.timing` — paired best-of-N wall-clock measurement;
-* :mod:`repro.perf.kernels` / :mod:`repro.perf.e2e` — the bench
-  registry: isolated hot kernels plus a whole train iteration and a
-  whole rendered frame;
+* :mod:`repro.perf.kernels` — the bench registry: each hot kernel in
+  isolation against its frozen reference;
 * :mod:`repro.perf.bench` — the driver behind ``runner bench``: emits
   ``BENCH_nerf.json`` and gates CI on >20% speedup regressions against
   the committed baseline.
 
-Run ``python -m repro.experiments.runner bench`` to refresh the numbers,
+End-to-end speed (a rendered frame, a train step, a served request) is
+measured by the ``bench/`` harness, absolute and per layer, not here.
+Run ``python -m repro.experiments.runner bench`` to refresh the ratios,
 ``... bench --smoke --check`` to reproduce the CI gate locally.
 """
 

@@ -9,9 +9,12 @@ recorded baseline against a CI runner without chasing absolute
 milliseconds.
 
 Gate rule: a bench regresses when its current speedup falls more than
-``tolerance`` (default 20%) below the baseline speedup.  Output is
-greppable — one ``PERF OK``/``PERF REGRESSION`` line per bench and a
-final ``bench: PASS``/``bench: FAIL`` verdict.
+``tolerance`` (default 20%) below the baseline speedup, and a baseline
+row the run did not produce fails as ``PERF MISSING`` (every registered
+bench runs in both modes, so a missing row means a gated bench was
+renamed or deleted).  Output is greppable — one ``PERF OK``/
+``PERF REGRESSION``/``PERF MISSING`` line per baseline row and a final
+``bench: PASS``/``bench: FAIL`` verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import json
 
 import numpy as np
 
-from .e2e import E2E_BENCHES
 from .kernels import KERNEL_BENCHES
 
 #: Payload schema version, bumped on incompatible layout changes.
@@ -33,19 +35,19 @@ DEFAULT_TOLERANCE = 0.2
 DEFAULT_BASELINE = "BENCH_nerf.json"
 
 
-def run_benches(smoke: bool = False, kernels_only: bool = False) -> dict:
-    """Run every registered bench and return the JSON-ready payload."""
-    benches = {}
-    for name, builder in KERNEL_BENCHES.items():
-        benches[name] = builder(smoke)
-    if not kernels_only:
-        for name, builder in E2E_BENCHES.items():
-            benches[name] = builder(smoke)
+def run_benches(smoke: bool = False) -> dict:
+    """Run every registered bench and return the JSON-ready payload.
+
+    ``smoke`` shrinks each kernel's workload; the bench set is the same
+    in both modes.
+    """
     return {
         "schema": SCHEMA_VERSION,
         "mode": "smoke" if smoke else "full",
         "numpy": np.__version__,
-        "benches": benches,
+        "benches": {
+            name: builder(smoke) for name, builder in KERNEL_BENCHES.items()
+        },
     }
 
 
@@ -86,8 +88,7 @@ def compare_to_baseline(
 
     The payload's mode selects the matching per-mode table in the
     baseline (ratios from different workload sizes are not comparable).
-    Benches present on only one side are reported as ``PERF SKIP``, not
-    failed, so adding a bench never fails the gate retroactively.
+    A baseline row the run did not produce fails as ``PERF MISSING``.
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError("tolerance must be in [0, 1)")
@@ -102,7 +103,8 @@ def compare_to_baseline(
     for name, base in baseline_benches.items():
         current = payload["benches"].get(name)
         if current is None:
-            lines.append(f"PERF SKIP {name}: not run in this mode")
+            lines.append(f"PERF MISSING {name}: baseline row was not run")
+            passed = False
             continue
         floor = base["speedup"] * (1.0 - tolerance)
         if current["speedup"] < floor:

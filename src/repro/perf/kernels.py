@@ -139,8 +139,8 @@ def bench_precision_field_fwd(smoke: bool = False) -> dict:
     The same sample batch through the same weights; the snapshot wins by
     gathering half-width tables, running float32 matmuls, and building
     no backward caches.  This is the kernel the ``precision_pareto``
-    experiment and the ``render_frame_precision`` e2e bench rest on, so
-    its ratio is what the CI bench gate defends at smoke scale.
+    experiment rests on, so its ratio is what the CI bench gate defends
+    at smoke scale.
     """
     config = ModelConfig(
         encoding=HashEncodingConfig(

@@ -113,9 +113,8 @@ def hash_backward_reference(
 class ReferenceHashEncoding(HashEncoding):
     """A :class:`HashEncoding` running the pre-fusion forward/backward.
 
-    Drop-in replacement used by the end-to-end benches: swapping this
-    into a model re-creates the pre-overhaul training iteration without
-    touching the trainer.
+    The baseline side of the ``hash_*`` kernel benches and the oracle of
+    the hash-encoding equivalence tests.
     """
 
     def forward(self, points: np.ndarray) -> tuple:
@@ -135,9 +134,9 @@ class ReferencePlaneLineEncoding(PlaneLineEncoding):
     the *same* corner accumulation order as the fused forward — so
     forward features are bit-identical — and per-point ``np.add.at``
     scatters in backward (numerically equal to the flat-bincount
-    optimized path up to summation order across points).  Drop-in
-    replacement for the end-to-end benches, same as
-    :class:`ReferenceHashEncoding`.
+    optimized path up to summation order across points).  The baseline
+    side of the ``tensorf_*`` kernel benches, like
+    :class:`ReferenceHashEncoding` for ``hash_*``.
     """
 
     def forward(self, points: np.ndarray) -> tuple:

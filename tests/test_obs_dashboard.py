@@ -1,4 +1,4 @@
-"""Ops dashboard rendering and bench-history trends (:mod:`repro.obs`).
+"""Ops dashboard rendering (:mod:`repro.obs.dashboard`).
 
 The renderer is a pure function of published snapshots, so most tests
 feed synthetic histories and assert on the text; one end-to-end test
@@ -13,164 +13,8 @@ import json
 import pytest
 
 from repro.experiments import runner
-from repro.obs import (
-    append_entry,
-    entry_from_payload,
-    format_trend_table,
-    load_history,
-    render_dashboard,
-    sparkline,
-    trend_rows,
-)
-from repro.obs.bench_trends import DEFAULT_HISTORY
-from repro.obs.dashboard import window
-
-
-# -- bench trends ----------------------------------------------------------
-
-
-def _payload(render=1.8, hash_fwd=1.6):
-    return {
-        "schema": 1,
-        "numpy": "2.0.0",
-        "modes": {
-            "full": {
-                "render_frame": {"speedup": render, "base_ms": 10.0},
-                "hash_forward": {"speedup": hash_fwd},
-            },
-            "smoke": {"hash_forward": {"speedup": 2.0}},
-        },
-    }
-
-
-def test_entry_from_payload_keeps_per_mode_speedups():
-    entry = entry_from_payload(_payload(), rev="abc123", timestamp="t0")
-    assert entry["rev"] == "abc123" and entry["timestamp"] == "t0"
-    assert entry["numpy"] == "2.0.0"
-    assert entry["modes"]["full"] == {
-        "render_frame": 1.8, "hash_forward": 1.6,
-    }
-    assert entry["modes"]["smoke"] == {"hash_forward": 2.0}
-
-
-def test_append_and_load_history_round_trip(tmp_path):
-    path = str(tmp_path / "history.jsonl")
-    assert load_history(path) == []  # missing file -> empty, no raise
-    append_entry(path, entry_from_payload(_payload(1.5), timestamp="t0"))
-    append_entry(path, entry_from_payload(_payload(1.9), timestamp="t1"))
-    with open(path, "a") as fh:
-        fh.write("{corrupt json\n")  # crashed writer artifact
-        fh.write("\n")
-    entries = load_history(path)
-    assert [e["timestamp"] for e in entries] == ["t0", "t1"]
-
-
-def test_history_log_is_append_only(tmp_path):
-    path = str(tmp_path / "history.jsonl")
-    append_entry(path, entry_from_payload(_payload(1.0), timestamp="t0"))
-    first = open(path).read()
-    append_entry(path, entry_from_payload(_payload(2.0), timestamp="t1"))
-    assert open(path).read().startswith(first)  # old bytes untouched
-
-
-def test_trend_rows_track_best_and_delta(tmp_path):
-    entries = [
-        entry_from_payload(_payload(render)) for render in (1.0, 2.0, 1.5)
-    ]
-    (row,) = [r for r in trend_rows(entries) if r["bench"] == "render_frame"]
-    assert row["runs"] == 3
-    assert row["first"] == 1.0 and row["latest"] == 1.5 and row["best"] == 2.0
-    assert row["delta_pct"] == pytest.approx(-25.0)
-    assert row["history"] == [1.0, 2.0, 1.5]
-
-
-def test_sparkline_shape():
-    assert sparkline([]) == ""
-    assert len(sparkline([1.0, 2.0, 3.0])) == 3
-    assert sparkline([5.0, 5.0]) == "▄▄"  # flat series, mid glyph
-    line = sparkline(list(range(30)), width=12)
-    assert len(line) == 12
-    assert line[0] == "▁" and line[-1] == "█"
-
-
-def test_format_trend_table_renders_and_handles_empty():
-    assert "no history recorded" in format_trend_table([], mode="full")
-    rows = trend_rows([entry_from_payload(_payload())])
-    text = format_trend_table(rows)
-    assert "render_frame" in text and "hash_forward" in text
-    assert "+0.0%" in text  # at the high-water mark
-
-
-def test_append_entry_dedupes_rerecorded_revisions(tmp_path):
-    path = str(tmp_path / "history.jsonl")
-    entry = entry_from_payload(_payload(1.5), rev="abc123", timestamp="t0")
-    assert append_entry(path, entry) is True
-    # re-recording the same commit's benches is skipped...
-    rerun = entry_from_payload(_payload(1.7), rev="abc123", timestamp="t1")
-    assert append_entry(path, rerun) is False
-    assert len(load_history(path)) == 1
-    # ...unless dedupe is explicitly off
-    assert append_entry(path, rerun, dedupe=False) is True
-    assert len(load_history(path)) == 2
-
-
-def test_append_entry_dedupe_requires_a_revision(tmp_path):
-    path = str(tmp_path / "history.jsonl")
-    entry = entry_from_payload(_payload(1.5), timestamp="t0")  # rev=None
-    assert append_entry(path, entry) is True
-    assert append_entry(path, entry) is True  # nothing safe to match on
-    assert len(load_history(path)) == 2
-
-
-def test_append_entry_same_rev_with_new_benches_still_appends(tmp_path):
-    path = str(tmp_path / "history.jsonl")
-    append_entry(
-        path, entry_from_payload(_payload(1.5), rev="abc123", timestamp="t0")
-    )
-    grown = {
-        "schema": 1,
-        "modes": {
-            "full": {
-                "render_frame": {"speedup": 1.5},
-                "hash_forward": {"speedup": 1.6},
-                "tensorf_fwd_bwd": {"speedup": 40.0},  # new bench landed
-            },
-            "smoke": {"hash_forward": {"speedup": 2.0}},
-        },
-    }
-    assert append_entry(
-        path, entry_from_payload(grown, rev="abc123", timestamp="t1")
-    ) is True
-    # the superset entry now covers the original's keys: a third
-    # re-record of either shape is a duplicate
-    assert append_entry(
-        path, entry_from_payload(_payload(1.5), rev="abc123", timestamp="t2")
-    ) is False
-    assert len(load_history(path)) == 2
-
-
-def test_bench_history_cli_append_dedupes(tmp_path, capsys):
-    import sys
-
-    sys.path.insert(0, "tools")
-    try:
-        import bench_history
-    finally:
-        sys.path.pop(0)
-    payload_path = str(tmp_path / "BENCH_nerf.json")
-    history_path = str(tmp_path / "history.jsonl")
-    with open(payload_path, "w") as fh:
-        json.dump(_payload(), fh)
-    args = [
-        "append", "--payload", payload_path, "--history", history_path,
-        "--rev", "abc123", "--timestamp", "t0",
-    ]
-    assert bench_history.main(args) == 0
-    assert "recorded" in capsys.readouterr().out
-    assert bench_history.main(args) == 0  # the double-record: skipped
-    out = capsys.readouterr().out
-    assert "skipped duplicate of rev abc123" in out
-    assert len(load_history(history_path)) == 1
+from repro.obs import render_dashboard
+from repro.obs.dashboard import sparkline, window
 
 
 # -- dashboard rendering ---------------------------------------------------
@@ -269,11 +113,13 @@ def test_render_dashboard_online_panel():
     )
 
 
-def test_render_dashboard_embeds_bench_trends():
-    rows = trend_rows([entry_from_payload(_payload())])
-    text = render_dashboard([_snap(1.0, 1.0, 1.0)], bench_rows=rows)
-    assert "bench trends (full mode)" in text
-    assert "render_frame" in text
+def test_sparkline_shape():
+    assert sparkline([]) == ""
+    assert len(sparkline([1.0, 2.0, 3.0])) == 3
+    assert sparkline([5.0, 5.0]) == "▄▄"  # flat series, mid glyph
+    line = sparkline(list(range(30)), width=12)
+    assert len(line) == 12
+    assert line[0] == "▁" and line[-1] == "█"
 
 
 # -- end to end ------------------------------------------------------------
@@ -294,8 +140,7 @@ def test_run_demo_ops_feeds_renderable_history():
     assert stats["completed"] == slo["statuses"]["completed"]
 
 
-def test_cli_top_snapshot_mode(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # no bench history in cwd
+def test_cli_top_snapshot_mode(capsys):
     code = runner.main(
         ["top", "--snapshot", "--rate", "150", "--duration", "0.4",
          "--scenes", "1", "--probe", "8", "--hw-scale", "100"]
@@ -304,7 +149,6 @@ def test_cli_top_snapshot_mode(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert out.count("fusion3d ops dashboard") == 1  # single frame
     assert "slo attainment" in out
-    assert "no history recorded" in out  # missing log degrades gracefully
 
 
 def test_cli_top_replay_prints_multiple_frames(capsys):
@@ -360,47 +204,3 @@ def test_cli_plan_infeasible_exit_code(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "plan: INFEASIBLE" in out
-
-
-def test_default_history_name_is_committed_log():
-    assert DEFAULT_HISTORY == "BENCH_history.jsonl"
-
-
-# -- renderer grouping in bench trends -------------------------------------
-
-
-def test_renderer_of_bench_classification():
-    from repro.obs.bench_trends import renderer_of_bench
-
-    assert renderer_of_bench("tensorf_fwd_bwd") == "tensorf"
-    assert renderer_of_bench("tensorf_render_frame") == "tensorf"
-    assert renderer_of_bench("scatter_add") == "common"
-    assert renderer_of_bench("occupancy_init") == "common"
-    assert renderer_of_bench("hash_forward") == "ngp"
-    assert renderer_of_bench("render_frame") == "ngp"
-
-
-def test_trend_table_groups_rows_by_renderer():
-    payload = {
-        "schema": 1,
-        "numpy": "2.0.0",
-        "modes": {
-            "full": {
-                "render_frame": {"speedup": 1.8},
-                "tensorf_fwd_bwd": {"speedup": 40.0},
-                "scatter_add": {"speedup": 3.0},
-            }
-        },
-    }
-    rows = trend_rows([entry_from_payload(payload)])
-    assert {r["renderer"] for r in rows} == {"ngp", "tensorf", "common"}
-    text = format_trend_table(rows)
-    lines = text.splitlines()
-    # One subheader per renderer family, each before its benches.
-    for renderer, bench in (
-        ("common", "scatter_add"),
-        ("ngp", "render_frame"),
-        ("tensorf", "tensorf_fwd_bwd"),
-    ):
-        header = lines.index(f"renderer: {renderer}")
-        assert bench in lines[header + 1]

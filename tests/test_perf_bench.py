@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro import perf
-from repro.perf.e2e import E2E_BENCHES
 from repro.perf.kernels import KERNEL_BENCHES, bench_scatter_add
 from repro.perf.timing import PairedTiming, time_callable, time_pair
 
@@ -52,8 +51,6 @@ def test_time_pair_runs_both_sides():
 
 def test_bench_registries_are_populated():
     assert "hash_fwd_bwd" in KERNEL_BENCHES
-    assert "train_iteration" in E2E_BENCHES
-    assert not set(KERNEL_BENCHES) & set(E2E_BENCHES)
 
 
 def test_one_real_kernel_bench_produces_a_record():
@@ -80,12 +77,14 @@ def test_gate_fails_on_regression():
     assert any("PERF REGRESSION a" in line for line in lines)
 
 
-def test_gate_skips_benches_not_run_in_this_mode():
+def test_gate_fails_on_missing_bench():
     baseline = perf.merge_into_baseline(_payload(a=2.0, b=2.0))
-    current = _payload(a=2.0)
+    current = _payload(a=2.0)  # b renamed or deleted
     passed, lines = perf.compare_to_baseline(current, baseline)
-    assert passed
-    assert any("PERF SKIP b" in line for line in lines)
+    assert not passed
+    assert lines[-1] == "bench: FAIL"
+    assert any(line.startswith("PERF MISSING b") for line in lines)
+    assert any("PERF OK a" in line for line in lines)
 
 
 def test_gate_fails_when_baseline_lacks_mode():
@@ -119,11 +118,20 @@ def test_load_baseline_rejects_wrong_schema(tmp_path):
 
 def test_committed_baseline_meets_acceptance_floor():
     """The repo's committed BENCH_nerf.json must record the >=1.5x
-    hash fwd+bwd speedup and an end-to-end train-iteration win."""
+    hash fwd+bwd speedup."""
     doc = perf.load_baseline("BENCH_nerf.json")
     full = doc["modes"]["full"]
     assert full["hash_fwd_bwd"]["speedup"] >= 1.5
-    assert full["train_iteration"]["speedup"] > 1.0
+
+
+def test_committed_baseline_tables_name_every_kernel_bench():
+    """Both mode tables gate exactly the registered benches: a row
+    without a bench would fail as PERF MISSING, a bench without a row
+    would run ungated."""
+    doc = perf.load_baseline("BENCH_nerf.json")
+    assert set(doc["modes"]) == {"full", "smoke"}
+    for mode, table in doc["modes"].items():
+        assert set(table) == set(KERNEL_BENCHES), mode
 
 
 def test_runner_bench_check_gates(tmp_path, monkeypatch):

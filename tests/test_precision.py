@@ -16,7 +16,7 @@ from repro.nerf.early_termination import render_batch_adaptive
 from repro.nerf.hash_encoding import HashEncodingConfig
 from repro.nerf.mlp import MLP, Int8MLP, InferenceMLP
 from repro.nerf.model import InstantNGPModel, ModelConfig
-from repro.nerf.occupancy import HierarchicalOccupancy, OccupancyGrid
+from repro.nerf.occupancy import OccupancyGrid
 from repro.nerf.precision import (
     LowPrecisionField,
     PrecisionBudgetError,
@@ -314,39 +314,6 @@ def test_adaptive_parameter_validation():
     ):
         with pytest.raises(ValueError):
             render_batch_adaptive(model, lowp, batch, **kwargs)
-
-
-# -------------------------------------------------- hierarchical occupancy
-
-
-def test_hierarchical_occupancy_query_bit_identical():
-    rng = np.random.default_rng(2)
-    fine = OccupancyGrid(resolution=16)
-    fine.mask[...] = rng.random(fine.mask.shape) < 0.1
-    hier = HierarchicalOccupancy(fine, factor=4)
-    points = rng.random((4_000, 3)) * 1.2 - 0.1  # includes out-of-cube
-    assert np.array_equal(hier.query(points), fine.query(points))
-    assert hier.resolution == fine.resolution
-    # Max-pooling can only grow the occupied fraction.
-    assert hier.coarse_occupancy_fraction >= hier.occupancy_fraction
-
-
-def test_hierarchical_occupancy_tracks_fine_refresh():
-    fine = OccupancyGrid(resolution=8)
-    hier = HierarchicalOccupancy(fine, factor=2)
-    fine.mask[...] = False
-    hier.refresh()
-    assert hier.coarse_occupancy_fraction == 0.0
-    points = np.random.default_rng(0).random((64, 3))
-    assert not hier.query(points).any()
-
-
-def test_hierarchical_occupancy_validates_factor():
-    fine = OccupancyGrid(resolution=8)
-    with pytest.raises(ValueError):
-        HierarchicalOccupancy(fine, factor=0)
-    with pytest.raises(ValueError):
-        HierarchicalOccupancy(fine, factor=3)  # 8 % 3 != 0
 
 
 # ----------------------------------------------------------- precision gate
