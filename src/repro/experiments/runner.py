@@ -316,10 +316,13 @@ def _cmd_serve(args) -> int:
 
     ``--smoke`` is the CI preset: a short open-loop Poisson burst over a
     2-second simulated horizon against the demo registry, printing the
-    SLO attainment report (whose ``completed requests: N`` line the CI
-    job greps).  Without ``--smoke``, ``--rate``/``--duration``/
-    ``--scenes`` pick the operating point, and ``--closed-loop N`` runs a
-    single interactive client for N frames instead.
+    SLO attainment report and the request ledger (whose ``completed
+    requests: N`` and ``unaccounted requests: 0`` lines the CI job
+    greps); the exit code is non-zero if nothing completed or any
+    request went unaccounted.  Without ``--smoke``,
+    ``--rate``/``--duration``/``--scenes`` pick the operating point, and
+    ``--closed-loop N`` runs a single interactive client for N frames
+    instead.
     """
     import numpy as np
 
@@ -379,7 +382,8 @@ def _cmd_serve(args) -> int:
             100 * row["utilization"],
         )
         logger.info("%s", service.report())
-    return 0 if report.completed > 0 else 1
+    ok = report.completed > 0 and service.accounting()["unaccounted"] == 0
+    return 0 if ok else 1
 
 
 def _cmd_fleet(args) -> int:

@@ -14,8 +14,9 @@ death.  Three modules:
   scene/expert placement policies;
 * :mod:`repro.fleet.workers` — the simulated worker: a serial board
   plus the fault surface the chaos plan drives;
-* :mod:`repro.fleet.controller` — the event-loop controller, the
-  exactly-once request ledger, and the fleet report.
+* :mod:`repro.fleet.controller` — the event-loop controller and the
+  fleet report; requests are accounted exactly once on the serve
+  layer's :class:`~repro.serve.ledger.RequestLedger`.
 
 The whole fleet is a seeded discrete-event simulation on a virtual
 clock, so chaos scenarios (kill 1 of N mid-run) replay bit-exactly,
@@ -27,9 +28,7 @@ from .controller import (
     FAILED_RPC_EXPIRED,
     FleetConfig,
     FleetController,
-    FleetResponse,
     format_fleet_report,
-    status_bucket,
 )
 from .placement import (
     HashRing,
@@ -52,7 +51,6 @@ __all__ = [
     "FAILED_RPC_EXPIRED",
     "FleetConfig",
     "FleetController",
-    "FleetResponse",
     "FleetWorker",
     "HEALTHY",
     "HashRing",
@@ -62,6 +60,5 @@ __all__ = [
     "place_scenes",
     "rebalance_experts",
     "stable_hash",
-    "status_bucket",
     "workers_from_fault_config",
 ]

@@ -9,7 +9,8 @@ so the existing Poisson and closed-loop load generators
 
 The robustness core, in the order a request meets it:
 
-* **admission** — the serve layer's
+* **admission** — the serve layer's admission front
+  (:func:`~repro.serve.admission.admit`): the
   :class:`~repro.serve.admission.AdmissionController` ladder over the
   fleet-wide outstanding-ray backlog, priced by the serve layer's
   :class:`~repro.serve.admission.CostEstimator` (per-(scene, renderer,
@@ -35,14 +36,15 @@ The robustness core, in the order a request meets it:
   policy the chip level uses.
 
 Every submitted request terminates in exactly one of
-{completed, shed, failed} — :meth:`FleetController.accounting` proves
-it, and the report prints the ``unaccounted requests: 0`` line CI
-greps.  Pixels are exact and worker-independent: frames render through
-the shared registry's renderers in ``slice_rays`` chunks, so a
-replica-served frame is bit-identical to the primary's, and both match
-the scene renderer's offline
-:meth:`~repro.pipeline.renderer.Renderer.render_image` at that chunk
-size, for every stage config.
+{completed, shed, failed} on the serve layer's
+:class:`~repro.serve.ledger.RequestLedger` —
+:meth:`FleetController.accounting` proves it, and the report prints the
+``unaccounted requests: 0`` line CI greps.  Pixels are exact and
+worker-independent: frames render through the shared registry's
+renderers in ``slice_rays`` chunks, so a replica-served frame is
+bit-identical to the primary's, and both match the scene renderer's
+offline :meth:`~repro.pipeline.renderer.Renderer.render_image` at that
+chunk size, for every stage config.
 
 Determinism: the event loop is a seeded discrete-event simulation —
 arrival stream, fault schedule (:class:`FleetFaultConfig` sites wired
@@ -61,15 +63,14 @@ import numpy as np
 from .. import telemetry
 from ..robustness.backoff import BackoffPolicy
 from ..robustness.faults import FaultPlan
-from ..serve.admission import AdmissionController, AdmissionPolicy, CostEstimator
-from ..serve.batching import (
-    RenderRequest,
-    activate_request,
-    degraded_renderer,
-    slice_request,
+from ..serve.admission import (
+    AdmissionController, AdmissionDecision, AdmissionPolicy, CostEstimator, admit,
 )
-from ..serve.registry import SceneRegistry, UnknownSceneError
-from ..serve.service import FAILED_UNKNOWN_SCENE, board_time
+from ..serve.batching import RenderRequest, activate_request, slice_request
+# status_bucket is re-exported: bench/workloads.py imports it from here.
+from ..serve.ledger import RequestLedger, format_accounting, status_bucket
+from ..serve.registry import SceneRegistry
+from ..serve.service import board_time
 from ..serve.slo import SLOTracker, format_slo_report
 from ..sim.multichip import MultiChipSystem
 from .placement import HashRing, place_experts, rebalance_experts
@@ -90,20 +91,6 @@ _EV_REPLY = 1
 _EV_DEADLINE = 2
 _EV_RETRY = 3
 _EV_HEARTBEAT = 4
-
-
-def status_bucket(status: str) -> str:
-    """Map a terminal status onto {completed, shed, failed}.
-
-    Admission rejections (shed, expired/infeasible deadlines) count as
-    *shed* — the service refused the work; *failed* is work the fleet
-    accepted and could not finish.
-    """
-    if status == "completed":
-        return "completed"
-    if status.startswith("shed") or status.startswith("rejected"):
-        return "shed"
-    return "failed"
 
 
 @dataclass(frozen=True)
@@ -161,7 +148,7 @@ class FleetConfig:
 class _Rpc:
     """One dispatched RPC attempt."""
 
-    request_id: int
+    entry: _Entry
     worker: int
     hedge: bool
     service_s: float
@@ -170,49 +157,20 @@ class _Rpc:
 
 @dataclass
 class _Entry:
-    """Ledger record of one admitted request."""
+    """Dispatch state of one admitted, not yet settled request."""
 
     request: RenderRequest
     handle: object
     renderer: object
-    samples_per_ray: int
-    resolution_scale: float
-    degrade_level: int
+    decision: AdmissionDecision
     n_rays: int
-    primary: int = None
     tried: list = field(default_factory=list)
     rpc_ids: list = field(default_factory=list)
     outstanding: set = field(default_factory=set)
-    attempts: int = 0
     retries: int = 0
     hedged: bool = False
     pending_retry: bool = False
     status: str = None
-    served_by: int = None
-    via_hedge: bool = False
-
-
-@dataclass
-class FleetResponse:
-    """Terminal outcome of one fleet request, as seen by the client."""
-
-    request_id: int
-    scene: str
-    status: str
-    priority: int
-    degrade_level: int = 0
-    latency_s: float = None
-    frame: np.ndarray = None
-    #: Worker that served the completing reply (``None`` unless completed).
-    served_by: int = None
-    #: Whether the completing reply came from a hedge/retry dispatch
-    #: rather than the first (primary) RPC.
-    via_hedge: bool = False
-
-    @property
-    def completed(self) -> bool:
-        """Whether the request rendered to completion."""
-        return self.status == "completed"
 
 
 class FleetController:
@@ -243,7 +201,12 @@ class FleetController:
         for worker, experts in place_experts(self.config.n_workers).items():
             self.workers[worker].experts = list(experts)
         self.admission = AdmissionController(self.config.admission)
-        self.slo = SLOTracker(self.config.slo_targets)
+        self.ledger = RequestLedger(
+            "fleet", self.config.slo_targets, self.config.keep_frames
+        )
+        self.slo = self.ledger.slo
+        #: request_id -> RenderResponse once terminal.
+        self.responses = self.ledger.responses
         seed = fault_plan.seed if fault_plan is not None else 0
         self._drop_rng = (
             fault_plan.rng("fleet.drop_reply")
@@ -260,16 +223,11 @@ class FleetController:
         self.now_s = 0.0
         self._events = []  # heap of (t, kind, seq, payload)
         self._seq = 0
-        self._ledger = {}  # request_id -> _Entry
         self._rpcs = {}  # rpc_id -> _Rpc
         self._next_rpc = 0
-        self._callbacks = {}
-        self.responses = {}
         self._outstanding_rays = 0
-        self._pending_arrivals = 0
         self._in_flight = 0
         self._hb_armed = False
-        self.offered = 0
         self.rpc_timeouts = 0
         self.retries = 0
         self.hedges = 0
@@ -285,12 +243,12 @@ class FleetController:
     # -- client surface --------------------------------------------------
 
     def submit(self, request: RenderRequest, on_complete=None) -> int:
-        """Queue a request for its ``arrival_s``; returns the request id."""
-        self.offered += 1
-        self._pending_arrivals += 1
+        """Queue a request for its ``arrival_s``; returns the request id.
+
+        Raises ``ValueError`` if a pending request already has this id.
+        """
+        self.ledger.offer(request, on_complete)
         self._push(request.arrival_s, _EV_ARRIVAL, request)
-        if on_complete is not None:
-            self._callbacks[request.request_id] = on_complete
         return request.request_id
 
     def run(self, max_events: int = None) -> SLOTracker:
@@ -305,7 +263,6 @@ class FleetController:
             t, kind, _, payload = heapq.heappop(self._events)
             self.now_s = max(self.now_s, t)
             if kind == _EV_ARRIVAL:
-                self._pending_arrivals -= 1
                 self._admit(payload)
             elif kind == _EV_REPLY:
                 self._on_reply(payload)
@@ -339,47 +296,27 @@ class FleetController:
     # -- admission -------------------------------------------------------
 
     def _admit(self, request: RenderRequest) -> None:
-        try:
-            handle = self.registry.acquire(request.scene)
-        except UnknownSceneError:
-            self._reject(request, FAILED_UNKNOWN_SCENE)
-            return
-        full_spr = handle.marcher.config.max_samples
-        key = (request.scene, handle.renderer.name, handle.renderer.precision)
-        est = self.estimator.estimate(key, handle.generation)
-        n_live = max(len(self.ring), 1)
-        decision = self.admission.decide(
-            request,
-            self.now_s,
-            self._outstanding_rays,
-            full_spr,
-            # The backlog is worked off by every live worker in
-            # parallel, so the fleet-effective rate is n_live boards.
-            est_s_per_ray=(est / n_live if est is not None else None),
+        # The backlog is worked off by every live worker in parallel, so
+        # the fleet-effective rate is n_live boards.
+        admitted = admit(
+            self, request, self._outstanding_rays, n_boards=max(len(self.ring), 1)
         )
-        if not decision.admitted:
-            handle.release()
-            self._reject(request, decision.status)
+        if admitted is None:
             return
+        handle, renderer, decision = admitted
         entry = _Entry(
             request=request,
             handle=handle,
-            renderer=degraded_renderer(handle.renderer, decision.samples_per_ray),
-            samples_per_ray=decision.samples_per_ray,
-            resolution_scale=decision.resolution_scale,
-            degrade_level=decision.degrade_level,
-            n_rays=max(
-                int(request.n_rays * decision.resolution_scale**2), 1
-            ),
+            renderer=renderer,
+            decision=decision,
+            n_rays=max(int(request.n_rays * decision.resolution_scale**2), 1),
         )
-        self._ledger[request.request_id] = entry
         self._in_flight += 1
         self._outstanding_rays += entry.n_rays
         worker = self._pick_worker(request.scene, exclude=())
         if worker is None:
-            self._fail(entry, FAILED_NO_WORKER)
+            self._settle(entry, FAILED_NO_WORKER)
             return
-        entry.primary = worker
         self._dispatch(entry, worker)
 
     # -- placement -------------------------------------------------------
@@ -418,7 +355,6 @@ class FleetController:
     def _dispatch(self, entry: _Entry, worker_idx: int, hedge: bool = False):
         now = self.now_s
         worker = self.workers[worker_idx]
-        entry.attempts += 1
         entry.tried.append(worker_idx)
         rpc_id = self._next_rpc
         self._next_rpc += 1
@@ -442,7 +378,7 @@ class FleetController:
                 self.dropped_replies += 1
                 reply_t = None
         self._rpcs[rpc_id] = _Rpc(
-            request_id=entry.request.request_id,
+            entry=entry,
             worker=worker_idx,
             hedge=hedge,
             service_s=service_s,
@@ -466,13 +402,14 @@ class FleetController:
         slow-degrades).
         """
         handle = entry.handle
+        decision = entry.decision
         active = activate_request(
             entry.request,
             handle,
             entry.renderer,
-            entry.samples_per_ray,
-            entry.resolution_scale,
-            entry.degrade_level,
+            decision.samples_per_ray,
+            decision.resolution_scale,
+            decision.degrade_level,
             now,
         )
         slices = slice_request(active, self.config.slice_rays)
@@ -494,8 +431,8 @@ class FleetController:
         rpc = self._rpcs.get(rpc_id)
         if rpc is None:
             return
-        entry = self._ledger.get(rpc.request_id)
-        if entry is None or entry.status is not None:
+        entry = rpc.entry
+        if entry.status is not None:
             self.late_replies += 1
             return
         entry.outstanding.discard(rpc_id)
@@ -506,8 +443,8 @@ class FleetController:
         rpc = self._rpcs.get(rpc_id)
         if rpc is None:
             return
-        entry = self._ledger.get(rpc.request_id)
-        if entry is None or entry.status is not None:
+        entry = rpc.entry
+        if entry.status is not None:
             return
         if rpc_id not in entry.outstanding:
             return  # the reply beat the deadline
@@ -532,22 +469,19 @@ class FleetController:
             delay = self.config.backoff.delay_s(
                 retry, self._backoff_rng, budget_s=budget
             )
-            self._push(
-                self.now_s + delay, _EV_RETRY, entry.request.request_id
-            )
+            self._push(self.now_s + delay, _EV_RETRY, entry)
             return
         if not entry.outstanding and not entry.pending_retry:
-            self._fail(entry, FAILED_RPC_EXPIRED)
+            self._settle(entry, FAILED_RPC_EXPIRED)
 
-    def _on_retry(self, request_id: int) -> None:
-        entry = self._ledger.get(request_id)
-        if entry is None or entry.status is not None:
+    def _on_retry(self, entry: _Entry) -> None:
+        if entry.status is not None:
             return
         entry.pending_retry = False
         worker = self._pick_worker(entry.request.scene, exclude=entry.tried)
         if worker is None:
             if not entry.outstanding:
-                self._fail(entry, FAILED_NO_WORKER)
+                self._settle(entry, FAILED_NO_WORKER)
             return
         self._dispatch(entry, worker, hedge=True)
 
@@ -570,7 +504,7 @@ class FleetController:
                 worker.missed_heartbeats += 1
                 if worker.missed_heartbeats >= self.config.heartbeat_miss_limit:
                     self._declare_dead(worker)
-        if self._in_flight > 0 or self._pending_arrivals > 0:
+        if self.ledger.unsettled:
             self._arm_heartbeat()
 
     def _declare_dead(self, worker) -> None:
@@ -637,111 +571,45 @@ class FleetController:
 
     def _complete(self, entry: _Entry, rpc: _Rpc) -> None:
         request = entry.request
-        latency = self.now_s - request.arrival_s
-        entry.status = "completed"
-        entry.served_by = rpc.worker
-        entry.via_hedge = rpc.hedge
-        self.slo.record(request.priority, "completed", latency)
-        self.completions.append((self.now_s, request.priority, latency))
+        self.completions.append(
+            (self.now_s, request.priority, self.now_s - request.arrival_s)
+        )
         if rpc.service_s > 0 and entry.n_rays > 0:
             self.estimator.observe(
                 (request.scene, entry.renderer.name, entry.renderer.precision),
                 entry.handle.generation,
                 rpc.service_s / entry.n_rays,
             )
-        callback = self._callbacks.pop(request.request_id, None)
-        response = FleetResponse(
-            request_id=request.request_id,
-            scene=request.scene,
-            status="completed",
-            priority=request.priority,
-            degrade_level=entry.degrade_level,
-            latency_s=latency,
-            frame=(
-                rpc.frame
-                if (self.config.keep_frames or callback is not None)
-                else None
-            ),
+        self._settle(
+            entry,
+            "completed",
+            frame=rpc.frame,
             served_by=rpc.worker,
             via_hedge=rpc.hedge,
         )
-        self._settle(entry, response, callback)
-        tel = telemetry.get_session()
-        if tel.enabled:
-            tel.metrics.counter("fleet.requests.completed").inc()
-            tel.metrics.histogram(
-                "fleet.latency_s", min_bound=1e-9
-            ).observe(latency)
 
-    def _fail(self, entry: _Entry, status: str) -> None:
-        request = entry.request
+    def _settle(self, entry: _Entry, status: str, **completion) -> None:
+        """Free an admitted request's fleet state, then settle it."""
         entry.status = status
-        self.slo.record(request.priority, status)
-        callback = self._callbacks.pop(request.request_id, None)
-        response = FleetResponse(
-            request_id=request.request_id,
-            scene=request.scene,
-            status=status,
-            priority=request.priority,
-            degrade_level=entry.degrade_level,
-        )
-        self._settle(entry, response, callback)
-        tel = telemetry.get_session()
-        if tel.enabled:
-            tel.metrics.counter(f"fleet.requests.{status}").inc()
-
-    def _settle(self, entry: _Entry, response: FleetResponse, callback):
-        """Shared terminal bookkeeping: exactly-once by construction."""
         entry.handle.release()
         self._in_flight -= 1
         self._outstanding_rays -= entry.n_rays
         for rpc_id in entry.rpc_ids:
             self._rpcs.pop(rpc_id, None)
         entry.outstanding.clear()
-        if not self.config.keep_frames:
-            stored = FleetResponse(**{**response.__dict__, "frame": None})
-        else:
-            stored = response
-        self.responses[response.request_id] = stored
-        if callback is not None:
-            callback(response)
-
-    def _reject(self, request: RenderRequest, status: str) -> None:
-        """Terminal pre-queue outcome (never entered the ledger)."""
-        self.slo.record(request.priority, status)
-        response = FleetResponse(
-            request_id=request.request_id,
-            scene=request.scene,
-            status=status,
-            priority=request.priority,
+        self.ledger.settle(
+            entry.request,
+            status,
+            self.now_s,
+            degrade_level=entry.decision.degrade_level,
+            **completion,
         )
-        self.responses[request.request_id] = response
-        callback = self._callbacks.pop(request.request_id, None)
-        tel = telemetry.get_session()
-        if tel.enabled:
-            tel.metrics.counter(f"fleet.requests.{status}").inc()
-        if callback is not None:
-            callback(response)
 
     # -- reporting -------------------------------------------------------
 
     def accounting(self) -> dict:
-        """Exactly-once ledger: offered = completed + shed + failed.
-
-        ``unaccounted`` must be 0 after :meth:`run` drains — the
-        invariant the chaos tests and the CI smoke grep assert.
-        """
-        buckets = {"completed": 0, "shed": 0, "failed": 0}
-        for status, count in self.slo.status_counts().items():
-            buckets[status_bucket(status)] += count
-        terminal = sum(buckets.values())
-        return {
-            "offered": self.offered,
-            "completed": buckets["completed"],
-            "shed": buckets["shed"],
-            "failed": buckets["failed"],
-            "unaccounted": self.offered - terminal,
-        }
+        """Exactly-once ledger: offered = completed + shed + failed."""
+        return self.ledger.accounting()
 
     def attainment_between(self, t0: float, t1: float) -> float:
         """SLO attainment over completions in ``[t0, t1)``.
@@ -764,11 +632,7 @@ class FleetController:
         return met / total if total else float("nan")
 
     def stats(self) -> dict:
-        """Operational counters for experiment tables and smoke checks.
-
-        Unlike :meth:`repro.serve.RenderService.stats`, ``shed`` is the
-        accounting bucket (overload sheds *and* deadline rejections).
-        """
+        """Operational counters for experiment tables and smoke checks."""
         busy = sum(w.busy_s for w in self.workers)
         horizon = self.now_s * self.config.n_workers
         accounting = self.accounting()
@@ -776,13 +640,14 @@ class FleetController:
             "now_s": self.now_s,
             "completed": self.slo.completed,
             "statuses": self.slo.status_counts(),
-            "offered": self.offered,
+            "offered": accounting["offered"],
             "in_flight": self._in_flight,
             "unaccounted": accounting["unaccounted"],
-            "shed": accounting["shed"],
             "failed": accounting["failed"],
             "admitted": self.admission.admitted,
             "degraded": self.admission.degraded,
+            "shed": self.admission.shed,
+            "rejected_deadline": self.admission.rejected_deadline,
             "utilization": busy / horizon if horizon > 0 else 0.0,
             "rpc_timeouts": self.rpc_timeouts,
             "retries": self.retries,
@@ -803,7 +668,6 @@ class FleetController:
 def format_fleet_report(controller: FleetController) -> str:
     """Render the fleet run report (the text CI smoke jobs grep)."""
     stats = controller.stats()
-    accounting = controller.accounting()
     lines = [format_slo_report(controller.slo), "-" * 72, "fleet"]
     lines.append(
         f"workers: {controller.config.n_workers} "
@@ -830,10 +694,5 @@ def format_fleet_report(controller: FleetController) -> str:
             f"promoted, {record['scenes_moved']} moved; experts remapped "
             f"onto {record['survivors']} survivor(s)"
         )
-    lines.append(
-        f"accounting: offered {accounting['offered']} = "
-        f"completed {accounting['completed']} + shed {accounting['shed']} + "
-        f"failed {accounting['failed']}"
-    )
-    lines.append(f"unaccounted requests: {accounting['unaccounted']}")
+    lines.append(format_accounting(controller.accounting()))
     return "\n".join(lines)

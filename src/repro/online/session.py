@@ -472,9 +472,7 @@ class ReconstructionSession:
         psnr_history,
         loop,
     ) -> SessionResult:
-        statuses = service.slo.status_counts()
-        offered = len(arrivals) + len(swap_proofs)
-        terminal = sum(statuses.values())
+        requests = service.accounting()
         return SessionResult(
             scene=self.config.capture.scene,
             horizon_s=capture.horizon_s,
@@ -489,9 +487,9 @@ class ReconstructionSession:
             accounting={
                 "frames": store.accounting(),
                 "requests": {
-                    "offered": offered,
-                    "terminal": terminal,
-                    "unaccounted": offered - terminal,
+                    "offered": requests["offered"],
+                    "terminal": requests["offered"] - requests["unaccounted"],
+                    "unaccounted": requests["unaccounted"],
                 },
             },
             steps_total=loop.steps_total if loop is not None else 0,

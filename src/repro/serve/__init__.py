@@ -13,6 +13,8 @@ rendering service — the deployment story of the paper's second half
 * :mod:`~repro.serve.admission` / :mod:`~repro.serve.slo` — deadline- and
   backpressure-aware admission with a shed-or-degrade ladder, and
   per-priority-class SLO attainment tracking;
+* :mod:`~repro.serve.ledger` — the exactly-once request ledger (SLO
+  outcomes, responses, callbacks) shared with :mod:`repro.fleet`;
 * :mod:`~repro.serve.service` — the discrete-event loop tying them to
   the :class:`~repro.sim.multichip.MultiChipSystem` clock;
 * :mod:`~repro.serve.loadgen` — open-loop Poisson and closed-loop
@@ -35,6 +37,7 @@ from .batching import (
     RaySlice,
     RenderRequest,
 )
+from .ledger import RenderResponse, RequestLedger, status_bucket
 from .loadgen import (
     LoadReport,
     build_demo_registry,
@@ -51,7 +54,7 @@ from .registry import (
     UnknownSceneError,
 )
 from .scheduler import BatchPolicy, DynamicRayBatchScheduler
-from .service import RenderResponse, RenderService, ServiceConfig
+from .service import RenderService, ServiceConfig
 from .slo import DEFAULT_TARGETS, SLOTarget, SLOTracker, format_slo_report
 
 __all__ = [
@@ -74,6 +77,7 @@ __all__ = [
     "RenderRequest",
     "RenderResponse",
     "RenderService",
+    "RequestLedger",
     "SLOTarget",
     "SLOTracker",
     "SceneHandle",
@@ -87,4 +91,5 @@ __all__ = [
     "poisson_arrivals",
     "run_closed_loop",
     "run_open_loop",
+    "status_bucket",
 ]

@@ -10,7 +10,9 @@ the dynamic batch scheduler, and each dispatched batch renders its
 slices through the real NeRF pipeline while the simulated
 :class:`~repro.sim.multichip.MultiChipSystem` board is charged the
 hardware time (the board is serial: one batch occupies it at a time, so
-queueing delay is real).
+queueing delay is real).  Admission runs through the shared front
+(:func:`~repro.serve.admission.admit`), and every terminal outcome is
+settled exactly once on a :class:`~repro.serve.ledger.RequestLedger`.
 
 Pixels are exact, time is simulated: every slice renders through its own
 :meth:`~repro.pipeline.renderer.Renderer.render_rays` call on the
@@ -27,19 +29,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .. import telemetry
 from ..sim.multichip import MultiChipSystem
-from .admission import AdmissionController, AdmissionPolicy, CostEstimator
-from .batching import (
-    ActiveRequest,
-    RenderRequest,
-    activate_request,
-    degraded_renderer,
-    slice_request,
-)
-from .registry import SceneRegistry, UnknownSceneError
+from .admission import AdmissionController, AdmissionPolicy, CostEstimator, admit
+from .batching import ActiveRequest, RenderRequest, activate_request, slice_request
+from .ledger import RequestLedger, format_accounting
+from .registry import SceneRegistry
 from .scheduler import (
     ACTION_DISPATCH,
     ACTION_WAIT,
@@ -48,8 +43,6 @@ from .scheduler import (
 )
 from .slo import SLOTracker, format_slo_report
 
-#: Terminal status for a request whose scene is not deployed.
-FAILED_UNKNOWN_SCENE = "failed_unknown_scene"
 #: Terminal status for a request whose scene was force-undeployed mid-flight.
 FAILED_SCENE_EVICTED = "failed_scene_evicted"
 
@@ -65,28 +58,6 @@ class ServiceConfig:
     #: Keep completed frames on the response objects (tests / single
     #: clients); load generation leaves this off to bound memory.
     keep_frames: bool = False
-
-
-@dataclass
-class RenderResponse:
-    """Terminal outcome of one request, as seen by the client."""
-
-    request_id: int
-    scene: str
-    status: str
-    priority: int
-    degrade_level: int = 0
-    #: Arrival-to-completion latency on the service clock (``None``
-    #: unless completed).
-    latency_s: float = None
-    #: The rendered frame — populated for completed requests when the
-    #: service keeps frames or a completion callback is registered.
-    frame: np.ndarray = None
-
-    @property
-    def completed(self) -> bool:
-        """Whether the request rendered to completion."""
-        return self.status == "completed"
 
 
 class RenderService:
@@ -106,14 +77,16 @@ class RenderService:
         self.estimator = CostEstimator(cost_models)
         self.scheduler = DynamicRayBatchScheduler(self.config.batch)
         self.admission = AdmissionController(self.config.admission)
-        self.slo = SLOTracker(self.config.slo_targets)
+        self.ledger = RequestLedger(
+            "serve", self.config.slo_targets, self.config.keep_frames
+        )
+        self.slo = self.ledger.slo
+        #: request_id -> RenderResponse once terminal.
+        self.responses = self.ledger.responses
         #: Service clock, virtual seconds.
         self.now_s = 0.0
-        self._arrivals = []  # heap of (arrival_s, seq, request, on_complete)
+        self._arrivals = []  # heap of (arrival_s, seq, request)
         self._seq = 0
-        self._callbacks = {}
-        #: request_id -> RenderResponse once terminal.
-        self.responses = {}
         self.batches_dispatched = 0
         self.hardware_busy_s = 0.0
 
@@ -125,13 +98,13 @@ class RenderService:
         ``on_complete(response)`` fires when the request reaches a
         terminal status (completed, shed, rejected, or failed) — the
         closed-loop hook load generators chain their next arrival on.
+        Raises ``ValueError`` if a pending request already has this id.
         """
+        self.ledger.offer(request, on_complete)
         heapq.heappush(
             self._arrivals, (request.arrival_s, self._seq, request)
         )
         self._seq += 1
-        if on_complete is not None:
-            self._callbacks[request.request_id] = on_complete
         return request.request_id
 
     def run(self, max_batches: int = None) -> SLOTracker:
@@ -167,33 +140,19 @@ class RenderService:
     # -- admission -------------------------------------------------------
 
     def _admit(self, request: RenderRequest) -> None:
-        """Run one arrival through the admission ladder at ``now_s``."""
+        """Run one arrival through the admission front at ``now_s``."""
         tel = telemetry.get_session()
         with tel.tracer.span(
             "serve.admit", request=request.request_id, scene=request.scene
         ):
-            try:
-                handle = self.registry.acquire(request.scene)
-            except UnknownSceneError:
-                self._reject(request, FAILED_UNKNOWN_SCENE)
+            admitted = admit(self, request, self.scheduler.queued_rays())
+            if admitted is None:
                 return
-            full_spr = handle.marcher.config.max_samples
-            key = (request.scene, handle.renderer.name, handle.renderer.precision)
-            decision = self.admission.decide(
-                request,
-                self.now_s,
-                self.scheduler.queued_rays(),
-                full_spr,
-                est_s_per_ray=self.estimator.estimate(key, handle.generation),
-            )
-            if not decision.admitted:
-                handle.release()
-                self._reject(request, decision.status)
-                return
+            handle, renderer, decision = admitted
             active = activate_request(
                 request,
                 handle,
-                degraded_renderer(handle.renderer, decision.samples_per_ray),
+                renderer,
                 decision.samples_per_ray,
                 decision.resolution_scale,
                 decision.degrade_level,
@@ -208,25 +167,6 @@ class RenderService:
             tel.metrics.gauge("serve.queue.rays").set(
                 float(self.scheduler.queued_rays())
             )
-            if decision.degrade_level:
-                tel.metrics.counter("serve.requests.degraded").inc()
-
-    def _reject(self, request: RenderRequest, status: str) -> None:
-        """Record a terminal pre-queue outcome and notify the client."""
-        self.slo.record(request.priority, status)
-        response = RenderResponse(
-            request_id=request.request_id,
-            scene=request.scene,
-            status=status,
-            priority=request.priority,
-        )
-        self.responses[request.request_id] = response
-        tel = telemetry.get_session()
-        if tel.enabled:
-            tel.metrics.counter(f"serve.requests.{status}").inc()
-        callback = self._callbacks.pop(request.request_id, None)
-        if callback is not None:
-            callback(response)
 
     # -- dispatch --------------------------------------------------------
 
@@ -299,40 +239,13 @@ class RenderService:
         """Terminally resolve an in-flight request at the current clock."""
         active.finish(status, self.now_s)
         active.handle.release()
-        request = active.request
-        latency = self.now_s - request.arrival_s
-        completed = status == "completed"
-        self.slo.record(
-            request.priority, status, latency if completed else None
-        )
-        callback = self._callbacks.pop(request.request_id, None)
-        response = RenderResponse(
-            request_id=request.request_id,
-            scene=request.scene,
-            status=status,
-            priority=request.priority,
+        self.ledger.settle(
+            active.request,
+            status,
+            self.now_s,
             degrade_level=active.degrade_level,
-            latency_s=latency if completed else None,
-            frame=(
-                active.frame
-                if completed and (self.config.keep_frames or callback)
-                else None
-            ),
+            frame=active.frame,
         )
-        if not self.config.keep_frames:
-            stored = RenderResponse(**{**response.__dict__, "frame": None})
-        else:
-            stored = response
-        self.responses[request.request_id] = stored
-        tel = telemetry.get_session()
-        if tel.enabled:
-            tel.metrics.counter(f"serve.requests.{status}").inc()
-            if completed:
-                tel.metrics.histogram(
-                    "serve.latency_s", min_bound=1e-9
-                ).observe(latency)
-        if callback is not None:
-            callback(response)
 
     # -- reporting -------------------------------------------------------
 
@@ -354,9 +267,15 @@ class RenderService:
             **self.estimator.stats(),
         }
 
+    def accounting(self) -> dict:
+        """Exactly-once ledger: offered = completed + shed + failed."""
+        return self.ledger.accounting()
+
     def report(self) -> str:
-        """The greppable SLO attainment report for this service run."""
-        return format_slo_report(self.slo)
+        """The greppable SLO attainment report, ending with the ledger lines."""
+        return "\n".join(
+            [format_slo_report(self.slo), "-" * 72, format_accounting(self.accounting())]
+        )
 
 
 def board_time(

@@ -1,14 +1,17 @@
 """The one cost estimator behind deadline admission in serve and fleet.
 
 Unit rules of :class:`repro.serve.admission.CostEstimator` (cost-model
-seeding, the per-key EWMA, the generation rule), then one seeded sweep
-driving both tiers through optional priors and a costlier hot-swap.
+seeding, the per-key EWMA, the generation rule), then seeded sweeps
+driving both tiers through optional priors and a costlier hot-swap, each
+ending in the one exactly-once check both tiers share.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.fleet import FleetConfig, FleetController, status_bucket
+from repro.fleet import FleetConfig, FleetController
 from repro.nerf.occupancy import OccupancyGrid
 from repro.obs.costmodel import FittedStat, SceneCostModel
 from repro.serve import RenderRequest, RenderService, build_demo_registry, demo_camera
@@ -123,8 +126,11 @@ def _busy_s(tier) -> float:
     return sum(w.busy_s for w in tier.workers)
 
 
-def _submit_traffic(tier, scene, camera, rng, first_id, n):
-    """``n`` Poisson arrivals from now, half of them with a deadline."""
+def _submit_traffic(tier, scene, camera, rng, first_id, n, fired):
+    """``n`` Poisson arrivals from now, half of them with a deadline.
+
+    Every request's callback counts its id into ``fired``.
+    """
     t = tier.now_s
     for i in range(n):
         t += float(rng.exponential(0.002))
@@ -133,9 +139,44 @@ def _submit_traffic(tier, scene, camera, rng, first_id, n):
             _request(
                 first_id + i, scene, camera, t,
                 priority=int(rng.integers(3)), deadline_s=deadline,
-            )
+            ),
+            on_complete=lambda response: fired.update([response.request_id]),
         )
     tier.run()
+
+
+def _assert_exactly_once(tier, fired, offered) -> dict:
+    """The exactly-once check of both tiers; returns the accounting."""
+    accounting = tier.accounting()
+    assert accounting["offered"] == offered == len(tier.responses)
+    assert accounting["unaccounted"] == 0
+    assert (
+        accounting["completed"] + accounting["shed"] + accounting["failed"]
+        == offered
+    )
+    # every callback fired exactly once per id
+    assert set(fired) == set(tier.responses)
+    assert set(fired.values()) == {1}
+    return accounting
+
+
+def _tier(tier_name, registry, cost_models=None):
+    if tier_name == "serve":
+        return RenderService(registry, cost_models=cost_models)
+    return FleetController(registry, FleetConfig(), cost_models=cost_models)
+
+
+def _redeploy_costlier(registry, scene) -> None:
+    """Hot-swap ``scene`` to an untrained field that keeps every sample."""
+    handle = registry.acquire(scene)
+    normalizer = handle.normalizer
+    handle.release()
+    registry.deploy(
+        scene,
+        model=demo_model(seed=1),
+        occupancy=OccupancyGrid(resolution=16),  # keeps every sample
+        normalizer=normalizer,
+    )
 
 
 @pytest.mark.parametrize("swap", [False, True], ids=["no-swap", "costlier-swap"])
@@ -147,31 +188,24 @@ def test_seeded_sweep_over_tiers_priors_and_swaps(tier_name, prior, swap):
     scene = registry.scenes()[0]["name"]
     key = (scene, "ngp", "full")
     cost_models = {scene: _model(1e-3, scene=scene)} if prior else None
-    if tier_name == "serve":
-        tier = RenderService(registry, cost_models=cost_models)
-    else:
-        tier = FleetController(registry, FleetConfig(), cost_models=cost_models)
+    tier = _tier(tier_name, registry, cost_models)
     camera = demo_camera(8, 8)  # 64 rays
+    fired = Counter()
 
-    _submit_traffic(tier, scene, camera, rng, first_id=0, n=12)
+    _submit_traffic(tier, scene, camera, rng, first_id=0, n=12, fired=fired)
     offered = 12
     generation = 1
     if swap:
-        handle = registry.acquire(scene)
-        normalizer = handle.normalizer
-        handle.release()
-        registry.deploy(
-            scene,
-            model=demo_model(seed=1),
-            occupancy=OccupancyGrid(resolution=16),  # keeps every sample
-            normalizer=normalizer,
-        )
+        _redeploy_costlier(registry, scene)
         generation = 2
     before = tier.estimator.estimate(key, generation)
     busy = _busy_s(tier)
     # One probe served alone: the first observation of this generation
     # if the scene was just swapped.
-    tier.submit(_request(100, scene, camera, tier.now_s))
+    tier.submit(
+        _request(100, scene, camera, tier.now_s),
+        on_complete=lambda response: fired.update([response.request_id]),
+    )
     tier.run()
     offered += 1
     assert tier.responses[100].completed
@@ -186,10 +220,46 @@ def test_seeded_sweep_over_tiers_priors_and_swaps(tier_name, prior, swap):
         )
         assert tier.stats()["ewma_reblends"] == 0
 
-    _submit_traffic(tier, scene, camera, rng, first_id=200, n=12)
+    _submit_traffic(tier, scene, camera, rng, first_id=200, n=12, fired=fired)
     offered += 12
-    buckets = {"completed": 0, "shed": 0, "failed": 0}
-    for status, count in tier.slo.status_counts().items():
-        buckets[status_bucket(status)] += count
-    assert offered == len(tier.responses) == sum(buckets.values())
-    assert buckets["completed"] > 0 and buckets["shed"] > 0
+    accounting = _assert_exactly_once(tier, fired, offered)
+    assert accounting["completed"] > 0 and accounting["shed"] > 0
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["no-swap", "costlier-swap"])
+@pytest.mark.parametrize("tier_name", ["serve", "fleet"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exactly_once_over_seeds_tiers_and_swaps(seed, tier_name, swap):
+    """Deadline traffic, unknown scenes and a hot-swap landing mid-run
+    (from inside a completion callback) all settle exactly once."""
+    rng = np.random.default_rng([seed, swap, tier_name == "fleet"])
+    registry = build_demo_registry(n_scenes=1)
+    scene = registry.scenes()[0]["name"]
+    tier = _tier(tier_name, registry)
+    camera = demo_camera(8, 8)
+    fired = Counter()
+    swapped = []
+
+    def on_complete(response):
+        fired.update([response.request_id])
+        if swap and not swapped and len(fired) >= 10:
+            _redeploy_costlier(registry, scene)
+            swapped.append(response.request_id)
+
+    n = 40
+    t = 0.0
+    for i in range(n):
+        t += float(rng.exponential(0.002))
+        deadline = t + float(rng.uniform(1e-4, 0.02)) if rng.random() < 0.5 else None
+        tier.submit(
+            _request(
+                i, scene if rng.random() < 0.9 else "ghost", camera, t,
+                priority=int(rng.integers(3)), deadline_s=deadline,
+            ),
+            on_complete=on_complete,
+        )
+    tier.run()
+    accounting = _assert_exactly_once(tier, fired, n)
+    # the sweep reaches every bucket
+    assert min(accounting["completed"], accounting["shed"], accounting["failed"]) > 0
+    assert bool(swapped) == swap

@@ -21,12 +21,12 @@ from repro.fleet import (
     place_scenes,
     rebalance_experts,
     stable_hash,
-    status_bucket,
     workers_from_fault_config,
 )
 from repro.robustness import BackoffPolicy
 from repro.robustness.errors import FaultConfigError
 from repro.robustness.faults import FaultPlan, FleetFaultConfig
+from repro.serve import status_bucket
 from repro.serve.batching import RenderRequest
 from repro.serve.loadgen import (
     build_demo_registry,

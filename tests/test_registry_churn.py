@@ -60,11 +60,11 @@ def test_inflight_request_fails_cleanly_on_force_undeploy():
     # admit (pinning a handle) before the churn, then yank the scene:
     # the already-admitted request must fail cleanly, not render stale
     # weights or crash
-    service._admit(
-        RenderRequest(
-            request_id=0, scene=name, camera=demo_camera(8, 8), arrival_s=0.0
-        )
+    request = RenderRequest(
+        request_id=0, scene=name, camera=demo_camera(8, 8), arrival_s=0.0
     )
+    service.ledger.offer(request)  # what submit() does before the arrival
+    service._admit(request)
     registry.undeploy(name, force=True)
     # a second undeploy of the same name is an error, not a double-free
     with pytest.raises(UnknownSceneError):

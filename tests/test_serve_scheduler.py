@@ -157,11 +157,11 @@ def test_scene_evicted_mid_request_fails_cleanly():
     registry = build_demo_registry(n_scenes=1)
     scene = registry.scenes()[0]["name"]
     service = RenderService(registry)
-    service._admit(
-        RenderRequest(
-            request_id=3, scene=scene, camera=demo_camera(8, 8), arrival_s=0.0
-        )
+    request = RenderRequest(
+        request_id=3, scene=scene, camera=demo_camera(8, 8), arrival_s=0.0
     )
+    service.ledger.offer(request)  # what submit() does before the arrival
+    service._admit(request)
     assert service.scheduler.queued_rays() == 64
     registry.undeploy(scene, force=True)
     service.run()
