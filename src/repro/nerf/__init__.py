@@ -27,7 +27,6 @@ from .sampling import (
     batch_to_stats,
 )
 from .hash_encoding import (
-    Fp16HashEncoding,
     HashEncoding,
     HashEncodingConfig,
     EncodingTrace,
@@ -35,7 +34,7 @@ from .hash_encoding import (
     PRIMES,
     CORNER_OFFSETS,
 )
-from .mlp import MLP, InferenceMLP, Int8MLP, spherical_harmonics, SH_DIM
+from .mlp import MLP, spherical_harmonics, SH_DIM
 from .volume_rendering import (
     composite,
     composite_backward,
@@ -109,15 +108,12 @@ __all__ = [
     "SampleBatch",
     "SamplingStats",
     "HashEncoding",
-    "Fp16HashEncoding",
     "HashEncodingConfig",
     "EncodingTrace",
     "hash_vertices",
     "PRIMES",
     "CORNER_OFFSETS",
     "MLP",
-    "InferenceMLP",
-    "Int8MLP",
     "spherical_harmonics",
     "SH_DIM",
     "composite",

@@ -29,6 +29,7 @@ from .hash_encoding import HashEncodingConfig
 from .model import InstantNGPModel, ModelConfig
 from .moe import MoEConfig, MoENeRF
 from .occupancy import OccupancyGrid
+from .precision import LowPrecisionField
 from .tensorf import TensoRFConfig, TensoRFModel
 
 _FORMAT_VERSION = 1
@@ -94,7 +95,8 @@ def save_model(model, path, occupancy: OccupancyGrid = None, normalizer: SceneNo
     """Write a model checkpoint; returns the payload size in bytes.
 
     Accepts :class:`InstantNGPModel`, :class:`TensoRFModel`, or
-    :class:`MoENeRF`.  When
+    :class:`MoENeRF`; a :class:`LowPrecisionField` snapshot raises
+    ``TypeError`` (checkpoint its float64 master instead).  When
     ``occupancy`` is given, the grid's EMA statistics *and* its binary
     mask are stored verbatim (the mask is not always derivable from the
     EMA — trainers force it full when it empties out), so a load renders
@@ -103,6 +105,10 @@ def save_model(model, path, occupancy: OccupancyGrid = None, normalizer: SceneNo
     self-contained deployable scene for :func:`load_scene`.
     """
     path = Path(path)
+    if isinstance(model, LowPrecisionField):
+        # An InstantNGPModel by type, but an inference-only rounding of
+        # one: as an ngp archive it would reload as a float64 master.
+        raise TypeError(f"cannot checkpoint a {type(model).__name__}")
     if isinstance(model, MoENeRF):
         meta = {
             "format": _FORMAT_VERSION,

@@ -198,16 +198,16 @@ class HashEncoding:
         weights = terms.prod(axis=-1)
         return corners, indices, weights
 
-    def _interpolate(self, points: np.ndarray, tables: np.ndarray) -> tuple:
-        """The corner-major Stage II kernel, shared with the fp16 snapshot.
+    def _interpolate(self, points: np.ndarray) -> tuple:
+        """The corner-major Stage II kernel.
 
         Returns ``(features, flat_indices, weights, base)``: the
-        ``(n, L*F)`` level-major features blended from ``tables``, the
+        ``(n, L*F)`` level-major features blended from the tables, the
         ``(8, L, n)`` level-offset indices and trilinear weights, and the
         ``(L, 3, n)`` clipped cell origins.  Weights follow the ``points``
         dtype (float32 sample buffers keep float32 weights, matching the
         fp16 interpolation hardware); features follow the wider of the
-        weights and ``tables``.
+        weights and the tables.
         """
         cfg = self.config
         n_levels, n_features = cfg.n_levels, cfg.n_features
@@ -245,9 +245,9 @@ class HashEncoding:
         weights = np.empty((8, n_levels, n), dtype=frac.dtype)
         # Flat indices are far below 2**63, so the signed view is exact.
         indices = flat.view(np.int64)
-        table_t = np.ascontiguousarray(tables.reshape(-1, n_features).T)
+        table_t = np.ascontiguousarray(self.tables.reshape(-1, n_features).T)
         blend = np.empty(
-            (n_features, n_levels, n), dtype=np.result_type(weights, tables)
+            (n_features, n_levels, n), dtype=np.result_type(weights, self.tables)
         )
         gathered = np.empty((n_levels, n), dtype=blend.dtype)
         for c in range(8):
@@ -275,7 +275,7 @@ class HashEncoding:
         simulator.  The result is bit-identical to the per-level
         reference in :mod:`repro.perf.reference` (see module docstring).
         """
-        features, flat, weights, base = self._interpolate(points, self.tables)
+        features, flat, weights, base = self._interpolate(points)
         return features, EncodingTrace(flat, weights, base, self._level_offsets)
 
     def backward(self, grad_features: np.ndarray, trace: EncodingTrace) -> np.ndarray:
@@ -320,68 +320,3 @@ class HashEncoding:
             raise ValueError("hash table shape mismatch")
         self.tables = tables
 
-
-class Fp16HashEncoding(HashEncoding):
-    """Half-precision inference snapshot of a :class:`HashEncoding`.
-
-    The feature tables are stored as ``np.float16`` — the on-chip
-    feature-SRAM format the fault injector already models
-    (:func:`repro.robustness.injection.flip_fp16_bits`) and the layout
-    :attr:`HashEncodingConfig.table_bytes_fp16` prices — at half the
-    gather traffic of the float64 training tables.  The forward gather
-    *accumulates in fp32* (the paper's mixed-precision rule: narrow
-    storage, wider accumulation), skips the :class:`EncodingTrace`
-    entirely, and returns float32 features ready for the float32 MLP
-    hot path.
-
-    Inference-only: :meth:`backward` raises.  The snapshot copies the
-    source tables, so the trainer may keep mutating them; call
-    :meth:`refresh` to re-round after an update.
-    """
-
-    def __init__(self, source: HashEncoding):
-        self.config = source.config
-        self.tables = np.asarray(source.tables, dtype=np.float16)
-        # Dequantize-on-load mirror: fp16 -> fp32 is exact, so gathering
-        # from the widened copy is numerically identical to widening each
-        # gathered corner — without paying a half-to-single conversion
-        # of every gathered corner on each forward (measured ~1.5x
-        # slower than the fp16 gather it follows).  ``tables`` stays the storage truth:
-        # ``parameters()`` exposes it, fault injection flips its bits.
-        self._tables_f32 = self.tables.astype(np.float32)
-        self._level_offsets = (
-            np.arange(self.config.n_levels, dtype=np.int64)
-            * self.config.table_size
-        )
-
-    def refresh(self, source: HashEncoding = None) -> None:
-        """Re-round the fp16 tables from a (possibly updated) source.
-
-        With no ``source``, rebuilds only the fp32 gather mirror — call
-        after mutating :attr:`tables` in place (e.g. fault injection).
-        """
-        if source is not None:
-            if source.config != self.config:
-                raise ValueError("source config mismatch")
-            self.tables = np.asarray(source.tables, dtype=np.float16)
-        self._tables_f32 = self.tables.astype(np.float32)
-
-    def forward(self, points: np.ndarray) -> tuple:
-        """Encode points at inference precision: ``(features, None)``.
-
-        The same corner-major kernel as :meth:`HashEncoding.forward`, on
-        float32 points, so table indices match the training gather for
-        every float32 sample buffer the render pipeline produces; but it
-        reads the fp16-rounded feature values, blends in fp32, and
-        builds no trace: the ``(8, L, n)`` arrays exist only to serve
-        backward and the tiling simulator, neither of which runs at
-        inference.
-        """
-        points = np.asarray(points, dtype=np.float32)
-        return self._interpolate(points, self._tables_f32)[0], None
-
-    def backward(self, grad_features: np.ndarray, trace) -> np.ndarray:
-        raise NotImplementedError(
-            "Fp16HashEncoding is inference-only; train on the float64 "
-            "HashEncoding and refresh() the snapshot"
-        )

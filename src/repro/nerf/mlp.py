@@ -186,18 +186,6 @@ class MLP:
             params[f"{self.name}.b{i}"] = b
         return params
 
-    def inference_layers(self) -> list:
-        """Float32 ``(weight, bias, activation)`` snapshot per layer.
-
-        The raw material of the low-precision inference classes below:
-        weights and biases are rounded once to float32 (copies — the
-        trainer keeps mutating the float64 masters).
-        """
-        return [
-            (w.astype(np.float32), b.astype(np.float32), act)
-            for w, b, act in zip(self.weights, self.biases, self.activations)
-        ]
-
     def load_parameters(self, params: dict) -> None:
         for i in range(self.n_layers):
             w = params[f"{self.name}.w{i}"]
@@ -207,92 +195,3 @@ class MLP:
             self.weights[i] = w
             self.biases[i] = b
 
-
-class InferenceMLP:
-    """Cache-free float32 forward over a snapshot of an :class:`MLP`.
-
-    The inference half of the low-precision path: weights and biases are
-    rounded to float32 once at construction, ``forward`` runs float32
-    matmuls and never builds :class:`LayerCache` objects (backward does
-    not exist here).  Subclasses override :meth:`_prepare_weight` to
-    narrow the storage format further.
-    """
-
-    def __init__(self, source: MLP):
-        self.widths = list(source.widths)
-        self.activations = list(source.activations)
-        self.name = source.name
-        self.weights = []
-        self.biases = []
-        for w, b, _ in source.inference_layers():
-            self.weights.append(self._prepare_weight(w))
-            self.biases.append(b)
-
-    def _prepare_weight(self, weight: np.ndarray) -> np.ndarray:
-        """Storage transform of one float32 weight matrix (identity here)."""
-        return weight
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-    def forward(self, x: np.ndarray) -> tuple:
-        """Float32 forward; returns ``(output, None)`` — no backward caches."""
-        out = np.atleast_2d(np.asarray(x, dtype=np.float32))
-        if out.shape[1] != self.widths[0]:
-            raise ValueError(
-                f"{self.name}: expected input width {self.widths[0]}, "
-                f"got {out.shape[1]}"
-            )
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            _, out = _layer(out, w, b, act)
-        return out, None
-
-    def backward(self, grad_out: np.ndarray, caches: list) -> tuple:
-        raise NotImplementedError(
-            f"{type(self).__name__} is inference-only; train on the "
-            "float64 MLP"
-        )
-
-
-class Int8MLP(InferenceMLP):
-    """INT8 inference snapshot of an :class:`MLP` with per-layer scales.
-
-    Each weight matrix is quantized symmetrically to INT8 code words
-    with its own scale ``s_l = max|W_l| / 127`` (the per-tensor rule of
-    :func:`repro.nerf.quantization.quantize_int8`, applied per layer),
-    then dequantized once to float32 for the matmul — so ``forward``
-    computes with exactly the information an INT8 weight SRAM retains,
-    while the accumulation stays float32 (narrow storage, wider
-    accumulation).  Biases stay float32: they are added once per output
-    channel and the hardware keeps them in the accumulator format.
-
-    The INT8 codes and scales are kept (:attr:`codes`, :attr:`scales`)
-    so fault injection can flip real stored bits and tests can assert
-    the storage footprint.
-    """
-
-    def __init__(self, source: MLP):
-        self.codes = []
-        self.scales = []
-        super().__init__(source)
-
-    def _prepare_weight(self, weight: np.ndarray) -> np.ndarray:
-        """Quantize one layer: symmetric INT8 codes + dequantized fp32."""
-        max_abs = float(np.abs(weight).max())
-        scale = max_abs / 127.0
-        if scale == 0.0:  # all-zero layer, or subnormal underflow
-            codes = np.zeros(weight.shape, dtype=np.int8)
-            scale = 1.0
-        else:
-            codes = np.clip(
-                np.round(weight / scale), -127, 127
-            ).astype(np.int8)
-        self.codes.append(codes)
-        self.scales.append(scale)
-        return codes.astype(np.float32) * np.float32(scale)
-
-    @property
-    def storage_bytes(self) -> int:
-        """INT8 weight-store footprint (codes only; biases are fp32)."""
-        return sum(c.nbytes for c in self.codes)

@@ -2,23 +2,23 @@
 
 The paper's mixed-precision datapath (Challenge C2) stores hash-table
 features in fp16 and MLP weights in INT8 while accumulating in wider
-formats.  This module builds that inference configuration out of a
-trained :class:`~repro.nerf.model.InstantNGPModel`:
+formats.  That is a storage format, not a second way to compute a
+field, so this module models it as one:
 
-* :class:`LowPrecisionField` — an inference-only field whose hash tables
-  are fp16 (:class:`~repro.nerf.hash_encoding.Fp16HashEncoding`) and
-  whose MLPs run either float32 (mode ``"fp16"``) or dequantized INT8
-  with per-layer symmetric scales (mode ``"fp16-int8"``).  It satisfies
-  the pipeline ``Field`` contract — ``forward(positions, directions)``
-  returning ``(sigma, rgb, cache)`` — so every renderer, the serving
-  plane, and the bench harness can evaluate it without special cases.
+* :class:`LowPrecisionField` — an :class:`~repro.nerf.model.InstantNGPModel`
+  whose stored values are rounded once, when it is built, to what the
+  chip's SRAM holds: tables through fp16, MLP weights through INT8
+  codes with per-layer symmetric scales (mode ``"fp16-int8"``) or not
+  at all (mode ``"fp16"``).  Everything is held, and computed, in
+  float32 (the accumulator width), through the inherited training
+  forward: there is one field forward for every precision.
 * :class:`PrecisionGate` — the PSNR-delta budget that decides whether a
   low-precision configuration is allowed to replace the full-precision
   path for a scene.
 
-Training always happens on the float64 masters; a snapshot is refreshed
-from its source model after each training burst (``refresh``), exactly
-like re-flashing an accelerator's weight SRAM.
+Training always happens on the float64 masters.  A snapshot copies
+them, so it stays stale while they train; take a new snapshot after a
+training burst, exactly like re-flashing an accelerator's weight SRAM.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hash_encoding import Fp16HashEncoding
-from .mlp import InferenceMLP, Int8MLP, spherical_harmonics
+from .model import InstantNGPModel
 from .volume_rendering import psnr
 
 #: Precision modes a snapshot can run in, cheapest last.
@@ -38,14 +37,32 @@ PRECISION_MODES = ("fp16", "fp16-int8")
 FULL_PRECISION = "full"
 
 
-class LowPrecisionField:
+def quantize_int8_layer(weight: np.ndarray) -> tuple:
+    """Symmetric INT8 code words of one float32 weight matrix.
+
+    Returns ``(codes, scale)`` with ``scale = max|W| / 127`` (the
+    per-tensor rule of :func:`repro.nerf.quantization.quantize_int8`,
+    applied per layer), so ``codes * scale`` is within ``scale / 2`` of
+    ``weight``.  An all-zero layer (or one whose scale underflows) gets
+    all-zero codes and scale 1.
+    """
+    scale = float(np.abs(weight).max()) / 127.0
+    if scale == 0.0:
+        return np.zeros(weight.shape, dtype=np.int8), 1.0
+    codes = np.clip(np.round(weight / scale), -127, 127).astype(np.int8)
+    return codes, scale
+
+
+class LowPrecisionField(InstantNGPModel):
     """Inference-only fp16/INT8 snapshot of an ``InstantNGPModel``.
 
-    ``mode="fp16"`` narrows only the hash tables (fp16 storage, float32
-    accumulation); ``mode="fp16-int8"`` additionally quantizes both MLPs
-    to INT8 weights with per-layer scales.  Activations, compositing
-    inputs, and outputs are float32 throughout — the accumulator width
-    of the paper's datapath.
+    ``mode="fp16"`` rounds only the hash tables through fp16;
+    ``mode="fp16-int8"`` also quantizes every MLP weight matrix to INT8
+    with a per-layer scale (:func:`quantize_int8_layer`), dequantized
+    once.  Every stored value is held as float32 (fp16 widens to it
+    exactly), biases included, and ``forward``/``density`` run the
+    inherited model on float32 inputs.  Fault injection flips bits in
+    the arrays that ``forward`` reads.
     """
 
     def __init__(self, source, mode: str = "fp16-int8"):
@@ -53,101 +70,68 @@ class LowPrecisionField:
             raise ValueError(
                 f"mode must be one of {PRECISION_MODES}, got {mode!r}"
             )
-        for attr in ("encoding", "density_mlp", "color_mlp"):
-            if not hasattr(source, attr):
-                raise TypeError(
-                    f"{type(source).__name__} has no {attr!r}; low-precision "
-                    "snapshots need a hash-encoded NGP-shaped field"
-                )
-        if not hasattr(source.encoding, "tables"):
+        if not isinstance(source, InstantNGPModel):
             raise TypeError(
-                f"{type(source.encoding).__name__} has no hash tables; "
-                "low-precision snapshots narrow the fp16 feature SRAM of "
-                "a hash encoding (VM factor stores are not supported)"
+                f"cannot snapshot a {type(source).__name__}: low-precision "
+                "snapshots round the fp16 feature SRAM of a hash-encoded "
+                "InstantNGPModel"
             )
-        self.source = source
+        super().__init__(source.config)
         self.mode = mode
-        self.config = source.config
-        self.encoding = Fp16HashEncoding(source.encoding)
-        mlp_cls = Int8MLP if mode == "fp16-int8" else InferenceMLP
-        self.density_mlp = mlp_cls(source.density_mlp)
-        self.color_mlp = mlp_cls(source.color_mlp)
-        self._density_bias = np.float32(source.config.density_bias)
+        self.encoding.tables = source.encoding.tables.astype(
+            np.float16
+        ).astype(np.float32)
+        for mlp, master in (
+            (self.density_mlp, source.density_mlp),
+            (self.color_mlp, source.color_mlp),
+        ):
+            mlp.weights = [self._stored_weight(w) for w in master.weights]
+            mlp.biases = [b.astype(np.float32) for b in master.biases]
+
+    def _stored_weight(self, weight: np.ndarray) -> np.ndarray:
+        """One weight matrix as the weight SRAM returns it, in float32."""
+        weight = weight.astype(np.float32)
+        if self.mode != "fp16-int8":
+            return weight
+        codes, scale = quantize_int8_layer(weight)
+        return codes.astype(np.float32) * np.float32(scale)
 
     @property
     def precision(self) -> str:
         """The pipeline precision tag this field implements."""
         return self.mode
 
-    def refresh(self) -> None:
-        """Re-snapshot from the source model (after a training burst)."""
-        self.encoding.refresh(self.source.encoding)
-        mlp_cls = type(self.density_mlp)
-        self.density_mlp = mlp_cls(self.source.density_mlp)
-        self.color_mlp = mlp_cls(self.source.color_mlp)
-
     def forward(self, positions: np.ndarray, directions: np.ndarray) -> tuple:
-        """Per-sample ``(sigma, rgb, None)`` at inference precision.
-
-        Mirrors ``InstantNGPModel.forward`` with float32 arithmetic and
-        no backward caches — the cache slot is always ``None``.
-        """
-        positions = np.atleast_2d(positions)
-        directions = np.atleast_2d(directions)
-        if positions.shape[0] != directions.shape[0]:
-            raise ValueError("positions and directions must align")
-        features, _ = self.encoding.forward(positions)
-        latent, _ = self.density_mlp.forward(features)
-        sigma = self._density_activation(latent[:, 0])
-        sh = spherical_harmonics(directions.astype(np.float32))
-        color_in = np.concatenate([latent, sh.astype(np.float32)], axis=-1)
-        rgb, _ = self.color_mlp.forward(color_in)
+        """Per-sample float32 ``(sigma, rgb, None)``; no cache to train on."""
+        sigma, rgb, _ = super().forward(
+            np.asarray(positions, dtype=np.float32),
+            np.asarray(directions, dtype=np.float32),
+        )
         return sigma, rgb, None
 
     def density(self, positions: np.ndarray) -> np.ndarray:
-        """Density only (occupancy refreshes at inference precision)."""
-        features, _ = self.encoding.forward(positions)
-        latent, _ = self.density_mlp.forward(features)
-        return self._density_activation(latent[:, 0])
+        """Float32 density only (occupancy refreshes at inference precision)."""
+        return super().density(np.asarray(positions, dtype=np.float32))
 
-    def _density_activation(self, x: np.ndarray) -> np.ndarray:
-        x = x + self._density_bias
-        if self.config.density_activation == "softplus":
-            return np.logaddexp(np.float32(0.0), x)
-        if self.config.density_activation == "exp":
-            return np.exp(np.clip(x, np.float32(-15.0), np.float32(15.0)))
-        raise ValueError(
-            f"unknown density activation {self.config.density_activation!r}"
+    def backward(self, grad_sigma, grad_rgb, cache) -> dict:
+        """Always raises: a snapshot is inference-only."""
+        raise NotImplementedError(
+            "LowPrecisionField is inference-only; train the float64 "
+            "InstantNGPModel and take a new snapshot"
         )
-
-    def parameters(self) -> dict:
-        """The stored (narrow) tensors, named like the source model's.
-
-        Keeping the source names means the robustness fault injector
-        classifies them the same way: ``hash_tables`` takes fp16 bit
-        flips, MLP weights take quantized-code flips.
-        """
-        params = {"hash_tables": self.encoding.tables}
-        for mlp in (self.density_mlp, self.color_mlp):
-            for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-                params[f"{mlp.name}.w{i}"] = w
-                params[f"{mlp.name}.b{i}"] = b
-        return params
 
     @property
     def storage_bytes(self) -> int:
         """Bytes the narrow parameter store occupies.
 
-        fp16 tables plus, per MLP, either the INT8 code words (mode
-        ``"fp16-int8"``) or the float32 weights, and float32 biases.
+        2 B per fp16 table entry, 1 B (mode ``"fp16-int8"``) or 4 B per
+        MLP weight, and 4 B per float32 bias.
         """
-        total = self.encoding.tables.nbytes
+        weight_bytes = 1 if self.mode == "fp16-int8" else 4
+        total = 2 * self.encoding.tables.size
         for mlp in (self.density_mlp, self.color_mlp):
-            if isinstance(mlp, Int8MLP):
-                total += mlp.storage_bytes
-            else:
-                total += sum(w.nbytes for w in mlp.weights)
-            total += sum(b.nbytes for b in mlp.biases)
+            total += weight_bytes * sum(w.size for w in mlp.weights)
+            total += 4 * sum(b.size for b in mlp.biases)
         return total
 
 

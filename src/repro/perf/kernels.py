@@ -136,9 +136,10 @@ def bench_precision_field_fwd(smoke: bool = False) -> dict:
     """Field inference: float64 training forward vs the fp16/INT8
     snapshot (:class:`~repro.nerf.precision.LowPrecisionField`).
 
-    The same sample batch through the same weights; the snapshot wins by
-    gathering half-width tables, running float32 matmuls, and building
-    no backward caches.  This is the kernel the ``precision_pareto``
+    The same sample batch through the same weights and the same forward
+    code, caches included; the snapshot wins only by computing on
+    float32 values (its fp16/INT8-rounded parameters are held as
+    float32).  This is the kernel the ``precision_pareto``
     experiment rests on, so its ratio is what the CI bench gate defends
     at smoke scale.
     """

@@ -183,14 +183,12 @@ def renderer_name_for(model) -> str:
     """The renderer family an existing model instance belongs to.
 
     Used wherever a bare model crosses a renderer-tagged boundary (scene
-    deployment, checkpoint loads): ``InstantNGPModel`` / ``MoENeRF`` map
-    to ``"ngp"``, ``TensoRFModel`` / ``DenseGridField`` to
-    ``"tensorf"``, a :class:`~repro.nerf.precision.LowPrecisionField`
-    to its source model's family, and anything unrecognized falls back
-    to its lowered type name so tags stay stable rather than raising.
+    deployment, checkpoint loads): ``InstantNGPModel`` (a
+    :class:`~repro.nerf.precision.LowPrecisionField` snapshot included)
+    and ``MoENeRF`` map to ``"ngp"``, ``TensoRFModel`` /
+    ``DenseGridField`` to ``"tensorf"``, and anything unrecognized falls
+    back to its lowered type name so tags stay stable rather than raising.
     """
-    if isinstance(model, LowPrecisionField):
-        return renderer_name_for(model.source)
     for model_type, name in _MODEL_RENDERERS:
         if isinstance(model, model_type):
             return name

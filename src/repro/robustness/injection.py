@@ -128,7 +128,10 @@ def inject_model_faults(
                 continue
             tensor = params[name]
             if kind == "hash":
-                tensor[...] = flip_fp16_bits(tensor, int(count), rng)
+                # Through fp16, so a flipped-in signalling NaN widens to
+                # a float32 store without an invalid-cast warning.
+                flipped = flip_fp16_bits(tensor, int(count), rng)
+                tensor[...] = flipped.astype(np.float16)
                 applied["hash_table_flips"] += int(count)
             else:
                 tensor[...] = flip_quantized_bits(

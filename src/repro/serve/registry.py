@@ -165,8 +165,14 @@ def _representative_trace(
 
 
 def _scene_bytes(model, occupancy: OccupancyGrid) -> int:
-    """Deployment footprint: parameter arrays plus occupancy state."""
-    total = sum(p.nbytes for p in model.parameters().values())
+    """Deployment footprint: parameter store plus occupancy state.
+
+    A low-precision snapshot holds its rounded values in float32 but
+    prices them at their stored width (``storage_bytes``).
+    """
+    total = getattr(model, "storage_bytes", None)
+    if total is None:
+        total = sum(p.nbytes for p in model.parameters().values())
     total += occupancy.density_ema.nbytes + occupancy.mask.nbytes
     return int(total)
 

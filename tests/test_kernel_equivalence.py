@@ -11,12 +11,10 @@ import numpy as np
 import pytest
 
 from repro.nerf.early_termination import render_batch_adaptive, truncate_batch
-from repro.nerf.hash_encoding import (
-    Fp16HashEncoding,
-    HashEncoding,
-    HashEncodingConfig,
-)
+from repro.nerf.hash_encoding import HashEncoding, HashEncodingConfig
+from repro.nerf.model import InstantNGPModel, ModelConfig
 from repro.nerf.occupancy import OccupancyGrid, traverse_grid
+from repro.nerf.precision import LowPrecisionField
 from repro.nerf.sampling import RayMarcher, SamplerConfig
 from repro.nerf.volume_rendering import composite, psnr, segment_sum
 from repro.perf import reference
@@ -93,20 +91,26 @@ def test_hash_backward_bit_identical_on_duplicate_indices():
 
 
 def test_fp16_forward_matches_float32_per_level_blend():
-    """The fp16 snapshot runs the training kernel on its float32 mirror:
-    bit-identical to the per-level reference over ``_tables_f32``."""
+    """The fp16 snapshot's encoding runs the training kernel on its
+    rounded float32 tables, on the float32 points the snapshot casts
+    its inputs to: bit-identical to the per-level reference over the
+    same tables."""
     for seed, config in enumerate(SWEEP_CONFIGS):
-        fp16 = Fp16HashEncoding(HashEncoding(config, rng=np.random.default_rng(seed)))
-        mirror = HashEncoding(config)
-        mirror.tables = fp16._tables_f32
+        model = InstantNGPModel(
+            ModelConfig(encoding=config, hidden_width=4, geo_features=2),
+            seed=seed,
+        )
+        fp16 = LowPrecisionField(model, mode="fp16").encoding
+        assert fp16.tables.dtype == np.float32
+        assert np.array_equal(
+            fp16.tables, model.encoding.tables.astype(np.float16)
+        )
         for dtype in (np.float64, np.float32):
             for n in SWEEP_SIZES:
-                points = _sweep_points(n, dtype, seed)
-                features, trace = fp16.forward(points)
-                expected, _ = reference.hash_forward_reference(
-                    mirror, points.astype(np.float32)
-                )
-                assert trace is None and features.dtype == np.float32
+                points = _sweep_points(n, dtype, seed).astype(np.float32)
+                features, _ = fp16.forward(points)
+                expected, _ = reference.hash_forward_reference(fp16, points)
+                assert features.dtype == np.float32
                 assert np.array_equal(features, expected), (config, n, dtype)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nerf.mlp import MLP, SH_DIM, InferenceMLP, spherical_harmonics
+from repro.nerf.mlp import MLP, SH_DIM, spherical_harmonics
 
 
 @pytest.fixture
@@ -170,7 +170,7 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("n", [1, 2, 7, 4096])
 @pytest.mark.parametrize("act", ["relu", "sigmoid", "softplus", "exp", "none"])
 def test_in_place_layer_step_matches_out_of_place_oracle(act, n):
-    """MLP.forward/backward and InferenceMLP.forward, bit for bit."""
+    """MLP.forward/backward in float64 and forward in float32, bit for bit."""
     rng = np.random.default_rng(n)
     net = MLP([4, 6, 5], activations=[act, act], rng=rng)
     # Integer-valued first layer and rows: many pre-activations are
@@ -196,11 +196,13 @@ def test_in_place_layer_step_matches_out_of_place_oracle(act, n):
     assert grads.keys() == want_grads.keys()
     for key, grad in grads.items():
         assert _same_bits(grad, want_grads[key]), key
-    # The float32 inference snapshot runs the same layer step.
-    snapshot = InferenceMLP(net)
+    # Float32 parameters and inputs (a low-precision snapshot's MLP) run
+    # the same layer step.
+    net.weights = [w.astype(np.float32) for w in net.weights]
+    net.biases = [b.astype(np.float32) for b in net.biases]
     x32 = x.astype(np.float32)
     with np.errstate(invalid="ignore"):
         want32, _, _ = _oracle(
-            snapshot.weights, snapshot.biases, snapshot.activations, x32, grad_out
+            net.weights, net.biases, net.activations, x32, grad_out
         )
-        assert _same_bits(snapshot.forward(x32)[0], want32)
+        assert _same_bits(net.forward(x32)[0], want32)

@@ -14,13 +14,14 @@ from repro import pipeline
 from repro.nerf.aabb import SceneNormalizer
 from repro.nerf.early_termination import render_batch_adaptive
 from repro.nerf.hash_encoding import HashEncodingConfig
-from repro.nerf.mlp import MLP, Int8MLP, InferenceMLP
+from repro.nerf.mlp import MLP
 from repro.nerf.model import InstantNGPModel, ModelConfig
 from repro.nerf.occupancy import OccupancyGrid
 from repro.nerf.precision import (
     LowPrecisionField,
     PrecisionBudgetError,
     PrecisionGate,
+    quantize_int8_layer,
 )
 from repro.nerf.quantization import quantize_int8, quantize_int8_fixed
 from repro.nerf.sampling import RayMarcher, SamplerConfig
@@ -150,14 +151,16 @@ def test_lowp_field_refresh_tracks_training():
     before, _, _ = lowp.forward(positions, directions)
     for value in model.parameters().values():
         value += 0.05
-    # Stale snapshot: unchanged until refreshed, like weight SRAM.
+    # Stale snapshot: unchanged by training, like weight SRAM.
     stale, _, _ = lowp.forward(positions, directions)
     assert np.array_equal(before, stale)
-    lowp.refresh()
-    refreshed, _, _ = lowp.forward(positions, directions)
+    # A new snapshot re-rounds the trained masters.
+    fresh = LowPrecisionField(model, mode="fp16-int8")
+    refreshed, _, _ = fresh.forward(positions, directions)
     assert not np.array_equal(before, refreshed)
     assert np.array_equal(
-        lowp.encoding.tables, model.encoding.tables.astype(np.float16)
+        fresh.encoding.tables,
+        model.encoding.tables.astype(np.float16).astype(np.float32),
     )
 
 
@@ -167,49 +170,75 @@ def test_lowp_field_storage_shrinks_with_mode():
     int8 = LowPrecisionField(model, mode="fp16-int8")
     full_bytes = model.n_parameters * 8
     assert int8.storage_bytes < fp16.storage_bytes < full_bytes
-    # fp16 tables alone halve 8-byte masters four times over.
-    assert fp16.encoding.tables.nbytes * 4 == model.encoding.tables.nbytes
+    # 2 B per table entry; 4 B (fp16) or 1 B (INT8) per weight; 4 B per
+    # bias.  4 levels x 2**10 entries x 2 features; MLP widths
+    # 8-16-15 and 24-16-16-3.
+    tables = 4 * 1024 * 2
+    weights = 8 * 16 + 16 * 15 + 24 * 16 + 16 * 16 + 16 * 3
+    biases = 16 + 15 + 16 + 16 + 3
+    assert fp16.storage_bytes == 2 * tables + 4 * weights + 4 * biases
+    assert int8.storage_bytes == 2 * tables + 1 * weights + 4 * biases
 
 
 def test_lowp_field_inference_only():
     model = _model()
     lowp = LowPrecisionField(model, mode="fp16")
+    positions, directions = _samples(8)
+    _, _, cache = lowp.forward(positions, directions)
+    assert cache is None
     with pytest.raises(NotImplementedError):
-        lowp.density_mlp.backward(None, None)
-    with pytest.raises(NotImplementedError):
-        lowp.encoding.backward(None, None)
+        lowp.backward(np.zeros(8), np.zeros((8, 3)), cache)
+
+
+def test_save_refuses_snapshot_field(tmp_path):
+    """A snapshot is an InstantNGPModel by type; saving it as an ngp
+    archive would reload as a float64 master, so the save refuses."""
+    renderer = pipeline.wrap_model(LowPrecisionField(_model(), mode="fp16"))
+    assert renderer.precision == "fp16"
+    with pytest.raises(TypeError, match="LowPrecisionField"):
+        renderer.save(tmp_path / "snapshot.npz", normalizer=_normalizer())
+    assert not (tmp_path / "snapshot.npz").exists()
 
 
 # ----------------------------------------------------------------- INT8 MLP
 
 
+def _float32_mlp(source, weights):
+    """An MLP shaped like ``source`` holding float32 ``weights``."""
+    mlp = MLP(source.widths, source.activations, name=source.name)
+    mlp.weights = weights
+    mlp.biases = [b.astype(np.float32) for b in source.biases]
+    return mlp
+
+
 def test_int8_mlp_quantization_contract():
     rng = np.random.default_rng(5)
     source = MLP([6, 8, 4], name="m", rng=rng)
-    int8 = Int8MLP(source)
-    ref = InferenceMLP(source)
-    for codes, scale, w32, w_ref in zip(
-        int8.codes, int8.scales, int8.weights, ref.weights
-    ):
-        assert codes.dtype == np.int8
+    exact = [w.astype(np.float32) for w in source.weights]
+    dequantized = []
+    for w32 in exact:
+        codes, scale = quantize_int8_layer(w32)
+        assert codes.dtype == np.int8 and codes.shape == w32.shape
         assert np.all(np.abs(codes.astype(np.int32)) <= 127)
+        w8 = codes.astype(np.float32) * np.float32(scale)
         # Symmetric per-layer scale: dequantization error <= scale/2.
-        assert np.max(np.abs(w32 - w_ref)) <= scale / 2 + 1e-7
-    assert int8.storage_bytes == sum(w.size for w in ref.weights)
+        assert np.max(np.abs(w8 - w32)) <= scale / 2 + 1e-7
+        dequantized.append(w8)
     x = rng.normal(size=(9, 6)).astype(np.float32)
-    out, cache = int8.forward(x)
-    assert cache is None
+    out, _ = _float32_mlp(source, dequantized).forward(x)
+    ref, _ = _float32_mlp(source, exact).forward(x)
     assert out.dtype == np.float32
-    assert np.max(np.abs(out - ref.forward(x)[0])) < 0.2
+    assert np.max(np.abs(out - ref)) < 0.2
 
 
 def test_int8_mlp_zero_layer_is_safe():
     source = MLP([4, 4], name="z", rng=np.random.default_rng(0))
     source.weights[0][...] = 0.0
-    int8 = Int8MLP(source)
-    assert int8.scales[0] == 1.0
-    assert not int8.codes[0].any()
-    out, _ = int8.forward(np.ones((2, 4), dtype=np.float32))
+    codes, scale = quantize_int8_layer(source.weights[0].astype(np.float32))
+    assert scale == 1.0
+    assert not codes.any()
+    w8 = codes.astype(np.float32) * np.float32(scale)
+    out, _ = _float32_mlp(source, [w8]).forward(np.ones((2, 4), dtype=np.float32))
     assert np.all(np.isfinite(out))
 
 
@@ -390,7 +419,12 @@ def test_registry_builds_precision_renderer():
     )
     assert renderer.precision == "fp16-int8"
     assert renderer.compositor.precision == "fp16-int8"
-    assert renderer.compositor.lowp_field.source is renderer.field
+    lowp = renderer.compositor.lowp_field
+    assert isinstance(lowp, LowPrecisionField) and lowp is not renderer.field
+    assert np.array_equal(
+        lowp.encoding.tables,
+        renderer.field.encoding.tables.astype(np.float16).astype(np.float32),
+    )
     image = renderer.render_image(_camera(4), _normalizer())
     assert np.all(np.isfinite(image))
     assert pipeline.renderer_name_for(renderer.compositor.lowp_field) == "ngp"
@@ -458,16 +492,21 @@ def test_deploy_tags_lowp_model_precision():
 
     model = demo_model(seed=0)
     lowp = LowPrecisionField(model, mode="fp16-int8")
+    occupancy = OccupancyGrid(resolution=8)
     registry = SceneRegistry()
     registry.deploy(
         "lowp-scene",
         model=lowp,
-        occupancy=OccupancyGrid(resolution=8),
+        occupancy=occupancy,
         normalizer=_normalizer(),
     )
     summary = registry.scenes()[0]
-    assert summary["renderer"] == "ngp"  # resolved through the source
+    assert summary["renderer"] == "ngp"  # a snapshot is an InstantNGPModel
     assert summary["precision"] == "fp16-int8"
+    # Priced at its stored width, not at the float32 it computes in.
+    assert summary["bytes"] == (
+        lowp.storage_bytes + occupancy.density_ema.nbytes + occupancy.mask.nbytes
+    )
     handle = registry.acquire("lowp-scene")
     assert handle.renderer.precision == "fp16-int8"
     handle.release()
@@ -515,15 +554,37 @@ def test_fault_injection_composes_with_snapshot():
     positions, directions = _samples(64)
     before, _, _ = lowp.forward(positions, directions)
     applied = inject_model_faults(
-        lowp,
-        SramFaultConfig(hash_table_bit_flips=64, mlp_bit_flips=16),
-        np.random.default_rng(0),
+        lowp, SramFaultConfig(hash_table_bit_flips=64), np.random.default_rng(0)
     )
-    assert applied["hash_table_flips"] == 64
-    assert applied["mlp_flips"] == 16
-    # Flips land in the stored fp16 words; the float32 gather mirror is
-    # rebuilt on refresh, exactly like a scrub cycle re-reading SRAM.
-    lowp.encoding.refresh()
+    assert applied == {"hash_table_flips": 64, "mlp_flips": 0}
+    # Table flips land in the stored values that forward reads.
+    flipped_tables, _, _ = lowp.forward(positions, directions)
+    assert not np.array_equal(before, flipped_tables)
+    applied = inject_model_faults(
+        lowp, SramFaultConfig(mlp_bit_flips=16), np.random.default_rng(1)
+    )
+    assert applied == {"hash_table_flips": 0, "mlp_flips": 16}
     after, _, _ = lowp.forward(positions, directions)
-    assert not np.array_equal(before, after)
+    assert not np.array_equal(flipped_tables, after)
     assert model.encoding.tables.dtype == np.float64  # masters untouched
+
+
+def test_fp16_flips_stay_fp16_words_in_snapshot_store():
+    """Dense table flips (signalling NaNs among them) widen exactly into
+    the snapshot's float32 store: every entry is still an fp16 word."""
+    lowp = LowPrecisionField(_model(), mode="fp16")
+    tables = lowp.encoding.tables
+    # fp16 0x7801: flipping exponent bit 10 gives signalling NaN 0x7c01.
+    tables[...] = 32784.0
+    clean = tables.copy()
+    inject_model_faults(
+        lowp,
+        SramFaultConfig(hash_table_bit_flips=20_000),
+        np.random.default_rng(2),
+    )
+    assert tables.dtype == np.float32 and lowp.encoding.tables is tables
+    assert np.isnan(tables).any()
+    assert np.array_equal(
+        tables, tables.astype(np.float16).astype(np.float32), equal_nan=True
+    )
+    assert (tables != clean).sum() > tables.size // 2
