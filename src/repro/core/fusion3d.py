@@ -23,11 +23,10 @@ import numpy as np
 
 from ..nerf.hash_encoding import HashEncodingConfig
 from ..nerf.model import InstantNGPModel, ModelConfig
-from ..nerf.moe import MoENeRF, MoEConfig, MoETrainer
+from ..nerf.moe import MoENeRF, MoEConfig
 from ..nerf.rays import generate_rays
 from ..nerf.trainer import Trainer, TrainerConfig
 from ..nerf.volume_rendering import psnr as compute_psnr
-from ..pipeline.registry import wrap_model
 from ..sim.chip import ChipConfig, SingleChipAccelerator
 from ..sim.multichip import MultiChipConfig, MultiChipSystem
 from ..sim.trace import WorkloadTrace, trace_from_rays
@@ -129,30 +128,7 @@ class Fusion3D:
 
     def reconstruct(self, dataset, iterations: int = 300) -> ReconstructionResult:
         """Train a radiance field on the dataset, co-simulating hardware."""
-        cfg = self.config
-        if cfg.multi_chip:
-            model = MoENeRF(
-                MoEConfig(n_experts=cfg.n_chips, expert_model=cfg.model),
-                seed=cfg.seed,
-            )
-            trainer = MoETrainer(
-                model, dataset.cameras, dataset.images, dataset.normalizer, cfg.trainer
-            )
-        else:
-            model = InstantNGPModel(cfg.model, seed=cfg.seed)
-            trainer = Trainer(
-                model, dataset.cameras, dataset.images, dataset.normalizer, cfg.trainer
-            )
-        total_samples = 0.0
-        for _ in range(iterations):
-            trainer.train_step()
-            if cfg.multi_chip:
-                total_samples += float(np.mean(trainer.last_expert_samples))
-            else:
-                total_samples += len(trainer.last_batch)
-        self._model = model
-        self._trainer = trainer
-        return self._finish_reconstruction(dataset, trainer, iterations, total_samples)
+        return self._reconstruct(dataset, iterations)
 
     def reconstruct_until(
         self,
@@ -171,55 +147,16 @@ class Fusion3D:
         """
         if check_every < 1:
             raise ValueError("check_every must be positive")
-        cfg = self.config
-        if cfg.multi_chip:
-            model = MoENeRF(
-                MoEConfig(n_experts=cfg.n_chips, expert_model=cfg.model),
-                seed=cfg.seed,
-            )
-            trainer = MoETrainer(
-                model, dataset.cameras, dataset.images, dataset.normalizer, cfg.trainer
-            )
-        else:
-            model = InstantNGPModel(cfg.model, seed=cfg.seed)
-            trainer = Trainer(
-                model, dataset.cameras, dataset.images, dataset.normalizer, cfg.trainer
-            )
-        total_samples = 0.0
-        iterations = 0
-        while iterations < max_iterations:
-            trainer.train_step()
-            iterations += 1
-            if cfg.multi_chip:
-                total_samples += float(np.mean(trainer.last_expert_samples))
-            else:
-                total_samples += len(trainer.last_batch)
-            if iterations % check_every == 0:
-                if trainer.eval_psnr(n_views=min(2, len(dataset.cameras))) >= psnr_target:
-                    break
-        self._model = model
-        self._trainer = trainer
-        return self._finish_reconstruction(dataset, trainer, iterations, total_samples)
+        return self._reconstruct(dataset, max_iterations, psnr_target, check_every)
 
     def render(self, dataset, view: int = 0) -> RenderingResult:
         """Render one dataset view with the trained model, co-simulating."""
         if self._trainer is None:
             raise RuntimeError("call reconstruct() before render()")
-        cfg = self.config
         camera = dataset.cameras[view]
         target = dataset.images[view]
         trainer = self._trainer
-        if cfg.multi_chip:
-            rays = generate_rays(camera)
-            origins, directions = dataset.normalizer.rays_to_unit(
-                rays.origins, rays.directions
-            )
-            colors = trainer.render_rays(origins, directions)
-            image = np.clip(colors, 0.0, 1.0).reshape(camera.height, camera.width, 3)
-        else:
-            image = wrap_model(
-                self._model, marcher=trainer.marcher, occupancy=trainer.occupancy
-            ).render_image(camera, dataset.normalizer)
+        image = trainer.render_image(camera)
         trace = self._extract_trace(dataset, trainer, camera=camera)
         report = self._simulate(trace, trace.n_samples, training=False)
         quality = compute_psnr(image, target)
@@ -235,6 +172,41 @@ class Fusion3D:
         )
 
     # -- internals ---------------------------------------------------------
+
+    def _reconstruct(
+        self, dataset, max_iterations: int, psnr_target: float = None, check_every: int = 1
+    ) -> ReconstructionResult:
+        """Train up to ``max_iterations`` steps (to ``psnr_target``, if set)."""
+        cfg = self.config
+        if cfg.multi_chip:
+            model = MoENeRF(
+                MoEConfig(n_experts=cfg.n_chips, expert_model=cfg.model),
+                seed=cfg.seed,
+            )
+        else:
+            model = InstantNGPModel(cfg.model, seed=cfg.seed)
+        trainer = Trainer(
+            model, dataset.cameras, dataset.images, dataset.normalizer, cfg.trainer
+        )
+        total_samples = 0.0
+        iterations = 0
+        while iterations < max_iterations:
+            trainer.train_step()
+            iterations += 1
+            # Per-chip load: each chip marches its own expert's batch.
+            total_samples += float(
+                np.mean([len(batch) for batch in trainer.last_batches])
+            )
+            if (
+                psnr_target is not None
+                and iterations % check_every == 0
+                and trainer.eval_psnr(n_views=min(2, len(dataset.cameras)))
+                >= psnr_target
+            ):
+                break
+        self._model = model
+        self._trainer = trainer
+        return self._finish_reconstruction(dataset, trainer, iterations, total_samples)
 
     def _finish_reconstruction(
         self, dataset, trainer, iterations: int, total_samples: float
@@ -283,21 +255,12 @@ class Fusion3D:
         origins, directions = dataset.normalizer.rays_to_unit(
             rays.origins, rays.directions
         )
-        occupancy = (
-            trainer.occupancies[0]
-            if self.config.multi_chip
-            else trainer.occupancy
-        )
-        encoding = (
-            trainer.model.experts[0].encoding
-            if self.config.multi_chip
-            else trainer.model.encoding
-        )
+        # Every chip runs the same kind of expert: trace the first.
         return trace_from_rays(
             origins,
             directions,
-            occupancy,
-            encoding=encoding,
+            trainer.occupancy,
+            encoding=trainer.experts[0].encoding,
             max_samples=self.config.trainer.max_samples_per_ray,
         )
 

@@ -32,7 +32,7 @@ from .. import telemetry
 from ..datasets import synthetic
 from ..nerf.hash_encoding import HashEncodingConfig
 from ..nerf.model import InstantNGPModel, ModelConfig
-from ..nerf.moe import MoEConfig, MoENeRF, MoETrainer
+from ..nerf.moe import MoEConfig, MoENeRF
 from ..nerf.occupancy import OccupancyGrid
 from ..nerf.rays import generate_rays
 from ..nerf.sampling import RayMarcher, SamplerConfig
@@ -171,7 +171,7 @@ def drop_policy_cost(quick: bool = True) -> dict:
         hidden_width=16,
         geo_features=8,
     )
-    trainer = MoETrainer(
+    trainer = Trainer(
         MoENeRF(MoEConfig(n_experts=4, expert_model=expert_cfg), seed=0),
         dataset.cameras,
         dataset.images,
@@ -189,8 +189,7 @@ def drop_policy_cost(quick: bool = True) -> dict:
     )
     background = trainer.config.background
     expert_colors = [
-        r.render_rays(origins, directions)[0]
-        for r in trainer.expert_renderers(background)
+        r.render_rays(origins, directions)[0] for r in trainer.renderers()
     ]
 
     def fused_image(colors):

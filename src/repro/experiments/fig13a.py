@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..datasets import nerf360
 from ..nerf.hash_encoding import HashEncodingConfig
 from ..nerf.model import InstantNGPModel, ModelConfig
-from ..nerf.moe import MoEConfig, MoENeRF, MoETrainer
+from ..nerf.moe import MoEConfig, MoENeRF
 from ..nerf.trainer import Trainer, TrainerConfig
 from .base import ExperimentResult
 
@@ -57,7 +57,7 @@ def run(quick: bool = True) -> ExperimentResult:
     large_state = large_trainer.train(iterations, eval_every=eval_every)
     # 4-expert MoE with quarter-size experts (equal total capacity).
     moe = MoENeRF(MoEConfig(n_experts=4, expert_model=_model_config(small_log2)), seed=0)
-    moe_trainer = MoETrainer(
+    moe_trainer = Trainer(
         moe, dataset.cameras, dataset.images, dataset.normalizer, _trainer_config()
     )
     moe_state = moe_trainer.train(iterations, eval_every=eval_every)

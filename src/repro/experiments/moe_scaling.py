@@ -11,8 +11,8 @@ from __future__ import annotations
 from ..datasets import nerf360
 from ..nerf.hash_encoding import HashEncodingConfig
 from ..nerf.model import ModelConfig
-from ..nerf.moe import MoEConfig, MoENeRF, MoETrainer
-from ..nerf.trainer import TrainerConfig
+from ..nerf.moe import MoEConfig, MoENeRF
+from ..nerf.trainer import Trainer, TrainerConfig
 from .base import ExperimentResult
 
 EXPERT_COUNTS = (1, 2, 4)
@@ -36,7 +36,7 @@ def run(quick: bool = True) -> ExperimentResult:
     scores = []
     for n_experts in EXPERT_COUNTS:
         moe = MoENeRF(MoEConfig(n_experts=n_experts, expert_model=expert_model), seed=0)
-        trainer = MoETrainer(
+        trainer = Trainer(
             moe,
             dataset.cameras,
             dataset.images,

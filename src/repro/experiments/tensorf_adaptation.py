@@ -14,71 +14,33 @@ RT-NeRF-style baseline units.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..datasets import synthetic
 from ..nerf.moe import MoENeRF
-from ..nerf.optimizer import Adam, mse_loss
-from ..nerf.rays import generate_rays, sample_training_rays
-from ..nerf.sampling import RayMarcher, SamplerConfig
 from ..nerf.tensorf import DenseGridConfig, DenseGridField
-from ..nerf.volume_rendering import composite, composite_backward, psnr
-from ..pipeline.registry import wrap_model
+from ..nerf.trainer import Trainer, TrainerConfig
 from .base import ExperimentResult
 
 PAPER = {"psnr_gap_db": -0.5}
 
 
 def _train_dense(models, dataset, iterations: int, seed: int = 0) -> float:
-    """Train one or more dense-grid fields against the fused render."""
-    rng = np.random.default_rng(seed)
-    marcher = RayMarcher(SamplerConfig(max_samples=48, jitter=True))
-    optimizers = [Adam(m.parameters(), lr=2e-2) for m in models]
-    background = 1.0
-    for _ in range(iterations):
-        rays, target = sample_training_rays(
-            dataset.cameras, dataset.images, 512, rng
-        )
-        origins, directions = dataset.normalizer.rays_to_unit(
-            rays.origins, rays.directions
-        )
-        batch = marcher.sample(origins, directions, rng=rng)
-        if len(batch) == 0:
-            continue
-        forwards = []
-        expert_colors = []
-        for m in models:
-            sigma, rgb, cache = m.forward(batch.positions, batch.directions)
-            result = composite(
-                sigma, rgb, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays,
-                background=background,
-            )
-            forwards.append((sigma, rgb, cache, result))
-            expert_colors.append(result.colors)
-        fused = MoENeRF.fuse(expert_colors, background)
-        _, grad_colors = mse_loss(fused, target)
-        for m, opt, (sigma, rgb, cache, result) in zip(models, optimizers, forwards):
-            grad_sigma, grad_rgb = composite_backward(
-                grad_colors, result, sigma, rgb, batch.deltas, batch.ray_idx,
-                batch.n_rays, background=background,
-            )
-            opt.step(m.backward(grad_sigma, grad_rgb, cache))
-    # Evaluate the fused render on a held-out view, one renderer per model.
-    camera = dataset.cameras[-1]
-    target = dataset.images[-1]
-    rays = generate_rays(camera)
-    origins, directions = dataset.normalizer.rays_to_unit(
-        rays.origins, rays.directions
+    """Train dense-grid experts against the fused render; held-out PSNR.
+
+    No occupancy refresh: the trainer's initial all-true grids keep every
+    expert marching ungated, as a dense-grid pipeline does.
+    """
+    trainer = Trainer(
+        MoENeRF(experts=models),
+        dataset.cameras,
+        dataset.images,
+        dataset.normalizer,
+        TrainerConfig(
+            batch_rays=512, lr=2e-2, max_samples_per_ray=48,
+            occupancy_interval=0, seed=seed,
+        ),
     )
-    colors = [
-        wrap_model(m, marcher=marcher, background=background).render_rays(
-            origins, directions
-        )[0]
-        for m in models
-    ]
-    fused = np.clip(MoENeRF.fuse(colors, background), 0.0, 1.0)
-    image = fused.reshape(camera.height, camera.width, 3)
-    return psnr(image, target)
+    trainer.train(iterations)
+    return trainer.eval_psnr(dataset.cameras[-1:], dataset.images[-1:])
 
 
 def run(quick: bool = True) -> ExperimentResult:

@@ -74,7 +74,7 @@ from .precision import (
 )
 from .checkpoint import save_model, load_model, deployment_payload_bytes
 from .gradcheck import check_model_gradients, GradCheckReport
-from .moe import MoENeRF, MoEConfig, MoETrainer, dominance_map, dominance_ascii
+from .moe import MoENeRF, MoEConfig, dominance_map, dominance_ascii
 from .tensorf import (
     DenseGridField,
     DenseGridConfig,
@@ -158,7 +158,6 @@ __all__ = [
     "GradCheckReport",
     "MoENeRF",
     "MoEConfig",
-    "MoETrainer",
     "dominance_map",
     "dominance_ascii",
     "DenseGridField",

@@ -94,9 +94,10 @@ def _model_config_from_dict(data: dict) -> ModelConfig:
 def save_model(model, path, occupancy: OccupancyGrid = None, normalizer: SceneNormalizer = None) -> int:
     """Write a model checkpoint; returns the payload size in bytes.
 
-    Accepts :class:`InstantNGPModel`, :class:`TensoRFModel`, or
-    :class:`MoENeRF`; a :class:`LowPrecisionField` snapshot raises
-    ``TypeError`` (checkpoint its float64 master instead).  When
+    Accepts :class:`InstantNGPModel`, :class:`TensoRFModel`, or an
+    :class:`MoENeRF` of Instant-NGP experts; a :class:`LowPrecisionField`
+    snapshot raises ``TypeError`` (checkpoint its float64 master
+    instead), as does an MoE of any other experts.  When
     ``occupancy`` is given, the grid's EMA statistics *and* its binary
     mask are stored verbatim (the mask is not always derivable from the
     EMA — trainers force it full when it empties out), so a load renders
@@ -110,11 +111,24 @@ def save_model(model, path, occupancy: OccupancyGrid = None, normalizer: SceneNo
         # one: as an ngp archive it would reload as a float64 master.
         raise TypeError(f"cannot checkpoint a {type(model).__name__}")
     if isinstance(model, MoENeRF):
+        # A load rebuilds n Instant-NGP experts of one configuration;
+        # any other mixture (dense-grid or low-precision experts, mixed
+        # configurations) would not come back as it was saved.
+        configs = [
+            expert.config
+            for expert in model.experts
+            if type(expert) is InstantNGPModel
+        ]
+        if len(configs) != model.n_experts or any(c != configs[0] for c in configs):
+            raise TypeError(
+                "cannot checkpoint an MoENeRF whose experts are not "
+                "Instant-NGP models of one configuration"
+            )
         meta = {
             "format": _FORMAT_VERSION,
             "kind": "moe",
             "n_experts": model.n_experts,
-            "expert_model": _model_config_dict(model.config.expert_model),
+            "expert_model": _model_config_dict(configs[0]),
         }
     elif isinstance(model, InstantNGPModel):
         meta = {
@@ -197,8 +211,7 @@ def _build_model(path, meta: dict, params: dict):
     if meta["kind"] == "moe":
         expert_config = _model_config_from_dict(meta["expert_model"])
         moe = MoENeRF(MoEConfig(n_experts=meta["n_experts"], expert_model=expert_config))
-        for i, expert in enumerate(moe.experts):
-            prefix = f"expert{i}."
+        for prefix, expert in zip(moe.prefixes(), moe.experts):
             expert.load_parameters(
                 {
                     k[len(prefix):]: v

@@ -5,6 +5,12 @@ random ray batches, occupancy-gated marching, MSE on composited pixels,
 Adam on hash tables + MLPs, periodic occupancy refresh.  Hooks let the
 experiments capture workload traces (for the cycle simulator) and apply
 quantization (for the Table II study).
+
+:class:`Trainer` is the only code that runs a training step.  It trains
+one field, or the experts of a :class:`~repro.nerf.moe.MoENeRF` jointly
+against their fused pixel (the paper's Level-1 tiling, Sec. V-A): the
+I/O module is an adder, so each expert runs the ordinary step on its own
+occupancy grid and one optimizer updates them all.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import numpy as np
 from .. import telemetry
 from ..robustness.errors import DivergenceError, DivergenceEvent
 from .aabb import SceneNormalizer
+from .moe import MoENeRF
 from .occupancy import OccupancyGrid
 from .optimizer import Adam, mse_loss
 from .rays import sample_training_rays
@@ -51,7 +58,13 @@ class TrainState:
 
 
 class Trainer:
-    """Trains a radiance-field model against a posed image set."""
+    """Trains a radiance field, or an MoE's experts, against posed images.
+
+    The experts are ``model.experts`` for a :class:`MoENeRF` and
+    ``[model]`` for any other field.  Each has its own occupancy grid
+    (``occupancies``; ``occupancy`` is the first), and their parameters
+    and gradients share the keys of ``model.parameters()``.
+    """
 
     def __init__(
         self,
@@ -64,6 +77,12 @@ class Trainer:
         if len(cameras) == 0:
             raise ValueError("need at least one training view")
         self.model = model
+        if isinstance(model, MoENeRF):
+            self.experts = list(model.experts)
+            self._prefixes = model.prefixes()
+        else:
+            self.experts = [model]
+            self._prefixes = [""]
         self.cameras = cameras
         self.images = np.asarray(images, dtype=np.float64)
         self.normalizer = normalizer
@@ -72,22 +91,42 @@ class Trainer:
         self.marcher = RayMarcher(
             SamplerConfig(max_samples=config.max_samples_per_ray, jitter=True)
         )
-        self.occupancy = OccupancyGrid(
-            resolution=config.occupancy_resolution,
-            threshold=config.occupancy_threshold,
-        )
+        self.occupancies = [
+            OccupancyGrid(
+                resolution=config.occupancy_resolution,
+                threshold=config.occupancy_threshold,
+            )
+            for _ in self.experts
+        ]
         self.optimizer = Adam(model.parameters(), lr=config.lr)
         self.state = TrainState()
         #: Set by experiments to intercept each step (e.g. quantization).
         self.post_step_hook = None
-        #: Last sample batch, for workload-trace extraction.
-        self.last_batch = None
+        #: Last step's sample batch per expert, for workload traces.
+        self.last_batches = []
         #: Gradient-norm divergence threshold; 0 disables the check.
         #: Typically set by a robustness watchdog on attach.
         self.grad_norm_threshold = 0.0
 
+    @property
+    def occupancy(self) -> OccupancyGrid:
+        """The first expert's occupancy grid (a single field's only one)."""
+        return self.occupancies[0]
+
+    @property
+    def last_batch(self):
+        """The first expert's last sample batch (``None`` before a step)."""
+        return self.last_batches[0] if self.last_batches else None
+
     def train_step(self) -> float:
-        """One optimization step; returns the batch loss."""
+        """One optimization step; returns the batch loss.
+
+        One ray draw; each expert marches it on its own grid, then
+        forwards and composites its batch; the experts' colors are fused
+        into one pixel per ray and scored with one MSE.  An expert whose
+        batch is empty contributes background and gets no gradient; the
+        step is skipped only when every expert's batch is empty.
+        """
         cfg = self.config
         tel = telemetry.get_session()
         step_start = time.perf_counter() if tel.enabled else 0.0
@@ -99,12 +138,17 @@ class Trainer:
                 origins, directions = self.normalizer.rays_to_unit(
                     rays.origins, rays.directions
                 )
-                batch = self.marcher.sample(
-                    origins, directions, occupancy=self.occupancy, rng=self.rng
-                )
-            self.last_batch = batch
-            tel.hooks.emit(telemetry.ON_BATCH, trainer=self, batch=batch)
-            if len(batch) == 0:
+                batches = [
+                    self.marcher.sample(
+                        origins, directions, occupancy=occupancy, rng=self.rng
+                    )
+                    for occupancy in self.occupancies
+                ]
+            self.last_batches = batches
+            for batch in batches:
+                tel.hooks.emit(telemetry.ON_BATCH, trainer=self, batch=batch)
+            n_samples = sum(len(batch) for batch in batches)
+            if n_samples == 0:
                 # Degenerate batch (all empty space): skip the step entirely.
                 # Benign — nothing was poisoned — but no longer silent: the
                 # skip is recorded as a structured event so a long run of
@@ -123,20 +167,38 @@ class Trainer:
                 )
                 return float("nan")
             with tel.tracer.span("trainer.forward"):
-                sigma, rgb, cache = self.model.forward(
-                    batch.positions, batch.directions
-                )
+                fields = [
+                    expert.forward(batch.positions, batch.directions)
+                    if len(batch)
+                    else None
+                    for expert, batch in zip(self.experts, batches)
+                ]
             with tel.tracer.span("trainer.composite"):
-                result = composite(
-                    sigma,
-                    rgb,
-                    batch.deltas,
-                    batch.ts,
-                    batch.ray_idx,
-                    batch.n_rays,
-                    background=cfg.background,
-                )
-                loss, grad_colors = mse_loss(result.colors, target)
+                results = []
+                expert_colors = []
+                for batch, field_out in zip(batches, fields):
+                    if field_out is None:
+                        results.append(None)
+                        expert_colors.append(
+                            np.full(
+                                (batch.n_rays, 3), cfg.background, dtype=np.float64
+                            )
+                        )
+                        continue
+                    sigma, rgb, _ = field_out
+                    result = composite(
+                        sigma,
+                        rgb,
+                        batch.deltas,
+                        batch.ts,
+                        batch.ray_idx,
+                        batch.n_rays,
+                        background=cfg.background,
+                    )
+                    results.append(result)
+                    expert_colors.append(result.colors)
+                fused = MoENeRF.fuse(expert_colors, cfg.background)
+                loss, grad_colors = mse_loss(fused, target)
             if not np.isfinite(loss):
                 # The step never reaches the optimizer: the model the
                 # caller holds is still the last good one.
@@ -144,17 +206,29 @@ class Trainer:
                     tel, reason="non_finite_loss", loss=float(loss)
                 )
             with tel.tracer.span("trainer.backward"):
-                grad_sigma, grad_rgb = composite_backward(
-                    grad_colors,
-                    result,
-                    sigma,
-                    rgb,
-                    batch.deltas,
-                    batch.ray_idx,
-                    batch.n_rays,
-                    background=cfg.background,
-                )
-                grads = self.model.backward(grad_sigma, grad_rgb, cache)
+                # The adder passes dC/dC_e = 1: every expert backpropagates
+                # the fused pixel's gradient unchanged.
+                grads = {}
+                for prefix, expert, batch, field_out, result in zip(
+                    self._prefixes, self.experts, batches, fields, results
+                ):
+                    if field_out is None:
+                        continue
+                    sigma, rgb, cache = field_out
+                    grad_sigma, grad_rgb = composite_backward(
+                        grad_colors,
+                        result,
+                        sigma,
+                        rgb,
+                        batch.deltas,
+                        batch.ray_idx,
+                        batch.n_rays,
+                        background=cfg.background,
+                    )
+                    for name, grad in expert.backward(
+                        grad_sigma, grad_rgb, cache
+                    ).items():
+                        grads[prefix + name] = grad
             if self.grad_norm_threshold > 0:
                 grad_norm = float(
                     np.sqrt(
@@ -190,7 +264,7 @@ class Trainer:
             m = tel.metrics
             m.counter("trainer.iterations").inc()
             m.counter("trainer.rays").inc(cfg.batch_rays)
-            m.counter("trainer.samples").inc(len(batch))
+            m.counter("trainer.samples").inc(n_samples)
             m.gauge("trainer.loss").set(loss)
             m.histogram("trainer.step_s").observe(step_s)
             if step_s > 0:
@@ -274,31 +348,65 @@ class Trainer:
         self.images = np.concatenate([self.images, image[None]], axis=0)
         return len(self.cameras)
 
+    def renderers(self, background: float = None) -> list:
+        """One :class:`~repro.pipeline.renderer.Renderer` per expert.
+
+        Each runs the full pipeline over the shared marcher and that
+        expert's occupancy grid, compositing against ``background``
+        (default: the training background).  Built per call, so a
+        replaced grid can never leave a stale renderer behind.
+        """
+        # Imported here: repro.pipeline imports repro.nerf, whose package
+        # init imports this module.
+        from ..pipeline.registry import wrap_model
+
+        if background is None:
+            background = self.config.background
+        return [
+            wrap_model(
+                expert,
+                marcher=self.marcher,
+                occupancy=occupancy,
+                background=background,
+            )
+            for expert, occupancy in zip(self.experts, self.occupancies)
+        ]
+
+    def render_image(self, camera) -> np.ndarray:
+        """Render one fused ``(h, w, 3)`` float32 frame in [0, 1].
+
+        The I/O adder over every expert's render, one chunk at a time, in
+        the training normalizer's frame; for a single field this is its
+        renderer's :meth:`~repro.pipeline.renderer.Renderer.render_image`.
+        """
+        from ..pipeline.renderer import render_frame
+
+        renderers = self.renderers()
+        background = self.config.background
+
+        def render_rays(origins, directions):
+            return MoENeRF.fuse(
+                [r.render_rays(origins, directions)[0] for r in renderers],
+                background,
+            )
+
+        return render_frame(render_rays, camera, self.normalizer)
+
     def eval_psnr(self, cameras: list = None, images: np.ndarray = None, n_views: int = 2) -> float:
         """Average PSNR over held-out (or the first ``n_views`` training) views."""
         if cameras is None:
             cameras = self.cameras[:n_views]
             images = self.images[:n_views]
-        # Imported here: at module level the import is circular
-        # (repro.pipeline.registry -> nerf.moe -> nerf.trainer).
-        from ..pipeline.registry import wrap_model
-
-        renderer = wrap_model(
-            self.model,
-            marcher=self.marcher,
-            occupancy=self.occupancy,
-            background=self.config.background,
-        )
         tel = telemetry.get_session()
         scores = []
         with tel.tracer.span("trainer.eval_psnr"):
             for camera, target in zip(cameras, images):
-                rendered = renderer.render_image(camera, self.normalizer)
-                scores.append(psnr(rendered, target))
+                scores.append(psnr(self.render_image(camera), target))
         score = float(np.mean(scores))
         tel.metrics.gauge("trainer.psnr").set(score)
         return score
 
     def _refresh_occupancy(self) -> None:
-        """Re-estimate occupancy from the current density field."""
-        self.occupancy.refresh_from_density(self.model.density, self.rng)
+        """Re-estimate every expert's occupancy from its density field."""
+        for expert, occupancy in zip(self.experts, self.occupancies):
+            occupancy.refresh_from_density(expert.density, self.rng)

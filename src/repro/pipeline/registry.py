@@ -159,12 +159,11 @@ DEFAULT_REGISTRY = RendererRegistry()
 DEFAULT_REGISTRY.register("ngp", _build_ngp)
 DEFAULT_REGISTRY.register("tensorf", _build_tensorf)
 
-#: Model type -> renderer name, most specific first (``MoENeRF`` serves
-#: NGP-shaped experts; ``DenseGridField`` is the dense TensoRF baseline).
+#: Model type -> renderer name, most specific first (``DenseGridField``
+#: is the dense TensoRF baseline).
 _MODEL_RENDERERS = (
     (TensoRFModel, "tensorf"),
     (DenseGridField, "tensorf"),
-    (MoENeRF, "ngp"),
     (InstantNGPModel, "ngp"),
 )
 
@@ -185,7 +184,7 @@ def renderer_name_for(model) -> str:
     Used wherever a bare model crosses a renderer-tagged boundary (scene
     deployment, checkpoint loads): ``InstantNGPModel`` (a
     :class:`~repro.nerf.precision.LowPrecisionField` snapshot included)
-    and ``MoENeRF`` map to ``"ngp"``, ``TensoRFModel`` /
+    maps to ``"ngp"``, ``TensoRFModel`` /
     ``DenseGridField`` to ``"tensorf"``, and anything unrecognized falls
     back to its lowered type name so tags stay stable rather than raising.
     """
@@ -214,7 +213,17 @@ def wrap_model(
     :class:`~repro.nerf.precision.LowPrecisionField` and composites
     through it (adaptively, when ``switch_threshold`` is set); the model
     itself stays the renderer's trainable field.
+
+    A :class:`~repro.nerf.moe.MoENeRF` is not a field (it has no
+    ``forward``) and raises ``TypeError``: its fused frame is the adder
+    over one renderer per expert, see
+    :meth:`repro.nerf.trainer.Trainer.render_image`.
     """
+    if isinstance(model, MoENeRF):
+        raise TypeError(
+            "an MoENeRF is not a field: wrap each of model.experts and fuse "
+            "their renders (Trainer.renderers / Trainer.render_image)"
+        )
     return _assemble(
         name or renderer_name_for(model),
         model,

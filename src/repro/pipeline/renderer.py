@@ -2,10 +2,11 @@
 
 The one code path that turns rays into colors.  Training eval, offline
 frames, serving, the fleet, online reference frames, MoE fusion and the
-experiments all render through :meth:`Renderer.render_rays`, so a served
-frame equals the offline :meth:`Renderer.render_image` at the serving
-slice size for every stage configuration (exact, ERT, low precision,
-adaptive).
+experiments all render through :meth:`Renderer.render_rays`, and every
+full frame goes through the chunk loop of :func:`render_frame`, so a
+served frame equals the offline :meth:`Renderer.render_image` at the
+serving slice size for every stage configuration (exact, ERT, low
+precision, adaptive).
 """
 
 from __future__ import annotations
@@ -46,6 +47,36 @@ def scrub_rendered_colors(colors: np.ndarray, background: float) -> np.ndarray:
                 n_flagged
             )
     return colors
+
+
+def render_frame(
+    render_rays, camera: Camera, normalizer, chunk: int = 8192, jobs: int = 1
+) -> np.ndarray:
+    """Render a full frame, chunked to bound peak memory.
+
+    ``render_rays(origins, directions) -> colors`` renders one slice of
+    unit-space rays: a :class:`Renderer`'s, or an MoE trainer's fused
+    adder over every expert's renderer.  Fixed ``chunk``-sized pixel
+    slices go through it into a float32 frame buffer (the serving pixel
+    format).  With ``jobs > 1`` the chunks evaluate on a thread pool;
+    each chunk only reads shared state and writes its own slice, and
+    chunk boundaries depend on ``chunk`` alone, so the image is
+    bit-identical for every ``jobs`` setting.  Returns an ``(h, w, 3)``
+    float32 image in [0, 1].
+    """
+    if chunk < 1:
+        raise ValueError("chunk must be positive")
+    from ..parallel.chunking import parallel_map_chunks
+
+    rays = generate_rays(camera)
+    origins, directions = normalizer.rays_to_unit(rays.origins, rays.directions)
+    out = np.empty((camera.n_pixels, 3), dtype=np.float32)
+
+    def render_chunk(start, stop):
+        out[start:stop] = render_rays(origins[start:stop], directions[start:stop])
+
+    parallel_map_chunks(render_chunk, camera.n_pixels, chunk, jobs=jobs)
+    return np.clip(out, 0.0, 1.0).reshape(camera.height, camera.width, 3)
 
 
 class Renderer:
@@ -133,34 +164,18 @@ class Renderer:
         chunk: int = 8192,
         jobs: int = 1,
     ) -> np.ndarray:
-        """Render a full frame, chunked to bound peak memory.
+        """Render a full frame through :func:`render_frame`.
 
-        Fixed ``chunk``-sized pixel slices go through :meth:`render_rays`
-        into a float32 frame buffer (the serving pixel format).  With
-        ``jobs > 1`` the chunks evaluate on a thread pool; each chunk only
-        reads shared state and writes its own slice, and chunk boundaries
-        depend on ``chunk`` alone, so the image is bit-identical for every
-        ``jobs`` setting.  Returns an ``(h, w, 3)`` float32 image in
-        [0, 1].
+        Returns an ``(h, w, 3)`` float32 image in [0, 1], bit-identical
+        for every ``jobs`` setting.
         """
-        if chunk < 1:
-            raise ValueError("chunk must be positive")
-        from ..parallel.chunking import parallel_map_chunks
-
-        rays = generate_rays(camera)
-        origins, directions = normalizer.rays_to_unit(
-            rays.origins, rays.directions
+        return render_frame(
+            lambda origins, directions: self.render_rays(origins, directions)[0],
+            camera,
+            normalizer,
+            chunk=chunk,
+            jobs=jobs,
         )
-        out = np.empty((camera.n_pixels, 3), dtype=np.float32)
-
-        def render_chunk(start, stop):
-            colors, _, _ = self.render_rays(
-                origins[start:stop], directions[start:stop]
-            )
-            out[start:stop] = colors
-
-        parallel_map_chunks(render_chunk, camera.n_pixels, chunk, jobs=jobs)
-        return np.clip(out, 0.0, 1.0).reshape(camera.height, camera.width, 3)
 
     def save(self, path, normalizer=None) -> int:
         """Checkpoint the renderer's field (+ occupancy/normalizer state).

@@ -73,9 +73,11 @@ class Field:
     * ``density(positions)`` — density only, for occupancy refreshes.
 
     :class:`~repro.nerf.model.InstantNGPModel`,
-    :class:`~repro.nerf.tensorf.TensoRFModel`,
-    :class:`~repro.nerf.tensorf.DenseGridField`, and
-    :class:`~repro.nerf.moe.MoENeRF` all satisfy it structurally.
+    :class:`~repro.nerf.tensorf.TensoRFModel`, and
+    :class:`~repro.nerf.tensorf.DenseGridField` satisfy it structurally.
+    :class:`~repro.nerf.moe.MoENeRF` does not: it holds fields (its
+    experts), which :class:`~repro.nerf.trainer.Trainer` trains and
+    renders one by one and fuses by addition.
     """
 
     def forward(self, positions: np.ndarray, directions: np.ndarray) -> tuple:

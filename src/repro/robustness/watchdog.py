@@ -6,7 +6,7 @@ spent producing NaN.  The watchdog makes divergence a recoverable event
 instead of a dead run:
 
 * it subscribes to the trainer's ``on_iteration`` hook and snapshots the
-  model (parameters, Adam state, occupancy grid) every
+  model (parameters, Adam state, every expert's occupancy grid) every
   ``snapshot_interval`` finite iterations — optionally spooling the
   parameters through :mod:`repro.nerf.checkpoint`, so the last good
   state is also a durable on-disk artifact;
@@ -99,8 +99,10 @@ class DivergenceWatchdog:
             "adam_m": {k: v.copy() for k, v in optimizer._m.items()},
             "adam_v": {k: v.copy() for k, v in optimizer._v.items()},
             "adam_steps": optimizer.step_count,
-            "occupancy_ema": trainer.occupancy.density_ema.copy(),
-            "occupancy_mask": trainer.occupancy.mask.copy(),
+            "occupancies": [
+                (grid.density_ema.copy(), grid.mask.copy())
+                for grid in trainer.occupancies
+            ],
         }
         if self.snapshot_dir is not None:
             from ..nerf import checkpoint
@@ -140,8 +142,9 @@ class DivergenceWatchdog:
         for name, value in snap["adam_v"].items():
             optimizer._v[name][...] = value
         optimizer.step_count = snap["adam_steps"]
-        trainer.occupancy.density_ema[...] = snap["occupancy_ema"]
-        trainer.occupancy.mask[...] = snap["occupancy_mask"]
+        for grid, (ema, mask) in zip(trainer.occupancies, snap["occupancies"]):
+            grid.density_ema[...] = ema
+            grid.mask[...] = mask
         return snap["iteration"]
 
     # -- hook handlers -------------------------------------------------

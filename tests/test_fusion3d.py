@@ -83,6 +83,9 @@ def test_multi_chip_facade(mic_dataset_module):
     assert rec.simulated_training_s > 0
     ren = system.render(mic_dataset_module, view=1)
     assert ren.image.shape[2] == 3
+    # The fused frame comes out of the same float32 frame buffer as a
+    # single chip's.
+    assert ren.image.dtype == np.float32
     assert np.isfinite(ren.psnr)
 
 
