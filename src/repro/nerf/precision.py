@@ -1,17 +1,19 @@
-"""Low-precision inference snapshots of the radiance field.
+"""Float32 inference snapshots of the radiance field.
 
-The paper's mixed-precision datapath (Challenge C2) stores hash-table
-features in fp16 and MLP weights in INT8 while accumulating in wider
-formats.  That is a storage format, not a second way to compute a
-field, so this module models it as one:
+The paper trains on wide masters but renders on a narrow datapath
+(Challenge C2): hash-table features in fp16 and MLP weights in INT8,
+accumulated in wider formats.  That is a storage format, not a second
+way to compute a field, so this module models it as one:
 
 * :class:`LowPrecisionField` — an :class:`~repro.nerf.model.InstantNGPModel`
-  whose stored values are rounded once, when it is built, to what the
-  chip's SRAM holds: tables through fp16, MLP weights through INT8
-  codes with per-layer symmetric scales (mode ``"fp16-int8"``) or not
-  at all (mode ``"fp16"``).  Everything is held, and computed, in
-  float32 (the accumulator width), through the inherited training
-  forward: there is one field forward for every precision.
+  whose stored values are cast once, when it is built, to float32 (mode
+  ``"full"``, the default inference datapath of every ``ngp``
+  renderer) or rounded to what the chip's SRAM holds: tables through
+  fp16, MLP weights through INT8 codes with per-layer symmetric scales
+  (mode ``"fp16-int8"``) or not at all (mode ``"fp16"``).  Everything
+  is held, and computed, in float32 (the accumulator width), through
+  the inherited training forward: there is one field forward for every
+  precision.
 * :class:`PrecisionGate` — the PSNR-delta budget that decides whether a
   low-precision configuration is allowed to replace the full-precision
   path for a scene.
@@ -23,6 +25,7 @@ training burst, exactly like re-flashing an accelerator's weight SRAM.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +33,16 @@ import numpy as np
 from .model import InstantNGPModel
 from .volume_rendering import psnr
 
-#: Precision modes a snapshot can run in, cheapest last.
+#: Low-precision modes a snapshot can run in, cheapest last.
 PRECISION_MODES = ("fp16", "fp16-int8")
 
-#: The pipeline's name for the unquantized float64 path.
+#: The pipeline's name for the unrounded path: a float32 snapshot of
+#: the float64 master (the master itself for fields with no snapshot).
 FULL_PRECISION = "full"
+
+#: Largest finite float32; a finite master value beyond it cannot be
+#: snapshotted.
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def quantize_int8_layer(weight: np.ndarray) -> tuple:
@@ -54,39 +62,56 @@ def quantize_int8_layer(weight: np.ndarray) -> tuple:
 
 
 class LowPrecisionField(InstantNGPModel):
-    """Inference-only fp16/INT8 snapshot of an ``InstantNGPModel``.
+    """Inference-only float32 snapshot of an ``InstantNGPModel``.
 
-    ``mode="fp16"`` rounds only the hash tables through fp16;
+    ``mode="full"`` casts every value to float32 and rounds nothing
+    more; ``mode="fp16"`` also rounds the hash tables through fp16;
     ``mode="fp16-int8"`` also quantizes every MLP weight matrix to INT8
     with a per-layer scale (:func:`quantize_int8_layer`), dequantized
     once.  Every stored value is held as float32 (fp16 widens to it
     exactly), biases included, and ``forward``/``density`` run the
     inherited model on float32 inputs.  Fault injection flips bits in
     the arrays that ``forward`` reads.
+
+    A finite master value beyond float32 range raises ``ValueError``
+    naming its parameter; NaN and inf cast as they are, so a poisoned
+    master still snapshots (and renders its poison).
     """
 
     def __init__(self, source, mode: str = "fp16-int8"):
-        if mode not in PRECISION_MODES:
+        if mode not in (FULL_PRECISION,) + PRECISION_MODES:
             raise ValueError(
-                f"mode must be one of {PRECISION_MODES}, got {mode!r}"
+                f"mode must be {FULL_PRECISION!r} or one of "
+                f"{PRECISION_MODES}, got {mode!r}"
             )
         if not isinstance(source, InstantNGPModel):
             raise TypeError(
-                f"cannot snapshot a {type(source).__name__}: low-precision "
-                "snapshots round the fp16 feature SRAM of a hash-encoded "
+                f"cannot snapshot a {type(source).__name__}: float32 "
+                "snapshots hold the feature SRAM of a hash-encoded "
                 "InstantNGPModel"
             )
-        super().__init__(source.config)
+        for name, value in source.parameters().items():
+            out_of_range = np.isfinite(value) & (np.abs(value) > _FLOAT32_MAX)
+            if out_of_range.any():
+                raise ValueError(
+                    f"cannot snapshot parameter {name!r}: "
+                    f"{int(out_of_range.sum())} finite value(s) beyond "
+                    f"float32 range (|x| > {_FLOAT32_MAX:.6g})"
+                )
+        # The source's stages, re-pointed at the stored values (no
+        # random initialization of values that are overwritten anyway).
+        self.config = source.config
         self.mode = mode
-        self.encoding.tables = source.encoding.tables.astype(
-            np.float16
-        ).astype(np.float32)
-        for mlp, master in (
-            (self.density_mlp, source.density_mlp),
-            (self.color_mlp, source.color_mlp),
-        ):
-            mlp.weights = [self._stored_weight(w) for w in master.weights]
-            mlp.biases = [b.astype(np.float32) for b in master.biases]
+        self.encoding = copy.copy(source.encoding)
+        tables = source.encoding.tables
+        if mode != FULL_PRECISION:
+            tables = tables.astype(np.float16)
+        self.encoding.tables = tables.astype(np.float32)
+        self.density_mlp = copy.copy(source.density_mlp)
+        self.color_mlp = copy.copy(source.color_mlp)
+        for mlp in (self.density_mlp, self.color_mlp):
+            mlp.weights = [self._stored_weight(w) for w in mlp.weights]
+            mlp.biases = [b.astype(np.float32) for b in mlp.biases]
 
     def _stored_weight(self, weight: np.ndarray) -> np.ndarray:
         """One weight matrix as the weight SRAM returns it, in float32."""
@@ -122,13 +147,14 @@ class LowPrecisionField(InstantNGPModel):
 
     @property
     def storage_bytes(self) -> int:
-        """Bytes the narrow parameter store occupies.
+        """Bytes the snapshot's parameter store occupies.
 
-        2 B per fp16 table entry, 1 B (mode ``"fp16-int8"``) or 4 B per
-        MLP weight, and 4 B per float32 bias.
+        2 B per fp16 table entry (4 B in mode ``"full"``), 1 B (mode
+        ``"fp16-int8"``) or 4 B per MLP weight, and 4 B per float32 bias.
         """
         weight_bytes = 1 if self.mode == "fp16-int8" else 4
-        total = 2 * self.encoding.tables.size
+        table_bytes = 4 if self.mode == FULL_PRECISION else 2
+        total = table_bytes * self.encoding.tables.size
         for mlp in (self.density_mlp, self.color_mlp):
             total += weight_bytes * sum(w.size for w in mlp.weights)
             total += 4 * sum(b.size for b in mlp.biases)

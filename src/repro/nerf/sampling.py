@@ -41,6 +41,7 @@ class SampleBatch:
 
     @property
     def samples_per_ray(self) -> np.ndarray:
+        """Kept samples of each ray, ``(n_rays,)`` int64."""
         return np.bincount(self.ray_idx, minlength=self.n_rays)
 
 
@@ -126,33 +127,50 @@ class RayMarcher:
                 offsets = rng.uniform(0.0, 1.0, size=total)
             else:
                 offsets = 0.5
-            t = t0[ray_idx] + (within + offsets) * step
-            t = np.minimum(t, t1[ray_idx] - 1e-9)
-            positions = origins[ray_idx] + t[:, None] * directions[ray_idx]
+            # Column-wise (structure-of-arrays) marching: every per-ray
+            # quantity is repeated as one contiguous column instead of
+            # gathered as (n, 3) rows.  The float64 arithmetic is the
+            # same, element for element, as ``origins[ray_idx] + t[:,
+            # None] * directions[ray_idx]``.
+            t = np.repeat(t0, counts) + (within + offsets) * step
+            t = np.minimum(t, np.repeat(t1 - 1e-9, counts))
             # Stage II consumes float32 (the hash gather + MLP hot path);
-            # march in float64 for t precision, then cast once.  Clip in
-            # the float32 domain — clipping before the cast could round a
-            # near-1 value back up to exactly 1.0.
-            positions = np.clip(
-                positions.astype(np.float32),
+            # march in float64 for t precision, then cast once per axis.
+            # Clip in the float32 domain — clipping before the cast could
+            # round a near-1 value back up to exactly 1.0.
+            positions = np.empty((total, 3), dtype=np.float32)
+            for axis in range(3):
+                positions[:, axis] = np.repeat(
+                    origins[:, axis], counts
+                ) + t * np.repeat(directions[:, axis], counts)
+            np.clip(
+                positions,
                 np.float32(0.0),
                 np.nextafter(np.float32(1.0), np.float32(0.0)),
+                out=positions,
             )
-            # deltas/ts stay float64: they feed the float64 compositing
-            # accumulators, unlike the float32 position/direction payload.
-            deltas = np.full(total, step, dtype=np.float64)
-            keep = np.ones(total, dtype=bool)
+            per_ray = counts
             if self.config.use_occupancy and occupancy is not None:
                 # Query on the cast positions so gating agrees with the
                 # coordinates Stage II actually sees.
-                keep = occupancy.query(positions)
-            directions32 = directions.astype(np.float32)
+                kept = np.flatnonzero(occupancy.query(positions))
+                positions = positions[kept]
+                t = t[kept]
+                ray_idx = ray_idx[kept]
+                per_ray = np.bincount(ray_idx, minlength=n_rays)
+            # Samples stay grouped by ray, so each ray's direction is
+            # repeated once per kept sample.
+            directions32 = np.repeat(
+                directions.astype(np.float32), per_ray, axis=0
+            )
+            # deltas/ts stay float64: they feed the float64 compositing
+            # accumulators, unlike the float32 position/direction payload.
             batch = SampleBatch(
-                positions=positions[keep],
-                directions=directions32[ray_idx[keep]],
-                deltas=deltas[keep],
-                ts=t[keep],
-                ray_idx=ray_idx[keep],
+                positions=positions,
+                directions=directions32,
+                deltas=np.full(len(t), step, dtype=np.float64),
+                ts=t,
+                ray_idx=ray_idx,
                 n_rays=n_rays,
                 candidates=total,
             )
@@ -238,6 +256,7 @@ class SamplingStats:
 
     @classmethod
     def from_batch(cls, batch: SampleBatch) -> "SamplingStats":
+        """The statistics of one marched batch."""
         return cls(
             n_rays=batch.n_rays,
             candidates=batch.candidates,
@@ -247,6 +266,7 @@ class SamplingStats:
 
     @property
     def keep_fraction(self) -> float:
+        """Kept samples over candidates (0 with no candidates)."""
         if self.candidates == 0:
             return 0.0
         return self.kept / self.candidates

@@ -125,7 +125,9 @@ class Trainer:
         forwards and composites its batch; the experts' colors are fused
         into one pixel per ray and scored with one MSE.  An expert whose
         batch is empty contributes background and gets no gradient; the
-        step is skipped only when every expert's batch is empty.
+        step is skipped only when every expert's batch is empty.  A model
+        holding a non-finite parameter diverges (``non_finite_loss``)
+        before its forward runs.
         """
         cfg = self.config
         tel = telemetry.get_session()
@@ -166,6 +168,12 @@ class Trainer:
                     telemetry.ON_ITERATION, trainer=self, loss=float("nan")
                 )
                 return float("nan")
+            params = self.model.parameters().values()
+            if not all(np.isfinite(value).all() for value in params):
+                # A poisoned parameter (e.g. an SRAM upset) poisons the
+                # loss.  Score the step as non-finite without running a
+                # forward over it; the step never reaches the optimizer.
+                return self._diverge(tel, reason="non_finite_loss")
             with tel.tracer.span("trainer.forward"):
                 fields = [
                     expert.forward(batch.positions, batch.directions)

@@ -62,15 +62,18 @@ def _assemble(
 ) -> Renderer:
     """Standard stage assembly shared by the stock factories and wrapping.
 
-    A non-full ``precision`` snapshots the model into a
-    :class:`~repro.nerf.precision.LowPrecisionField` the compositor
-    evaluates; the model itself stays the renderer's trainable field.
+    Every ``ngp`` renderer evaluates a float32 inference snapshot (a
+    :class:`~repro.nerf.precision.LowPrecisionField`) of its model: a
+    non-full ``precision`` rounds it to that mode, and ``"full"``
+    snapshots a plain :class:`~repro.nerf.model.InstantNGPModel` into
+    float32 unrounded.  The model itself stays the renderer's field,
+    trainable and float64.  Fields with no hash encoding (TensoRF,
+    dense grids) and existing snapshots are evaluated as they are at
+    ``"full"``.
     """
-    lowp = (
-        None
-        if precision == FULL_PRECISION
-        else LowPrecisionField(model, mode=precision)
-    )
+    lowp = None
+    if precision != FULL_PRECISION or type(model) is InstantNGPModel:
+        lowp = LowPrecisionField(model, mode=precision)
     return Renderer(
         name,
         model,
@@ -208,11 +211,13 @@ def wrap_model(
 
     The inverse of "construct by name": takes a trained (or in-training)
     field plus its serving state and assembles the standard stage stack
-    around it.  ``name`` defaults to :func:`renderer_name_for`.  A
-    non-full ``precision`` snapshots the model into a
-    :class:`~repro.nerf.precision.LowPrecisionField` and composites
-    through it (adaptively, when ``switch_threshold`` is set); the model
-    itself stays the renderer's trainable field.
+    around it.  ``name`` defaults to :func:`renderer_name_for`.  An
+    ``InstantNGPModel`` is snapshotted into a float32
+    :class:`~repro.nerf.precision.LowPrecisionField` (rounded to a
+    non-full ``precision``) and composited through it (adaptively, when
+    ``switch_threshold`` is set); the model itself stays the renderer's
+    trainable field.  Each call takes a new snapshot, so wrap again
+    after training the model.
 
     A :class:`~repro.nerf.moe.MoENeRF` is not a field (it has no
     ``forward``) and raises ``TypeError``: its fused frame is the adder

@@ -109,8 +109,9 @@ class Renderer:
     def precision(self) -> str:
         """Inference precision tag (``"full"``, ``"fp16"``, ``"fp16-int8"``).
 
-        Read from the stages: the compositor's low-precision snapshot
-        when it has one, else the field's own tag (a
+        Read from the stages: the compositor's snapshot when it has one
+        (``"full"`` for an unrounded float32 snapshot), else the field's
+        own tag (a
         :class:`~repro.nerf.precision.LowPrecisionField` used directly as
         the field).  Serving keys its admission EWMA on it.
         """
@@ -140,7 +141,12 @@ class Renderer:
     def render_rays(self, origins: np.ndarray, directions: np.ndarray) -> tuple:
         """Render a unit-space ray batch: ``(colors, batch, result)``.
 
-        Returns the sample batch so callers can bill or trace it, and the
+        The compositor evaluates its float32 inference snapshot of
+        :attr:`field` when it holds one (every ``ngp`` renderer, see
+        :func:`~repro.pipeline.registry.wrap_model`), else the field
+        itself; the field stays the float64 master that trains and
+        checkpoints.  Returns the sample batch so callers can bill or
+        trace it, and the
         per-sample :class:`~repro.nerf.volume_rendering.RenderResult`
         (``None`` for an empty batch or an ERT compositor).  Colors are
         float64 and unclipped; a batch with no kept samples is all

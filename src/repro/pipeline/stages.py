@@ -9,8 +9,8 @@ swappable stages, mirroring the paper's pipeline decomposition:
 * :class:`Sampler` — rays to a :class:`~repro.nerf.sampling.SampleBatch`
   (Stage I's occupancy-gated marching);
 * :class:`Compositor` — per-sample ``(sigma, rgb)`` to per-ray colors
-  (Stage III's transmittance-weighted blend, optionally ERT-truncated
-  or evaluated on a low-precision snapshot).
+  (Stage III's transmittance-weighted blend, optionally ERT-truncated,
+  evaluated on a float32 inference snapshot of the field).
 
 The interfaces are *structural*: existing classes
 (:class:`~repro.nerf.hash_encoding.HashEncoding`,
@@ -135,28 +135,33 @@ class Compositor:
 
 
 class VolumeCompositor(Compositor):
-    """Transmittance-weighted compositing: exact, ERT-gated, or low precision.
+    """Transmittance-weighted compositing: exact, ERT-gated, or adaptive.
 
-    ``lowp_field`` (a :class:`~repro.nerf.precision.LowPrecisionField`
-    snapshot of the renderer's field) and the two thresholds pick one of
-    four regimes:
+    ``lowp_field`` is the float32 inference snapshot (a
+    :class:`~repro.nerf.precision.LowPrecisionField`) of the renderer's
+    field that the compositor evaluates instead of the field: unrounded
+    at ``"full"`` precision (what :func:`~repro.pipeline.registry.wrap_model`
+    builds for every plain ``InstantNGPModel``), or rounded to
+    ``"fp16"`` / ``"fp16-int8"``.  With none (TensoRF and dense fields,
+    or a snapshot used directly as the field) the field is evaluated.
+    It and the two thresholds pick one of three regimes:
 
-    * nothing set (default) — the bit-reproducible full evaluation:
-      ``field.forward`` over fixed tiles of the batch
-      (:func:`~repro.nerf.volume_rendering.evaluate_in_tiles`) and the
-      segmented-prefix :func:`~repro.nerf.volume_rendering.composite`;
+    * nothing set (default) — the bit-reproducible exact evaluation:
+      the snapshot's (or field's) ``forward`` over fixed tiles of the
+      batch (:func:`~repro.nerf.volume_rendering.evaluate_in_tiles`) and
+      the segmented-prefix
+      :func:`~repro.nerf.volume_rendering.composite`;
     * ``ert_threshold`` — early ray termination
       (:func:`~repro.nerf.early_termination.render_batch_adaptive` with
-      no switch): samples behind the transmittance cutoff are never
-      evaluated and the color error is bounded by the threshold;
-    * ``lowp_field`` — the same two regimes evaluated on the snapshot
-      instead of the field;
-    * ``lowp_field`` + ``switch_threshold`` — transmittance-adaptive
-      rendering: the full field evaluates each ray until its
-      transmittance drops below ``switch_threshold``, the snapshot
-      evaluates the occluded tail.  Adaptive rendering is round-based,
-      so an ERT threshold always applies (``ert_threshold`` or
-      :attr:`DEFAULT_ERT`).
+      no switch) on the same snapshot: samples behind the transmittance
+      cutoff are never evaluated and the color error is bounded by the
+      threshold;
+    * a rounded ``lowp_field`` + ``switch_threshold`` —
+      transmittance-adaptive rendering: the float64 field evaluates
+      each ray until its transmittance drops below
+      ``switch_threshold``, the snapshot evaluates the occluded tail.
+      Adaptive rendering is round-based, so an ERT threshold always
+      applies (``ert_threshold`` or :attr:`DEFAULT_ERT`).
 
     ``result`` is a per-sample ``RenderResult`` only without ERT, since
     terminated samples have no per-sample render state.
@@ -176,7 +181,9 @@ class VolumeCompositor(Compositor):
             raise ValueError(
                 f"ert_threshold must be in (0, 1) or None, got {ert_threshold!r}"
             )
-        if switch_threshold is not None and lowp_field is None:
+        if switch_threshold is not None and (
+            getattr(lowp_field, "precision", FULL_PRECISION) == FULL_PRECISION
+        ):
             raise ValueError(
                 "switch_threshold needs a low-precision mode "
                 '(precision="fp16" or "fp16-int8")'
@@ -188,7 +195,7 @@ class VolumeCompositor(Compositor):
 
     @property
     def precision(self) -> str:
-        """The snapshot's precision tag, or ``"full"`` without one."""
+        """The snapshot's precision tag (``"full"`` without one)."""
         if self.lowp_field is None:
             return FULL_PRECISION
         return self.lowp_field.precision

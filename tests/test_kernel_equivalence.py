@@ -247,13 +247,20 @@ def test_ert_frame_psnr_identical_to_full_render(tiny_model, mic_dataset):
 
 def test_ert_off_is_bitwise_default(tiny_model, mic_dataset):
     """ert_threshold=None must leave the exact path untouched: one
-    forward over the marched batch plus the segmented composite."""
+    forward of the float32 snapshot over the marched batch plus the
+    segmented composite, the snapshot holding the master cast to
+    float32."""
     marcher = RayMarcher(SamplerConfig(max_samples=24))
     renderer = wrap_model(tiny_model, marcher=marcher, ert_threshold=None)
+    snapshot = renderer.compositor.lowp_field
+    assert snapshot.precision == "full"
+    stored = snapshot.parameters()
+    for name, value in tiny_model.parameters().items():
+        assert np.array_equal(stored[name], value.astype(np.float32)), name
     colors, batch, result = renderer.render_rays(
         np.full((16, 3), -0.5), np.tile([1.0, 0.9, 0.8], (16, 1))
     )
-    sigma, rgb, _ = tiny_model.forward(batch.positions, batch.directions)
+    sigma, rgb, _ = snapshot.forward(batch.positions, batch.directions)
     expected = composite(
         sigma, rgb, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays
     )

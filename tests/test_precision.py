@@ -82,17 +82,33 @@ def _opaque_batch(max_samples=32, n_px=6, density_bias=12.0):
 # ------------------------------------------------- default path unchanged
 
 
+def _assert_float32_copy(snapshot, master):
+    """Every stored value of ``snapshot`` is ``master``'s cast to float32."""
+    stored = snapshot.parameters()
+    for name, value in master.parameters().items():
+        assert stored[name].dtype == np.float32, name
+        assert np.array_equal(
+            stored[name], value.astype(np.float32), equal_nan=True
+        ), name
+
+
 def test_default_path_bit_identical():
-    """The full-precision default evaluates the float64 field itself:
-    one forward plus the exact composite, no snapshot in between."""
+    """The full-precision default evaluates a float32 snapshot of the
+    float64 master: one snapshot forward plus the exact composite, and
+    the snapshot holds exactly ``master.astype(float32)``."""
     from repro.nerf.volume_rendering import composite
 
     model, batch = _opaque_batch(density_bias=None)
     staged = pipeline.wrap_model(model)
     assert staged.precision == "full"
-    assert staged.compositor.lowp_field is None
+    assert staged.field is model
+    snapshot = staged.compositor.lowp_field
+    assert isinstance(snapshot, LowPrecisionField)
+    assert snapshot.mode == "full" and snapshot.precision == "full"
+    _assert_float32_copy(snapshot, model)
     colors, result = staged.compositor.render(model, batch, 1.0)
-    sigma, rgb, _ = model.forward(batch.positions, batch.directions)
+    sigma, rgb, _ = snapshot.forward(batch.positions, batch.directions)
+    assert sigma.dtype == np.float32
     expected = composite(
         sigma, rgb, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays
     )
@@ -138,8 +154,8 @@ def test_lowp_field_mode_and_source_validation():
     model = _model()
     with pytest.raises(ValueError):
         LowPrecisionField(model, mode="int4")
-    with pytest.raises(ValueError):
-        LowPrecisionField(model, mode="full")
+    # "full" is the unrounded float32 snapshot, tagged "full".
+    assert LowPrecisionField(model, mode="full").precision == "full"
     with pytest.raises(TypeError):
         LowPrecisionField(object())
 
@@ -588,3 +604,145 @@ def test_fp16_flips_stay_fp16_words_in_snapshot_store():
         tables, tables.astype(np.float16).astype(np.float32), equal_nan=True
     )
     assert (tables != clean).sum() > tables.size // 2
+
+
+# ------------------------------------------------ float32 inference datapath
+
+
+@pytest.mark.parametrize("name", ["hash_tables", "density.w0", "color.b1"])
+def test_out_of_range_master_fails_loudly(name):
+    """A finite master value beyond float32 range cannot be snapshotted:
+    ``ValueError`` naming the parameter, not an overflow-to-inf cast."""
+    import warnings
+
+    model = _model()
+    model.parameters()[name].reshape(-1)[3] = -1e39
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=name):
+            pipeline.wrap_model(model)
+        with pytest.raises(ValueError, match=name):
+            LowPrecisionField(model, mode="fp16")
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+def test_poisoned_master_snapshots_without_warning(poison):
+    """NaN and inf cast to float32 as they are, so a fault-injected
+    master still wraps (and renders its poison for the scrub path)."""
+    import warnings
+
+    model = _model()
+    params = model.parameters()
+    params["hash_tables"].reshape(-1)[:64] = poison
+    params["density.w0"][0, :] = poison
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        renderer = pipeline.wrap_model(model)
+    snapshot = renderer.compositor.lowp_field
+    assert snapshot.precision == "full"
+    _assert_float32_copy(snapshot, model)
+    stored = snapshot.parameters()
+    assert not np.isfinite(stored["hash_tables"].reshape(-1)[:64]).any()
+    assert not np.isfinite(stored["density.w0"][0]).any()
+
+
+def test_wrapping_a_snapshot_keeps_its_tag():
+    """An fp16 snapshot wrapped as the field is evaluated as it is: it
+    keeps its ``"fp16"`` tag and is not snapshotted again."""
+    from repro.nerf.volume_rendering import composite
+
+    lowp = LowPrecisionField(_model(), mode="fp16")
+    renderer = pipeline.wrap_model(lowp)
+    assert renderer.precision == "fp16"
+    assert renderer.compositor.lowp_field is None
+    assert renderer.field is lowp
+    _, batch = _opaque_batch(density_bias=None)
+    colors, _ = renderer.compositor.render(lowp, batch, 1.0)
+    sigma, rgb, _ = lowp.forward(batch.positions, batch.directions)
+    expected = composite(
+        sigma, rgb, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays
+    )
+    assert np.array_equal(colors, expected.colors)
+
+
+def test_only_plain_ngp_models_are_snapshotted():
+    """TensoRF and dense fields have no float32 snapshot, and neither
+    has a subclass with its own forward; ``"full"`` stays ``"full"``."""
+    from repro.nerf.tensorf import TensoRFConfig, TensoRFModel
+
+    class Shifted(InstantNGPModel):
+        def forward(self, positions, directions):
+            sigma, rgb, cache = super().forward(positions, directions)
+            return sigma + 1.0, rgb, cache
+
+    vm = TensoRFModel(TensoRFConfig(resolution=8, n_components=2, hidden_width=16))
+    shifted = Shifted(_model().config)
+    for field in (vm, shifted):
+        renderer = pipeline.wrap_model(field)
+        assert renderer.compositor.lowp_field is None
+        assert renderer.precision == "full"
+    with pytest.raises(ValueError):
+        pipeline.wrap_model(_model(), switch_threshold=0.3)
+
+
+def _trained_scene(scene: str, seed: int):
+    """A briefly trained tiny field on one synthetic scene."""
+    from repro.datasets import synthetic
+    from repro.nerf.trainer import Trainer, TrainerConfig
+
+    dataset = synthetic.make_dataset(
+        scene, n_views=3, width=12, height=12, gt_steps=24
+    )
+    trainer = Trainer(
+        _model(seed=seed),
+        dataset.cameras,
+        dataset.images,
+        dataset.normalizer,
+        TrainerConfig(
+            batch_rays=128,
+            max_samples_per_ray=16,
+            occupancy_resolution=8,
+            occupancy_interval=4,
+            seed=seed,
+        ),
+    )
+    trainer.train_steps(12)
+    return trainer, dataset
+
+
+@pytest.mark.parametrize("scene,seed", [("mic", 0), ("ship", 1), ("lego", 2)])
+def test_float32_snapshot_passes_the_gate(scene, seed):
+    """Over scenes and stage configs the float32 default agrees with a
+    directly built float64 renderer at or above the gate's floor, and
+    within its PSNR-delta budget against ground truth."""
+    from repro.pipeline.renderer import Renderer
+    from repro.pipeline.stages import OccupancySampler, VolumeCompositor
+
+    trainer, dataset = _trained_scene(scene, seed)
+    gate = PrecisionGate()
+    camera, target = dataset.cameras[-1], dataset.images[-1]
+    for ert in (None, 1e-3):
+        marcher = RayMarcher(SamplerConfig(max_samples=16))
+        master = Renderer(
+            "ngp",
+            trainer.model,
+            sampler=OccupancySampler(marcher, trainer.occupancy),
+            compositor=VolumeCompositor(ert),
+        )
+        default = pipeline.wrap_model(
+            trainer.model,
+            marcher=marcher,
+            occupancy=trainer.occupancy,
+            ert_threshold=ert,
+        )
+        assert master.compositor.lowp_field is None
+        assert default.compositor.lowp_field.precision == "full"
+        full = master.render_image(camera, dataset.normalizer)
+        narrow = default.render_image(camera, dataset.normalizer)
+        report = gate.evaluate(
+            full.astype(np.float64),
+            narrow.astype(np.float64),
+            ground_truth=target,
+        )
+        assert report.passed, (scene, ert, report)
+        assert report.agreement_db >= gate.min_agreement_db

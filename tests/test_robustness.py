@@ -464,6 +464,28 @@ def test_unhandled_divergence_raises():
     assert snapshot["counters"]["trainer.divergence_events"] == 1.0
 
 
+@pytest.mark.parametrize("poison", [np.nan, np.inf])
+def test_poisoned_parameters_take_the_divergence_guard(poison):
+    """A step on a poisoned model warns nowhere: the guard in
+    ``train_step`` scores it non-finite before its forward runs, and
+    the optimizer never sees the step."""
+    import warnings
+
+    with telemetry.session():
+        trainer = tiny_trainer()
+        trainer.train(2)
+        params = trainer.model.parameters()
+        params["density.w0"][0, 0] = poison
+        before = {k: v.copy() for k, v in params.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as excinfo:
+                trainer.train_step()
+    assert excinfo.value.event.reason == "non_finite_loss"
+    for name, value in trainer.model.parameters().items():
+        assert np.array_equal(value, before[name], equal_nan=True), name
+
+
 def test_gradient_explosion_threshold():
     with telemetry.session():
         trainer = tiny_trainer()

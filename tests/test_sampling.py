@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nerf.aabb import intersect_unit_cube
 from repro.nerf.occupancy import OccupancyGrid
 from repro.nerf.sampling import RayMarcher, SamplerConfig, SamplingStats
 
@@ -133,3 +134,82 @@ def test_stats_from_batch(marcher):
 
 def test_stats_empty_batch_keep_fraction():
     assert SamplingStats().keep_fraction == 0.0
+
+
+def _sweep_rays(seed: int, n: int):
+    """Random rays around the cube, with zero and non-finite directions."""
+    rng = np.random.default_rng(seed)
+    origins = rng.uniform(-1.0, 2.0, (n, 3))
+    directions = rng.normal(size=(n, 3))
+    directions[0] = 0.0
+    directions[1, 1] = np.nan
+    directions[2, 0] = np.inf
+    origins[3] = 0.5  # starts inside the cube
+    return origins, directions
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("max_samples", [1, 7, 32])
+@pytest.mark.parametrize("live", [0.0, 0.15, 0.6, 1.0])
+@pytest.mark.parametrize("jitter", [False, True])
+def test_march_invariants_sweep(seed, max_samples, live, jitter):
+    """Occupancy gating only drops samples: an ungated march of the same
+    rays and RNG stream counts the candidates, every kept sample lies in
+    a live cell, and every candidate in a live cell is kept."""
+    origins, directions = _sweep_rays(seed, 257)
+    grid = OccupancyGrid(resolution=(8, 16)[seed % 2])
+    grid.mask = np.random.default_rng(seed + 10).random(grid.mask.shape) < live
+    config = SamplerConfig(max_samples=max_samples, jitter=jitter)
+    ungated_config = SamplerConfig(
+        max_samples=max_samples, jitter=jitter, use_occupancy=False
+    )
+    ungated_rng = np.random.default_rng(seed)
+    ungated = RayMarcher(ungated_config).sample(
+        origins, directions, occupancy=grid, rng=ungated_rng
+    )
+    rng = np.random.default_rng(seed)
+    batch = RayMarcher(config).sample(origins, directions, occupancy=grid, rng=rng)
+
+    # The analytic candidate count is the ungated batch size.
+    assert batch.candidates == ungated.candidates == len(ungated)
+    assert ungated.samples_per_ray[:3].sum() == 0  # zero / NaN / inf miss
+    assert ungated.samples_per_ray.max() <= max_samples
+    # Jittered marching draws exactly ``candidates`` uniforms.
+    reference = np.random.default_rng(seed)
+    offsets = 0.5
+    if jitter:
+        offsets = reference.uniform(0.0, 1.0, size=batch.candidates)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert ungated_rng.bit_generator.state == reference.bit_generator.state
+    # Every candidate is the float32 ray equation at its ``t``, and
+    # ``t`` steps by ``sqrt(3)/max_samples`` from the ray's cube entry,
+    # clamped inside its exit.
+    step = np.sqrt(3.0) / max_samples
+    ray = ungated.ray_idx
+    unit = directions[ray] / np.linalg.norm(directions[ray], axis=-1, keepdims=True)
+    expected = (origins[ray] + ungated.ts[:, None] * unit).astype(np.float32)
+    np.clip(expected, 0.0, np.nextafter(np.float32(1.0), np.float32(0.0)), out=expected)
+    assert np.array_equal(ungated.positions, expected)
+    assert np.array_equal(ungated.directions, unit.astype(np.float32))
+    t_enter, t_exit, hit = intersect_unit_cube(origins[ray], unit)
+    assert hit.all()
+    within = np.arange(len(ray)) - np.searchsorted(ray, ray)
+    expected_t = np.minimum(t_enter + (within + offsets) * step, t_exit - 1e-9)
+    assert np.array_equal(ungated.ts, expected_t)
+    assert np.all(ungated.deltas == step)
+    # Gating keeps exactly the candidates in live cells, in order.
+    live_candidates = grid.query(ungated.positions)
+    assert grid.query(batch.positions).all()
+    assert len(batch) == int(live_candidates.sum())
+    for name in ("positions", "directions", "deltas", "ts", "ray_idx"):
+        assert np.array_equal(
+            getattr(batch, name), getattr(ungated, name)[live_candidates]
+        ), name
+    assert batch.positions.dtype == batch.directions.dtype == np.float32
+    assert batch.positions.flags.c_contiguous
+    assert batch.ts.dtype == batch.deltas.dtype == np.float64
+    assert batch.ray_idx.dtype == np.int64
+    # The bench's sampling.kept_per_ray / keep_ratio bases.
+    assert batch.samples_per_ray.sum() == len(batch)
+    stats = SamplingStats.from_batch(batch)
+    assert stats.kept == len(batch) and stats.candidates == batch.candidates

@@ -35,6 +35,7 @@ DEFAULT_PACKAGES = (
     "repro.fleet",
     "repro.online",
     "repro.nerf.precision",
+    "repro.nerf.sampling",
 )
 
 # Runnable straight from a checkout: the in-tree `src/` layout sits next
