@@ -7,7 +7,7 @@ and a dense-grid (TensoRF-style) baseline.
 """
 
 from .camera import Camera, look_at, sphere_poses, ring_poses
-from .rays import RayBundle, generate_rays, sample_training_rays, pixel_directions
+from .rays import RayBundle, RayTable, generate_rays, pixel_directions
 from .aabb import (
     GENERAL_INTERSECT_COST,
     NORMALIZED_INTERSECT_COST,
@@ -90,8 +90,8 @@ __all__ = [
     "sphere_poses",
     "ring_poses",
     "RayBundle",
+    "RayTable",
     "generate_rays",
-    "sample_training_rays",
     "pixel_directions",
     "GENERAL_INTERSECT_COST",
     "NORMALIZED_INTERSECT_COST",

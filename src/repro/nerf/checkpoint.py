@@ -107,7 +107,7 @@ def save_model(model, path, occupancy: OccupancyGrid = None, normalizer: SceneNo
     """
     path = Path(path)
     if isinstance(model, LowPrecisionField):
-        # An InstantNGPModel by type, but an inference-only rounding of
+        # An InstantNGPModel by type, but a float32 rounding of
         # one: as an ngp archive it would reload as a float64 master.
         raise TypeError(f"cannot checkpoint a {type(model).__name__}")
     if isinstance(model, MoENeRF):

@@ -166,17 +166,27 @@ class MLP:
         """Backprop; returns ``(grad_input, param_grads)``.
 
         ``param_grads`` maps ``"w0"/"b0"...`` to arrays shaped like the
-        corresponding parameters.
+        corresponding parameters.  ``grad_out`` should have the dtype the
+        forward ran in.  A ``"none"`` layer passes ``grad`` through
+        unmultiplied, and once ``grad`` is an array this call allocated,
+        a ReLU mask multiplies it in place: the values are those of
+        ``grad * _activate_grad(...)`` (NaN and inf rows included).
         """
         grad = np.atleast_2d(grad_out)
+        owned = False
         param_grads = {}
         for layer in reversed(range(self.n_layers)):
             cache = caches[layer]
             act = self.activations[layer]
-            grad = grad * _activate_grad(cache.pre_activation, cache.output, act)
+            if act == "relu" and owned:
+                np.multiply(grad, cache.output > 0.0, out=grad)
+            elif act != "none":
+                grad = grad * _activate_grad(cache.pre_activation, cache.output, act)
+                owned = True
             param_grads[f"w{layer}"] = cache.inputs.T @ grad
             param_grads[f"b{layer}"] = grad.sum(axis=0)
             grad = grad @ self.weights[layer].T
+            owned = True
         return grad, param_grads
 
     def parameters(self) -> dict:

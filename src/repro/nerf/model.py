@@ -112,9 +112,16 @@ class InstantNGPModel:
         grad_rgb: np.ndarray,
         cache: ForwardCache,
     ) -> dict:
-        """Parameter gradients given per-sample ``d loss / d (sigma, rgb)``."""
-        grad_sigma = np.asarray(grad_sigma).reshape(-1)
-        grad_rgb = np.atleast_2d(grad_rgb)
+        """Parameter gradients given per-sample ``d loss / d (sigma, rgb)``.
+
+        The upstream gradients are taken in the dtype the forward ran in
+        (float32 on a snapshot), so the backward runs on the same
+        datapath as its forward.  The hash-table gradient accumulates in
+        float64 either way.
+        """
+        dtype = cache.sigma.dtype
+        grad_sigma = np.asarray(grad_sigma, dtype=dtype).reshape(-1)
+        grad_rgb = np.atleast_2d(np.asarray(grad_rgb, dtype=dtype))
         grad_color_in, color_grads = self.color_mlp.backward(
             grad_rgb, cache.color_caches
         )

@@ -32,7 +32,13 @@ class Adam:
         self._v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads: dict) -> None:
-        """Apply one update; missing grads leave their parameter untouched."""
+        """Apply one update; missing grads leave their parameter untouched.
+
+        Runs in place on the moments, the parameter and two scratch
+        arrays, in the operation order of the textbook expression
+        ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, so every value matches
+        it bit for bit.
+        """
         self.step_count += 1
         bias1 = 1.0 - self.beta1**self.step_count
         bias2 = 1.0 - self.beta2**self.step_count
@@ -46,13 +52,20 @@ class Adam:
                 grad = grad + self.weight_decay * p
             m = self._m[name]
             v = self._v[name]
+            scratch = np.empty_like(p)
             m *= self.beta1
-            m += (1.0 - self.beta1) * grad
+            m += np.multiply(grad, 1.0 - self.beta1, out=scratch)
             v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(grad, 1.0 - self.beta2, out=scratch)
+            v += np.multiply(scratch, grad, out=scratch)
+            # scratch <- lr * m_hat; denom <- sqrt(v_hat) + eps.
+            np.divide(m, bias1, out=scratch)
+            scratch *= self.lr
+            denom = np.divide(v, bias2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            scratch /= denom
+            p -= scratch
 
     def set_lr(self, lr: float) -> None:
         if lr <= 0:

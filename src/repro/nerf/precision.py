@@ -1,26 +1,31 @@
-"""Float32 inference snapshots of the radiance field.
+"""Float32 snapshots of the radiance field.
 
-The paper trains on wide masters but renders on a narrow datapath
-(Challenge C2): hash-table features in fp16 and MLP weights in INT8,
-accumulated in wider formats.  That is a storage format, not a second
-way to compute a field, so this module models it as one:
+The paper trains on wide masters over the same narrow datapath it
+renders on (Challenge C2): hash-table features in fp16 and MLP weights
+in INT8 at inference, accumulated in wider formats.  That is a storage
+format, not a second way to compute a field, so this module models it
+as one:
 
 * :class:`LowPrecisionField` — an :class:`~repro.nerf.model.InstantNGPModel`
   whose stored values are cast once, when it is built, to float32 (mode
-  ``"full"``, the default inference datapath of every ``ngp``
-  renderer) or rounded to what the chip's SRAM holds: tables through
-  fp16, MLP weights through INT8 codes with per-layer symmetric scales
-  (mode ``"fp16-int8"``) or not at all (mode ``"fp16"``).  Everything
-  is held, and computed, in float32 (the accumulator width), through
-  the inherited training forward: there is one field forward for every
-  precision.
+  ``"full"``, the datapath every ``ngp`` renderer evaluates and every
+  training step runs its forward and backward on) or rounded to what
+  the chip's SRAM holds: tables through fp16, MLP weights through INT8
+  codes with per-layer symmetric scales (mode ``"fp16-int8"``) or not
+  at all (mode ``"fp16"``).  Everything is held, and computed, in
+  float32 (the accumulator width), through the inherited forward and
+  backward: there is one field forward for every precision.
+* :func:`takes_float32_snapshot` — the one rule for which fields are
+  evaluated through a float32 snapshot.
 * :class:`PrecisionGate` — the PSNR-delta budget that decides whether a
   low-precision configuration is allowed to replace the full-precision
   path for a scene.
 
-Training always happens on the float64 masters.  A snapshot copies
-them, so it stays stale while they train; take a new snapshot after a
+The float64 master is what the optimizer updates, what checkpoints
+save and what ``gradcheck`` differentiates.  A snapshot copies it, so
+it stays stale while the master trains; take a new snapshot after a
 training burst, exactly like re-flashing an accelerator's weight SRAM.
+The trainer re-casts its own snapshot from the master every step.
 """
 
 from __future__ import annotations
@@ -45,6 +50,18 @@ FULL_PRECISION = "full"
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
+def takes_float32_snapshot(field) -> bool:
+    """Whether ``field`` is evaluated through a float32 snapshot.
+
+    True for a plain :class:`~repro.nerf.model.InstantNGPModel`, the
+    float64 master of a hash-encoded field.  Fields with no hash
+    encoding (TensoRF, dense grids) and subclasses, existing snapshots
+    included, are evaluated as they are.  Both ``ngp`` renderer
+    assembly and :class:`~repro.nerf.trainer.Trainer` apply this rule.
+    """
+    return type(field) is InstantNGPModel
+
+
 def quantize_int8_layer(weight: np.ndarray) -> tuple:
     """Symmetric INT8 code words of one float32 weight matrix.
 
@@ -62,15 +79,17 @@ def quantize_int8_layer(weight: np.ndarray) -> tuple:
 
 
 class LowPrecisionField(InstantNGPModel):
-    """Inference-only float32 snapshot of an ``InstantNGPModel``.
+    """Float32 snapshot of an ``InstantNGPModel``.
 
     ``mode="full"`` casts every value to float32 and rounds nothing
     more; ``mode="fp16"`` also rounds the hash tables through fp16;
     ``mode="fp16-int8"`` also quantizes every MLP weight matrix to INT8
     with a per-layer scale (:func:`quantize_int8_layer`), dequantized
     once.  Every stored value is held as float32 (fp16 widens to it
-    exactly), biases included, and ``forward``/``density`` run the
-    inherited model on float32 inputs.  Fault injection flips bits in
+    exactly), biases included.  ``forward``/``density`` run the
+    inherited model on float32 inputs, and ``backward`` the inherited
+    backward in float32, so a training step can run on a snapshot and
+    hand its gradients to the master.  Fault injection flips bits in
     the arrays that ``forward`` reads.
 
     A finite master value beyond float32 range raises ``ValueError``
@@ -127,23 +146,15 @@ class LowPrecisionField(InstantNGPModel):
         return self.mode
 
     def forward(self, positions: np.ndarray, directions: np.ndarray) -> tuple:
-        """Per-sample float32 ``(sigma, rgb, None)``; no cache to train on."""
-        sigma, rgb, _ = super().forward(
+        """Per-sample float32 ``(sigma, rgb, cache)`` of float32 inputs."""
+        return super().forward(
             np.asarray(positions, dtype=np.float32),
             np.asarray(directions, dtype=np.float32),
         )
-        return sigma, rgb, None
 
     def density(self, positions: np.ndarray) -> np.ndarray:
-        """Float32 density only (occupancy refreshes at inference precision)."""
+        """Float32 density only (occupancy refreshes on the snapshot)."""
         return super().density(np.asarray(positions, dtype=np.float32))
-
-    def backward(self, grad_sigma, grad_rgb, cache) -> dict:
-        """Always raises: a snapshot is inference-only."""
-        raise NotImplementedError(
-            "LowPrecisionField is inference-only; train the float64 "
-            "InstantNGPModel and take a new snapshot"
-        )
 
     @property
     def storage_bytes(self) -> int:

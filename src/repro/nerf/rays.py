@@ -2,7 +2,9 @@
 
 For each target pixel, a ray is cast from the camera center through the
 pixel; Stage I then intersects the ray with the (normalized) model
-bounding box and marches samples along it.
+bounding box and marches samples along it.  Training generates each
+view's rays once, into a :class:`RayTable`, and gathers its batches
+from it.
 """
 
 from __future__ import annotations
@@ -86,43 +88,93 @@ def generate_rays(camera: Camera, pixel_ids: np.ndarray = None) -> RayBundle:
     return RayBundle(origins=origins, directions=directions, pixel_ids=pixel_ids)
 
 
-def sample_training_rays(
-    cameras: list,
-    images: np.ndarray,
-    batch_size: int,
-    rng: np.random.Generator,
-) -> tuple:
-    """Random training rays plus their ground-truth colors.
+class RayTable:
+    """Every training pixel's unit-space ray and color, one row per pixel.
+
+    A view contributes its unit-cube origin, the unit-cube direction of
+    each of its pixels (``rays_to_unit`` of :func:`generate_rays` over
+    the whole view, row-major) and each pixel's ground-truth color.
+    :meth:`sample` draws a batch uniformly over every pixel of every view
+    and gathers its rows, so a training step generates no rays.
 
     Parameters
     ----------
     cameras:
         List of :class:`Camera`, one per training image.
     images:
-        ``(n_views, h, w, 3)`` float array in [0, 1].
-    batch_size:
-        Number of rays to draw (uniform over all pixels of all views).
-
-    Returns
-    -------
-    (RayBundle, colors):
-        The rays and their ``(batch_size, 3)`` supervision colors.
+        ``(n_views, h, w, 3)`` float array in [0, 1]; every camera must
+        have ``h * w`` pixels.
+    normalizer:
+        The :class:`~repro.nerf.aabb.SceneNormalizer` into the unit cube.
     """
-    if len(cameras) != images.shape[0]:
-        raise ValueError("one camera per image required")
-    n_views = len(cameras)
-    h, w = images.shape[1], images.shape[2]
-    view_ids = rng.integers(0, n_views, size=batch_size)
-    pixel_ids = rng.integers(0, h * w, size=batch_size)
-    origins = np.empty((batch_size, 3))
-    directions = np.empty((batch_size, 3))
-    colors = np.empty((batch_size, 3))
-    for view in np.unique(view_ids):
-        mask = view_ids == view
-        pix = pixel_ids[mask]
-        bundle = generate_rays(cameras[view], pix)
-        origins[mask] = bundle.origins
-        directions[mask] = bundle.directions
-        colors[mask] = images[view].reshape(-1, 3)[pix]
-    rays = RayBundle(origins=origins, directions=directions, pixel_ids=pixel_ids)
-    return rays, colors
+
+    def __init__(self, cameras: list, images: np.ndarray, normalizer):
+        images = np.asarray(images, dtype=np.float64)
+        if len(cameras) != images.shape[0]:
+            raise ValueError("one camera per image required")
+        self.normalizer = normalizer
+        #: ``(h, w, 3)``: the shape every view's image has.
+        self.view_shape = images.shape[1:]
+        self.cameras = list(cameras)
+        rays = [self._unit_rays(camera) for camera in self.cameras]
+        #: ``(n_views, 3)`` float64 unit-cube origins.
+        self.origins = np.array([origin for origin, _ in rays], dtype=np.float64)
+        #: ``(n_views, h * w, 3)`` float64 unit-cube directions.
+        self.directions = np.array(
+            [directions for _, directions in rays], dtype=np.float64
+        )
+        #: ``(n_views, h * w, 3)`` float64 ground-truth colors.
+        self.colors = images.reshape(len(rays), -1, 3)
+
+    def _unit_rays(self, camera: Camera) -> tuple:
+        """One view's unit-cube origin and per-pixel directions."""
+        h, w = self.view_shape[:2]
+        if camera.n_pixels != h * w:
+            raise ValueError(
+                f"camera has {camera.n_pixels} pixels, its image {h * w}"
+            )
+        bundle = generate_rays(camera)
+        origins, directions = self.normalizer.rays_to_unit(
+            bundle.origins, bundle.directions
+        )
+        return origins[0], directions
+
+    @property
+    def images(self) -> np.ndarray:
+        """The ``(n_views, h, w, 3)`` images (a view of :attr:`colors`)."""
+        return self.colors.reshape((len(self.cameras),) + self.view_shape)
+
+    def add_view(self, camera: Camera, image: np.ndarray) -> int:
+        """Append one posed view; returns the view count.
+
+        The image must match the existing ``(h, w, 3)`` resolution.
+        """
+        image = np.asarray(image, dtype=np.float64)
+        if image.shape != self.view_shape:
+            raise ValueError(
+                f"view shape {image.shape} does not match the training set "
+                f"{self.view_shape}"
+            )
+        origin, directions = self._unit_rays(camera)
+        self.cameras.append(camera)
+        self.origins = np.concatenate([self.origins, origin[None]])
+        self.directions = np.concatenate([self.directions, directions[None]])
+        self.colors = np.concatenate([self.colors, image.reshape(1, -1, 3)])
+        return len(self.cameras)
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> tuple:
+        """Random training rays plus their ground-truth colors.
+
+        Draws ``batch_size`` view ids, then as many pixel ids, each
+        uniform, and returns the gathered ``(origins, directions,
+        colors)``, each ``(batch_size, 3)`` float64.
+        """
+        n_views, n_pixels = self.colors.shape[:2]
+        view_ids = rng.integers(0, n_views, size=batch_size)
+        pixel_ids = rng.integers(0, n_pixels, size=batch_size)
+        rows = view_ids * n_pixels + pixel_ids
+        return (
+            self.origins.take(view_ids, axis=0),
+            self.directions.reshape(-1, 3).take(rows, axis=0),
+            self.colors.reshape(-1, 3).take(rows, axis=0),
+        )

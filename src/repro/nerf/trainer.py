@@ -11,6 +11,13 @@ one field, or the experts of a :class:`~repro.nerf.moe.MoENeRF` jointly
 against their fused pixel (the paper's Level-1 tiling, Sec. V-A): the
 I/O module is an adder, so each expert runs the ordinary step on its own
 occupancy grid and one optimizer updates them all.
+
+A step runs on the datapath the renderers evaluate: each plain
+:class:`~repro.nerf.model.InstantNGPModel` expert's forward, backward and
+occupancy refresh run on a float32 snapshot of its float64 master,
+re-cast every step, and Adam applies the gradients, cast to float64, to
+the master (wide accumulators, narrow compute).  Other fields train as
+they are.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from .aabb import SceneNormalizer
 from .moe import MoENeRF
 from .occupancy import OccupancyGrid
 from .optimizer import Adam, mse_loss
-from .rays import sample_training_rays
+from .precision import LowPrecisionField, takes_float32_snapshot
+from .rays import RayTable
 from .sampling import RayMarcher, SamplerConfig
 from .volume_rendering import composite, composite_backward, psnr
 
@@ -63,7 +71,9 @@ class Trainer:
     The experts are ``model.experts`` for a :class:`MoENeRF` and
     ``[model]`` for any other field.  Each has its own occupancy grid
     (``occupancies``; ``occupancy`` is the first), and their parameters
-    and gradients share the keys of ``model.parameters()``.
+    and gradients share the keys of ``model.parameters()``.  The
+    training views live in one :class:`~repro.nerf.rays.RayTable`
+    (``rays``); ``cameras`` and ``images`` read through to it.
     """
 
     def __init__(
@@ -83,8 +93,7 @@ class Trainer:
         else:
             self.experts = [model]
             self._prefixes = [""]
-        self.cameras = cameras
-        self.images = np.asarray(images, dtype=np.float64)
+        self.rays = RayTable(cameras, images, normalizer)
         self.normalizer = normalizer
         self.config = config
         self.rng = np.random.default_rng(config.seed)
@@ -98,6 +107,14 @@ class Trainer:
             )
             for _ in self.experts
         ]
+        #: What each expert's step evaluates: a float32 snapshot,
+        #: re-cast from the master by :meth:`_step_fields`, or the expert.
+        self._fields = [
+            LowPrecisionField(expert, mode="full")
+            if takes_float32_snapshot(expert)
+            else expert
+            for expert in self.experts
+        ]
         self.optimizer = Adam(model.parameters(), lr=config.lr)
         self.state = TrainState()
         #: Set by experiments to intercept each step (e.g. quantization).
@@ -107,6 +124,16 @@ class Trainer:
         #: Gradient-norm divergence threshold; 0 disables the check.
         #: Typically set by a robustness watchdog on attach.
         self.grad_norm_threshold = 0.0
+
+    @property
+    def cameras(self) -> list:
+        """The training cameras, one per view."""
+        return self.rays.cameras
+
+    @property
+    def images(self) -> np.ndarray:
+        """The ``(n_views, h, w, 3)`` float64 training images."""
+        return self.rays.images
 
     @property
     def occupancy(self) -> OccupancyGrid:
@@ -126,19 +153,16 @@ class Trainer:
         into one pixel per ray and scored with one MSE.  An expert whose
         batch is empty contributes background and gets no gradient; the
         step is skipped only when every expert's batch is empty.  A model
-        holding a non-finite parameter diverges (``non_finite_loss``)
-        before its forward runs.
+        holding a non-finite parameter, or a finite one beyond float32
+        range, diverges (``non_finite_loss``) before its forward runs.
         """
         cfg = self.config
         tel = telemetry.get_session()
         step_start = time.perf_counter() if tel.enabled else 0.0
         with tel.tracer.span("trainer.train_step"):
             with tel.tracer.span("trainer.sample_rays"):
-                rays, target = sample_training_rays(
-                    self.cameras, self.images, cfg.batch_rays, self.rng
-                )
-                origins, directions = self.normalizer.rays_to_unit(
-                    rays.origins, rays.directions
+                origins, directions, target = self.rays.sample(
+                    cfg.batch_rays, self.rng
                 )
                 batches = [
                     self.marcher.sample(
@@ -168,18 +192,20 @@ class Trainer:
                     telemetry.ON_ITERATION, trainer=self, loss=float("nan")
                 )
                 return float("nan")
-            params = self.model.parameters().values()
-            if not all(np.isfinite(value).all() for value in params):
+            unfit = self._unfit_parameter()
+            if unfit:
                 # A poisoned parameter (e.g. an SRAM upset) poisons the
-                # loss.  Score the step as non-finite without running a
-                # forward over it; the step never reaches the optimizer.
-                return self._diverge(tel, reason="non_finite_loss")
+                # loss, and one beyond float32 range would read as inf
+                # on the snapshot.  Score the step as non-finite without
+                # running a forward; it never reaches the optimizer.
+                return self._diverge(tel, reason="non_finite_loss", detail=unfit)
+            step_fields = self._step_fields()
             with tel.tracer.span("trainer.forward"):
                 fields = [
-                    expert.forward(batch.positions, batch.directions)
+                    field.forward(batch.positions, batch.directions)
                     if len(batch)
                     else None
-                    for expert, batch in zip(self.experts, batches)
+                    for field, batch in zip(step_fields, batches)
                 ]
             with tel.tracer.span("trainer.composite"):
                 results = []
@@ -217,8 +243,8 @@ class Trainer:
                 # The adder passes dC/dC_e = 1: every expert backpropagates
                 # the fused pixel's gradient unchanged.
                 grads = {}
-                for prefix, expert, batch, field_out, result in zip(
-                    self._prefixes, self.experts, batches, fields, results
+                for prefix, field, batch, field_out, result in zip(
+                    self._prefixes, step_fields, batches, fields, results
                 ):
                     if field_out is None:
                         continue
@@ -233,10 +259,11 @@ class Trainer:
                         batch.n_rays,
                         background=cfg.background,
                     )
-                    for name, grad in expert.backward(
+                    for name, grad in field.backward(
                         grad_sigma, grad_rgb, cache
                     ).items():
-                        grads[prefix + name] = grad
+                        # Adam updates the float64 master.
+                        grads[prefix + name] = np.asarray(grad, dtype=np.float64)
             if self.grad_norm_threshold > 0:
                 grad_norm = float(
                     np.sqrt(
@@ -282,8 +309,44 @@ class Trainer:
         tel.hooks.emit(telemetry.ON_ITERATION, trainer=self, loss=loss)
         return loss
 
+    def _unfit_parameter(self) -> str:
+        """Why the first parameter a step cannot run on is unfit, or ``""``.
+
+        Every value must be finite, and within float32 range on an
+        expert whose step runs on a snapshot.  Two reductions per array
+        and no temporary: its min and max are within the limits exactly
+        when every value is (NaN propagates through both).
+        """
+        for prefix, expert, field in zip(self._prefixes, self.experts, self._fields):
+            dtype = np.float64 if field is expert else np.float32
+            limit = float(np.finfo(dtype).max)
+            for name, value in expert.parameters().items():
+                if not (-limit <= value.min() and value.max() <= limit):
+                    if np.isfinite(value).all():
+                        return f"parameter {prefix + name!r} beyond float32 range"
+                    return f"parameter {prefix + name!r} not finite"
+        return ""
+
+    def _step_fields(self) -> list:
+        """Each expert's field for this step, snapshots re-cast in place.
+
+        Every master value fits float32: the step checks that before its
+        forward, and an Adam update moves a value by about ``lr``.
+        """
+        for expert, field in zip(self.experts, self._fields):
+            if field is not expert:
+                stored = field.parameters()
+                for name, value in expert.parameters().items():
+                    np.copyto(stored[name], value)
+        return self._fields
+
     def _diverge(
-        self, tel, reason: str, loss: float = float("nan"), grad_norm=None
+        self,
+        tel,
+        reason: str,
+        loss: float = float("nan"),
+        grad_norm=None,
+        detail: str = "",
     ) -> float:
         """Record a skipped (diverged) step and dispatch it for recovery.
 
@@ -301,6 +364,7 @@ class Trainer:
             reason=reason,
             loss=loss,
             grad_norm=grad_norm,
+            detail=detail,
         )
         self.state.divergence_events.append(event)
         if tel.enabled:
@@ -346,15 +410,7 @@ class Trainer:
         ``(h, w, 3)`` resolution — mixed-resolution captures are not
         supported by the flat pixel sampler.
         """
-        image = np.asarray(image, dtype=np.float64)
-        if image.shape != self.images.shape[1:]:
-            raise ValueError(
-                f"view shape {image.shape} does not match the training set "
-                f"{self.images.shape[1:]}"
-            )
-        self.cameras = list(self.cameras) + [camera]
-        self.images = np.concatenate([self.images, image[None]], axis=0)
-        return len(self.cameras)
+        return self.rays.add_view(camera, image)
 
     def renderers(self, background: float = None) -> list:
         """One :class:`~repro.pipeline.renderer.Renderer` per expert.
@@ -415,6 +471,9 @@ class Trainer:
         return score
 
     def _refresh_occupancy(self) -> None:
-        """Re-estimate every expert's occupancy from its density field."""
-        for expert, occupancy in zip(self.experts, self.occupancies):
-            occupancy.refresh_from_density(expert.density, self.rng)
+        """Re-estimate every expert's occupancy from its density field.
+
+        Queries the float32 snapshot re-cast from the updated master.
+        """
+        for field, occupancy in zip(self._step_fields(), self.occupancies):
+            occupancy.refresh_from_density(field.density, self.rng)

@@ -19,7 +19,11 @@ from ..nerf.hash_encoding import HashEncodingConfig
 from ..nerf.model import InstantNGPModel, ModelConfig
 from ..nerf.moe import MoENeRF
 from ..nerf.occupancy import OccupancyGrid
-from ..nerf.precision import FULL_PRECISION, LowPrecisionField
+from ..nerf.precision import (
+    FULL_PRECISION,
+    LowPrecisionField,
+    takes_float32_snapshot,
+)
 from ..nerf.sampling import RayMarcher, SamplerConfig
 from ..nerf.tensorf import DenseGridField, TensoRFConfig, TensoRFModel
 from .renderer import Renderer
@@ -67,12 +71,13 @@ def _assemble(
     non-full ``precision`` rounds it to that mode, and ``"full"``
     snapshots a plain :class:`~repro.nerf.model.InstantNGPModel` into
     float32 unrounded.  The model itself stays the renderer's field,
-    trainable and float64.  Fields with no hash encoding (TensoRF,
-    dense grids) and existing snapshots are evaluated as they are at
+    trainable and float64.  Fields that
+    :func:`~repro.nerf.precision.takes_float32_snapshot` rejects (TensoRF,
+    dense grids, existing snapshots) are evaluated as they are at
     ``"full"``.
     """
     lowp = None
-    if precision != FULL_PRECISION or type(model) is InstantNGPModel:
+    if precision != FULL_PRECISION or takes_float32_snapshot(model):
         lowp = LowPrecisionField(model, mode=precision)
     return Renderer(
         name,

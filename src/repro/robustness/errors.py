@@ -19,9 +19,10 @@ class DivergenceEvent:
     ``reason`` is one of:
 
     * ``"non_finite_loss"`` — the batch loss came out NaN/inf, or a
-      parameter already was non-finite (the forward is then not run);
-      the optimizer step was *skipped*, so the step itself poisoned
-      nothing.
+      parameter already was non-finite or, on a field that trains
+      through a float32 snapshot, beyond float32 range (the forward is
+      then not run, and ``detail`` names the parameter); the optimizer
+      step was *skipped*, so the step itself poisoned nothing.
     * ``"gradient_explosion"`` — the gradient norm exceeded the
       configured threshold (or went non-finite); the step was skipped.
     * ``"degenerate_batch"`` — ray marching produced zero samples (all

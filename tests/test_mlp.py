@@ -206,3 +206,62 @@ def test_in_place_layer_step_matches_out_of_place_oracle(act, n):
             net.weights, net.biases, net.activations, x32, grad_out
         )
         assert _same_bits(net.forward(x32)[0], want32)
+
+
+def _reference_backward(net, grad_out, caches):
+    """The out-of-place backward: every layer multiplies by its
+    activation gradient, ``"none"`` layers by ones."""
+    from repro.nerf.mlp import _activate_grad
+
+    grad = np.atleast_2d(grad_out)
+    param_grads = {}
+    for layer in reversed(range(net.n_layers)):
+        cache = caches[layer]
+        act = net.activations[layer]
+        grad = grad * _activate_grad(cache.pre_activation, cache.output, act)
+        param_grads[f"w{layer}"] = cache.inputs.T @ grad
+        param_grads[f"b{layer}"] = grad.sum(axis=0)
+        grad = grad @ net.weights[layer].T
+    return grad, param_grads
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "activations",
+    [
+        ["relu", "none"],
+        ["relu", "relu", "sigmoid"],
+        ["none", "relu", "none"],
+        ["softplus", "exp", "relu"],
+    ],
+)
+def test_backward_matches_out_of_place_reference(dtype, activations):
+    """Skipping the ``"none"`` multiply and masking ReLU in place leave
+    every value and dtype bit-identical, NaN and inf rows included, and
+    never write into the caller's ``grad_out``."""
+    widths = [6] + [5] * (len(activations) - 1) + [4]
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        net = MLP(widths, activations=activations, rng=rng)
+        net.weights = [w.astype(dtype) for w in net.weights]
+        net.biases = [b.astype(dtype) for b in net.biases]
+        x = rng.normal(size=(9, widths[0])).astype(dtype)
+        grad_out = rng.normal(size=(9, widths[-1])).astype(dtype)
+        x[1] = np.nan
+        x[2, 0] = np.inf
+        grad_out[3] = -np.inf
+        grad_out[4, 1] = np.nan
+        grad_out[5] = -0.0
+        given = grad_out.copy()
+        # The non-finite rows are the point: their arithmetic may warn.
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, caches = net.forward(x)
+            grad_in, grads = net.backward(grad_out, caches)
+            ref_in, ref = _reference_backward(net, given, caches)
+        assert np.array_equal(grad_out, given, equal_nan=True)
+        assert grad_in.dtype == ref_in.dtype == dtype
+        assert grad_in.tobytes() == ref_in.tobytes()
+        assert grads.keys() == ref.keys()
+        for name in ref:
+            assert grads[name].dtype == ref[name].dtype, name
+            assert grads[name].tobytes() == ref[name].tobytes(), name

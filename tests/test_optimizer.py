@@ -91,3 +91,49 @@ def test_mse_loss_gradient_finite_difference(rng):
 def test_mse_loss_shape_mismatch():
     with pytest.raises(ValueError):
         mse_loss(np.zeros(2), np.zeros(3))
+
+
+def _reference_adam(params, m, v, grads, step, lr, betas, eps, weight_decay):
+    """The out-of-place Adam update the in-place one must reproduce."""
+    beta1, beta2 = betas
+    bias1 = 1.0 - beta1**step
+    bias2 = 1.0 - beta2**step
+    for name, grad in grads.items():
+        p = params[name]
+        if weight_decay:
+            grad = grad + weight_decay * p
+        m[name] = beta1 * m[name] + (1.0 - beta1) * grad
+        v[name] = beta2 * v[name] + (1.0 - beta2) * grad * grad
+        m_hat = m[name] / bias1
+        v_hat = v[name] / bias2
+        params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+def test_adam_in_place_matches_out_of_place_formula(weight_decay):
+    """Over a seeded sweep of shapes, scales and steps, parameters and
+    both moments equal the out-of-place formula byte for byte, and the
+    caller's gradients are left as they were."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        shapes = {"tables": (3, 16, 2), "w0": (5, 7), "b0": (7,)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref = {k: v.copy() for k, v in params.items()}
+        ref_m = {k: np.zeros_like(v) for k, v in params.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in params.items()}
+        opt = Adam(params, lr=1e-2, weight_decay=weight_decay)
+        for step in range(1, 6):
+            scale = 10.0 ** rng.integers(-8, 3)
+            grads = {k: scale * rng.normal(size=s) for k, s in shapes.items()}
+            grads["b0"][0] = 0.0
+            given = {k: g.copy() for k, g in grads.items()}
+            opt.step(grads)
+            _reference_adam(
+                ref, ref_m, ref_v, given, step, opt.lr,
+                (opt.beta1, opt.beta2), opt.eps, weight_decay,
+            )
+            for name in shapes:
+                assert grads[name].tobytes() == given[name].tobytes()
+                assert params[name].tobytes() == ref[name].tobytes(), name
+                assert opt._m[name].tobytes() == ref_m[name].tobytes(), name
+                assert opt._v[name].tobytes() == ref_v[name].tobytes(), name

@@ -138,7 +138,7 @@ def test_lowp_field_tracks_float64_field(mode):
     positions, directions = _samples()
     sigma64, rgb64, _ = model.forward(positions, directions)
     sigma, rgb, cache = lowp.forward(positions, directions)
-    assert cache is None
+    assert cache.sigma is sigma
     assert sigma.dtype == np.float32 and rgb.dtype == np.float32
     # fp16 tables quantize features to ~1e-3 relative; INT8 MLP weights
     # add ~max|W|/254 per tap.  The untrained field's outputs are O(1),
@@ -196,14 +196,23 @@ def test_lowp_field_storage_shrinks_with_mode():
     assert int8.storage_bytes == 2 * tables + 1 * weights + 4 * biases
 
 
-def test_lowp_field_inference_only():
+def test_lowp_field_backward_runs_in_float32():
+    """A snapshot trains: its forward keeps the cache, and its backward
+    takes float64 upstream gradients in float32 and returns float32 MLP
+    gradients (the hash-table scatter accumulates in float64)."""
     model = _model()
-    lowp = LowPrecisionField(model, mode="fp16")
+    lowp = LowPrecisionField(model, mode="full")
     positions, directions = _samples(8)
     _, _, cache = lowp.forward(positions, directions)
-    assert cache is None
-    with pytest.raises(NotImplementedError):
-        lowp.backward(np.zeros(8), np.zeros((8, 3)), cache)
+    grads = lowp.backward(np.ones(8), np.ones((8, 3)), cache)
+    assert grads.keys() == model.parameters().keys()
+    assert grads["hash_tables"].dtype == np.float64
+    assert all(
+        grad.dtype == np.float32
+        for name, grad in grads.items()
+        if name != "hash_tables"
+    )
+    assert all(np.isfinite(grad).all() for grad in grads.values())
 
 
 def test_save_refuses_snapshot_field(tmp_path):

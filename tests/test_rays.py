@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.datasets import synthetic
 from repro.nerf.camera import Camera, look_at
 from repro.nerf.rays import (
     RayBundle,
+    RayTable,
     generate_rays,
     pixel_directions,
-    sample_training_rays,
 )
 
 
@@ -76,19 +77,21 @@ def test_ray_bundle_validates_shapes():
         )
 
 
-def test_sample_training_rays_shapes(mic_dataset, rng):
-    rays, colors = sample_training_rays(
-        mic_dataset.cameras, mic_dataset.images, 64, rng
+def _table(dataset, n_views=None):
+    return RayTable(
+        dataset.cameras[:n_views], dataset.images[:n_views], dataset.normalizer
     )
-    assert len(rays) == 64
-    assert colors.shape == (64, 3)
+
+
+def test_sample_training_rays_shapes(mic_dataset, rng):
+    origins, directions, colors = _table(mic_dataset).sample(64, rng)
+    assert origins.shape == directions.shape == colors.shape == (64, 3)
+    assert origins.dtype == directions.dtype == colors.dtype == np.float64
     assert np.all((colors >= 0.0) & (colors <= 1.0))
 
 
 def test_sample_training_rays_colors_match_pixels(mic_dataset, rng):
-    rays, colors = sample_training_rays(
-        mic_dataset.cameras, mic_dataset.images, 256, rng
-    )
+    _, _, colors = _table(mic_dataset).sample(256, rng)
     # Every returned color must exist somewhere in the image stack.
     flat = mic_dataset.images.reshape(-1, 3)
     for color in colors[:10]:
@@ -97,6 +100,55 @@ def test_sample_training_rays_colors_match_pixels(mic_dataset, rng):
 
 def test_sample_training_rays_requires_matching_counts(mic_dataset, rng):
     with pytest.raises(ValueError):
-        sample_training_rays(
-            mic_dataset.cameras[:2], mic_dataset.images, 16, rng
+        RayTable(
+            mic_dataset.cameras[:2], mic_dataset.images, mic_dataset.normalizer
         )
+
+
+def _expected_rays(dataset_views, normalizer, view_ids, pixel_ids):
+    """The rays the table must gather: ``generate_rays`` over each whole
+    view, mapped by ``rays_to_unit``, then indexed."""
+    origins, directions, colors = [], [], []
+    for view, pixel in zip(view_ids, pixel_ids):
+        camera, image = dataset_views[view]
+        bundle = generate_rays(camera)
+        o, d = normalizer.rays_to_unit(bundle.origins, bundle.directions)
+        origins.append(o[pixel])
+        directions.append(d[pixel])
+        colors.append(np.asarray(image, dtype=np.float64).reshape(-1, 3)[pixel])
+    return np.array(origins), np.array(directions), np.array(colors)
+
+
+@pytest.mark.parametrize("scene", ["lego", "mic", "ship", "chair"])
+def test_ray_table_gathers_generated_rays_byte_for_byte(scene):
+    """Table rays equal ``generate_rays`` + ``rays_to_unit`` byte for
+    byte, before and after ``add_view``, and a draw consumes the RNG
+    stream as two ``integers`` calls: view ids, then pixel ids."""
+    dataset = synthetic.make_dataset(scene, n_views=5, width=12, height=10)
+    views = list(zip(dataset.cameras, dataset.images))
+    table = RayTable(dataset.cameras[:3], dataset.images[:3], dataset.normalizer)
+    for n_views in (3, 4, 5):
+        if n_views > len(table.cameras):
+            assert table.add_view(*views[n_views - 1]) == n_views
+        assert table.images.shape == (n_views, 10, 12, 3)
+        for seed in range(4):
+            batch = 100 + seed
+            rng = np.random.default_rng(seed)
+            reference = np.random.default_rng(seed)
+            got = table.sample(batch, rng)
+            view_ids = reference.integers(0, n_views, size=batch)
+            pixel_ids = reference.integers(0, 120, size=batch)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            want = _expected_rays(views, dataset.normalizer, view_ids, pixel_ids)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+
+def test_ray_table_add_view_rejects_mismatched_shapes(mic_dataset):
+    table = _table(mic_dataset, 2)
+    with pytest.raises(ValueError, match="does not match"):
+        table.add_view(mic_dataset.cameras[0], np.zeros((4, 4, 3)))
+    small = Camera(width=4, height=4, focal=5.0, c2w=mic_dataset.cameras[0].c2w)
+    with pytest.raises(ValueError, match="pixels"):
+        table.add_view(small, mic_dataset.images[0])
+    assert len(table.cameras) == 2
