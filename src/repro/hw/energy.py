@@ -8,8 +8,9 @@ reported in Figs. 9-10 and Tables III-V.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
+from .arith import fiem_cost
 from .technology import Technology, TECH_28NM
 
 
@@ -33,8 +34,8 @@ class OpCounts:
     noc_bytes: float = 0.0
 
     def __iadd__(self, other: "OpCounts") -> "OpCounts":
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _OP_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
     def __add__(self, other: "OpCounts") -> "OpCounts":
@@ -44,10 +45,11 @@ class OpCounts:
         return result
 
     def scaled(self, factor: float) -> "OpCounts":
-        result = OpCounts()
-        for f in fields(self):
-            setattr(result, f.name, getattr(self, f.name) * factor)
-        return result
+        return OpCounts(*[getattr(self, name) * factor for name in _OP_FIELDS])
+
+
+#: :class:`OpCounts` field names in declaration order, looked up once.
+_OP_FIELDS = tuple(f.name for f in fields(OpCounts))
 
 
 @dataclass
@@ -91,6 +93,8 @@ class EnergyModel:
 
     def __init__(self, tech: Technology = TECH_28NM):
         self.tech = tech
+        #: pJ per FIEM multiply at this (frozen) technology.
+        self._fiem_pj = fiem_cost(tech).energy_pj
 
     def dynamic_energy(self, ops: OpCounts) -> EnergyBreakdown:
         """Dynamic energy only; leakage is added by :meth:`energy`."""
@@ -100,7 +104,7 @@ class EnergyModel:
             + ops.int16_mac * t.mac_pj("int16")
             + ops.fp16_mac * t.mac_pj("fp16")
             + ops.fp32_mac * t.mac_pj("fp32")
-            + ops.fiem_mul * self._fiem_pj()
+            + ops.fiem_mul * self._fiem_pj
             + ops.int32_add * t.int32_add_pj
             + ops.int32_mul * t.int32_mul_pj
             + ops.int32_div * t.int32_div_pj
@@ -147,9 +151,3 @@ class EnergyModel:
         if runtime_s <= 0:
             raise ValueError("runtime must be positive")
         return self.energy(ops, runtime_s, sram_kb, logic_mgates).total_j / runtime_s
-
-    def _fiem_pj(self) -> float:
-        # Import here to avoid a cycle at module import time.
-        from .arith import fiem_cost
-
-        return fiem_cost(self.tech).energy_pj

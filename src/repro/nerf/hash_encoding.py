@@ -18,16 +18,19 @@ The kernel is laid out **corner-major**, much as the paper's hash tiling
 gives each cell corner its own SRAM bank: each of the eight corners is
 one contiguous ``(L, n)`` vector of table indices and one of trilinear
 weights, stored together as ``(8, L, n)`` arrays.  The per-axis hash
-terms ``b * P`` and ``(b + 1) * P`` are computed once per point and
-level, and a corner's index is the XOR of three of them, masked to the
-table.  Each corner gathers its features per channel from the
-``(F, L*T)`` transpose of the tables and adds them, weighted, to the
-blend, so corners always accumulate in the fixed order ``c = 0..7``
-(x-fastest, see :data:`CORNER_OFFSETS`), each weight being
-``(w_x * w_y) * w_z``.  The backward scatter reads the same arrays in
-``(L, n, 8)`` order.  That corner order, association order and scatter
-order are what make the kernel bit-identical to the per-level reference
-in :mod:`repro.perf.reference`.
+terms ``b * P`` and ``(b + 1) * P`` and weights ``1 - f`` and ``f`` are
+built once per point and level: the x and y terms in the upper half of
+the ``(8, L, n)`` outputs, the z terms in one ``(2, L, n)`` slab.  One
+broadcast XOR writes the four x/y combinations into the lower half and
+two more XOR in the z terms; the weights follow the same pattern, each
+``(w_x * w_y) * w_z`` up to commutation.  Each feature channel
+then gathers all eight corners in one ``take`` from the ``(F, L*T)``
+transpose of the tables, weights them in one multiply, and sums them
+with explicit adds in the fixed order ``c = 0..7`` (x-fastest, see
+:data:`CORNER_OFFSETS`).  The backward
+scatter reads the same arrays in ``(L, n, 8)`` order.  That corner
+order, association order and scatter order are what make the kernel
+bit-identical to the per-level reference in :mod:`repro.perf.reference`.
 """
 
 from __future__ import annotations
@@ -173,6 +176,10 @@ class HashEncoding:
         self._level_offsets = (
             np.arange(config.n_levels, dtype=np.int64) * config.table_size
         )
+        #: Level resolutions and the largest cell origin per level, as
+        #: the kernel broadcasts them (computed once per config).
+        self._resolutions = config.level_resolutions
+        self._max_cell = (self._resolutions - 1)[None, :, None]
 
     def level_lookup(self, points: np.ndarray, level: int) -> tuple:
         """Corner coordinates, table indices and weights for one level.
@@ -213,59 +220,89 @@ class HashEncoding:
         n_levels, n_features = cfg.n_levels, cfg.n_features
         points = np.atleast_2d(points)
         n = points.shape[0]
-        resolutions = cfg.level_resolutions
-        scaled = (
-            np.ascontiguousarray(points.T)[None, :, :]
-            * resolutions[:, None, None].astype(points.dtype)
-        )
-        base = np.floor(scaled).astype(np.int64)
-        np.clip(base, 0, resolutions[:, None, None] - 1, out=base)
-        frac = scaled - base.astype(points.dtype)
-        # Per-axis hash terms, (L, 3, n), masked to the table: the mask
-        # distributes over XOR, and (b + 1) * P == b * P + P holds exactly
-        # under uint64 wraparound.
-        mask = np.uint64(cfg.table_size - 1)
-        lo = base.view(np.uint64) * PRIMES[:, None]
-        hi = lo + PRIMES[:, None]
-        lo &= mask
-        hi &= mask
-        # A masked hash is below T, so XOR-ing in the level's slab offset
-        # (a multiple of T) adds it: corner indices come out flat.
-        offsets = self._level_offsets.view(np.uint64)[:, None]
-        z_hash = (lo[:, 2] ^ offsets, hi[:, 2] ^ offsets)
-        # The four x/y combinations, shared by the two z layers of corners.
-        xy_hash = [lo[:, 0] ^ lo[:, 1], hi[:, 0] ^ lo[:, 1],
-                   lo[:, 0] ^ hi[:, 1], hi[:, 0] ^ hi[:, 1]]
-        w_hi = [frac[:, 0], frac[:, 1], frac[:, 2]]
-        w_lo = [1.0 - f for f in w_hi]
-        xy_weight = [w_lo[0] * w_lo[1], w_hi[0] * w_lo[1],
-                     w_lo[0] * w_hi[1], w_hi[0] * w_hi[1]]
-        z_weight = (w_lo[2], w_hi[2])
-        flat = np.empty((8, n_levels, n), dtype=np.uint64)
-        weights = np.empty((8, n_levels, n), dtype=frac.dtype)
-        # Flat indices are far below 2**63, so the signed view is exact.
-        indices = flat.view(np.int64)
+        indices, weights, base = self._corners(points)
         table_t = np.ascontiguousarray(self.tables.reshape(-1, n_features).T)
         blend = np.empty(
             (n_features, n_levels, n), dtype=np.result_type(weights, self.tables)
         )
-        gathered = np.empty((n_levels, n), dtype=blend.dtype)
-        for c in range(8):
-            xy, z = c & 3, c >> 2
-            np.bitwise_xor(xy_hash[xy], z_hash[z], out=flat[c])
-            np.multiply(xy_weight[xy], z_weight[z], out=weights[c])
-            # Accumulate explicitly in the order c = 0..7.  Every index
-            # is in range, so "clip" only skips the bounds-check buffer.
-            for f in range(n_features):
-                if c == 0:
-                    table_t[f].take(indices[c], out=blend[f], mode="clip")
-                    blend[f] *= weights[c]
-                else:
-                    table_t[f].take(indices[c], out=gathered, mode="clip")
-                    gathered *= weights[c]
-                    blend[f] += gathered
+        gathered = np.empty((8, n_levels, n), dtype=blend.dtype)
+        for f in range(n_features):
+            # Every index is in range, so "clip" only skips the
+            # bounds-check buffer.
+            table_t[f].take(indices, out=gathered, mode="clip")
+            gathered *= weights
+            # Accumulate explicitly in the order c = 0..7; a reduction
+            # over the corner axis may sum pairwise instead.
+            np.add(gathered[0], gathered[1], out=blend[f])
+            for c in range(2, 8):
+                blend[f] += gathered[c]
         features = np.ascontiguousarray(blend.transpose(2, 1, 0))
         return features.reshape(n, cfg.output_dim), indices, weights, base
+
+    def _corners(self, points: np.ndarray) -> tuple:
+        """``(indices, weights, base)`` of every point's eight corners.
+
+        ``indices`` and ``weights`` are ``(8, L, n)``, ``base`` is the
+        ``(L, 3, n)`` view of the clipped cell origins.  Corner
+        ``c = x + 2y + 4z`` (x-fastest, see :data:`CORNER_OFFSETS`) is
+        ``X[x] ^ Y[y] ^ Z[z]`` for the per-axis hash terms
+        ``X[0] = b_x * P_x`` and ``X[1] = (b_x + 1) * P_x`` (masked to the
+        table), and its weight is ``(w_x * w_y) * w_z`` up to commutation.
+        Building the x and y terms inside the outputs keeps every other
+        buffer ``(3, L, n)`` or smaller: at training batch sizes a larger
+        transient buffer costs fresh pages on every call.
+        """
+        cfg = self.config
+        n_levels, n = cfg.n_levels, points.shape[0]
+        dtype = points.dtype
+        # Axis-major (3, L, n): each axis is one contiguous (L, n) slab.
+        scaled = (
+            np.ascontiguousarray(points.T)[:, None, :]
+            * self._resolutions[None, :, None].astype(dtype)
+        )
+        base = np.floor(scaled).astype(np.int64)
+        np.clip(base, 0, self._max_cell, out=base)
+        # Hash terms: b * P and (b + 1) * P, masked to the table.  The mask
+        # distributes over XOR, and (b + 1) * P == b * P + P holds exactly
+        # under uint64 wraparound.
+        mask = np.uint64(cfg.table_size - 1)
+        primes = PRIMES[:, None, None]
+        flat = np.empty((8, n_levels, n), dtype=np.uint64)
+        xy_terms = flat[4:].reshape(2, 2, n_levels, n)  # [axis, 0 or 1]
+        np.multiply(base[:2].view(np.uint64), primes[:2], out=xy_terms[:, 0])
+        np.add(xy_terms[:, 0], primes[:2], out=xy_terms[:, 1])
+        xy_terms &= mask
+        z_terms = np.empty((2, n_levels, n), dtype=np.uint64)
+        np.multiply(base[2].view(np.uint64), primes[2], out=z_terms[0])
+        np.add(z_terms[0], primes[2], out=z_terms[1])
+        z_terms &= mask
+        # A masked hash is below T, so XOR-ing in the level's slab offset
+        # (a multiple of T) adds it: corner indices come out flat.
+        z_terms ^= self._level_offsets.view(np.uint64)[None, :, None]
+        x_terms, y_terms = xy_terms
+        np.bitwise_xor(
+            y_terms[:, None], x_terms[None, :], out=flat[:4].reshape(2, 2, n_levels, n)
+        )
+        np.bitwise_xor(flat[:4], z_terms[1], out=flat[4:])
+        flat[:4] ^= z_terms[0]
+        # Weights, the same way: [axis, 0] is 1 - f and [axis, 1] is f
+        # for the fraction f of the point within its cell.
+        cell = base.astype(dtype)
+        weights = np.empty((8, n_levels, n), dtype=dtype)
+        xy_weights = weights[4:].reshape(2, 2, n_levels, n)
+        np.subtract(scaled[:2], cell[:2], out=xy_weights[:, 1])
+        np.subtract(1.0, xy_weights[:, 1], out=xy_weights[:, 0])
+        z_weights = np.empty((2, n_levels, n), dtype=dtype)
+        np.subtract(scaled[2], cell[2], out=z_weights[1])
+        np.subtract(1.0, z_weights[1], out=z_weights[0])
+        w_x, w_y = xy_weights
+        np.multiply(
+            w_y[:, None], w_x[None, :], out=weights[:4].reshape(2, 2, n_levels, n)
+        )
+        np.multiply(weights[:4], z_weights[1], out=weights[4:])
+        weights[:4] *= z_weights[0]
+        # Flat indices are far below 2**63, so the signed view is exact.
+        return flat.view(np.int64), weights, base.transpose(1, 0, 2)
 
     def forward(self, points: np.ndarray) -> tuple:
         """Encode points; returns ``(features, trace)``.

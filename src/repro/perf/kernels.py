@@ -19,6 +19,7 @@ from ..nerf.model import InstantNGPModel, ModelConfig
 from ..nerf.precision import LowPrecisionField
 from ..nerf.tensorf import PlaneLineEncoding
 from ..nerf.volume_rendering import segment_sum
+from ..sim.engine import schedule_dynamic
 from ..sim.trace import distribute_samples_over_pairs
 from . import reference
 from .timing import time_pair
@@ -164,10 +165,13 @@ def bench_precision_field_fwd(smoke: bool = False) -> dict:
     directions = rng.normal(size=(n, 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     directions = directions.astype(np.float32)
+    # The float32 side wins by a few milliseconds a call at smoke scale,
+    # so a best-of-3 ratio swung across the gate's floor on an untouched
+    # tree; best-of-15 interleaved pairs hold it steady.
     timing = time_pair(
         lambda: model.forward(points, directions),
         lambda: lowp.forward(points, directions),
-        repeats=3 if smoke else 5,
+        repeats=15 if smoke else 5,
     )
     return dict(timing.as_record(), renderer="ngp", precision=lowp.precision)
 
@@ -205,6 +209,24 @@ def bench_trace_pair_durations(smoke: bool = False) -> dict:
     return timing.as_record()
 
 
+def bench_dynamic_schedule(smoke: bool = False) -> dict:
+    """Stage I dynamic scheduling (T1-2): a Python-list mirror of the
+    core free times vs the NumPy :class:`~repro.sim.engine.CorePool`
+    loop.  Sixteen cores, one to three cube-pairs per ray, each a pair
+    setup plus a few whole kept samples: a served probe's trace repeats
+    so few durations that cores tie on almost every ray."""
+    rng = np.random.default_rng(SEED)
+    n_rays = 1_000 if smoke else 10_000
+    widths = rng.integers(1, 4, size=n_rays)
+    groups = [(0.25 + rng.integers(0, 8, size=k)).tolist() for k in widths]
+    timing = time_pair(
+        lambda: reference.schedule_dynamic_reference(groups, 16),
+        lambda: schedule_dynamic(groups, 16),
+        repeats=3 if smoke else 5,
+    )
+    return timing.as_record()
+
+
 #: name -> builder registry the bench driver iterates, in report order.
 KERNEL_BENCHES = {
     "hash_forward": bench_hash_forward,
@@ -215,4 +237,5 @@ KERNEL_BENCHES = {
     "precision_field_fwd": bench_precision_field_fwd,
     "scatter_add": bench_scatter_add,
     "trace_pair_durations": bench_trace_pair_durations,
+    "dynamic_schedule": bench_dynamic_schedule,
 }

@@ -37,6 +37,7 @@ import numpy as np
 
 from ..nerf.hash_encoding import HashEncoding
 from ..nerf.tensorf import LINE_AXES, PLANE_AXES, PlaneLineEncoding, PlaneLineTrace
+from ..sim.engine import CorePool, ScheduleResult
 
 
 @dataclass
@@ -249,3 +250,26 @@ def pair_durations_reference(
         share = span / total_span if total_span > 0 else 0.0
         pair_durations[ray].append(float(kept_per_ray[ray]) * share)
     return pair_durations
+
+
+def schedule_dynamic_reference(group_durations: list, n_cores: int) -> ScheduleResult:
+    """Dynamic workload scheduling (T1-2) on a NumPy :class:`CorePool`.
+
+    The schedule :func:`repro.sim.engine.schedule_dynamic` ran before it
+    moved to a Python list of core free times: per ray, ``np.partition``
+    finds when ``k`` cores are free and ``np.argsort`` picks them, ties
+    included.
+    """
+    pool = CorePool(n_cores)
+    now = 0.0
+    for durations in group_durations:
+        k = len(durations)
+        if k == 0:
+            continue
+        if k > n_cores:
+            raise ValueError("a ray needs more cores than the pool has")
+        now = pool.time_until_free(k, now)
+        pool.dispatch_group(np.asarray(durations), now)
+    return ScheduleResult(
+        makespan=pool.makespan, busy_cycles=pool.busy_cycles(), n_cores=n_cores
+    )

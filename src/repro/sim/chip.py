@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .. import telemetry
 from ..hw.area import AreaModel, ModuleArea
 from ..hw.energy import EnergyModel, OpCounts
@@ -29,7 +27,7 @@ from ..hw.technology import Technology, TECH_28NM
 from ..nerf.hash_encoding import HashEncodingConfig
 from ..robustness import faults
 from ..robustness.injection import scrub_trace
-from .engine import pipeline_makespan
+from .engine import flow_shop_makespan
 from .interp_module import InterpModule, InterpModuleConfig
 from .postproc_module import PostProcModule, PostProcModuleConfig
 from .sampling_module import SamplingModule, SamplingModuleConfig
@@ -170,6 +168,10 @@ class SingleChipAccelerator:
         self.interp = InterpModule(self.config.interp, self.config.encoding)
         self.postproc = PostProcModule(self.config.postproc)
         self.energy_model = EnergyModel(self.config.tech)
+        # Leakage inputs of the (frozen) config, read once: the gate
+        # count is rebuilt from the module inventory on every access.
+        self._sram_kb = self.config.sram_kb
+        self._logic_mgates = self.config.logic_mgates
 
     def simulate(
         self,
@@ -191,25 +193,38 @@ class SingleChipAccelerator:
         pipeline overlap and the energy model run on every call, so a
         reused report is bit-identical to a fresh one.
         """
+        report, n_scrubbed = self._evaluate(
+            trace,
+            training=training,
+            optimized_sampling=optimized_sampling,
+            workload_scale=workload_scale,
+        )
+        self._record(report, n_scrubbed)
+        return report
+
+    def _evaluate(
+        self,
+        trace: WorkloadTrace,
+        training: bool = False,
+        optimized_sampling: bool = True,
+        workload_scale: float = 1.0,
+    ) -> tuple:
+        """``(ChipReport, n_scrubbed)`` of one simulation, unrecorded.
+
+        Only the ``chip.simulate`` span and the stage-report hit/miss
+        counters fire here; what the chip records about the run is
+        :meth:`_record`'s, so a board of identical chips can simulate a
+        trace once and record it on every chip that holds it.
+        """
         if workload_scale <= 0:
             raise ValueError("workload_scale must be positive")
         tel = telemetry.get_session()
+        n_scrubbed = 0
         if faults.get_active() is not None:
             # Scrub-and-flag: corrupted trace entries (NaN/negative
             # durations from injected SRAM faults in the trace buffers)
             # are clamped to zero so the cycle model stays finite.
             trace, n_scrubbed = scrub_trace(trace)
-            if n_scrubbed:
-                log = faults.get_log()
-                if log is not None:
-                    log.record(
-                        "chip",
-                        f"scrubbed {n_scrubbed} corrupted trace entries",
-                    )
-                if tel.enabled:
-                    tel.metrics.counter("robustness.trace.scrubbed_entries").inc(
-                        n_scrubbed
-                    )
         mode = "training" if training else "inference"
         with tel.tracer.span("chip.simulate", chip=self.config.name, mode=mode):
             s1, s2, s3 = self._stage_reports(
@@ -221,7 +236,6 @@ class SingleChipAccelerator:
                 StageReport("postproc", s3.cycles * workload_scale, s3.ops.scaled(workload_scale)),
             ]
             total_cycles = self._pipeline_cycles([s.cycles for s in stages])
-        self._record_simulation(tel, stages, total_cycles)
         runtime = total_cycles * self.config.tech.cycle_s
         ops = OpCounts()
         for stage in stages:
@@ -229,12 +243,12 @@ class SingleChipAccelerator:
         breakdown = self.energy_model.energy(
             ops,
             runtime_s=runtime,
-            sram_kb=self.config.sram_kb,
-            logic_mgates=self.config.logic_mgates,
+            sram_kb=self._sram_kb,
+            logic_mgates=self._logic_mgates,
         )
-        return ChipReport(
+        report = ChipReport(
             config_name=self.config.name,
-            mode="training" if training else "inference",
+            mode=mode,
             n_samples=int(round(trace.n_samples * workload_scale)),
             n_rays=int(round(trace.n_rays * workload_scale)),
             stages=stages,
@@ -243,6 +257,24 @@ class SingleChipAccelerator:
             energy_j=breakdown.total_j,
             power_w=breakdown.total_j / runtime if runtime > 0 else 0.0,
         )
+        return report, n_scrubbed
+
+    def _record(self, report: ChipReport, n_scrubbed: int) -> None:
+        """Record one simulated run on this chip: the fault log's scrub
+        entry, then per-module cycles, overlap efficiency and hooks."""
+        tel = telemetry.get_session()
+        if n_scrubbed:
+            log = faults.get_log()
+            if log is not None:
+                log.record(
+                    "chip",
+                    f"scrubbed {n_scrubbed} corrupted trace entries",
+                )
+            if tel.enabled:
+                tel.metrics.counter("robustness.trace.scrubbed_entries").inc(
+                    n_scrubbed
+                )
+        self._record_simulation(tel, report.stages, report.total_cycles)
 
     def _stage_reports(
         self, tel, trace: WorkloadTrace, training: bool, optimized_sampling: bool
@@ -355,5 +387,5 @@ class SingleChipAccelerator:
     def _pipeline_cycles(self, stage_cycles: list) -> float:
         """Overlap the stages across ping-pong buffered batches."""
         n = self.config.pipeline_batches
-        per_batch = np.asarray(stage_cycles, dtype=np.float64)[None, :] / n
-        return pipeline_makespan(np.repeat(per_batch, n, axis=0))
+        per_batch = [float(c) / n for c in stage_cycles] if n > 0 else []
+        return flow_shop_makespan([per_batch] * n, len(stage_cycles))

@@ -82,8 +82,19 @@ def schedule_dynamic(
     ray's cube-pairs as soon as enough cores are simultaneously free —
     the whole-ray threshold that bounds both control complexity and the
     partial-sum buffer per ray.
+
+    Per ray, ``np.argsort`` orders the cores by free time, as the
+    frozen :class:`CorePool` schedule in :mod:`repro.perf.reference`
+    does, so ties resolve the same way: the cores are identical, but
+    ``busy_cycles`` sums the free times in core order, and that float
+    sum depends on the order.  Everything else runs on a Python list
+    mirror of the free times; a ray dispatches one to three pairs, far
+    too few for further NumPy calls to pay.
     """
-    pool = CorePool(n_cores)
+    if n_cores < 1:
+        raise ValueError("need at least one core")
+    free = [0.0] * n_cores
+    free_at = np.zeros(n_cores, dtype=np.float64)
     now = 0.0
     for durations in group_durations:
         k = len(durations)
@@ -91,10 +102,12 @@ def schedule_dynamic(
             continue
         if k > n_cores:
             raise ValueError("a ray needs more cores than the pool has")
-        now = pool.time_until_free(k, now)
-        pool.dispatch_group(np.asarray(durations), now)
+        order = free_at.argsort().tolist()
+        now = max(now, free[order[k - 1]])
+        for core, duration in zip(order, durations):
+            free_at[core] = free[core] = max(free[core], now) + duration
     return ScheduleResult(
-        makespan=pool.makespan, busy_cycles=pool.busy_cycles(), n_cores=n_cores
+        makespan=float(max(free)), busy_cycles=float(free_at.sum()), n_cores=n_cores
     )
 
 
@@ -121,26 +134,36 @@ def schedule_ray_by_ray(
     return ScheduleResult(makespan=makespan, busy_cycles=busy, n_cores=n_cores)
 
 
-def pipeline_makespan(stage_cycles: np.ndarray) -> float:
+def pipeline_makespan(stage_cycles) -> float:
     """Makespan of a linear pipeline over batches.
 
-    ``stage_cycles`` is ``(n_batches, n_stages)``; stage *s* of batch *b*
-    may start once stage *s* finished batch *b-1* and stage *s-1* finished
-    batch *b* — the classic flow-shop recurrence, which models the
-    three-stage chip pipeline fed by ping-pong buffers.
+    ``stage_cycles`` is ``(n_batches, n_stages)``, an array or a list of
+    rows; stage *s* of batch *b* may start once stage *s* finished batch
+    *b-1* and stage *s-1* finished batch *b* — the classic flow-shop
+    recurrence, which models the three-stage chip pipeline fed by
+    ping-pong buffers.  Zero batches take 0.0 cycles.
     """
-    stage_cycles = np.atleast_2d(np.asarray(stage_cycles, dtype=np.float64))
-    n_batches, n_stages = stage_cycles.shape
+    cycles = np.atleast_2d(np.asarray(stage_cycles, dtype=np.float64))
+    return flow_shop_makespan(cycles.tolist(), cycles.shape[1])
+
+
+def flow_shop_makespan(rows: list, n_stages: int) -> float:
+    """The recurrence of :func:`pipeline_makespan` on rows of floats.
+
+    ``rows`` holds one sequence of ``n_stages`` stage cycles per batch.
+    The recurrence runs on Python floats: the same float64 operations in
+    the same order as on an array, without a NumPy call per element.
+    """
     # finish[s] holds the completion time of the most recent batch at
     # stage s; the flow-shop recurrence is
     # finish[b][s] = max(finish[b-1][s], finish[b][s-1]) + c[b][s].
-    finish = np.zeros(n_stages)
-    for b in range(n_batches):
+    finish = [0.0] * n_stages
+    for row in rows:
         upstream = 0.0
-        for s in range(n_stages):
-            start = max(finish[s], upstream)
-            finish[s] = start + stage_cycles[b, s]
-            upstream = finish[s]
+        for s, cycles in enumerate(row):
+            done = finish[s]
+            # max(done, upstream), without the builtin call.
+            upstream = finish[s] = (upstream if upstream > done else done) + cycles
     return float(finish[-1])
 
 

@@ -170,11 +170,13 @@ class MultiChipSystem:
     ) -> MultiChipReport:
         """Serving entry point: :meth:`simulate` one dispatched batch.
 
-        ``scene`` only labels the span.  Repeated dispatches of a scene
-        are cheap because each chip reuses the trace's memoized stage
-        reports and only rescales them to ``workload_scale``; the board
-        state (healthy, or the active fault plan's chiplet faults) is
-        read on every call.
+        ``scene`` only labels the span.  A dispatch hands every chip the
+        same trace object, so the board simulates it once and every chip
+        records that report (see :meth:`_simulate_chips`); repeated
+        dispatches of a scene are cheap because the simulation reuses
+        the trace's memoized stage reports and only rescales them to
+        ``workload_scale``.  The board state (healthy, or the active
+        fault plan's chiplet faults) is read on every call.
         """
         tel = telemetry.get_session()
         with tel.tracer.span("multichip.simulate_batch", scene=scene):
@@ -204,10 +206,7 @@ class MultiChipSystem:
             )
         tel = telemetry.get_session()
         with tel.tracer.span("multichip.simulate", n_chips=self.config.n_chips):
-            reports = [
-                chip.simulate(trace, training=training, workload_scale=workload_scale)
-                for chip, trace in zip(self.chips, chip_traces)
-            ]
+            reports = self._simulate_chips(chip_traces, training, workload_scale)
             comm = self.communication(
                 chip_traces, training=training, workload_scale=workload_scale
             )
@@ -228,6 +227,32 @@ class MultiChipSystem:
             )
         self._record_simulation(tel, report)
         return report
+
+    def _simulate_chips(
+        self, chip_traces: list, training: bool, workload_scale: float
+    ) -> list:
+        """One :class:`ChipReport` per chip, simulating each distinct
+        trace object once.
+
+        The chips share one :class:`ChipConfig`, so a trace costs the
+        same cycles on every chip that holds it: the first chip's report
+        is reused (reports are never mutated) by every later chip holding
+        the same object.  What a chip records stays per chip: module
+        hooks, cycle counters, the overlap gauge and fault-log scrub
+        entries.  Only the ``chip.simulate`` span and the stage-report
+        hit/miss counters count real simulations.
+        """
+        simulated = {}
+        reports = []
+        for chip, trace in zip(self.chips, chip_traces):
+            outcome = simulated.get(id(trace))
+            if outcome is None:
+                outcome = simulated[id(trace)] = chip._evaluate(
+                    trace, training=training, workload_scale=workload_scale
+                )
+            chip._record(*outcome)
+            reports.append(outcome[0])
+        return reports
 
     def _simulate_degraded(
         self,
@@ -259,10 +284,9 @@ class MultiChipSystem:
             # identical, so expert e costs the same cycles wherever it
             # lands.  The dead chips' reports only feed the remap
             # schedule and the healthy-baseline comparison.
-            own_reports = [
-                chip.simulate(trace, training=training, workload_scale=workload_scale)
-                for chip, trace in zip(self.chips, chip_traces)
-            ]
+            own_reports = self._simulate_chips(
+                chip_traces, training, workload_scale
+            )
             healthy_comm = self.communication(
                 chip_traces, training=training, workload_scale=workload_scale
             )

@@ -1,10 +1,14 @@
 """The scheduling/event engine behind the Stage I simulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.sim.chip import ChipConfig, SingleChipAccelerator
 from repro.sim.engine import (
     CorePool,
+    flow_shop_makespan,
     pipeline_makespan,
     schedule_dynamic,
     schedule_lockstep_batches,
@@ -110,3 +114,36 @@ def test_pipeline_makespan_bottleneck_dominates():
     # Stage 2 is 10x slower: makespan ~ fill + n * bottleneck.
     cycles = np.tile([1.0, 10.0, 1.0], (8, 1))
     assert pipeline_makespan(cycles) == pytest.approx(1 + 8 * 10 + 1)
+
+
+def _makespan_on_array(cycles: np.ndarray) -> float:
+    """The flow-shop recurrence element by element on a float64 array."""
+    finish = np.zeros(cycles.shape[1])
+    for b in range(cycles.shape[0]):
+        upstream = 0.0
+        for s in range(cycles.shape[1]):
+            finish[s] = max(finish[s], upstream) + cycles[b, s]
+            upstream = finish[s]
+    return float(finish[-1])
+
+
+def test_pipeline_makespan_lists_arrays_and_zero_batches(rng):
+    for n_batches in (1, 3, 16):
+        cycles = rng.uniform(0.1, 1e6, size=(n_batches, 3))
+        expected = _makespan_on_array(cycles)
+        assert pipeline_makespan(cycles) == expected
+        assert pipeline_makespan(cycles.tolist()) == expected
+        assert flow_shop_makespan(cycles.tolist(), 3) == expected
+    assert pipeline_makespan(np.zeros((0, 3))) == 0.0
+    assert flow_shop_makespan([], 3) == 0.0
+
+
+def test_chip_pipeline_cycles_match_batched_array(rng):
+    chip = SingleChipAccelerator()
+    n = chip.config.pipeline_batches
+    for _ in range(5):
+        stage_cycles = rng.uniform(0.0, 1e7, size=3)
+        batches = np.repeat(stage_cycles[None, :] / n, n, axis=0)
+        assert chip._pipeline_cycles(list(stage_cycles)) == _makespan_on_array(batches)
+    no_batches = dataclasses.replace(ChipConfig.scaled(), pipeline_batches=0)
+    assert SingleChipAccelerator(no_batches)._pipeline_cycles([1.0, 2.0, 3.0]) == 0.0

@@ -19,7 +19,9 @@ from repro.nerf.sampling import RayMarcher, SamplerConfig
 from repro.nerf.volume_rendering import composite, psnr, segment_sum
 from repro.perf import reference
 from repro.pipeline import wrap_model
-from repro.sim.trace import distribute_samples_over_pairs
+from repro.sim.engine import schedule_dynamic
+from repro.sim.sampling_module import SamplingModuleConfig
+from repro.sim.trace import distribute_samples_over_pairs, synthetic_trace
 
 
 #: The seeded sweep every hash-encoding kernel is checked over.  Tiny
@@ -142,6 +144,41 @@ def test_pair_durations_bit_identical():
     opt = distribute_samples_over_pairs(pair_ray_idx, spans, kept, n_rays)
     ref = reference.pair_durations_reference(pair_ray_idx, spans, kept, n_rays)
     assert opt == ref
+
+
+def _schedule_sweep(seed):
+    """``(groups, n_cores)`` cases of one seed: tie-heavy ray widths up
+    to ``k == n_cores`` (empty rays included) over a few distinct
+    durations, continuous durations, and a Stage I trace's cube-pairs."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for n_cores in (1, 2, 3, 5, 16, 17, 32):
+        widths = rng.integers(0, n_cores + 1, size=48)
+        cases.append(
+            ([(0.5 * rng.integers(1, 4, size=k)).tolist() for k in widths], n_cores)
+        )
+        cases.append(([rng.random(k).tolist() for k in widths], n_cores))
+    cfg = SamplingModuleConfig()
+    trace = synthetic_trace(96, 6.0, 0.3, rng)
+    groups = [
+        [cfg.pair_setup_cycles + length / cfg.points_per_core_cycle for length in pairs]
+        for pairs in trace.pair_durations
+    ]
+    cases.append((groups, cfg.n_cores))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dynamic_schedule_bit_identical_to_core_pool_oracle(seed):
+    for groups, n_cores in _schedule_sweep(seed):
+        opt = schedule_dynamic(groups, n_cores)
+        ref = reference.schedule_dynamic_reference(groups, n_cores)
+        assert opt.makespan == ref.makespan, (seed, n_cores)
+        assert opt.busy_cycles == ref.busy_cycles, (seed, n_cores)
+        assert opt.n_cores == ref.n_cores
+    for schedule in (schedule_dynamic, reference.schedule_dynamic_reference):
+        with pytest.raises(ValueError):
+            schedule([[1.0], [1.0, 1.0, 1.0]], 2)
 
 
 def test_traverse_grid_identical_to_boolean_mask_reference():

@@ -8,7 +8,11 @@ from repro.fleet import FleetController
 from repro.nerf.camera import Camera
 from repro.nerf.occupancy import OccupancyGrid
 from repro.robustness import faults
-from repro.robustness.faults import FaultPlan, TraceFaultConfig
+from repro.robustness.faults import (
+    ChipletFaultConfig,
+    FaultPlan,
+    TraceFaultConfig,
+)
 from repro.robustness.injection import inject_trace_faults
 from repro.serve import RenderRequest, RenderService, build_demo_registry
 from repro.serve.loadgen import demo_camera, demo_model, run_closed_loop
@@ -120,16 +124,108 @@ def test_hit_and_miss_counters_and_stage_spans():
             system.simulate_batch("lego", traces, workload_scale=scale)
         snap = tel.metrics.snapshot()
         spans = tel.tracer.aggregate()
+    # The four chips hold one trace object, so each dispatch simulates
+    # it once: one miss, then one hit, and one chip.simulate span each.
     assert snap["counters"]["sim.stage_reports.misses"] == 1
-    assert snap["counters"]["sim.stage_reports.hits"] == 7
-    # Stage spans wrap real simulation only; hooks and cycle counters
-    # fire on every chip of every dispatch.
+    assert snap["counters"]["sim.stage_reports.hits"] == 1
+    assert spans["chip.simulate"]["count"] == 2
+    # Stage spans wrap real stage simulation only; hooks and cycle
+    # counters fire on every chip of every dispatch.
     for name in ("sampling", "interpolation", "post-processing"):
         assert spans[name]["count"] == 1, name
         assert modules.count(name) == 8, name
-        assert snap["counters"][f"sim.{name}.cycles"] > 0.0
-    assert spans["chip.simulate"]["count"] == 8
+    assert modules.count("chiplet0") == 2
+    # Each of the 4 chips counts its cycles at scale 1 and at scale 3.
+    unscaled = SingleChipAccelerator().simulate(_copy(trace))
+    for name, stage in zip(
+        ("sampling", "interpolation", "post-processing"), unscaled.stages
+    ):
+        assert snap["counters"][f"sim.{name}.cycles"] == pytest.approx(
+            4 * 4.0 * stage.cycles
+        )
+    assert snap["counters"]["sim.total_cycles"] == pytest.approx(
+        4 * 4.0 * unscaled.total_cycles
+    )
     assert spans["multichip.simulate_batch"]["count"] == 2
+
+
+# -- one simulation per distinct trace --------------------------------------------
+
+#: Board states of the sweep: the chiplet half of the active fault plan.
+BOARD_STATES = {
+    "healthy": ChipletFaultConfig(),
+    "link-degraded": ChipletFaultConfig(link_bandwidth_factor=0.25),
+    "remap": ChipletFaultConfig(dead_chips=(1,), policy="remap"),
+    "drop": ChipletFaultConfig(dead_chips=(0, 2), policy="drop"),
+}
+#: The trace-fault half: corrupted traces are scrubbed on every chip.
+TRACE_FAULTS = TraceFaultConfig(corrupt_fraction=0.2, mode="nan")
+
+
+def _board_dispatch(system, traces, chiplets, corrupt, training, scale):
+    """One dispatch with everything a chip records: ``(report, module
+    hooks, cycle counters, fault-log entries)``."""
+    plan = FaultPlan(
+        chiplets=chiplets, trace=TRACE_FAULTS if corrupt else TraceFaultConfig()
+    )
+    hooks = []
+    with telemetry.session() as tel, faults.plan_scope(plan):
+        tel.hooks.on_module_simulated(lambda **event: hooks.append(event))
+        report = system.simulate(traces, training=training, workload_scale=scale)
+        log = faults.get_log()
+        counters = tel.metrics.snapshot()["counters"]
+    cycles = {
+        name: value for name, value in counters.items()
+        if name.startswith("sim.") and name.endswith("cycles")
+    }
+    cycles["scrubbed"] = counters.get("robustness.trace.scrubbed_entries")
+    return report, hooks, cycles, list(log.entries)
+
+
+@pytest.mark.parametrize("state", sorted(BOARD_STATES))
+@pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "corrupted"])
+def test_shared_trace_board_bit_identical_to_distinct_copies(state, corrupt):
+    """``[t] * n`` simulates ``t`` once; n distinct equal copies simulate
+    n times.  Reports and every per-chip record must not tell them apart."""
+    chiplets = BOARD_STATES[state]
+    for seed in (10, 11):
+        trace = _trace(seed, n_rays=128)
+        if corrupt:
+            trace = inject_trace_faults(
+                trace, TRACE_FAULTS, np.random.default_rng(seed)
+            )
+        shared_system, distinct_system = MultiChipSystem(), MultiChipSystem()
+        n = shared_system.config.n_chips
+        for training in (False, True):
+            for scale in (1.0, 0.37, 12.5):
+                shared = _board_dispatch(
+                    shared_system, [trace] * n, chiplets, corrupt, training, scale
+                )
+                distinct = _board_dispatch(
+                    distinct_system, [_copy(trace) for _ in range(n)],
+                    chiplets, corrupt, training, scale,
+                )
+                case = (state, seed, training, scale)
+                assert shared[0] == distinct[0], case
+                assert shared[1] == distinct[1], case
+                assert shared[2] == distinct[2], case
+                assert shared[3] == distinct[3], case
+                n_scrub = sum("scrubbed" in e["description"] for e in shared[3])
+                assert n_scrub == (n if corrupt else 0), case
+
+
+def test_distinct_traces_each_simulated(monkeypatch):
+    calls = _count_sampling_calls(monkeypatch)
+    system = MultiChipSystem()
+    traces = [_trace(20), _trace(21), _trace(20), _trace(22)]
+    report = system.simulate(traces)
+    assert len(calls) == 4  # equal traces, but four distinct objects
+    assert report.chip_reports[0] == report.chip_reports[2]
+    assert report.chip_reports[0] != report.chip_reports[1]
+    shared = system.simulate([traces[0], traces[1], traces[0], traces[1]])
+    assert len(calls) == 4  # both objects already carry their reports
+    assert shared.chip_reports[0] is shared.chip_reports[2]
+    assert shared.chip_reports == report.chip_reports[:2] * 2
 
 
 # -- fault plans ----------------------------------------------------------------
