@@ -99,8 +99,7 @@ def scene_workload(
     workloads are extracted once per source revision, not once per
     experiment per run.
     """
-    # Local import: repro.parallel must stay importable from the nerf hot
-    # paths, so the dependency points this way only and stays lazy.
+    # Local import: only trace extraction consults the cache.
     from ..parallel import cache as parallel_cache
     from ..parallel.fingerprint import TRACE_PACKAGES, source_fingerprint
 

@@ -19,13 +19,7 @@ from .aabb import (
     RayCubePairs,
 )
 from .occupancy import OccupancyGrid, traverse_grid
-from .sampling import (
-    RayMarcher,
-    SamplerConfig,
-    SampleBatch,
-    SamplingStats,
-    batch_to_stats,
-)
+from .sampling import RayMarcher, SamplerConfig, SampleBatch
 from .hash_encoding import (
     HashEncoding,
     HashEncodingConfig,
@@ -106,7 +100,6 @@ __all__ = [
     "RayMarcher",
     "SamplerConfig",
     "SampleBatch",
-    "SamplingStats",
     "HashEncoding",
     "HashEncodingConfig",
     "EncodingTrace",
@@ -131,7 +124,6 @@ __all__ = [
     "Trainer",
     "TrainerConfig",
     "TrainState",
-    "batch_to_stats",
     "quantize_int8",
     "quantize_int8_fixed",
     "quantization_error",

@@ -125,7 +125,13 @@ class LowPrecisionField(InstantNGPModel):
         tables = source.encoding.tables
         if mode != FULL_PRECISION:
             tables = tables.astype(np.float16)
-        self.encoding.tables = tables.astype(np.float32)
+        # Feature-major store: a C-contiguous (F, L*T) array seen through
+        # its (L, T, F) view, so the Stage II gather reads one feature's
+        # column without copying the table on every call.
+        n_levels, table_size, n_features = tables.shape
+        store = np.empty((n_features, n_levels * table_size), dtype=np.float32)
+        store[...] = tables.reshape(-1, n_features).T
+        self.encoding.tables = store.T.reshape(tables.shape)
         self.density_mlp = copy.copy(source.density_mlp)
         self.color_mlp = copy.copy(source.color_mlp)
         for mlp in (self.density_mlp, self.color_mlp):

@@ -10,7 +10,7 @@ sample distribution whose skew motivates dynamic scheduling (T1-2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +55,6 @@ class SamplerConfig:
     """
 
     max_samples: int = 128
-    #: Skip samples whose cell is unoccupied.
-    use_occupancy: bool = True
     #: Deterministic mid-step placement (False) or jittered (True).
     jitter: bool = False
 
@@ -150,7 +148,7 @@ class RayMarcher:
                 out=positions,
             )
             per_ray = counts
-            if self.config.use_occupancy and occupancy is not None:
+            if occupancy is not None:
                 # Query on the cast positions so gating agrees with the
                 # coordinates Stage II actually sees.
                 kept = np.flatnonzero(occupancy.query(positions))
@@ -177,55 +175,6 @@ class RayMarcher:
             self._record_batch(tel, batch)
             return batch
 
-    def sample_chunked(
-        self,
-        origins: np.ndarray,
-        directions: np.ndarray,
-        occupancy: OccupancyGrid = None,
-        rng: np.random.Generator = None,
-        chunk: int = 8192,
-        jobs: int = 1,
-    ) -> SampleBatch:
-        """March a large ray batch in ray-contiguous chunks.
-
-        Semantically identical to :meth:`sample` — every ray's samples
-        depend only on that ray, chunks are split and re-assembled in
-        ray order, and chunk boundaries never move with ``jobs`` — so
-        the returned batch is bit-identical to the one-shot call for
-        deterministic sampling.  With ``jobs > 1`` chunks evaluate on a
-        thread pool (the NumPy kernels release the GIL), which is how a
-        single large experiment uses multiple workers.
-
-        Jittered sampling draws from a *sequential* RNG, so when
-        ``jitter`` is on and an ``rng`` is supplied this falls back to
-        the one-shot path rather than silently changing the stream.
-        """
-        origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
-        directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-        n_rays = origins.shape[0]
-        if n_rays <= chunk or (self.config.jitter and rng is not None):
-            return self.sample(origins, directions, occupancy=occupancy, rng=rng)
-        from ..parallel.chunking import chunk_spans, parallel_map_chunks
-
-        def march(start, stop):
-            return self.sample(
-                origins[start:stop], directions[start:stop], occupancy=occupancy
-            )
-
-        spans = chunk_spans(n_rays, chunk)
-        batches = parallel_map_chunks(march, n_rays, chunk, jobs=jobs)
-        return SampleBatch(
-            positions=np.concatenate([b.positions for b in batches]),
-            directions=np.concatenate([b.directions for b in batches]),
-            deltas=np.concatenate([b.deltas for b in batches]),
-            ts=np.concatenate([b.ts for b in batches]),
-            ray_idx=np.concatenate(
-                [b.ray_idx + start for b, (start, _) in zip(batches, spans)]
-            ),
-            n_rays=n_rays,
-            candidates=sum(b.candidates for b in batches),
-        )
-
     @staticmethod
     def _record_batch(tel, batch: "SampleBatch") -> None:
         """Stage I workload metrics: gating rate and per-ray skew."""
@@ -243,42 +192,3 @@ class RayMarcher:
         values, repeats = np.unique(batch.samples_per_ray, return_counts=True)
         for value, repeat in zip(values.tolist(), repeats.tolist()):
             hist.observe(value, n=repeat)
-
-
-@dataclass
-class SamplingStats:
-    """Workload statistics Stage I hands to the cycle simulator."""
-
-    n_rays: int = 0
-    candidates: int = 0
-    kept: int = 0
-    samples_per_ray: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-    @classmethod
-    def from_batch(cls, batch: SampleBatch) -> "SamplingStats":
-        """The statistics of one marched batch."""
-        return cls(
-            n_rays=batch.n_rays,
-            candidates=batch.candidates,
-            kept=len(batch),
-            samples_per_ray=batch.samples_per_ray,
-        )
-
-    @property
-    def keep_fraction(self) -> float:
-        """Kept samples over candidates (0 with no candidates)."""
-        if self.candidates == 0:
-            return 0.0
-        return self.kept / self.candidates
-
-
-def batch_to_stats(batch: SampleBatch) -> dict:
-    """Summarize a sample batch for logging or trace extraction."""
-    per_ray = batch.samples_per_ray
-    return {
-        "n_rays": batch.n_rays,
-        "n_samples": len(batch),
-        "candidates": batch.candidates,
-        "mean_samples_per_ray": float(per_ray.mean()) if batch.n_rays else 0.0,
-        "max_samples_per_ray": int(per_ray.max()) if batch.n_rays else 0,
-    }

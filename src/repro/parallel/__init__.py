@@ -1,6 +1,6 @@
-"""Parallel experiment execution, result caching, chunked evaluation.
+"""Parallel experiment execution and result caching.
 
-The scaling layer of the reproduction, three parts:
+The scaling layer of the reproduction, two parts:
 
 * :mod:`~repro.parallel.engine` — fans independent experiments out over
   a ``concurrent.futures`` process pool (``runner run-all --jobs N``)
@@ -12,18 +12,17 @@ The scaling layer of the reproduction, three parts:
   name + config + the source fingerprint of the packages the numbers
   depend on (:mod:`~repro.parallel.fingerprint`), so unchanged
   experiments are skipped and *any* relevant source edit silently
-  invalidates stale entries;
-* :mod:`~repro.parallel.chunking` — thread-pool sharding of one large
-  ray batch (used by ``repro.pipeline.renderer`` / ``sampling``) under a
-  bit-identical chunk-ordering contract.
+  invalidates stale entries.
 
-Every future scaling PR (multi-backend, distributed sweeps) plugs into
-this layer: the engine owns "what runs where", the cache owns "what can
-be skipped", chunking owns "how one big job splits".
+Parallelism lives across experiments only: one experiment runs in one
+process on one thread, and the paper's on-chip parallelism (sampling
+cores, chips fused by an adder) is modelled by :mod:`repro.sim`, not by
+host threads.  Future scaling work (multi-backend, distributed sweeps)
+plugs into this layer: the engine owns "what runs where", the cache owns
+"what can be skipped".
 """
 
 from .cache import ResultCache, activate, cache_key, deactivate, default_cache_root, get_active
-from .chunking import chunk_spans, parallel_map_chunks
 from .engine import (
     MAX_POOL_REBUILDS,
     ExperimentTimeout,
@@ -57,7 +56,6 @@ __all__ = [
     "TRACE_PACKAGES",
     "activate",
     "cache_key",
-    "chunk_spans",
     "clear_fingerprint_cache",
     "deactivate",
     "default_cache_root",
@@ -67,7 +65,6 @@ __all__ = [
     "merge_metric_snapshots",
     "merge_span_aggregates",
     "package_source_files",
-    "parallel_map_chunks",
     "resolve_names",
     "result_cache_key",
     "run_experiments",

@@ -59,9 +59,8 @@ logger = logging.getLogger("repro.parallel")
 MAX_POOL_REBUILDS = 3
 
 # NOTE: repro.experiments is imported lazily throughout this module.  The
-# experiments package pulls in the whole algorithm stack, and the nerf hot
-# paths import repro.parallel.chunking — a module-level import here would
-# close that cycle.
+# experiments package pulls in the whole algorithm stack, which importing
+# the cache alone should not pay for.
 
 
 class ExperimentTimeout(Exception):

@@ -50,32 +50,25 @@ def scrub_rendered_colors(colors: np.ndarray, background: float) -> np.ndarray:
 
 
 def render_frame(
-    render_rays, camera: Camera, normalizer, chunk: int = 8192, jobs: int = 1
+    render_rays, camera: Camera, normalizer, chunk: int = 8192
 ) -> np.ndarray:
     """Render a full frame, chunked to bound peak memory.
 
     ``render_rays(origins, directions) -> colors`` renders one slice of
     unit-space rays: a :class:`Renderer`'s, or an MoE trainer's fused
     adder over every expert's renderer.  Fixed ``chunk``-sized pixel
-    slices go through it into a float32 frame buffer (the serving pixel
-    format).  With ``jobs > 1`` the chunks evaluate on a thread pool;
-    each chunk only reads shared state and writes its own slice, and
-    chunk boundaries depend on ``chunk`` alone, so the image is
-    bit-identical for every ``jobs`` setting.  Returns an ``(h, w, 3)``
-    float32 image in [0, 1].
+    slices, the last one short when ``chunk`` does not divide the frame,
+    go through it in order into a float32 frame buffer (the serving
+    pixel format).  Returns an ``(h, w, 3)`` float32 image in [0, 1].
     """
     if chunk < 1:
         raise ValueError("chunk must be positive")
-    from ..parallel.chunking import parallel_map_chunks
-
     rays = generate_rays(camera)
     origins, directions = normalizer.rays_to_unit(rays.origins, rays.directions)
     out = np.empty((camera.n_pixels, 3), dtype=np.float32)
-
-    def render_chunk(start, stop):
+    for start in range(0, camera.n_pixels, chunk):
+        stop = start + chunk
         out[start:stop] = render_rays(origins[start:stop], directions[start:stop])
-
-    parallel_map_chunks(render_chunk, camera.n_pixels, chunk, jobs=jobs)
     return np.clip(out, 0.0, 1.0).reshape(camera.height, camera.width, 3)
 
 
@@ -164,23 +157,17 @@ class Renderer:
         return colors, batch, result
 
     def render_image(
-        self,
-        camera: Camera,
-        normalizer,
-        chunk: int = 8192,
-        jobs: int = 1,
+        self, camera: Camera, normalizer, chunk: int = 8192
     ) -> np.ndarray:
         """Render a full frame through :func:`render_frame`.
 
-        Returns an ``(h, w, 3)`` float32 image in [0, 1], bit-identical
-        for every ``jobs`` setting.
+        Returns an ``(h, w, 3)`` float32 image in [0, 1].
         """
         return render_frame(
             lambda origins, directions: self.render_rays(origins, directions)[0],
             camera,
             normalizer,
             chunk=chunk,
-            jobs=jobs,
         )
 
     def save(self, path, normalizer=None) -> int:

@@ -26,6 +26,8 @@ site-specific salt so injections are reproducible.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .faults import SramFaultConfig, TraceFaultConfig
@@ -190,21 +192,27 @@ def scrub_trace(trace):
     (or real) SRAM corruption in the trace buffers — are clamped to zero
     and counted.  Finite spikes are deliberately *not* clamped: their
     latency cost is the measurable degradation.  When nothing needs
-    scrubbing the input trace is returned unchanged (no copy).
+    scrubbing the input trace is returned unchanged (no copy).  The
+    check is one vectorized pass over the flattened durations; only a
+    corrupted trace pays for copying its lists.
     """
     from ..sim.trace import WorkloadTrace
 
-    n_scrubbed = 0
-    durations = []
-    for pairs in trace.pair_durations:
-        clean = list(pairs)
-        for j, duration in enumerate(clean):
-            if not np.isfinite(duration) or duration < 0:
-                clean[j] = 0.0
-                n_scrubbed += 1
-        durations.append(clean)
+    lengths = list(map(len, trace.pair_durations))
+    flat = np.fromiter(
+        itertools.chain.from_iterable(trace.pair_durations),
+        dtype=np.float64,
+        count=sum(lengths),
+    )
+    bad = np.flatnonzero(~(np.isfinite(flat) & (flat >= 0)))
+    n_scrubbed = len(bad)
     if n_scrubbed == 0:
         return trace, 0
+    durations = [list(pairs) for pairs in trace.pair_durations]
+    fences = np.cumsum([0] + lengths)
+    rays = np.searchsorted(fences, bad, side="right") - 1
+    for ray, index in zip(rays.tolist(), (bad - fences[rays]).tolist()):
+        durations[ray][index] = 0.0
     per_ray = np.array([sum(p) for p in durations], dtype=np.float64)
     return (
         WorkloadTrace(

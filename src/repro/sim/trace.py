@@ -189,31 +189,19 @@ def trace_from_rays(
     encoding=None,
     max_samples: int = 128,
     max_traced_vertices: int = 4096,
-    chunk: int = None,
-    jobs: int = 1,
 ) -> WorkloadTrace:
     """Exact trace: run Stage I on unit-space rays.
 
     When ``encoding`` (a :class:`~repro.nerf.hash_encoding.HashEncoding`)
     is given, the finest-level vertex lookups of up to
     ``max_traced_vertices`` samples are recorded for conflict replay.
-
-    ``chunk``/``jobs`` shard the Stage I march over ray chunks (see
-    :meth:`~repro.nerf.sampling.RayMarcher.sample_chunked`); the
-    resulting trace is bit-identical to the one-shot march, so large
-    experiments can parallelize trace extraction freely.
     """
     origins = np.atleast_2d(origins)
     directions = np.atleast_2d(directions)
     n_rays = origins.shape[0]
     pairs = intersect_octants(origins, directions)
     marcher = RayMarcher(SamplerConfig(max_samples=max_samples))
-    if chunk is not None:
-        batch = marcher.sample_chunked(
-            origins, directions, occupancy=occupancy, chunk=chunk, jobs=jobs
-        )
-    else:
-        batch = marcher.sample(origins, directions, occupancy=occupancy)
+    batch = marcher.sample(origins, directions, occupancy=occupancy)
     # DDA walk over the occupancy grid: the Stage I mask-read workload.
     from .trace_traversal import count_cells_visited
 

@@ -114,6 +114,12 @@ def test_masters_and_adam_moments_stay_float64(moe):
         assert value.dtype == np.float64, name
         assert trainer.optimizer._m[name].dtype == np.float64, name
         assert trainer.optimizer._v[name].dtype == np.float64, name
+    # The re-cast writes through each snapshot's feature-major table view.
+    experts = trainer.model.experts if moe else [trainer.model]
+    for expert, field in zip(experts, trainer._step_fields()):
+        tables = field.encoding.tables
+        assert tables.base.flags.c_contiguous and tables.base.shape[0] == 2
+        assert np.array_equal(tables, expert.encoding.tables.astype(np.float32))
 
 
 @pytest.mark.parametrize("scene", ["lego", "mic", "ship", "chair"])

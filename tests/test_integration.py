@@ -4,7 +4,9 @@ renderer round trip."""
 import numpy as np
 import pytest
 
-from repro.nerf.sampling import RayMarcher, SamplerConfig, batch_to_stats
+from repro.nerf.camera import Camera
+from repro.nerf.rays import generate_rays
+from repro.nerf.sampling import RayMarcher, SamplerConfig
 from repro.nerf.trainer import Trainer, TrainerConfig
 from repro.nerf.volume_rendering import psnr
 from repro.pipeline import wrap_model
@@ -48,9 +50,7 @@ def test_render_rays_returns_batch_and_result(tiny_model):
     assert colors.shape == (1, 3)
     assert len(batch) > 0
     assert result is not None
-    stats = batch_to_stats(batch)
-    assert stats["n_rays"] == 1
-    assert stats["n_samples"] == len(batch)
+    assert batch.n_rays == 1
 
 
 def test_render_rays_all_miss_gives_background(tiny_model):
@@ -72,14 +72,27 @@ def test_render_image_chunking_invariant(tiny_model, mic_dataset):
     assert np.allclose(small, large)
     with pytest.raises(ValueError):
         renderer.render_image(camera, mic_dataset.normalizer, chunk=0)
+    # A chunk that does not divide the frame: fixed spans in order, the
+    # last one short, each through one render_rays call.
+    camera = Camera(width=32, height=32, focal=35.2, c2w=camera.c2w)
+    frame = renderer.render_image(camera, mic_dataset.normalizer, chunk=200)
+    rays = generate_rays(camera)
+    origins, directions = mic_dataset.normalizer.rays_to_unit(
+        rays.origins, rays.directions
+    )
+    spans = [(start, min(start + 200, 1024)) for start in range(0, 1024, 200)]
+    assert spans[-1] == (1000, 1024)
+    pieces = [
+        renderer.render_rays(origins[a:b], directions[a:b])[0] for a, b in spans
+    ]
+    expected = np.clip(np.concatenate(pieces).astype(np.float32), 0.0, 1.0)
+    assert np.array_equal(frame, expected.reshape(32, 32, 3))
 
 
 def test_real_scene_trace_drives_chip_simulation(tiny_trainer, mic_dataset):
     """The full co-simulation path: trained occupancy -> Stage I trace ->
     cycle simulation with sensible outputs."""
     tiny_trainer.train(10)
-    from repro.nerf.rays import generate_rays
-
     camera = mic_dataset.cameras[0]
     rays = generate_rays(camera)
     origins, directions = mic_dataset.normalizer.rays_to_unit(

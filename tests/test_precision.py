@@ -594,6 +594,32 @@ def test_fault_injection_composes_with_snapshot():
     assert model.encoding.tables.dtype == np.float64  # masters untouched
 
 
+@pytest.mark.parametrize("mode", ["full", "fp16", "fp16-int8"])
+def test_snapshot_tables_are_feature_major_and_flips_reach_render(mode):
+    """The snapshot stores its tables as one C-contiguous ``(F, L*T)``
+    float32 array seen through an ``(L, T, F)`` view, so the Stage II
+    gather copies nothing; in-place writers (SRAM flips) write through
+    the view into the store the render reads."""
+    model = _model()
+    renderer = pipeline.wrap_model(model, precision=mode)
+    lowp = renderer.compositor.lowp_field
+    tables = lowp.encoding.tables
+    n_levels, table_size, n_features = tables.shape
+    store = tables.base
+    assert store.shape == (n_features, n_levels * table_size)
+    assert store.dtype == np.float32 and store.flags.c_contiguous
+    gather_table = np.ascontiguousarray(tables.reshape(-1, n_features).T)
+    assert np.shares_memory(gather_table, store)
+    assert model.encoding.tables.flags.c_contiguous  # masters keep theirs
+    before = renderer.render_image(_camera(), _normalizer())
+    inject_model_faults(
+        lowp, SramFaultConfig(hash_table_bit_flips=64), np.random.default_rng(0)
+    )
+    assert lowp.encoding.tables.base is store
+    after = renderer.render_image(_camera(), _normalizer())
+    assert not np.array_equal(before, after)
+
+
 def test_fp16_flips_stay_fp16_words_in_snapshot_store():
     """Dense table flips (signalling NaNs among them) widen exactly into
     the snapshot's float32 store: every entry is still an fp16 word."""

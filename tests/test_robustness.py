@@ -1,5 +1,6 @@
 """Fault injection, graceful degradation, and divergence recovery."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.robustness import (
     DivergenceWatchdog,
     FaultConfigError,
     FaultPlan,
+    FleetFaultConfig,
     SramFaultConfig,
     TraceFaultConfig,
     WatchdogConfig,
@@ -32,6 +34,7 @@ from repro.robustness import (
     scrub_colors,
     scrub_trace,
 )
+from repro.sim.chip import ChipConfig, SingleChipAccelerator
 from repro.sim.multichip import MultiChipConfig, MultiChipSystem
 from repro.sim.trace import synthetic_trace
 
@@ -306,6 +309,42 @@ def test_scrub_trace_clamps_poison():
     # An already-clean trace comes back untouched, no copy.
     same, zero = scrub_trace(trace)
     assert same is trace and zero == 0
+
+
+def test_chip_scrubs_only_corrupted_traces_under_active_plan():
+    """A fleet-only plan still scrubs every simulated trace: a clean one
+    simulates as with no plan and logs nothing, a corrupted one has each
+    bad entry (NaN, inf, negative) zeroed in a copy and logged once."""
+    trace = traces(1)[0]
+    nan_trace = inject_trace_faults(
+        trace,
+        TraceFaultConfig(corrupt_fraction=0.2, mode="nan"),
+        FaultPlan(seed=7).rng("tr"),
+    )
+    poisoned = [list(p) for p in nan_trace.pair_durations]
+    poisoned[0][0] = float("inf")
+    poisoned[-1][-1] = -2.0
+    corrupted = dataclasses.replace(nan_trace, pair_durations=poisoned)
+    expected = [
+        [d if np.isfinite(d) and d >= 0 else 0.0 for d in p] for p in poisoned
+    ]
+    n_bad = sum(not (np.isfinite(d) and d >= 0) for p in poisoned for d in p)
+    scrubbed, n_scrubbed = scrub_trace(corrupted)
+    assert scrubbed.pair_durations == expected and n_scrubbed == n_bad > 2
+    assert np.array_equal(
+        scrubbed.samples_per_ray, [sum(p) for p in expected]
+    )
+    assert corrupted.pair_durations[0][0] == float("inf")  # input untouched
+    chip = SingleChipAccelerator(ChipConfig.scaled())
+    clean_report = chip.simulate(trace)
+    scrubbed_report = chip.simulate(scrubbed)
+    with plan_scope(FaultPlan(fleet=FleetFaultConfig(drop_reply_fraction=0.5))):
+        assert chip.simulate(trace) == clean_report
+        assert faults.get_log().entries == []
+        assert chip.simulate(corrupted) == scrubbed_report
+        assert faults.get_log().entries == [
+            {"site": "chip", "description": f"scrubbed {n_bad} corrupted trace entries"}
+        ]
 
 
 def test_scrub_colors():

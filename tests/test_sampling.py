@@ -5,7 +5,7 @@ import pytest
 
 from repro.nerf.aabb import intersect_unit_cube
 from repro.nerf.occupancy import OccupancyGrid
-from repro.nerf.sampling import RayMarcher, SamplerConfig, SamplingStats
+from repro.nerf.sampling import RayMarcher, SamplerConfig
 
 
 @pytest.fixture
@@ -119,23 +119,6 @@ def test_origin_inside_cube(marcher):
     assert np.all(batch.positions[:, 2] >= 0.5)
 
 
-def test_stats_from_batch(marcher):
-    o, d = _axis_rays(3)
-    grid = OccupancyGrid(resolution=4, threshold=0.5)
-    grid.density_ema[:] = 0.0
-    grid.mask[:] = False
-    grid.mask[1, 2, 2] = True
-    batch = marcher.sample(o, d, occupancy=grid)
-    stats = SamplingStats.from_batch(batch)
-    assert stats.kept == len(batch)
-    assert stats.candidates == batch.candidates
-    assert 0.0 < stats.keep_fraction < 1.0
-
-
-def test_stats_empty_batch_keep_fraction():
-    assert SamplingStats().keep_fraction == 0.0
-
-
 def _sweep_rays(seed: int, n: int):
     """Random rays around the cube, with zero and non-finite directions."""
     rng = np.random.default_rng(seed)
@@ -159,16 +142,11 @@ def test_march_invariants_sweep(seed, max_samples, live, jitter):
     origins, directions = _sweep_rays(seed, 257)
     grid = OccupancyGrid(resolution=(8, 16)[seed % 2])
     grid.mask = np.random.default_rng(seed + 10).random(grid.mask.shape) < live
-    config = SamplerConfig(max_samples=max_samples, jitter=jitter)
-    ungated_config = SamplerConfig(
-        max_samples=max_samples, jitter=jitter, use_occupancy=False
-    )
+    marcher = RayMarcher(SamplerConfig(max_samples=max_samples, jitter=jitter))
     ungated_rng = np.random.default_rng(seed)
-    ungated = RayMarcher(ungated_config).sample(
-        origins, directions, occupancy=grid, rng=ungated_rng
-    )
+    ungated = marcher.sample(origins, directions, occupancy=None, rng=ungated_rng)
     rng = np.random.default_rng(seed)
-    batch = RayMarcher(config).sample(origins, directions, occupancy=grid, rng=rng)
+    batch = marcher.sample(origins, directions, occupancy=grid, rng=rng)
 
     # The analytic candidate count is the ungated batch size.
     assert batch.candidates == ungated.candidates == len(ungated)
@@ -211,5 +189,3 @@ def test_march_invariants_sweep(seed, max_samples, live, jitter):
     assert batch.ray_idx.dtype == np.int64
     # The bench's sampling.kept_per_ray / keep_ratio bases.
     assert batch.samples_per_ray.sum() == len(batch)
-    stats = SamplingStats.from_batch(batch)
-    assert stats.kept == len(batch) and stats.candidates == batch.candidates
