@@ -8,6 +8,15 @@ math the model uses, which gives perfectly multi-view-consistent
 supervision a NeRF can actually fit.  What the hardware experiments need
 from a dataset is its *workload statistics* (occupancy sparsity, samples
 per ray), and those are directly controlled by the primitive layouts.
+
+The field is evaluated column-wise: a batch of ``(n, 3)`` points is
+transposed once into three contiguous coordinate columns and every
+primitive computes on those, so no kernel reduces over a length-3 row
+(NumPy walks such a reduction element by element).  Norms sum in the
+order ``np.linalg.norm(axis=-1)`` uses, so every value is bit-identical
+to the row-wise form.  :meth:`AnalyticScene.density_and_color` evaluates
+each primitive once for both outputs; :meth:`AnalyticScene.density`
+serves the occupancy fills that need no color.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import numpy as np
 
 from ..nerf.aabb import SceneNormalizer
 from ..nerf.camera import Camera, look_at
-from ..nerf.rays import generate_rays
+from ..nerf.rays import generate_rays, norm3
 from ..nerf.volume_rendering import composite
 
 
@@ -41,23 +50,43 @@ class Primitive:
     edge: float = 0.02
 
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
-        p = np.atleast_2d(points) - np.asarray(self.center)
+        """Signed distance (world units, negative inside) of ``(n, 3)`` points.
+
+        The kernel reads the three coordinate columns ``points.T``; they
+        are contiguous when ``points`` is the transpose of a C-ordered
+        ``(3, n)`` block, which is how :class:`AnalyticScene` passes them.
+        Norms go through :func:`~repro.nerf.rays.norm3`, so the result is
+        bit-identical to the row-wise ``np.linalg.norm(axis=-1)`` form.
+        """
+        x, y, z = np.atleast_2d(np.asarray(points, dtype=np.float64)).T
+        cx, cy, cz = self.center
+        x, y, z = x - cx, y - cy, z - cz
         if self.kind == "sphere":
-            return np.linalg.norm(p, axis=-1) - self.size[0]
+            return norm3(x, y, z) - self.size[0]
         if self.kind == "box":
-            q = np.abs(p) - np.asarray(self.size)
-            outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
-            inside = np.minimum(q.max(axis=-1), 0.0)
+            sx, sy, sz = self.size
+            qx, qy, qz = np.abs(x) - sx, np.abs(y) - sy, np.abs(z) - sz
+            outside = norm3(
+                np.maximum(qx, 0.0), np.maximum(qy, 0.0), np.maximum(qz, 0.0)
+            )
+            inside = np.minimum(np.maximum(np.maximum(qx, qy), qz), 0.0)
             return outside + inside
         if self.kind == "shell":
-            return np.abs(np.linalg.norm(p, axis=-1) - self.size[0]) - self.size[1]
+            return np.abs(norm3(x, y, z) - self.size[0]) - self.size[1]
         raise ValueError(f"unknown primitive kind {self.kind!r}")
 
     def density_at(self, points: np.ndarray) -> np.ndarray:
+        """Density of ``(n, 3)`` points: ``density`` inside, a linear ramp
+        to zero across the ``edge`` band around the surface."""
         sd = self.signed_distance(points)
         # Smooth step from full density inside to zero past the edge band.
         t = np.clip(-sd / self.edge, -1.0, 1.0)
         return self.density * 0.5 * (1.0 + t)
+
+
+def _columns(points: np.ndarray) -> np.ndarray:
+    """``(n, 3)`` points as one C-ordered float64 ``(3, n)`` column block."""
+    return np.ascontiguousarray(np.atleast_2d(points).T, dtype=np.float64)
 
 
 @dataclass
@@ -79,30 +108,47 @@ class AnalyticScene:
             raise ValueError("world_max must exceed world_min")
 
     def normalizer(self) -> SceneNormalizer:
+        """The isotropic map from this scene's world AABB to the unit cube."""
         return SceneNormalizer.from_aabb(self.world_min, self.world_max)
 
     def density(self, points: np.ndarray) -> np.ndarray:
         """World-space density: max over primitives (solid union)."""
-        points = np.atleast_2d(points)
-        total = np.zeros(points.shape[0])
+        columns = _columns(points)
+        total = np.zeros(columns.shape[1], dtype=np.float64)
         for prim in self.primitives:
-            np.maximum(total, prim.density_at(points), out=total)
+            np.maximum(total, prim.density_at(columns.T), out=total)
         return total
 
-    def color(self, points: np.ndarray) -> np.ndarray:
-        """World-space albedo: density-weighted blend of primitive colors
-        with a smooth positional modulation."""
-        points = np.atleast_2d(points)
-        n = points.shape[0]
-        weighted = np.zeros((n, 3))
-        weight = np.zeros(n)
+    def density_and_color(self, points: np.ndarray) -> tuple:
+        """World-space ``(density, albedo)`` of ``(n, 3)`` points.
+
+        Density is :meth:`density`'s union max.  Albedo is the
+        density-weighted blend of primitive colors (0.5 grey where no
+        primitive contributes) plus a smooth positional modulation,
+        clipped to [0, 1], as ``(n, 3)``.  Each primitive is evaluated
+        once per point for both outputs.
+        """
+        columns = _columns(points)
+        n = columns.shape[1]
+        total = np.zeros(n, dtype=np.float64)
+        weight = np.zeros(n, dtype=np.float64)
+        weighted = np.zeros((3, n), dtype=np.float64)
         for prim in self.primitives:
-            d = prim.density_at(points)
-            weighted += d[:, None] * np.asarray(prim.color)
+            d = prim.density_at(columns.T)
+            np.maximum(total, d, out=total)
+            for channel, value in zip(weighted, prim.color):
+                channel += d * value
             weight += d
-        base = np.where(weight[:, None] > 1e-9, weighted / np.maximum(weight, 1e-9)[:, None], 0.5)
-        mod = 0.15 * np.sin(self.color_frequency * np.pi * points).sum(axis=-1, keepdims=True)
-        return np.clip(base + mod, 0.0, 1.0)
+        blended = weight > 1e-9
+        safe_weight = np.maximum(weight, 1e-9)
+        x, y, z = columns
+        k = self.color_frequency * np.pi
+        mod = 0.15 * ((np.sin(k * x) + np.sin(k * y)) + np.sin(k * z))
+        color = np.empty((n, 3), dtype=np.float64)
+        for c, channel in enumerate(weighted):
+            base = np.where(blended, channel / safe_weight, 0.5)
+            color[:, c] = np.clip(base + mod, 0.0, 1.0)
+        return total, color
 
     def density_unit(self, unit_points: np.ndarray) -> np.ndarray:
         """Density sampled at normalized unit-cube coordinates."""
@@ -131,7 +177,7 @@ class AnalyticScene:
         # Fractional march positions shared by all rays; per-ray t values
         # stretch them over each ray's own entry/exit segment.
         fracs = (np.arange(n_steps) + 0.5) / n_steps
-        image = np.empty((n_rays, 3))
+        image = np.empty((n_rays, 3), dtype=np.float64)
         chunk = 4096
         for start in range(0, n_rays, chunk):
             stop = min(start + chunk, n_rays)
@@ -141,8 +187,7 @@ class AnalyticScene:
             pts = o[:, None, :] + ts[..., None] * d[:, None, :]
             flat = np.clip(pts.reshape(-1, 3), 0.0, 1.0)
             world = normalizer.from_unit(flat)
-            sigma = self.density(world)
-            rgb = self.color(world)
+            sigma, rgb = self.density_and_color(world)
             m = stop - start
             ray_idx = np.repeat(np.arange(m), n_steps)
             deltas = np.repeat(spans[start:stop] / n_steps, n_steps)
@@ -174,6 +219,7 @@ class SceneDataset:
 
     @property
     def name(self) -> str:
+        """Name of the analytic scene the images were rendered from."""
         return self.scene.name
 
     def split(self, n_train: int) -> tuple:

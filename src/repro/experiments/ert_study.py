@@ -44,8 +44,8 @@ def _analytic_render(scene, width=64, max_samples=192):
     world = normalizer.from_unit(batch.positions)
     # Optical depth is length-invariant: unit-space sigma = world sigma
     # divided by the normalization scale.
-    sigmas = scene.density(world) / normalizer.scale
-    rgbs = scene.color(world)
+    density, rgbs = scene.density_and_color(world)
+    sigmas = density / normalizer.scale
     result = composite(
         sigmas, rgbs, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays
     )

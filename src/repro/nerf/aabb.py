@@ -56,11 +56,25 @@ def intersect_aabb_general(
     inv_d = _safe_inverse(directions)
     t_low = (box_min - origins) * inv_d
     t_high = (box_max - origins) * inv_d
-    t_near = np.minimum(t_low, t_high).max(axis=-1)
-    t_far = np.maximum(t_low, t_high).min(axis=-1)
+    t_near, t_far = _slab_span(t_low, t_high)
     t0 = np.maximum(t_near, 0.0)
     hit = t_far > t0
     return t0, t_far, hit
+
+
+def _slab_span(t_low: np.ndarray, t_high: np.ndarray) -> tuple:
+    """``(t_near, t_far)`` of per-axis slab parameters ``(..., 3)``.
+
+    The max/min over the three axes is taken column by column: NumPy
+    reduces a length-3 trailing axis element by element, many times
+    slower than two binary ufuncs over whole columns, and max/min are
+    exact, so the result matches ``.max(axis=-1)``/``.min(axis=-1)``.
+    """
+    near = np.minimum(t_low, t_high)
+    far = np.maximum(t_low, t_high)
+    t_near = np.maximum(np.maximum(near[..., 0], near[..., 1]), near[..., 2])
+    t_far = np.minimum(np.minimum(far[..., 0], far[..., 1]), far[..., 2])
+    return t_near, t_far
 
 
 @dataclass(frozen=True)
@@ -77,6 +91,8 @@ class SceneNormalizer:
 
     @classmethod
     def from_aabb(cls, box_min, box_max, margin: float = 0.0) -> "SceneNormalizer":
+        """Fit the box's longest side, grown by ``margin``, to the unit
+        cube, centred on the box; raises ``ValueError`` on an empty box."""
         box_min = np.asarray(box_min, dtype=np.float64)
         box_max = np.asarray(box_max, dtype=np.float64)
         if np.any(box_max <= box_min):
@@ -87,9 +103,11 @@ class SceneNormalizer:
         return cls(offset=offset, scale=1.0 / span)
 
     def to_unit(self, points: np.ndarray) -> np.ndarray:
+        """World-space points to unit-cube coordinates (float64)."""
         return (np.asarray(points, dtype=np.float64) - self.offset) * self.scale
 
     def from_unit(self, points: np.ndarray) -> np.ndarray:
+        """Unit-cube coordinates back to world-space points (float64)."""
         return np.asarray(points, dtype=np.float64) / self.scale + self.offset
 
     def rays_to_unit(self, origins: np.ndarray, directions: np.ndarray) -> tuple:
@@ -125,8 +143,7 @@ def intersect_unit_cube(
         cube_max = np.asarray(cube_max, dtype=np.float64)
         t_low = (cube_min - origins) * inv_d
         t_high = (cube_max - origins) * inv_d
-    t_near = np.minimum(t_low, t_high).max(axis=-1)
-    t_far = np.maximum(t_low, t_high).min(axis=-1)
+    t_near, t_far = _slab_span(t_low, t_high)
     t0 = np.maximum(t_near, 0.0)
     hit = t_far > t0
     return t0, t_far, hit
@@ -165,6 +182,7 @@ class RayCubePairs:
 
     @property
     def pairs_per_ray(self) -> np.ndarray:
+        """``(n_rays,)`` count of octants each ray crosses (0 on a miss)."""
         return np.bincount(self.ray_idx, minlength=self.n_rays)
 
 
@@ -178,8 +196,7 @@ def intersect_octants(origins: np.ndarray, directions: np.ndarray) -> RayCubePai
     # Broadcast to (n_rays, 8, 3): one slab test per ray-octant pair.
     t_low = (mins[None] - origins[:, None]) * inv_d[:, None]
     t_high = (maxs[None] - origins[:, None]) * inv_d[:, None]
-    t_near = np.minimum(t_low, t_high).max(axis=-1)
-    t_far = np.maximum(t_low, t_high).min(axis=-1)
+    t_near, t_far = _slab_span(t_low, t_high)
     t0 = np.maximum(t_near, 0.0)
     hit = t_far > t0 + _EPS
     ray_idx, cube_idx = np.nonzero(hit)

@@ -50,8 +50,13 @@ class OccupancyGrid:
     def query(self, points: np.ndarray) -> np.ndarray:
         """Boolean occupancy of each point (points outside [0,1]^3 are
         clamped to the boundary cells)."""
+        return self.mask.reshape(-1).take(self._flat_cells(points))
+
+    def _flat_cells(self, points: np.ndarray) -> np.ndarray:
+        """C-order flat index ``(x*r + y)*r + z`` of each point's cell."""
+        r = self.resolution
         cells = self.cell_indices(points)
-        return self.mask[cells[:, 0], cells[:, 1], cells[:, 2]]
+        return (cells[:, 0] * r + cells[:, 1]) * r + cells[:, 2]
 
     def update(self, points: np.ndarray, densities: np.ndarray) -> None:
         """Fold sampled densities into the EMA and refresh the mask."""
@@ -61,10 +66,7 @@ class OccupancyGrid:
             raise ValueError("points and densities must align")
         self.density_ema *= self.ema_decay
         if points.shape[0]:
-            cells = self.cell_indices(points)
-            flat = np.ravel_multi_index(
-                (cells[:, 0], cells[:, 1], cells[:, 2]), self.mask.shape
-            )
+            flat = self._flat_cells(points)
             # Max-reduce densities into cells (match Instant-NGP: a cell is
             # as occupied as its densest observed sample).  The buffered
             # ``np.maximum.at`` is deliberate: NumPy >= 1.25 gives 1-D
@@ -183,7 +185,11 @@ def traverse_grid(
         # Distance to the next cell boundary along each axis.
         next_boundary = np.where(sd > 0, (cell + 1) / res, cell / res)
         t_axis = (next_boundary - o) / sd
-        t_next = t_axis.min(axis=1)
+        # Column-wise min: a reduction over the length-3 axis runs
+        # element by element, several times slower than two ufuncs.
+        t_next = np.minimum(
+            np.minimum(t_axis[:, 0], t_axis[:, 1]), t_axis[:, 2]
+        )
         t_new = np.maximum(t_next, t[live]) + eps
         t[live] = t_new
         live = live[t_new < t_ends[live]]

@@ -56,6 +56,17 @@ class RayBundle:
         )
 
 
+def norm3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Euclidean length from the three coordinate columns of vectors.
+
+    Sums ``(x*x + y*y) + z*z``, the order ``np.linalg.norm(v, axis=-1)``
+    uses on ``(n, 3)`` rows, so ``norm3(*v.T)`` is bit-identical to it;
+    NumPy reduces a length-3 trailing axis element by element, several
+    times slower than these whole-column ufuncs.
+    """
+    return np.sqrt((x * x + y * y) + z * z)
+
+
 def pixel_directions(camera: Camera, pixel_ids: np.ndarray) -> np.ndarray:
     """Unit world-space directions through the given flat pixel indices."""
     pixel_ids = np.asarray(pixel_ids, dtype=np.int64)
@@ -73,7 +84,7 @@ def pixel_directions(camera: Camera, pixel_ids: np.ndarray) -> np.ndarray:
         axis=-1,
     )
     world_dirs = cam_dirs @ camera.c2w[:3, :3].T
-    world_dirs /= np.linalg.norm(world_dirs, axis=-1, keepdims=True)
+    world_dirs /= norm3(*world_dirs.T)[:, None]
     return world_dirs
 
 

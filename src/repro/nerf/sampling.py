@@ -17,6 +17,7 @@ import numpy as np
 from .. import telemetry
 from .aabb import intersect_unit_cube
 from .occupancy import OccupancyGrid
+from .rays import norm3
 
 
 @dataclass
@@ -85,7 +86,7 @@ class RayMarcher:
         with tel.tracer.span("sampler.march"):
             origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
             directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-            norms = np.linalg.norm(directions, axis=-1, keepdims=True)
+            norms = norm3(*directions.T)[:, None]
             valid = np.isfinite(norms[:, 0]) & (norms[:, 0] > 0.0)
             if not valid.all():
                 # A zero-length or non-finite direction names no ray:

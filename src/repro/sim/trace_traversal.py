@@ -6,6 +6,7 @@ import numpy as np
 
 from ..nerf.aabb import intersect_unit_cube
 from ..nerf.occupancy import OccupancyGrid, traverse_grid
+from ..nerf.rays import norm3
 
 
 def count_cells_visited(
@@ -16,7 +17,7 @@ def count_cells_visited(
     """Total occupancy cells the rays' DDA walks visit."""
     origins = np.atleast_2d(origins)
     directions = np.atleast_2d(directions)
-    unit = directions / np.linalg.norm(directions, axis=-1, keepdims=True)
+    unit = directions / norm3(*directions.T)[:, None]
     t0, t1, hit = intersect_unit_cube(origins, unit)
     if not hit.any():
         return 0

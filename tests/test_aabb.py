@@ -165,3 +165,107 @@ def test_normalizer_is_isotropic():
 def test_normalizer_rejects_degenerate_box():
     with pytest.raises(ValueError):
         SceneNormalizer.from_aabb((1.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+
+
+# -- column-wise slab spans: bit-identical to the row-wise reductions ----------
+
+def _slab_rows(t_low, t_high):
+    """The length-3 trailing-axis reductions the column kernels replaced."""
+    return (
+        np.minimum(t_low, t_high).max(axis=-1),
+        np.maximum(t_low, t_high).min(axis=-1),
+    )
+
+
+def _safe_inverse_rows(d):
+    return 1.0 / np.where(np.abs(d) < 1e-12, np.copysign(1e-12, d + 1e-12), d)
+
+
+def _unit_cube_rows(o, d):
+    inv_d = _safe_inverse_rows(d)
+    prod = o * inv_d
+    t_near, t_far = _slab_rows(-prod, inv_d - prod)
+    t0 = np.maximum(t_near, 0.0)
+    return t0, t_far, t_far > t0
+
+
+def _box_rows(lo, hi):
+    """Row-wise slab test against the box ``[lo, hi]``."""
+
+    def reference(o, d):
+        inv_d = _safe_inverse_rows(d)
+        t_near, t_far = _slab_rows(
+            (np.asarray(lo) - o) * inv_d, (np.asarray(hi) - o) * inv_d
+        )
+        t0 = np.maximum(t_near, 0.0)
+        return t0, t_far, t_far > t0
+
+    return reference
+
+
+def _all_octants_rows(o, d):
+    inv_d = _safe_inverse_rows(d)
+    mins, maxs = octant_bounds()
+    t_near, t_far = _slab_rows(
+        (mins[None] - o[:, None]) * inv_d[:, None],
+        (maxs[None] - o[:, None]) * inv_d[:, None],
+    )
+    t0 = np.maximum(t_near, 0.0)
+    ray_idx, cube_idx = np.nonzero(t_far > t0 + 1e-12)
+    return ray_idx, cube_idx, t0[ray_idx, cube_idx], t_far[ray_idx, cube_idx]
+
+
+def _seeded_rays(seed):
+    """Rays around the unit cube: many miss it, every fifth, seventh and
+    eleventh direction has a zero component (the ``_safe_inverse``
+    path) and every thirteenth points straight down the z axis."""
+    rng = np.random.default_rng(seed)
+    o = rng.normal(0.5, 1.2, size=(3000, 3))
+    d = rng.normal(size=(3000, 3))
+    d[::5, 0] = 0.0
+    d[::7, 1] = 0.0
+    d[::11, 2] = 0.0
+    d[::13] = [0.0, 0.0, -1.0]
+    return o, d
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _octant_pairs(o, d):
+    pairs = intersect_octants(o, d)
+    return pairs.ray_idx, pairs.cube_idx, pairs.t0, pairs.t1
+
+
+_OCTANT = ([0.5, 0.0, 0.5], [1.0, 0.5, 1.0])
+_BOX = ([-0.3, 0.1, 0.2], [0.8, 1.4, 0.9])
+
+_SLAB_KERNELS = {
+    "unit_cube": (intersect_unit_cube, _unit_cube_rows),
+    "octant": (
+        lambda o, d: intersect_unit_cube(
+            o, d, cube_min=_OCTANT[0], cube_max=_OCTANT[1]
+        ),
+        _box_rows(*_OCTANT),
+    ),
+    "general": (
+        lambda o, d: intersect_aabb_general(o, d, *_BOX),
+        _box_rows(*_BOX),
+    ),
+    "octants": (_octant_pairs, _all_octants_rows),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kernel", sorted(_SLAB_KERNELS))
+def test_slab_tests_match_row_wise_reductions_bit_for_bit(kernel, seed):
+    new, reference = _SLAB_KERNELS[kernel]
+    o, d = _seeded_rays(seed)
+    got, expected = new(o, d), reference(o, d)
+    assert len(got) == len(expected)
+    assert all(_same_bits(a, b) for a, b in zip(got, expected))
+    # The batch must exercise hits and misses alike.
+    _, _, hit = _unit_cube_rows(o, d)
+    assert 0 < np.count_nonzero(hit) < len(o)

@@ -96,7 +96,7 @@ def test_scene_density_is_union_max():
 
 def test_scene_color_bounded(mic_dataset):
     pts = np.random.default_rng(0).uniform(-1, 1, (32, 3))
-    colors = mic_dataset.scene.color(pts)
+    _, colors = mic_dataset.scene.density_and_color(pts)
     assert np.all((colors >= 0.0) & (colors <= 1.0))
 
 
@@ -139,3 +139,92 @@ def test_nerf360_dataset_builds():
     ds = nerf360.make_dataset("stump", n_views=2, width=16, height=16, gt_steps=48)
     assert ds.images.shape == (2, 16, 16, 3)
     assert np.isfinite(ds.images).all()
+
+
+# -- column-wise analytic field: bit-identical to the row-wise kernels ---------
+
+_ALL_SCENES = [("synthetic", n) for n in synthetic.SYNTHETIC_SCENES] + [
+    ("nerf360", n) for n in nerf360.NERF360_SCENES
+]
+
+
+def _make(family, name):
+    return (synthetic if family == "synthetic" else nerf360).make_scene(name)
+
+
+def _probe_points(scene):
+    """Seeded points inside and around the AABB, every primitive's centre
+    and one point on each primitive's surface."""
+    rng = np.random.default_rng(7)
+    margin = 0.25 * (scene.world_max - scene.world_min)
+    around = rng.uniform(
+        scene.world_min - margin, scene.world_max + margin, size=(2048, 3)
+    )
+    centres = np.array([p.center for p in scene.primitives], dtype=np.float64)
+    surface = centres + np.array(
+        [[p.size[0], 0.0, 0.0] for p in scene.primitives]
+    )
+    return np.concatenate([around, centres, surface])
+
+
+def _signed_distance_rows(prim, points):
+    """The row-wise signed distance the column kernel replaced."""
+    p = np.atleast_2d(points) - np.asarray(prim.center)
+    if prim.kind == "sphere":
+        return np.linalg.norm(p, axis=-1) - prim.size[0]
+    if prim.kind == "box":
+        q = np.abs(p) - np.asarray(prim.size)
+        outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
+        inside = np.minimum(q.max(axis=-1), 0.0)
+        return outside + inside
+    return np.abs(np.linalg.norm(p, axis=-1) - prim.size[0]) - prim.size[1]
+
+
+def _density_at_rows(prim, points):
+    t = np.clip(-_signed_distance_rows(prim, points) / prim.edge, -1.0, 1.0)
+    return prim.density * 0.5 * (1.0 + t)
+
+
+def _density_and_color_rows(scene, points):
+    """The row-wise ``density`` and ``color`` the one-pass kernel replaced."""
+    points = np.atleast_2d(points)
+    n = points.shape[0]
+    total = np.zeros(n)
+    weighted = np.zeros((n, 3))
+    weight = np.zeros(n)
+    for prim in scene.primitives:
+        d = _density_at_rows(prim, points)
+        np.maximum(total, d, out=total)
+        weighted += d[:, None] * np.asarray(prim.color)
+        weight += d
+    base = np.where(
+        weight[:, None] > 1e-9,
+        weighted / np.maximum(weight, 1e-9)[:, None],
+        0.5,
+    )
+    mod = 0.15 * np.sin(scene.color_frequency * np.pi * points).sum(
+        axis=-1, keepdims=True
+    )
+    return total, np.clip(base + mod, 0.0, 1.0)
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "family,name", _ALL_SCENES, ids=[n for _, n in _ALL_SCENES]
+)
+def test_analytic_field_matches_row_wise_kernels_bit_for_bit(family, name):
+    scene = _make(family, name)
+    points = _probe_points(scene)
+    for prim in scene.primitives:
+        _assert_same_bits(
+            prim.signed_distance(points), _signed_distance_rows(prim, points)
+        )
+    density, color = scene.density_and_color(points)
+    ref_density, ref_color = _density_and_color_rows(scene, points)
+    _assert_same_bits(density, ref_density)
+    _assert_same_bits(color, ref_color)
+    _assert_same_bits(scene.density(points), ref_density)

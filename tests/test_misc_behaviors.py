@@ -75,7 +75,7 @@ def test_scene_color_neutral_in_empty_space():
         world_max=(1, 1, 1),
         color_frequency=0.0,
     )
-    far = scene.color(np.array([[-0.9, -0.9, -0.9]]))
+    _, far = scene.density_and_color(np.array([[-0.9, -0.9, -0.9]]))
     assert np.allclose(far, 0.5)  # neutral albedo where nothing contributes
 
 

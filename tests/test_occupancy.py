@@ -156,3 +156,75 @@ def test_traverse_validates_alignment():
             np.zeros((2, 3)), np.ones((2, 3)), grid,
             np.zeros(1), np.ones(2),
         )
+
+
+# -- column-wise grid kernels: bit-identical to the row-wise forms -------------
+
+def _traverse_rows(origins, directions, grid, t_starts, t_ends):
+    """The DDA walk with its per-step minimum over the length-3 row axis,
+    as the column kernel replaced it."""
+    res = grid.resolution
+    counts = np.zeros(origins.shape[0], dtype=np.int64)
+    t = np.maximum(t_starts, 0.0) + 1e-9
+    safe_dir = np.where(np.abs(directions) < 1e-12, 1e-12, directions)
+    live = np.flatnonzero(t < t_ends)
+    for _ in range(3 * res + 2):
+        if live.size == 0:
+            break
+        counts[live] += 1
+        o = origins[live]
+        sd = safe_dir[live]
+        pos = o + t[live, None] * directions[live]
+        cell = np.clip(np.floor(pos * res), 0, res - 1)
+        next_boundary = np.where(sd > 0, (cell + 1) / res, cell / res)
+        t_next = ((next_boundary - o) / sd).min(axis=1)
+        t_new = np.maximum(t_next, t[live]) + 1e-9
+        t[live] = t_new
+        live = live[t_new < t_ends[live]]
+    return counts
+
+
+def _seeded_grid(resolution, seed):
+    rng = np.random.default_rng(seed)
+    grid = OccupancyGrid(resolution=resolution, threshold=0.5)
+    grid.update(rng.random((4 * resolution**3, 3)), rng.random(4 * resolution**3))
+    return grid, rng
+
+
+@pytest.mark.parametrize("resolution", [1, 5, 24])
+def test_traverse_grid_matches_row_wise_min(resolution):
+    from repro.nerf.aabb import intersect_unit_cube
+    from repro.nerf.occupancy import traverse_grid
+
+    grid, rng = _seeded_grid(resolution, seed=resolution)
+    origins = rng.normal(0.5, 1.0, size=(2000, 3))
+    directions = rng.normal(size=(2000, 3))
+    directions[::9, 1] = 0.0
+    directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
+    t0, t1, hit = intersect_unit_cube(origins, directions)
+    args = (origins[hit], directions[hit], grid, t0[hit], t1[hit])
+    counts = traverse_grid(*args)
+    assert np.array_equal(counts, _traverse_rows(*args))
+    assert hit.sum() > 100 and np.all(counts >= 1)
+
+
+@pytest.mark.parametrize("resolution", [1, 5, 24])
+def test_query_and_update_match_strided_indexing(resolution):
+    grid, rng = _seeded_grid(resolution, seed=resolution)
+    # Points inside and outside [0, 1]^3, in both float widths the
+    # callers pass.
+    points = rng.uniform(-0.5, 1.5, size=(5000, 3))
+    for p in (points, points.astype(np.float32)):
+        cells = grid.cell_indices(p)
+        expected = grid.mask[cells[:, 0], cells[:, 1], cells[:, 2]]
+        assert np.array_equal(grid.query(p), expected)
+    densities = rng.random(5000).astype(np.float32)
+    cells = grid.cell_indices(points)
+    flat = np.ravel_multi_index(
+        (cells[:, 0], cells[:, 1], cells[:, 2]), grid.mask.shape
+    )
+    updates = np.zeros(grid.n_cells, dtype=np.float32)
+    np.maximum.at(updates, flat, densities)
+    expected_ema = np.maximum(grid.density_ema.reshape(-1) * grid.ema_decay, updates)
+    grid.update(points, densities)
+    assert grid.density_ema.reshape(-1).tobytes() == expected_ema.tobytes()

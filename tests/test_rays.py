@@ -9,6 +9,7 @@ from repro.nerf.rays import (
     RayBundle,
     RayTable,
     generate_rays,
+    norm3,
     pixel_directions,
 )
 
@@ -152,3 +153,37 @@ def test_ray_table_add_view_rejects_mismatched_shapes(mic_dataset):
     with pytest.raises(ValueError, match="pixels"):
         table.add_view(small, mic_dataset.images[0])
     assert len(table.cameras) == 2
+
+
+# -- column-wise direction norm: bit-identical to np.linalg.norm ---------------
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_norm3_matches_linalg_norm_bit_for_bit(scale, dtype):
+    rng = np.random.default_rng(3)
+    v = (rng.normal(size=(4000, 3)) * scale).astype(dtype)
+    v[::5, 0] = 0.0
+    v[::7, 2] = 0.0
+    v[::11] = 0.0
+    got = norm3(*v.T)
+    expected = np.linalg.norm(v, axis=-1)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("eye", [(0, -3, 0), (2.0, 1.5, -0.7), (0, 0, 4)])
+def test_pixel_directions_match_row_wise_norm(eye):
+    camera = Camera(width=17, height=11, focal=13.0, c2w=look_at(eye, (0, 0, 0)))
+    ids = np.arange(camera.n_pixels)
+    ys, xs = np.divmod(ids, camera.width)
+    cam_dirs = np.stack(
+        [
+            (xs + 0.5 - camera.width / 2.0) / camera.focal,
+            -(ys + 0.5 - camera.height / 2.0) / camera.focal,
+            -np.ones_like(xs, dtype=np.float64),
+        ],
+        axis=-1,
+    )
+    expected = cam_dirs @ camera.c2w[:3, :3].T
+    expected /= np.linalg.norm(expected, axis=-1, keepdims=True)
+    assert pixel_directions(camera, ids).tobytes() == expected.tobytes()

@@ -52,6 +52,8 @@ HOT_MODULES = (
     "src/repro/nerf/volume_rendering.py",
     "src/repro/nerf/early_termination.py",
     "src/repro/nerf/occupancy.py",
+    "src/repro/nerf/aabb.py",
+    "src/repro/datasets/generator.py",
     "src/repro/nerf/precision.py",
     "src/repro/sim/trace.py",
     "src/repro/pipeline/renderer.py",

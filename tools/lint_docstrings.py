@@ -3,7 +3,7 @@
 
 Usage::
 
-    python tools/lint_docstrings.py [package ...]   # default: repro.parallel repro.experiments repro.serve repro.perf repro.obs
+    python tools/lint_docstrings.py [package ...]   # default: DEFAULT_PACKAGES below
 
 Walks every ``.py`` file of the named packages (via the AST — nothing is
 imported, so the lint is safe on broken code) and reports each *public*
@@ -36,6 +36,8 @@ DEFAULT_PACKAGES = (
     "repro.online",
     "repro.nerf.precision",
     "repro.nerf.sampling",
+    "repro.nerf.aabb",
+    "repro.datasets",
 )
 
 # Runnable straight from a checkout: the in-tree `src/` layout sits next
