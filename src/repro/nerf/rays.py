@@ -67,6 +67,22 @@ def norm3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.sqrt((x * x + y * y) + z * z)
 
 
+def unit_directions(directions: np.ndarray) -> tuple:
+    """``(unit, valid)`` for ``(n, 3)`` ray directions.
+
+    ``unit`` is each direction over its :func:`norm3` length; ``valid``
+    marks the rows whose length is finite and nonzero.  An invalid row
+    names no ray: it gets the placeholder ``+z`` instead of a division by
+    its norm, and callers treat it as a miss.
+    """
+    norms = norm3(*directions.T)[:, None]
+    valid = np.isfinite(norms[:, 0]) & (norms[:, 0] > 0.0)
+    if not valid.all():
+        directions = np.where(valid[:, None], directions, [0.0, 0.0, 1.0])
+        norms = np.where(valid[:, None], norms, 1.0)
+    return directions / norms, valid
+
+
 def pixel_directions(camera: Camera, pixel_ids: np.ndarray) -> np.ndarray:
     """Unit world-space directions through the given flat pixel indices."""
     pixel_ids = np.asarray(pixel_ids, dtype=np.int64)

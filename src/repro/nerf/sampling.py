@@ -17,7 +17,7 @@ import numpy as np
 from .. import telemetry
 from .aabb import intersect_unit_cube
 from .occupancy import OccupancyGrid
-from .rays import norm3
+from .rays import unit_directions
 
 
 @dataclass
@@ -85,16 +85,9 @@ class RayMarcher:
         tel = telemetry.get_session()
         with tel.tracer.span("sampler.march"):
             origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
-            directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-            norms = norm3(*directions.T)[:, None]
-            valid = np.isfinite(norms[:, 0]) & (norms[:, 0] > 0.0)
-            if not valid.all():
-                # A zero-length or non-finite direction names no ray:
-                # march it as a miss (zero samples) through a placeholder
-                # unit direction instead of dividing by its norm.
-                directions = np.where(valid[:, None], directions, [0.0, 0.0, 1.0])
-                norms = np.where(valid[:, None], norms, 1.0)
-            directions = directions / norms
+            directions, valid = unit_directions(
+                np.atleast_2d(np.asarray(directions, dtype=np.float64))
+            )
             n_rays = origins.shape[0]
             t0, t1, hit = intersect_unit_cube(origins, directions)
             hit &= valid

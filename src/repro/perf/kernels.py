@@ -27,6 +27,11 @@ from .timing import time_pair
 #: Bench RNG seed — fixed so recorded numbers are workload-reproducible.
 SEED = 1234
 
+#: Wall time each bench spreads its interleaved pairs over (seconds, at
+#: least): a machine-wide slowdown shorter than this leaves some pairs
+#: clean, and the best-of estimator keeps those.
+PAIR_BUDGET_S = 1.0
+
 
 def _bench_encoding(smoke: bool) -> tuple:
     """Shared hash-encoding workload: ``(encoding, reference, points)``."""
@@ -51,6 +56,7 @@ def bench_hash_forward(smoke: bool = False) -> dict:
         lambda: ref.forward(points),
         lambda: opt.forward(points),
         repeats=3 if smoke else 5,
+        budget_s=PAIR_BUDGET_S,
     )
     return dict(timing.as_record(), renderer="ngp")
 
@@ -66,6 +72,7 @@ def bench_hash_backward(smoke: bool = False) -> dict:
         lambda: ref.backward(grad, ref_trace),
         lambda: opt.backward(grad, opt_trace),
         repeats=3 if smoke else 5,
+        budget_s=PAIR_BUDGET_S,
     )
     return dict(timing.as_record(), renderer="ngp")
 
@@ -82,7 +89,10 @@ def bench_hash_fwd_bwd(smoke: bool = False) -> dict:
         encoding.backward(grad, trace)
 
     timing = time_pair(
-        lambda: run(ref), lambda: run(opt), repeats=3 if smoke else 5
+        lambda: run(ref),
+        lambda: run(opt),
+        repeats=3 if smoke else 5,
+        budget_s=PAIR_BUDGET_S,
     )
     return dict(timing.as_record(), renderer="ngp")
 
@@ -111,6 +121,7 @@ def bench_tensorf_forward(smoke: bool = False) -> dict:
         lambda: ref.forward(points),
         lambda: opt.forward(points),
         repeats=3 if smoke else 5,
+        budget_s=PAIR_BUDGET_S,
     )
     return dict(timing.as_record(), renderer="tensorf")
 
@@ -128,7 +139,10 @@ def bench_tensorf_fwd_bwd(smoke: bool = False) -> dict:
         encoding.backward(grad, trace)
 
     timing = time_pair(
-        lambda: run(ref), lambda: run(opt), repeats=3 if smoke else 5
+        lambda: run(ref),
+        lambda: run(opt),
+        repeats=3 if smoke else 5,
+        budget_s=PAIR_BUDGET_S,
     )
     return dict(timing.as_record(), renderer="tensorf")
 
@@ -172,6 +186,7 @@ def bench_precision_field_fwd(smoke: bool = False) -> dict:
         lambda: model.forward(points, directions),
         lambda: lowp.forward(points, directions),
         repeats=15 if smoke else 5,
+        budget_s=PAIR_BUDGET_S,
     )
     return dict(timing.as_record(), renderer="ngp", precision=lowp.precision)
 
@@ -190,6 +205,7 @@ def bench_scatter_add(smoke: bool = False) -> dict:
         lambda: reference.scatter_add_reference(values, ray_idx, n_rays),
         lambda: segment_sum(values, ray_idx, n_rays),
         repeats=15 if smoke else 5,
+        budget_s=PAIR_BUDGET_S,
     )
     return timing.as_record()
 
@@ -211,6 +227,7 @@ def bench_trace_pair_durations(smoke: bool = False) -> dict:
         ),
         lambda: distribute_samples_over_pairs(pair_ray_idx, spans, kept, n_rays),
         repeats=15,
+        budget_s=PAIR_BUDGET_S,
     )
     return timing.as_record()
 
@@ -232,6 +249,7 @@ def bench_dynamic_schedule(smoke: bool = False) -> dict:
         lambda: reference.schedule_dynamic_reference(groups, 16),
         lambda: schedule_dynamic(groups, 16),
         repeats=15,
+        budget_s=PAIR_BUDGET_S,
     )
     return timing.as_record()
 

@@ -58,7 +58,9 @@ class PairedTiming:
         }
 
 
-def time_pair(ref_fn, opt_fn, repeats: int = 5, warmup: int = 1) -> PairedTiming:
+def time_pair(
+    ref_fn, opt_fn, repeats: int = 5, warmup: int = 1, budget_s: float = 0.0
+) -> PairedTiming:
     """Time ``ref_fn`` and ``opt_fn`` interleaved (same process/state).
 
     Repeats alternate ref/opt rather than running each side's block
@@ -66,6 +68,11 @@ def time_pair(ref_fn, opt_fn, repeats: int = 5, warmup: int = 1) -> PairedTiming
     frequency scaling, a neighboring process) lands on both sides of
     the pair instead of skewing one — the best-of estimator then keeps
     the ratio stable even on busy machines.
+
+    At least ``repeats`` pairs run, and pairs keep running until
+    ``budget_s`` seconds have passed since the first timed one started:
+    the pairs then span a fixed wall-time window, so a slowdown shorter
+    than the window cannot touch every pair.
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
@@ -74,7 +81,10 @@ def time_pair(ref_fn, opt_fn, repeats: int = 5, warmup: int = 1) -> PairedTiming
     for _ in range(warmup):
         opt_fn()
     best_ref = best_opt = float("inf")
-    for _ in range(repeats):
+    done = 0
+    deadline = time.perf_counter() + budget_s
+    while done < repeats or time.perf_counter() < deadline:
+        done += 1
         start = time.perf_counter()
         ref_fn()
         best_ref = min(best_ref, time.perf_counter() - start)

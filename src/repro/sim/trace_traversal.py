@@ -6,7 +6,7 @@ import numpy as np
 
 from ..nerf.aabb import intersect_unit_cube
 from ..nerf.occupancy import OccupancyGrid, traverse_grid
-from ..nerf.rays import norm3
+from ..nerf.rays import unit_directions
 
 
 def count_cells_visited(
@@ -14,11 +14,15 @@ def count_cells_visited(
     directions: np.ndarray,
     occupancy: OccupancyGrid,
 ) -> int:
-    """Total occupancy cells the rays' DDA walks visit."""
+    """Total occupancy cells the rays' DDA walks visit.
+
+    A ray whose direction has zero or non-finite length is a miss that
+    visits no cell, as in :meth:`~repro.nerf.sampling.RayMarcher.sample`.
+    """
     origins = np.atleast_2d(origins)
-    directions = np.atleast_2d(directions)
-    unit = directions / norm3(*directions.T)[:, None]
+    unit, valid = unit_directions(np.atleast_2d(directions))
     t0, t1, hit = intersect_unit_cube(origins, unit)
+    hit &= valid
     if not hit.any():
         return 0
     counts = traverse_grid(

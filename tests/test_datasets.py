@@ -228,3 +228,178 @@ def test_analytic_field_matches_row_wise_kernels_bit_for_bit(family, name):
     _assert_same_bits(density, ref_density)
     _assert_same_bits(color, ref_color)
     _assert_same_bits(scene.density(points), ref_density)
+
+
+# -- support culling: bit-identical to every primitive at every point ----------
+
+
+def _support_points(scene):
+    """Seeded points in and around every primitive's support box, and
+    points on each face of the box (its centre and seeded points across
+    it) exactly on the bound and one ulp either side of it."""
+    rng = np.random.default_rng(11)
+    chunks = []
+    for prim in scene.primitives:
+        lo, hi = prim.support
+        span = hi - lo
+        chunks.append(rng.uniform(lo - 0.25 * span, hi + 0.25 * span, (512, 3)))
+        for axis in range(3):
+            for bound in (lo[axis], hi[axis]):
+                face = np.concatenate(
+                    [[np.asarray(prim.center, dtype=np.float64)],
+                     rng.uniform(lo, hi, (31, 3))]
+                )
+                for value in (
+                    np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf)
+                ):
+                    on_face = face.copy()
+                    on_face[:, axis] = value
+                    chunks.append(on_face)
+    return np.concatenate(chunks)
+
+
+def _non_finite_points(scene):
+    """NaN and ±inf in each coordinate of points inside every support."""
+    centres = np.array([p.center for p in scene.primitives], dtype=np.float64)
+    chunks = []
+    for value in (np.nan, np.inf, -np.inf):
+        for axis in range(3):
+            points = centres.copy()
+            points[:, axis] = value
+            chunks.append(points)
+    return np.concatenate(chunks)
+
+
+@pytest.mark.parametrize(
+    "family,name", _ALL_SCENES, ids=[n for _, n in _ALL_SCENES]
+)
+def test_support_culling_matches_every_primitive_everywhere(family, name):
+    scene = _make(family, name)
+    points = _support_points(scene)
+    ref_density, ref_color = _density_and_color_rows(scene, points)
+    assert (ref_density > 0.0).any() and (ref_density == 0.0).any()
+    density, color = scene.density_and_color(points)
+    _assert_same_bits(density, ref_density)
+    _assert_same_bits(color, ref_color)
+    _assert_same_bits(scene.density(points), ref_density)
+
+
+@pytest.mark.parametrize(
+    "family,name", _ALL_SCENES, ids=[n for _, n in _ALL_SCENES]
+)
+def test_support_culling_keeps_nan_and_inf_points(family, name):
+    scene = _make(family, name)
+    points = _non_finite_points(scene)
+    # sin(±inf) in the color modulation is NaN on both sides.
+    with np.errstate(invalid="ignore"):
+        ref_density, ref_color = _density_and_color_rows(scene, points)
+        density, color = scene.density_and_color(points)
+    n = len(scene.primitives)
+    assert np.isnan(ref_density[: 3 * n]).all()
+    assert (ref_density[3 * n :] == 0.0).all()
+    _assert_same_bits(density, ref_density)
+    _assert_same_bits(color, ref_color)
+    _assert_same_bits(scene.density(points), ref_density)
+
+
+def _render_reference(scene, camera, n_steps):
+    """The dense ground-truth march as it stood before support culling:
+    ``(n, 3)`` sample points, clipped and mapped to world space, then
+    every primitive evaluated at every point."""
+    from repro.nerf.aabb import intersect_unit_cube
+    from repro.nerf.rays import generate_rays
+    from repro.nerf.volume_rendering import composite
+
+    normalizer = scene.normalizer()
+    rays = generate_rays(camera)
+    origins, directions = normalizer.rays_to_unit(rays.origins, rays.directions)
+    n_rays = len(rays)
+    t0, t1, hit = intersect_unit_cube(origins, directions)
+    spans = np.where(hit, t1 - t0, 0.0)
+    fracs = (np.arange(n_steps) + 0.5) / n_steps
+    image = np.empty((n_rays, 3), dtype=np.float64)
+    chunk = 4096
+    for start in range(0, n_rays, chunk):
+        stop = min(start + chunk, n_rays)
+        o = origins[start:stop]
+        d = directions[start:stop]
+        ts = t0[start:stop, None] + fracs[None, :] * spans[start:stop, None]
+        pts = o[:, None, :] + ts[..., None] * d[:, None, :]
+        flat = np.clip(pts.reshape(-1, 3), 0.0, 1.0)
+        world = normalizer.from_unit(flat)
+        sigma, rgb = _density_and_color_rows(scene, world)
+        m = stop - start
+        ray_idx = np.repeat(np.arange(m), n_steps)
+        deltas = np.repeat(spans[start:stop] / n_steps, n_steps)
+        result = composite(
+            sigma, rgb, deltas, ts.reshape(-1), ray_idx, m,
+            background=scene.background,
+        )
+        image[start:stop] = result.colors
+    return np.clip(image, 0.0, 1.0).reshape(camera.height, camera.width, 3)
+
+
+def _view(scene, width, height):
+    from repro.nerf.camera import Camera, look_at
+
+    centre = (scene.world_min + scene.world_max) / 2.0
+    eye = centre + (scene.world_max - scene.world_min) * np.array([0.9, 0.5, 0.4])
+    return Camera(
+        width=width, height=height, focal=1.1 * width, c2w=look_at(eye, centre)
+    )
+
+
+@pytest.mark.parametrize(
+    "family,name", _ALL_SCENES, ids=[n for _, n in _ALL_SCENES]
+)
+def test_ground_truth_view_matches_dense_march(family, name):
+    scene = _make(family, name)
+    camera = _view(scene, 24, 24)
+    image = scene.render(camera, n_steps=64)
+    _assert_same_bits(image, _render_reference(scene, camera, 64))
+    assert image.min() < 0.9  # the view sees the scene, not just background
+
+
+def test_ground_truth_view_matches_dense_march_across_chunks():
+    """4608 rays: a full 4096-ray chunk and a short one."""
+    scene = synthetic.make_scene("mic")
+    camera = _view(scene, 72, 64)
+    _assert_same_bits(
+        scene.render(camera, n_steps=8), _render_reference(scene, camera, 8)
+    )
+
+
+def test_support_bounds_each_kind():
+    box = Primitive("box", (1.0, 0.0, -1.0), (0.5, 0.25, 0.125), (1, 0, 0), edge=0.1)
+    sphere = Primitive("sphere", (0.0, 0.0, 0.0), (0.5,), (1, 0, 0), edge=0.1)
+    shell = Primitive("shell", (0.0, 2.0, 0.0), (0.5, 0.1), (1, 0, 0), edge=0.1)
+    for prim, half in ((box, [0.6, 0.35, 0.225]), (sphere, [0.6] * 3), (shell, [0.7] * 3)):
+        lo, hi = prim.support
+        centre = np.asarray(prim.center)
+        np.testing.assert_allclose(hi - centre, half, rtol=1e-8)
+        np.testing.assert_allclose(centre - lo, half, rtol=1e-8)
+        assert (hi - centre > half).all() and (centre - lo > half).all()
+    with pytest.raises(ValueError):
+        Primitive("torus", (0, 0, 0), (0.5,), (1, 0, 0)).support
+
+
+#: Bound on the traced peak of one warm 32x32, 192-step ground-truth view.
+#: The view measures 27.2 MiB with its coordinates in one ``(3, n)`` block
+#: and the field on each primitive's support; the dense ``(n, 3)`` march
+#: with every primitive at every point measured 45.2 MiB.
+GT_VIEW_PEAK_BYTES = 32 * 2**20
+
+
+def test_ground_truth_view_peak_memory():
+    import tracemalloc
+
+    scene = synthetic.make_scene("lego")
+    camera = _view(scene, 32, 32)
+    scene.render(camera)
+    tracemalloc.start()
+    try:
+        scene.render(camera)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < GT_VIEW_PEAK_BYTES, f"peak {peak / 2**20:.1f} MiB"

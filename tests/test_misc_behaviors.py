@@ -35,6 +35,25 @@ def test_count_cells_visited_positive_for_crossing_rays():
     assert total >= 8
 
 
+def test_count_cells_visited_zero_and_nan_directions_are_misses():
+    """A zero-length or NaN direction visits no cell and warns nothing;
+    the other rays' counts are those of a batch without it."""
+    rng = np.random.default_rng(5)
+    grid = OccupancyGrid(resolution=8)
+    origins = rng.uniform(-0.5, 1.5, size=(64, 3))
+    directions = rng.normal(size=(64, 3))
+    bad = np.array([3, 17, 40])
+    directions[bad[0]] = 0.0
+    directions[bad[1]] = [np.nan, 0.5, 0.5]
+    directions[bad[2]] = [np.nan, np.nan, np.nan]
+    good = np.setdiff1d(np.arange(64), bad)
+    with np.errstate(all="raise"):
+        total = count_cells_visited(origins, directions, grid)
+        assert count_cells_visited(origins[bad], directions[bad], grid) == 0
+    assert total == count_cells_visited(origins[good], directions[good], grid)
+    assert total > 0
+
+
 def test_workload_volume_inference_duration_scales():
     one = WorkloadVolume.realtime_inference(duration_s=1.0)
     two = WorkloadVolume.realtime_inference(duration_s=2.0)

@@ -1,6 +1,7 @@
 """The perf harness: timing primitives, payloads, and the CI gate."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -47,6 +48,20 @@ def test_time_pair_runs_both_sides():
     )
     assert ran == {"ref": 3, "opt": 3}
     assert timing.ref_s >= 0.0 and timing.opt_s >= 0.0
+
+
+def test_time_pair_spreads_pairs_over_its_budget():
+    ran = {"ref": 0, "opt": 0}
+    start = time.perf_counter()
+    time_pair(
+        lambda: ran.__setitem__("ref", ran["ref"] + 1),
+        lambda: ran.__setitem__("opt", ran["opt"] + 1),
+        repeats=2,
+        warmup=1,
+        budget_s=0.05,
+    )
+    assert time.perf_counter() - start >= 0.05
+    assert ran["ref"] == ran["opt"] > 3
 
 
 def test_bench_registries_are_populated():
