@@ -156,10 +156,15 @@ class AnalyticScene:
     def _on_support(self, columns: np.ndarray):
         """Yield ``(primitive, idx, density)`` for every primitive whose
         :attr:`~Primitive.support` holds any of the ``(3, n)`` points:
-        ``idx`` are the flat indices of the points inside it (a NaN
-        coordinate counts as inside, so a NaN point stays NaN) and
-        ``density`` its :meth:`~Primitive.density_at` on them."""
+        ``idx`` are the flat indices of the points inside it (a point
+        with a NaN in any coordinate counts as inside every box, so it
+        stays NaN) and ``density`` its :meth:`~Primitive.density_at` on
+        them."""
         x, y, z = columns
+        nan = None
+        # ``min`` propagates NaN, so finite input pays for no mask.
+        if np.isnan(columns.min(initial=np.inf)):
+            nan = np.flatnonzero(np.isnan(columns).any(axis=0))
         for prim in self.primitives:
             lo, hi = prim.support
             outside = x < lo[0]
@@ -168,6 +173,8 @@ class AnalyticScene:
             outside |= y > hi[1]
             outside |= z < lo[2]
             outside |= z > hi[2]
+            if nan is not None:
+                outside[nan] = False
             idx = np.flatnonzero(np.logical_not(outside, out=outside))
             if idx.size:
                 yield prim, idx, prim.density_at(columns[:, idx].T)

@@ -27,11 +27,6 @@ from .timing import time_pair
 #: Bench RNG seed — fixed so recorded numbers are workload-reproducible.
 SEED = 1234
 
-#: Wall time each bench spreads its interleaved pairs over (seconds, at
-#: least): a machine-wide slowdown shorter than this leaves some pairs
-#: clean, and the best-of estimator keeps those.
-PAIR_BUDGET_S = 1.0
-
 
 def _bench_encoding(smoke: bool) -> tuple:
     """Shared hash-encoding workload: ``(encoding, reference, points)``."""
@@ -55,8 +50,6 @@ def bench_hash_forward(smoke: bool = False) -> dict:
     timing = time_pair(
         lambda: ref.forward(points),
         lambda: opt.forward(points),
-        repeats=3 if smoke else 5,
-        budget_s=PAIR_BUDGET_S,
     )
     return dict(timing.as_record(), renderer="ngp")
 
@@ -71,8 +64,6 @@ def bench_hash_backward(smoke: bool = False) -> dict:
     timing = time_pair(
         lambda: ref.backward(grad, ref_trace),
         lambda: opt.backward(grad, opt_trace),
-        repeats=3 if smoke else 5,
-        budget_s=PAIR_BUDGET_S,
     )
     return dict(timing.as_record(), renderer="ngp")
 
@@ -88,12 +79,7 @@ def bench_hash_fwd_bwd(smoke: bool = False) -> dict:
         _, trace = encoding.forward(points)
         encoding.backward(grad, trace)
 
-    timing = time_pair(
-        lambda: run(ref),
-        lambda: run(opt),
-        repeats=3 if smoke else 5,
-        budget_s=PAIR_BUDGET_S,
-    )
+    timing = time_pair(lambda: run(ref), lambda: run(opt))
     return dict(timing.as_record(), renderer="ngp")
 
 
@@ -121,7 +107,6 @@ def bench_tensorf_forward(smoke: bool = False) -> dict:
         lambda: ref.forward(points),
         lambda: opt.forward(points),
         repeats=3 if smoke else 5,
-        budget_s=PAIR_BUDGET_S,
     )
     return dict(timing.as_record(), renderer="tensorf")
 
@@ -139,10 +124,7 @@ def bench_tensorf_fwd_bwd(smoke: bool = False) -> dict:
         encoding.backward(grad, trace)
 
     timing = time_pair(
-        lambda: run(ref),
-        lambda: run(opt),
-        repeats=3 if smoke else 5,
-        budget_s=PAIR_BUDGET_S,
+        lambda: run(ref), lambda: run(opt), repeats=3 if smoke else 5
     )
     return dict(timing.as_record(), renderer="tensorf")
 
@@ -179,14 +161,9 @@ def bench_precision_field_fwd(smoke: bool = False) -> dict:
     directions = rng.normal(size=(n, 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     directions = directions.astype(np.float32)
-    # The float32 side wins by a few milliseconds a call at smoke scale,
-    # so a best-of-3 ratio swung across the gate's floor on an untouched
-    # tree; best-of-15 interleaved pairs hold it steady.
     timing = time_pair(
         lambda: model.forward(points, directions),
         lambda: lowp.forward(points, directions),
-        repeats=15 if smoke else 5,
-        budget_s=PAIR_BUDGET_S,
     )
     return dict(timing.as_record(), renderer="ngp", precision=lowp.precision)
 
@@ -198,14 +175,9 @@ def bench_scatter_add(smoke: bool = False) -> dict:
     n_rays = n // 16
     ray_idx = np.sort(rng.integers(0, n_rays, size=n))
     values = rng.normal(size=(n, 3))
-    # Best-of-3 at smoke scale landed on the gate's floor on an untouched
-    # tree; best-of-15 interleaved pairs hold it steady, as for
-    # ``precision_field_fwd``.
     timing = time_pair(
         lambda: reference.scatter_add_reference(values, ray_idx, n_rays),
         lambda: segment_sum(values, ray_idx, n_rays),
-        repeats=15 if smoke else 5,
-        budget_s=PAIR_BUDGET_S,
     )
     return timing.as_record()
 
@@ -218,16 +190,11 @@ def bench_trace_pair_durations(smoke: bool = False) -> dict:
     pair_ray_idx = np.repeat(np.arange(n_rays), pairs_per_ray)
     spans = rng.random(pair_ray_idx.shape[0])
     kept = rng.integers(0, 32, size=n_rays)
-    # A best-of-3 (smoke) or best-of-5 (full) ratio fell below the
-    # gate's floor under machine load on an untouched tree; the best of
-    # 15 interleaved pairs in both modes rides out short load spikes.
     timing = time_pair(
         lambda: reference.pair_durations_reference(
             pair_ray_idx, spans, kept, n_rays
         ),
         lambda: distribute_samples_over_pairs(pair_ray_idx, spans, kept, n_rays),
-        repeats=15,
-        budget_s=PAIR_BUDGET_S,
     )
     return timing.as_record()
 
@@ -242,14 +209,13 @@ def bench_dynamic_schedule(smoke: bool = False) -> dict:
     n_rays = 1_000 if smoke else 10_000
     widths = rng.integers(1, 4, size=n_rays)
     groups = [(0.25 + rng.integers(0, 8, size=k)).tolist() for k in widths]
-    # Best of 15 interleaved pairs in both modes, as for
-    # ``trace_pair_durations``: the full-mode gate failed once on an
-    # untouched tree at best-of-5.
+    # At least 15 pairs: a full-mode pair takes about 150 ms, so the
+    # timing window alone holds only about 7, and the full-mode gate
+    # failed once on an untouched tree at best-of-5.
     timing = time_pair(
         lambda: reference.schedule_dynamic_reference(groups, 16),
         lambda: schedule_dynamic(groups, 16),
         repeats=15,
-        budget_s=PAIR_BUDGET_S,
     )
     return timing.as_record()
 

@@ -58,9 +58,11 @@ class PairedTiming:
         }
 
 
-def time_pair(
-    ref_fn, opt_fn, repeats: int = 5, warmup: int = 1, budget_s: float = 0.0
-) -> PairedTiming:
+#: Wall time (seconds) that :func:`time_pair` spreads its pairs over.
+PAIR_WINDOW_S = 1.0
+
+
+def time_pair(ref_fn, opt_fn, repeats: int = 5, warmup: int = 1) -> PairedTiming:
     """Time ``ref_fn`` and ``opt_fn`` interleaved (same process/state).
 
     Repeats alternate ref/opt rather than running each side's block
@@ -70,7 +72,7 @@ def time_pair(
     the ratio stable even on busy machines.
 
     At least ``repeats`` pairs run, and pairs keep running until
-    ``budget_s`` seconds have passed since the first timed one started:
+    :data:`PAIR_WINDOW_S` has passed since the first timed one started:
     the pairs then span a fixed wall-time window, so a slowdown shorter
     than the window cannot touch every pair.
     """
@@ -82,7 +84,7 @@ def time_pair(
         opt_fn()
     best_ref = best_opt = float("inf")
     done = 0
-    deadline = time.perf_counter() + budget_s
+    deadline = time.perf_counter() + PAIR_WINDOW_S
     while done < repeats or time.perf_counter() < deadline:
         done += 1
         start = time.perf_counter()

@@ -258,13 +258,20 @@ def _support_points(scene):
     return np.concatenate(chunks)
 
 
+#: Points outside every support box on every axis.
+_FAR = np.array([[1e6, -1e6, 1e6], [-1e6, 1e6, -1e6]])
+
+
 def _non_finite_points(scene):
-    """NaN and ±inf in each coordinate of points inside every support."""
+    """NaN and ±inf in each coordinate of the primitives' centres, which
+    lie inside every support on the other axes, and of :data:`_FAR`
+    points, which lie outside every support on the other axes."""
     centres = np.array([p.center for p in scene.primitives], dtype=np.float64)
+    base = np.concatenate([centres, _FAR])
     chunks = []
     for value in (np.nan, np.inf, -np.inf):
         for axis in range(3):
-            points = centres.copy()
+            points = base.copy()
             points[:, axis] = value
             chunks.append(points)
     return np.concatenate(chunks)
@@ -294,7 +301,7 @@ def test_support_culling_keeps_nan_and_inf_points(family, name):
     with np.errstate(invalid="ignore"):
         ref_density, ref_color = _density_and_color_rows(scene, points)
         density, color = scene.density_and_color(points)
-    n = len(scene.primitives)
+    n = len(scene.primitives) + len(_FAR)
     assert np.isnan(ref_density[: 3 * n]).all()
     assert (ref_density[3 * n :] == 0.0).all()
     _assert_same_bits(density, ref_density)
