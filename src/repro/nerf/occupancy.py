@@ -10,9 +10,30 @@ plain addition.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .volume_rendering import evaluate_in_tiles
+
+
+@functools.lru_cache(maxsize=4)
+def _cell_origins(resolution: int) -> np.ndarray:
+    """Integer corner of every cell, ``(resolution**3, 3)``, C order;
+    built once per resolution and shared read-only.
+
+    Stored as int16, a quarter of float64's bytes for as long as the
+    process lives; the integers convert to float64 exactly, so float
+    arithmetic on them gives the same bits.
+    """
+    r = resolution
+    origins = (
+        np.stack(np.meshgrid(*([np.arange(r)] * 3), indexing="ij"), axis=-1)
+        .reshape(-1, 3)
+        .astype(np.int16)
+    )
+    origins.flags.writeable = False
+    return origins
 
 
 class OccupancyGrid:
@@ -35,10 +56,12 @@ class OccupancyGrid:
 
     @property
     def n_cells(self) -> int:
+        """Number of grid cells, ``resolution**3``."""
         return self.resolution**3
 
     @property
     def occupancy_fraction(self) -> float:
+        """Share of cells the mask marks occupied, in [0, 1]."""
         return float(self.mask.mean())
 
     def cell_indices(self, points: np.ndarray) -> np.ndarray:
@@ -88,7 +111,7 @@ class OccupancyGrid:
         """
         rng = rng or np.random.default_rng(0)
         r = self.resolution
-        base = self._cell_origins()
+        base = _cell_origins(r)
         # One jitter round at a time: a single (S, n, 3) draw consumes
         # the RNG stream identically but holds S times the points.
         best = np.zeros(self.n_cells, dtype=np.float32)
@@ -108,22 +131,13 @@ class OccupancyGrid:
         and folds the result into the EMA with :meth:`update`.  The
         training loops call this every ``occupancy_interval`` steps.
         """
-        base = self._cell_origins()
+        base = _cell_origins(self.resolution)
         points = (base + rng.uniform(0.0, 1.0, size=base.shape)) / self.resolution
         (density,) = evaluate_in_tiles(lambda p: (density_fn(p),), points)
         self.update(points, density)
         # Never let the grid collapse to fully-empty early in training.
         if not self.mask.any():
             self.mask[:] = True
-
-    def _cell_origins(self) -> np.ndarray:
-        """Integer corner of every cell, ``(n_cells, 3)`` float64, C order."""
-        r = self.resolution
-        return (
-            np.stack(np.meshgrid(*([np.arange(r)] * 3), indexing="ij"), axis=-1)
-            .reshape(-1, 3)
-            .astype(np.float64)
-        )
 
     def occupied_aabbs(self) -> tuple:
         """Unit-space bounds of every occupied cell: ``(mins, maxs)``.
@@ -167,30 +181,44 @@ def traverse_grid(
     counts = np.zeros(n, dtype=np.int64)
     eps = 1e-9
     # Vectorized over rays, stepping cell boundaries one at a time; the
-    # loop bound is the maximum Manhattan cell distance (3 * res).  Live
-    # rays are compacted to integer indices so each step touches only the
-    # rays still marching — no full-width boolean masks or t copies —
-    # while computing exactly the same per-ray t sequence.
+    # loop bound is the maximum Manhattan cell distance (3 * res).  The
+    # live rays' origin, direction, step and exit columns are the rows
+    # of one float64 block, re-compacted in one copy only when a ray
+    # finishes; a ray's count is the number of steps it stayed live.
+    # Along each axis the walk heads for the cell's upper boundary when
+    # the direction is positive and its lower one otherwise: ``cell +
+    # up`` with ``up`` 1 or 0 is that boundary's index exactly.
     t = np.maximum(t_starts, 0.0) + eps
     safe_dir = np.where(np.abs(directions) < 1e-12, 1e-12, directions)
     live = np.flatnonzero(t < t_ends)
-    for _ in range(3 * res + 2):
+    t = t[live]
+    rays = np.empty((13, live.size), dtype=np.float64)
+    rays[0:3] = origins[live].T
+    rays[3:6] = directions[live].T
+    rays[6:9] = safe_dir[live].T
+    rays[9:12] = rays[6:9] > 0
+    rays[12] = t_ends[live]
+    for step in range(1, 3 * res + 3):
         if live.size == 0:
             break
-        counts[live] += 1
-        o = origins[live]
-        sd = safe_dir[live]
-        pos = o + t[live, None] * directions[live]
-        cell = np.clip(np.floor(pos * res), 0, res - 1)
-        # Distance to the next cell boundary along each axis.
-        next_boundary = np.where(sd > 0, (cell + 1) / res, cell / res)
-        t_axis = (next_boundary - o) / sd
-        # Column-wise min: a reduction over the length-3 axis runs
-        # element by element, several times slower than two ufuncs.
-        t_next = np.minimum(
-            np.minimum(t_axis[:, 0], t_axis[:, 1]), t_axis[:, 2]
-        )
-        t_new = np.maximum(t_next, t[live]) + eps
-        t[live] = t_new
-        live = live[t_new < t_ends[live]]
+        o, d, sd, up, t_end = rays[0:3], rays[3:6], rays[6:9], rays[9:12], rays[12]
+        t_next = None
+        for axis in range(3):
+            cell = np.floor((o[axis] + t * d[axis]) * res)
+            np.clip(cell, 0, res - 1, out=cell)
+            # Distance to the next cell boundary along this axis; the
+            # running minimum takes the axes in order x, y, z.
+            cell += up[axis]
+            cell /= res
+            cell -= o[axis]
+            cell /= sd[axis]
+            t_next = cell if t_next is None else np.minimum(t_next, cell, out=t_next)
+        t = np.maximum(t_next, t, out=t_next)
+        t += eps
+        going = t < t_end
+        if not going.all():
+            counts[live[~going]] = step
+            live, t, rays = live[going], t[going], rays[:, going]
+    # Rays still live after the last step made every step.
+    counts[live] = 3 * res + 2
     return counts

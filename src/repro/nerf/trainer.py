@@ -22,6 +22,7 @@ they are.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, field
 
@@ -37,6 +38,37 @@ from .precision import LowPrecisionField, takes_float32_snapshot
 from .rays import RayTable
 from .sampling import RayMarcher, SamplerConfig
 from .volume_rendering import composite, composite_backward, psnr
+
+
+#: glibc ``mallopt`` parameter numbers (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: Heap thresholds a training process runs with: requests below 8 MiB
+#: come from the heap, and the heap keeps up to 16 MiB of free top pages.
+#: They are what glibc's own dynamic rule reaches after an 8 MiB free.
+HEAP_MMAP_THRESHOLD = 8 * 2**20
+HEAP_TRIM_THRESHOLD = 16 * 2**20
+
+
+def keep_heap_pages() -> bool:
+    """Pin glibc's mmap and trim thresholds for training; ``False`` (and
+    nothing changed) where the C library has no ``mallopt``.
+
+    Left dynamic, the thresholds depend on the largest block the
+    process happened to free before, so a training step's temporaries
+    (about 10 MB) either reuse the last step's heap pages or come from
+    fresh ``mmap`` pages that page-fault on every step.  Pinned, every
+    step reuses them.  The setting is process-wide, so only
+    :class:`Trainer` applies it; serving code leaves glibc's rule alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+    return True
 
 
 @dataclass(frozen=True)
@@ -74,6 +106,8 @@ class Trainer:
     and gradients share the keys of ``model.parameters()``.  The
     training views live in one :class:`~repro.nerf.rays.RayTable`
     (``rays``); ``cameras`` and ``images`` read through to it.
+    Constructing one pins the process's heap thresholds
+    (:func:`keep_heap_pages`).
     """
 
     def __init__(
@@ -86,6 +120,7 @@ class Trainer:
     ):
         if len(cameras) == 0:
             raise ValueError("need at least one training view")
+        keep_heap_pages()
         self.model = model
         if isinstance(model, MoENeRF):
             self.experts = list(model.experts)

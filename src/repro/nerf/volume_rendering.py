@@ -18,6 +18,7 @@ the frame.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,12 +93,17 @@ def segment_sum(values: np.ndarray, ray_idx: np.ndarray, n_rays: int) -> np.ndar
     accumulates its weights in input order, exactly like ``add.at``, so
     the sums are bit-identical (see
     :func:`repro.perf.reference.scatter_add_reference`) — including on
-    duplicate indices — while running an order of magnitude faster.
+    duplicate indices — while running an order of magnitude faster.  An
+    empty batch sums to zeros.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
-        return np.bincount(ray_idx, weights=values, minlength=n_rays)
-    flat = values.reshape(values.shape[0], -1)
+        # ``bincount`` of an empty batch returns integer zeros.
+        return np.bincount(ray_idx, weights=values, minlength=n_rays).astype(
+            np.float64, copy=False
+        )
+    # The trailing width is spelled out: ``reshape(0, -1)`` cannot infer it.
+    flat = values.reshape(values.shape[0], math.prod(values.shape[1:]))
     out = np.empty((n_rays, flat.shape[1]), dtype=np.float64)
     for column in range(flat.shape[1]):
         out[:, column] = np.bincount(
@@ -127,7 +133,11 @@ def composite(
     n_rays: int,
     background: float = 1.0,
 ) -> RenderResult:
-    """Front-to-back alpha compositing of flat samples into ray colors."""
+    """Front-to-back alpha compositing of flat samples into ray colors.
+
+    A ray without samples, or a batch without any, composites to the
+    background.
+    """
     sigmas = np.asarray(sigmas, dtype=np.float64).reshape(-1)
     rgbs = np.atleast_2d(np.asarray(rgbs, dtype=np.float64))
     deltas = np.asarray(deltas, dtype=np.float64).reshape(-1)

@@ -360,11 +360,13 @@ def _view(scene, width, height):
     "family,name", _ALL_SCENES, ids=[n for _, n in _ALL_SCENES]
 )
 def test_ground_truth_view_matches_dense_march(family, name):
+    """A 32x32 view at the datasets' 192 steps and a 64x64 view at 64."""
     scene = _make(family, name)
-    camera = _view(scene, 24, 24)
-    image = scene.render(camera, n_steps=64)
-    _assert_same_bits(image, _render_reference(scene, camera, 64))
-    assert image.min() < 0.9  # the view sees the scene, not just background
+    for pixels, n_steps in ((32, 192), (64, 64)):
+        camera = _view(scene, pixels, pixels)
+        image = scene.render(camera, n_steps=n_steps)
+        _assert_same_bits(image, _render_reference(scene, camera, n_steps))
+        assert image.min() < 0.9  # the view sees the scene, not just background
 
 
 def test_ground_truth_view_matches_dense_march_across_chunks():
@@ -374,6 +376,70 @@ def test_ground_truth_view_matches_dense_march_across_chunks():
     _assert_same_bits(
         scene.render(camera, n_steps=8), _render_reference(scene, camera, 8)
     )
+
+
+def test_ground_truth_view_looking_away_is_background():
+    """No sample of the view lies on a support: an empty batch composites
+    to the background, as the dense march does."""
+    from repro.nerf.camera import Camera, look_at
+
+    scene = synthetic.make_scene("mic")
+    toward = _view(scene, 32, 32)
+    eye = toward.c2w[:3, 3]
+    centre = (scene.world_min + scene.world_max) / 2.0
+    camera = Camera(
+        width=32, height=32, focal=1.1 * 32, c2w=look_at(eye, 2.0 * eye - centre)
+    )
+    image = scene.render(camera)
+    _assert_same_bits(image, _render_reference(scene, camera, 192))
+    assert (image == scene.background).all()
+
+
+def _dense_composite(scene, world, ts, deltas):
+    """Every sample of an ``(m, k)`` batch composited, as the dense march
+    did: the reference for :meth:`AnalyticScene._composite_on_support`."""
+    from repro.nerf.volume_rendering import composite
+
+    m, k = ts.shape
+    sigma, rgb = _density_and_color_rows(scene, world.T)
+    return composite(
+        sigma, rgb, np.repeat(deltas, k), ts.reshape(-1),
+        np.repeat(np.arange(m), k), m, background=scene.background,
+    ).colors
+
+
+@pytest.mark.parametrize(
+    "family,name", _ALL_SCENES, ids=[n for _, n in _ALL_SCENES]
+)
+def test_composite_on_support_keeps_nan_and_inf_samples(family, name):
+    """Rays of samples on and off the supports, then rays that also hold
+    ±inf points (their colour is NaN), then one NaN point, after which
+    the dense prefix sum makes every later ray NaN, off-support or not."""
+    scene = _make(family, name)
+    k = 8
+    rng = np.random.default_rng(5)
+    support = _support_points(scene)
+    mixed = support[rng.permutation(len(support))[: 32 * k]]
+    non_finite = _non_finite_points(scene)
+    infinite = non_finite[~np.isnan(non_finite).any(axis=1)]
+    with_inf = mixed[: 4 * k].copy()
+    with_inf[::k] = infinite[rng.choice(len(infinite), 4, replace=False)]
+    nan_ray = mixed[:k].copy()
+    nan_ray[k // 2] = non_finite[0]
+    after = np.repeat(_FAR[:1], 4 * k, axis=0)
+    points = np.concatenate([mixed, with_inf, nan_ray, after])
+    m = len(points) // k
+    world = np.ascontiguousarray(points.T)
+    ts = np.cumsum(rng.uniform(0.01, 0.1, (m, k)), axis=1)
+    deltas = rng.uniform(0.01, 0.1, m)
+    with np.errstate(invalid="ignore"):
+        colors = scene._composite_on_support(world, ts, deltas)
+        expected = _dense_composite(scene, world, ts, deltas)
+    _assert_same_bits(colors, expected)
+    nan_rows = np.isnan(colors).any(axis=1)
+    assert not nan_rows[:32].any()
+    assert nan_rows[32:].all()
+    assert (expected[:32] < 0.99).any()
 
 
 def test_support_bounds_each_kind():
@@ -391,10 +457,11 @@ def test_support_bounds_each_kind():
 
 
 #: Bound on the traced peak of one warm 32x32, 192-step ground-truth view.
-#: The view measures 27.2 MiB with its coordinates in one ``(3, n)`` block
-#: and the field on each primitive's support; the dense ``(n, 3)`` march
-#: with every primitive at every point measured 45.2 MiB.
-GT_VIEW_PEAK_BYTES = 32 * 2**20
+#: The view measures 7.3 MiB when only the samples on the support are
+#: coloured and composited; colouring and compositing every sample
+#: measured 27.2 MiB, and the dense ``(n, 3)`` march with every primitive
+#: at every point 45.2 MiB.
+GT_VIEW_PEAK_BYTES = 12 * 2**20
 
 
 def test_ground_truth_view_peak_memory():

@@ -208,6 +208,32 @@ def test_traverse_grid_matches_row_wise_min(resolution):
     assert hit.sum() > 100 and np.all(counts >= 1)
 
 
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("resolution", [1, 5, 16, 24, 32])
+def test_traverse_grid_matches_row_wise_walk_seeded(resolution, seed):
+    """Rays with one or two zero direction components and origins on
+    cell boundaries, from inside and outside the unit cube."""
+    from repro.nerf.aabb import intersect_unit_cube
+    from repro.nerf.occupancy import traverse_grid
+
+    grid, rng = _seeded_grid(resolution, seed=1000 * resolution + seed)
+    n = 300
+    origins = rng.uniform(-0.5, 1.5, size=(n, 3))
+    on_boundary = rng.random((n, 3)) < 0.4
+    origins[on_boundary] = (
+        rng.integers(0, resolution + 1, size=on_boundary.sum()) / resolution
+    )
+    directions = rng.normal(size=(n, 3))
+    directions[rng.random((n, 3)) < 0.2] = 0.0
+    directions[::7, :2] = 0.0
+    directions[np.abs(directions).sum(axis=1) == 0.0, 2] = 1.0
+    directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
+    t0, t1, hit = intersect_unit_cube(origins, directions)
+    args = (origins[hit], directions[hit], grid, t0[hit], t1[hit])
+    assert hit.sum() > 30
+    assert np.array_equal(traverse_grid(*args), _traverse_rows(*args))
+
+
 @pytest.mark.parametrize("resolution", [1, 5, 24])
 def test_query_and_update_match_strided_indexing(resolution):
     grid, rng = _seeded_grid(resolution, seed=resolution)
@@ -228,3 +254,41 @@ def test_query_and_update_match_strided_indexing(resolution):
     expected_ema = np.maximum(grid.density_ema.reshape(-1) * grid.ema_decay, updates)
     grid.update(points, densities)
     assert grid.density_ema.reshape(-1).tobytes() == expected_ema.tobytes()
+
+
+@pytest.mark.parametrize("resolution", [1, 5, 24, 32])
+def test_fills_match_freshly_built_cell_origins(resolution):
+    """The cached cell origins give the fills the per-call ``meshgrid``
+    gave, and nothing can write to them."""
+    r = resolution
+    base = (
+        np.stack(np.meshgrid(*([np.arange(r)] * 3), indexing="ij"), axis=-1)
+        .reshape(-1, 3)
+        .astype(np.float64)
+    )
+
+    def density(points):
+        return np.exp(-8.0 * ((points - 0.4) ** 2).sum(axis=1))
+
+    grid = OccupancyGrid(resolution=r, threshold=0.3)
+    grid.set_from_function(density, samples_per_cell=2, rng=np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    best = np.zeros(r**3, dtype=np.float32)
+    for _ in range(2):
+        points = (base + rng.uniform(0.0, 1.0, size=base.shape)) / r
+        np.maximum(best, density(points).astype(np.float32), out=best)
+    assert grid.density_ema.reshape(-1).tobytes() == best.tobytes()
+
+    reference = OccupancyGrid(resolution=r, threshold=0.3)
+    reference.density_ema = grid.density_ema.copy()
+    grid.refresh_from_density(density, np.random.default_rng(4))
+    points = (base + np.random.default_rng(4).uniform(0.0, 1.0, size=base.shape)) / r
+    reference.update(points, density(points))
+    assert grid.density_ema.tobytes() == reference.density_ema.tobytes()
+
+    from repro.nerf.occupancy import _cell_origins
+
+    assert _cell_origins(r) is _cell_origins(r)
+    assert np.array_equal(_cell_origins(r), base)
+    with pytest.raises(ValueError):
+        _cell_origins(r)[0, 0] = 1.0

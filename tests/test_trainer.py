@@ -155,3 +155,49 @@ def test_add_view_rejects_mismatched_resolution(tiny_trainer):
         tiny_trainer.add_view(
             tiny_trainer.cameras[0], np.zeros((4, 4, 3))
         )
+
+
+class _Libc:
+    """A C library whose ``mallopt`` records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+def _trainer(dataset, model):
+    return Trainer(
+        model, dataset.cameras, dataset.images, dataset.normalizer,
+        TrainerConfig(batch_rays=64, max_samples_per_ray=16, occupancy_resolution=8),
+    )
+
+
+def test_trainer_pins_heap_thresholds(monkeypatch, mic_dataset, tiny_model):
+    import ctypes
+
+    from repro.nerf import trainer as trainer_module
+
+    libc = _Libc()
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: libc)
+    _trainer(mic_dataset, tiny_model)
+    # glibc's M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1).
+    assert libc.calls == [
+        (-3, trainer_module.HEAP_MMAP_THRESHOLD),
+        (-1, trainer_module.HEAP_TRIM_THRESHOLD),
+    ]
+
+
+def test_trainer_trains_where_libc_has_no_mallopt(monkeypatch, mic_dataset, tiny_model):
+    import ctypes
+
+    from repro.nerf.trainer import keep_heap_pages
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: object())
+    assert keep_heap_pages() is False
+    trainer = _trainer(mic_dataset, tiny_model)
+    assert np.isfinite(trainer.train_step())

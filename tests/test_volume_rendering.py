@@ -107,6 +107,36 @@ def test_composite_empty_ray_gets_background():
     assert np.allclose(result.colors[0], 1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_segment_sum_of_empty_batch_is_zero():
+    no_rays = np.zeros(0, dtype=np.intp)
+    for values in (np.zeros(0), np.zeros((0, 3)), np.zeros((0, 2, 2))):
+        out = segment_sum(values, no_rays, 3)
+        assert out.dtype == np.float64
+        assert out.shape == (3,) + values.shape[1:]
+        assert not out.any()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("background", [0.0, 0.25, 1.0])
+def test_composite_without_samples_is_background(background):
+    no_rays = np.zeros(0, dtype=np.intp)
+    empty = np.zeros(0)
+    result = composite(
+        empty, np.zeros((0, 3)), empty, empty, no_rays, 5, background=background
+    )
+    assert result.colors.dtype == np.float64
+    assert (result.colors == background).all() and result.colors.shape == (5, 3)
+    assert not result.opacity.any() and not result.depth.any()
+    assert result.opacity.dtype == result.depth.dtype == np.float64
+    grad_sigma, grad_rgb = composite_backward(
+        np.ones((5, 3)), result, empty, np.zeros((0, 3)), empty, no_rays, 5,
+        background=background,
+    )
+    assert grad_sigma.shape == (0,) and grad_rgb.shape == (0, 3)
+    assert grad_sigma.dtype == grad_rgb.dtype == np.float64
+
+
 def test_composite_front_sample_occludes_back():
     sigmas = np.array([50.0, 50.0])
     rgbs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

@@ -56,6 +56,7 @@ HOT_MODULES = (
     "src/repro/datasets/generator.py",
     "src/repro/nerf/precision.py",
     "src/repro/sim/trace.py",
+    "src/repro/sim/trace_traversal.py",
     "src/repro/pipeline/renderer.py",
     "src/repro/pipeline/stages.py",
     "src/repro/serve/batching.py",

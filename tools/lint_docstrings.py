@@ -37,7 +37,10 @@ DEFAULT_PACKAGES = (
     "repro.nerf.precision",
     "repro.nerf.sampling",
     "repro.nerf.aabb",
+    "repro.nerf.occupancy",
+    "repro.nerf.volume_rendering",
     "repro.datasets",
+    "repro.sim.trace_traversal",
 )
 
 # Runnable straight from a checkout: the in-tree `src/` layout sits next
