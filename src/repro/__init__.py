@@ -18,13 +18,23 @@ Instant 3D Reconstruction and Real-Time Rendering* (MICRO 2024):
 * :mod:`repro.telemetry` — structured tracing (Chrome-trace export),
   metrics registry, and profiling hooks, disabled (zero-overhead) by
   default.
+
+Importing the package sets the OpenBLAS that NumPy loaded to one thread
+(:mod:`repro.blas`): host parallelism is worker processes, never BLAS
+threads inside one.
 """
 
 import logging as _logging
 
+import numpy as _numpy  # noqa: F401  (maps the BLAS library the cap finds)
+
+from .blas import use_one_blas_thread as _use_one_blas_thread
+
 # Library-friendly logging default: emit nothing unless the embedding
 # application (or the CLI in experiments.runner) attaches a handler.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
+
+_use_one_blas_thread()
 
 from .core import Fusion3D, Fusion3DConfig, ReconstructionResult, RenderingResult
 

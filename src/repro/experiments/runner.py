@@ -528,9 +528,16 @@ def _cmd_online(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    """Run the perf benches; optionally gate against the baseline."""
-    from .. import perf
+    """Run the perf benches; optionally gate against the baseline.
 
+    The benches run with glibc's heap thresholds pinned
+    (:func:`~repro.nerf.trainer.keep_heap_pages`), so a timed call reuses
+    the last call's pages instead of page-faulting fresh ones.
+    """
+    from .. import perf
+    from ..nerf.trainer import keep_heap_pages
+
+    keep_heap_pages()
     payload = perf.run_benches(smoke=args.smoke)
     logger.info("%s", perf.format_report(payload))
     if args.out:

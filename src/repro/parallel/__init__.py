@@ -14,12 +14,16 @@ The scaling layer of the reproduction, two parts:
   experiments are skipped and *any* relevant source edit silently
   invalidates stale entries.
 
-Parallelism lives across experiments only: one experiment runs in one
-process on one thread, and the paper's on-chip parallelism (sampling
-cores, chips fused by an adder) is modelled by :mod:`repro.sim`, not by
-host threads.  Future scaling work (multi-backend, distributed sweeps)
-plugs into this layer: the engine owns "what runs where", the cache owns
-"what can be skipped".
+Host parallelism is the engine's worker processes, never threads inside
+one.  One experiment runs in one process on one thread, BLAS included:
+importing :mod:`repro` sets the OpenBLAS NumPy loaded to one thread
+(:mod:`repro.blas`), so a worker forked or spawned by ``run-all`` does
+not split its small matrix products over cores the other workers need,
+and a serial ``runner run`` computes exactly as a worker does.  The
+paper's on-chip parallelism (sampling cores, chips fused by an adder)
+is modelled by :mod:`repro.sim`, not by host threads.  Future scaling
+work (multi-backend, distributed sweeps) plugs into this layer: the
+engine owns "what runs where", the cache owns "what can be skipped".
 """
 
 from .cache import ResultCache, activate, cache_key, deactivate, default_cache_root, get_active

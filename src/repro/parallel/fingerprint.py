@@ -31,8 +31,10 @@ import os
 #: Packages whose source an ExperimentResult may depend on.  Telemetry
 #: and the parallel engine itself are deliberately excluded: they must
 #: not perturb results (PR 1's bit-identity guarantee), so editing them
-#: should not cold the cache.
+#: should not cold the cache.  :mod:`repro.blas` is listed because the
+#: BLAS thread count it sets moves training sums at the ulp level.
 RESULT_PACKAGES = (
+    "repro.blas",
     "repro.core",
     "repro.nerf",
     "repro.sim",

@@ -41,6 +41,7 @@ DEFAULT_PACKAGES = (
     "repro.nerf.volume_rendering",
     "repro.datasets",
     "repro.sim.trace_traversal",
+    "repro.blas",
 )
 
 # Runnable straight from a checkout: the in-tree `src/` layout sits next
