@@ -27,9 +27,9 @@ two more XOR in the z terms; the weights follow the same pattern, each
 then gathers all eight corners in one ``take`` from the ``(F, L*T)``
 transpose of the tables, weights them in one multiply, and sums them
 with explicit adds in the fixed order ``c = 0..7`` (x-fastest, see
-:data:`CORNER_OFFSETS`).  The backward
-scatter reads the same arrays in ``(L, n, 8)`` order.  That corner
-order, association order and scatter order are what make the kernel
+:data:`CORNER_OFFSETS`).  The backward scatter reads the same arrays
+one level at a time, in ``(n, 8)`` order.  That corner order,
+association order and scatter order are what make the kernel
 bit-identical to the per-level reference in :mod:`repro.perf.reference`.
 """
 
@@ -72,10 +72,12 @@ class HashEncodingConfig:
 
     @property
     def table_size(self) -> int:
+        """Entries ``T`` per level's table (``2 ** log2_table_size``)."""
         return 1 << self.log2_table_size
 
     @property
     def growth_factor(self) -> float:
+        """Per-level resolution ratio of the geometric schedule."""
         if self.n_levels == 1:
             return 1.0
         return np.exp(
@@ -85,16 +87,19 @@ class HashEncodingConfig:
 
     @property
     def level_resolutions(self) -> np.ndarray:
+        """The ``(L,)`` int64 grid resolution of each level."""
         levels = np.arange(self.n_levels)
         res = np.floor(self.base_resolution * self.growth_factor**levels)
         return res.astype(np.int64)
 
     @property
     def output_dim(self) -> int:
+        """Feature width per point, ``L * F`` (the density MLP's input)."""
         return self.n_levels * self.n_features
 
     @property
     def n_parameters(self) -> int:
+        """Trainable feature values over all levels' tables."""
         return self.n_levels * self.table_size * self.n_features
 
     @property
@@ -127,36 +132,33 @@ class EncodingTrace:
 
     Stored once, corner-major: ``flat_indices`` and ``corner_weights``
     are ``(8, L, n)`` (level-offset indices into the ``(L*T, F)``
-    flattened tables, and their trilinear weights), ``base`` is the
-    ``(L, 3, n)`` clipped cell origin and ``level_offsets`` the ``(L,)``
-    offset of each level's slab.  The per-level lists are derived on
-    access: ``indices[l]`` is ``(n, 8)`` table indices, ``weights[l]`` the
-    matching weights and ``corners[l]`` the ``(n, 8, 3)`` integer vertex
-    coordinates (the hash-tiling simulation derives bank ids from these).
+    flattened tables, and their trilinear weights) and ``level_offsets``
+    the ``(L,)`` offset of each level's slab.  The per-level lists are
+    derived on access: ``indices[l]`` is ``(n, 8)`` table indices and
+    ``weights[l]`` the matching weights.  The integer vertex coordinates
+    the hash-tiling simulation needs come from
+    :meth:`HashEncoding.level_lookup`.
     """
 
     flat_indices: np.ndarray
     corner_weights: np.ndarray
-    base: np.ndarray
     level_offsets: np.ndarray
 
     @property
     def n_points(self) -> int:
+        """Number of encoded points ``n``."""
         return self.flat_indices.shape[2]
 
     @property
     def indices(self) -> list:
+        """Per level, the ``(n, 8)`` table indices of each point's corners."""
         by_level = self.flat_indices.transpose(1, 2, 0)
         return list(by_level - self.level_offsets[:, None, None])
 
     @property
     def weights(self) -> list:
+        """Per level, the ``(n, 8)`` trilinear weights of those corners."""
         return list(self.corner_weights.transpose(1, 2, 0))
-
-    @property
-    def corners(self) -> list:
-        by_level = self.base.transpose(0, 2, 1)[:, :, None, :]
-        return list(by_level + CORNER_OFFSETS[None, None, :, :])
 
 
 class HashEncoding:
@@ -208,19 +210,18 @@ class HashEncoding:
     def _interpolate(self, points: np.ndarray) -> tuple:
         """The corner-major Stage II kernel.
 
-        Returns ``(features, flat_indices, weights, base)``: the
-        ``(n, L*F)`` level-major features blended from the tables, the
-        ``(8, L, n)`` level-offset indices and trilinear weights, and the
-        ``(L, 3, n)`` clipped cell origins.  Weights follow the ``points``
-        dtype (float32 sample buffers keep float32 weights, matching the
-        fp16 interpolation hardware); features follow the wider of the
-        weights and the tables.
+        Returns ``(features, flat_indices, weights)``: the ``(n, L*F)``
+        level-major features blended from the tables and the
+        ``(8, L, n)`` level-offset indices and trilinear weights.
+        Weights follow the ``points`` dtype (float32 sample buffers keep
+        float32 weights, matching the fp16 interpolation hardware);
+        features follow the wider of the weights and the tables.
         """
         cfg = self.config
         n_levels, n_features = cfg.n_levels, cfg.n_features
         points = np.atleast_2d(points)
         n = points.shape[0]
-        indices, weights, base = self._corners(points)
+        indices, weights = self._corners(points)
         table_t = np.ascontiguousarray(self.tables.reshape(-1, n_features).T)
         blend = np.empty(
             (n_features, n_levels, n), dtype=np.result_type(weights, self.tables)
@@ -237,14 +238,13 @@ class HashEncoding:
             for c in range(2, 8):
                 blend[f] += gathered[c]
         features = np.ascontiguousarray(blend.transpose(2, 1, 0))
-        return features.reshape(n, cfg.output_dim), indices, weights, base
+        return features.reshape(n, cfg.output_dim), indices, weights
 
     def _corners(self, points: np.ndarray) -> tuple:
-        """``(indices, weights, base)`` of every point's eight corners.
+        """``(indices, weights)`` of every point's eight corners.
 
-        ``indices`` and ``weights`` are ``(8, L, n)``, ``base`` is the
-        ``(L, 3, n)`` view of the clipped cell origins.  Corner
-        ``c = x + 2y + 4z`` (x-fastest, see :data:`CORNER_OFFSETS`) is
+        Both are ``(8, L, n)``.  Corner ``c = x + 2y + 4z`` (x-fastest,
+        see :data:`CORNER_OFFSETS`) is
         ``X[x] ^ Y[y] ^ Z[z]`` for the per-axis hash terms
         ``X[0] = b_x * P_x`` and ``X[1] = (b_x + 1) * P_x`` (masked to the
         table), and its weight is ``(w_x * w_y) * w_z`` up to commutation.
@@ -302,7 +302,7 @@ class HashEncoding:
         np.multiply(weights[:4], z_weights[1], out=weights[4:])
         weights[:4] *= z_weights[0]
         # Flat indices are far below 2**63, so the signed view is exact.
-        return flat.view(np.int64), weights, base.transpose(1, 0, 2)
+        return flat.view(np.int64), weights
 
     def forward(self, points: np.ndarray) -> tuple:
         """Encode points; returns ``(features, trace)``.
@@ -312,8 +312,8 @@ class HashEncoding:
         simulator.  The result is bit-identical to the per-level
         reference in :mod:`repro.perf.reference` (see module docstring).
         """
-        features, flat, weights, base = self._interpolate(points)
-        return features, EncodingTrace(flat, weights, base, self._level_offsets)
+        features, flat, weights = self._interpolate(points)
+        return features, EncodingTrace(flat, weights, self._level_offsets)
 
     def backward(self, grad_features: np.ndarray, trace: EncodingTrace) -> np.ndarray:
         """Gradient of the loss w.r.t. the tables.
@@ -321,12 +321,14 @@ class HashEncoding:
         ``grad_features`` is ``(n, n_levels * n_features)``; returns an
         array shaped like :attr:`tables`.  This is the scatter-accumulate
         ("inverse adder tree") workload the reconfigurable interpolation
-        array executes in training mode.  The scatter runs as one flat
-        ``np.bincount`` per feature channel over level-offset indices,
-        fed in ``(L, n, 8)`` order: bincount accumulates in input order,
-        so duplicate-index sums are bit-identical to the per-level
-        ``np.add.at`` reference, without its element-at-a-time
-        buffered-ufunc cost.
+        array executes in training mode.  The scatter runs one level at
+        a time, as one ``np.bincount`` per feature channel over that
+        level's table indices fed in ``(n, 8)`` order: bincount
+        accumulates in input order, so duplicate-index sums are
+        bit-identical to the per-level ``np.add.at`` reference, without
+        its element-at-a-time buffered-ufunc cost.  Levels own disjoint
+        bins, so the largest temporaries are one level's ``(n, 8)``
+        indices and contributions, not all ``L`` levels'.
         """
         grad_features = np.atleast_2d(grad_features)
         if grad_features.shape != (trace.n_points, self.config.output_dim):
@@ -334,24 +336,31 @@ class HashEncoding:
         cfg = self.config
         n_levels, n_features = cfg.n_levels, cfg.n_features
         n = trace.n_points
-        flat = trace.flat_indices.transpose(1, 2, 0).ravel()
-        weights = trace.corner_weights.transpose(1, 2, 0)
         # (n, L*F) level-major -> (F, L, n), one (L, n) block per channel.
         g = np.ascontiguousarray(grad_features.reshape(n, n_levels, n_features).T)
-        n_bins = n_levels * cfg.table_size
-        grad_flat = np.empty((n_bins, n_features), dtype=np.float64)
-        contrib = np.empty((n_levels, n, 8), dtype=np.float64)
-        for feature in range(n_features):
-            np.multiply(weights, g[feature][:, :, None], out=contrib)
-            grad_flat[:, feature] = np.bincount(
-                flat, weights=contrib.ravel(), minlength=n_bins
+        grad = np.empty(self.tables.shape, dtype=np.float64)
+        indices = np.empty((n, 8), dtype=np.int64)
+        contrib = np.empty((n, 8), dtype=np.float64)
+        for level in range(n_levels):
+            np.subtract(
+                trace.flat_indices[:, level].T,
+                trace.level_offsets[level],
+                out=indices,
             )
-        return grad_flat.reshape(self.tables.shape)
+            weights = trace.corner_weights[:, level].T
+            for feature in range(n_features):
+                np.multiply(weights, g[feature, level][:, None], out=contrib)
+                grad[level, :, feature] = np.bincount(
+                    indices.ravel(), weights=contrib.ravel(), minlength=cfg.table_size
+                )
+        return grad
 
     def parameters(self) -> dict:
+        """The ``(L, T, F)`` tables under the key ``"hash_tables"``."""
         return {"hash_tables": self.tables}
 
     def load_parameters(self, params: dict) -> None:
+        """Adopt ``params["hash_tables"]``; its shape must match."""
         tables = params["hash_tables"]
         if tables.shape != self.tables.shape:
             raise ValueError("hash table shape mismatch")

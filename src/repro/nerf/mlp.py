@@ -137,10 +137,12 @@ class MLP:
 
     @property
     def n_layers(self) -> int:
+        """Number of weight layers."""
         return len(self.weights)
 
     @property
     def n_parameters(self) -> int:
+        """Total weights and biases."""
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
     def macs_per_sample(self) -> int:
@@ -171,12 +173,25 @@ class MLP:
         unmultiplied, and once ``grad`` is an array this call allocated,
         a ReLU mask multiplies it in place: the values are those of
         ``grad * _activate_grad(...)`` (NaN and inf rows included).
+
+        Backward consumes ``caches``: each layer's entry is set to
+        ``None`` and dropped once its parameter gradients are computed,
+        before the input gradient is allocated, so a layer's saved
+        arrays are freed while the layers below it still run.  A second
+        backward on the same caches raises ``ValueError``; run forward
+        again to get fresh ones.
         """
+        if any(cache is None for cache in caches):
+            raise ValueError(
+                f"{self.name}: backward needs the caches of a fresh forward "
+                "(backward consumes them)"
+            )
         grad = np.atleast_2d(grad_out)
         owned = False
         param_grads = {}
         for layer in reversed(range(self.n_layers)):
             cache = caches[layer]
+            caches[layer] = None
             act = self.activations[layer]
             if act == "relu" and owned:
                 np.multiply(grad, cache.output > 0.0, out=grad)
@@ -185,11 +200,14 @@ class MLP:
                 owned = True
             param_grads[f"w{layer}"] = cache.inputs.T @ grad
             param_grads[f"b{layer}"] = grad.sum(axis=0)
+            # The input gradient reads only ``grad`` and the weights.
+            del cache
             grad = grad @ self.weights[layer].T
             owned = True
         return grad, param_grads
 
     def parameters(self) -> dict:
+        """Weights and biases keyed ``"<name>.w<i>"`` / ``"<name>.b<i>"``."""
         params = {}
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             params[f"{self.name}.w{i}"] = w
@@ -197,6 +215,8 @@ class MLP:
         return params
 
     def load_parameters(self, params: dict) -> None:
+        """Adopt arrays keyed as :meth:`parameters` names them; each
+        shape must match."""
         for i in range(self.n_layers):
             w = params[f"{self.name}.w{i}"]
             b = params[f"{self.name}.b{i}"]

@@ -37,10 +37,12 @@ class ModelConfig:
 
     @property
     def density_widths(self) -> list:
+        """Layer widths of the density MLP: features -> hidden -> latent."""
         return [self.encoding.output_dim, self.hidden_width, self.geo_features]
 
     @property
     def color_widths(self) -> list:
+        """Layer widths of the color MLP: latent + SH -> hidden x 2 -> RGB."""
         return [
             self.geo_features + SH_DIM,
             self.hidden_width,
@@ -142,6 +144,7 @@ class InstantNGPModel:
         return grads
 
     def parameters(self) -> dict:
+        """Every trainable array by name: tables, then both MLPs."""
         params = {}
         params.update(self.encoding.parameters())
         params.update(self.density_mlp.parameters())
@@ -149,12 +152,14 @@ class InstantNGPModel:
         return params
 
     def load_parameters(self, params: dict) -> None:
+        """Adopt arrays keyed as :meth:`parameters` names them."""
         self.encoding.load_parameters(params)
         self.density_mlp.load_parameters(params)
         self.color_mlp.load_parameters(params)
 
     @property
     def n_parameters(self) -> int:
+        """Total trainable values."""
         return sum(p.size for p in self.parameters().values())
 
     def density(self, positions: np.ndarray) -> np.ndarray:

@@ -193,11 +193,6 @@ class TensoRFConfig:
         """Feature width the encoding hands the density MLP."""
         return 3 * self.n_components
 
-    @property
-    def n_factor_parameters(self) -> int:
-        """Parameter count of the plane + line factor stores."""
-        return 3 * self.n_components * (self.resolution**2 + self.resolution)
-
 
 @dataclass
 class PlaneLineTrace:

@@ -56,8 +56,9 @@ def keep_heap_pages() -> bool:
 
     Left dynamic, the thresholds depend on the largest block the
     process happened to free before, so a training step's temporaries
-    (about 10 MB) either reuse the last step's heap pages or come from
-    fresh ``mmap`` pages that page-fault on every step.  Pinned, every
+    (up to 2 MB each, a traced peak of about 9.5 MiB a step at the
+    ``train`` bench's size) either reuse the last step's heap pages or
+    come from fresh ``mmap`` pages that page-fault on every step.  Pinned, every
     step reuses them.  The setting is process-wide, so only
     :class:`Trainer` applies it; serving code leaves glibc's rule alone.
     """

@@ -44,10 +44,10 @@ from ..sim.engine import CorePool, ScheduleResult
 class LevelTrace:
     """The reference forward's per-level access record.
 
-    ``indices[l]`` and ``weights[l]`` are ``(n, 8)``, ``corners[l]`` is
-    ``(n, 8, 3)``: the views that
+    ``indices[l]`` and ``weights[l]`` are ``(n, 8)``, the views that
     :class:`~repro.nerf.hash_encoding.EncodingTrace` derives from its
-    corner-major arrays.
+    corner-major arrays; ``corners[l]`` is ``(n, 8, 3)``, what
+    :meth:`~repro.nerf.hash_encoding.HashEncoding.level_lookup` returns.
     """
 
     indices: list
@@ -91,8 +91,8 @@ def hash_backward_reference(
     """Per-level ``np.add.at`` hash-encoding backward (pre-bincount).
 
     The element-at-a-time buffered scatter this reproduces is the
-    hotspot the optimized backward replaces with one flat
-    ``np.bincount`` per feature channel.
+    hotspot the optimized backward replaces with one ``np.bincount``
+    per level and feature channel.
     """
     grad_features = np.atleast_2d(grad_features)
     if grad_features.shape != (trace.n_points, encoding.config.output_dim):

@@ -79,11 +79,6 @@ class DynamicRayBatchScheduler:
         """Slices waiting across all scenes."""
         return sum(len(queue) for queue in self._queues.values())
 
-    @property
-    def has_work(self) -> bool:
-        """Whether any live slice is queued."""
-        return any(self._queues.values())
-
     # -- decision --------------------------------------------------------
 
     def _purge_dead(self) -> None:

@@ -73,7 +73,6 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "get_hooks",
     "get_metrics",
     "get_session",
     "get_tracer",
@@ -200,7 +199,3 @@ def get_tracer():
 
 def get_metrics():
     return _active.metrics
-
-
-def get_hooks() -> HookDispatcher:
-    return _active.hooks

@@ -94,7 +94,6 @@ def test_forward_shapes(tiny_encoding):
     assert len(trace.indices) == cfg.n_levels
     assert trace.indices[0].shape == (7, 8)
     assert trace.weights[0].shape == (7, 8)
-    assert trace.corners[0].shape == (7, 8, 3)
 
 
 def test_forward_deterministic(tiny_encoding):

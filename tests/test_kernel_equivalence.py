@@ -69,8 +69,13 @@ def test_hash_forward_bit_identical(dtype):
             assert f_opt.dtype == f_ref.dtype and np.array_equal(f_opt, f_ref), where
             assert t_opt.n_points == n and len(t_opt.indices) == config.n_levels
             for level in range(config.n_levels):
-                for name in ("indices", "weights", "corners"):
-                    got = getattr(t_opt, name)[level]
+                corners, _, _ = opt.level_lookup(points, level)
+                got_by_name = {
+                    "indices": t_opt.indices[level],
+                    "weights": t_opt.weights[level],
+                    "corners": corners,
+                }
+                for name, got in got_by_name.items():
                     want = getattr(t_ref, name)[level]
                     assert got.dtype == want.dtype, (where, level, name)
                     assert np.array_equal(got, want), (where, level, name)
@@ -90,6 +95,31 @@ def test_hash_backward_bit_identical_on_duplicate_indices():
         assert np.array_equal(
             opt.backward(grad, t_opt), ref.backward(grad, t_ref)
         ), config
+
+
+def test_hash_backward_bit_identical_on_float32_snapshot():
+    """The training step's datapath: a float32 snapshot's encoding
+    traces float32 points and scatters float32 upstream gradients into
+    float64 table gradients, bit-identical to the per-level reference
+    over the master's float64 tables."""
+    rng = np.random.default_rng(12)
+    config = HashEncodingConfig(
+        n_levels=4, n_features=2, log2_table_size=4,
+        base_resolution=4, finest_resolution=64,
+    )
+    model = InstantNGPModel(ModelConfig(encoding=config), seed=3)
+    snapshot = LowPrecisionField(model, mode="full")
+    ref = reference.ReferenceHashEncoding(config)
+    ref.tables = model.encoding.tables
+    points = rng.random((300, 3)).astype(np.float32)
+    points[:150] = points[0]
+    grad = rng.normal(size=(300, config.output_dim)).astype(np.float32)
+    _, t_opt = snapshot.encoding.forward(points)
+    _, t_ref = ref.forward(points)
+    got = snapshot.encoding.backward(grad, t_opt)
+    want = ref.backward(grad, t_ref)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want)
 
 
 def test_fp16_forward_matches_float32_per_level_blend():

@@ -88,6 +88,15 @@ def test_bias_gradient_is_column_sum():
     assert np.allclose(grads["b0"], grad_out.sum(axis=0))
 
 
+def test_backward_consumes_its_caches(net):
+    x = np.random.default_rng(5).normal(size=(6, 4))
+    out, caches = net.forward(x)
+    net.backward(np.ones_like(out), caches)
+    assert caches == [None, None]
+    with pytest.raises(ValueError, match="consumes"):
+        net.backward(np.ones_like(out), caches)
+
+
 def test_construction_validation():
     with pytest.raises(ValueError):
         MLP([4])
@@ -257,7 +266,10 @@ def test_backward_matches_out_of_place_reference(dtype, activations):
         with np.errstate(invalid="ignore", over="ignore"):
             _, caches = net.forward(x)
             grad_in, grads = net.backward(grad_out, caches)
-            ref_in, ref = _reference_backward(net, given, caches)
+            # Backward consumed its caches; the reference reads a
+            # second forward's.
+            _, ref_caches = net.forward(x)
+            ref_in, ref = _reference_backward(net, given, ref_caches)
         assert np.array_equal(grad_out, given, equal_nan=True)
         assert grad_in.dtype == ref_in.dtype == dtype
         assert grad_in.tobytes() == ref_in.tobytes()

@@ -201,3 +201,43 @@ def test_trainer_trains_where_libc_has_no_mallopt(monkeypatch, mic_dataset, tiny
     assert keep_heap_pages() is False
     trainer = _trainer(mic_dataset, tiny_model)
     assert np.isfinite(trainer.train_step())
+
+
+#: Traced-heap bound of one warm ``lego`` step at the bench's training
+#: configuration.  Backward frees each forward cache once it has read it
+#: and scatters one hash level at a time (about 9.1-9.6 MiB); holding
+#: every cache through backward and scattering all levels at once took
+#: about 14.4-15.0 MiB.
+WARM_STEP_PEAK_MIB = 11.0
+
+
+def test_warm_train_step_traced_peak_stays_bounded(lego_dataset):
+    import tracemalloc
+
+    from repro.nerf.hash_encoding import HashEncodingConfig
+    from repro.nerf.model import InstantNGPModel, ModelConfig
+
+    # The bench's `train` model and trainer configuration.
+    model = InstantNGPModel(
+        ModelConfig(
+            encoding=HashEncodingConfig(
+                n_levels=4, n_features=2, log2_table_size=12,
+                base_resolution=8, finest_resolution=64,
+            ),
+            hidden_width=32,
+            geo_features=15,
+        )
+    )
+    trainer = Trainer(
+        model, lego_dataset.cameras, lego_dataset.images, lego_dataset.normalizer,
+        TrainerConfig(batch_rays=512, max_samples_per_ray=32, occupancy_interval=8),
+    )
+    trainer.train_step()
+    tracemalloc.start()
+    try:
+        trainer.train_step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(batch) for batch in trainer.last_batches) > 7000
+    assert peak / 2**20 < WARM_STEP_PEAK_MIB

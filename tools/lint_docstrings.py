@@ -34,6 +34,9 @@ DEFAULT_PACKAGES = (
     "repro.pipeline",
     "repro.fleet",
     "repro.online",
+    "repro.nerf.hash_encoding",
+    "repro.nerf.model",
+    "repro.nerf.mlp",
     "repro.nerf.precision",
     "repro.nerf.sampling",
     "repro.nerf.aabb",
