@@ -21,11 +21,13 @@ from repro import Fusion3D
 from repro.baselines import ImageWarpingModel, METAVRAIN
 from repro.core.metrics import fps_from_throughput, ssim
 from repro.datasets import synthetic
+from repro.datasets.generator import AnalyticField
 from repro.nerf.camera import Camera, sphere_poses
 from repro.nerf.checkpoint import deployment_payload_bytes, load_model, save_model
-from repro.nerf.early_termination import termination_stats
+from repro.nerf.early_termination import render_batch_adaptive
 from repro.nerf.rays import generate_rays
-from repro.nerf.volume_rendering import composite, psnr
+from repro.nerf.volume_rendering import psnr
+from repro.pipeline import wrap_model
 from repro.sim.chip import ChipConfig, SingleChipAccelerator
 from repro.sim.trace import trace_from_rays
 
@@ -45,6 +47,9 @@ def main() -> None:
     trainer = system._trainer
 
     print("\nRendering an 8-view orbit from the reloaded checkpoint...")
+    renderer = wrap_model(
+        model, marcher=trainer.marcher, occupancy=trainer.occupancy
+    )
     chip = SingleChipAccelerator(ChipConfig.scaled())
     orbit = sphere_poses(8, radius=2.6)
     fps_per_frame = []
@@ -55,13 +60,7 @@ def main() -> None:
         origins, directions = dataset.normalizer.rays_to_unit(
             rays.origins, rays.directions
         )
-        batch = trainer.marcher.sample(
-            origins, directions, occupancy=trainer.occupancy
-        )
-        sigma, rgb, _ = model.forward(batch.positions, batch.directions)
-        result = composite(
-            sigma, rgb, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays
-        )
+        _, batch, _ = renderer.render_rays(origins, directions)
         trace = trace_from_rays(
             origins, directions, trainer.occupancy, max_samples=48
         )
@@ -70,12 +69,9 @@ def main() -> None:
         # ERT estimate at convergence: the analytic field is what a fully
         # trained (sharp) model approaches; short demo training stays too
         # soft to terminate much.
-        world = dataset.normalizer.from_unit(batch.positions)
-        sharp_sigma = dataset.scene.density(world) / dataset.normalizer.scale
-        sharp = composite(
-            sharp_sigma, rgb, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays
+        _, ert = render_batch_adaptive(
+            AnalyticField(dataset.scene), None, batch, threshold=1e-2
         )
-        ert = termination_stats(sharp, batch, threshold=1e-2)
         fps_per_frame.append(fps)
         ert_savings.append(ert.terminated_fraction)
         print(f"  frame {i}: {len(batch):6d} samples, "
@@ -83,11 +79,7 @@ def main() -> None:
               f"ERT at convergence would skip {ert.terminated_fraction * 100:4.1f}%")
 
     # Quality check on a held-out dataset view using the reloaded model.
-    from repro.pipeline import wrap_model
-
-    view = wrap_model(
-        model, marcher=trainer.marcher, occupancy=trainer.occupancy
-    ).render_image(dataset.cameras[-1], dataset.normalizer)
+    view = renderer.render_image(dataset.cameras[-1], dataset.normalizer)
     target = dataset.images[-1]
     print(f"\nReloaded-model quality: {psnr(view, target):.1f} dB PSNR, "
           f"{ssim(view, target):.3f} SSIM")

@@ -16,11 +16,8 @@ from .bandwidth import (
 from .metrics import (
     fps_from_throughput,
     ssim,
-    training_seconds,
     speedup,
     energy_efficiency,
-    ComparisonRow,
-    format_table,
 )
 
 __all__ = [
@@ -34,9 +31,6 @@ __all__ = [
     "VolumeBreakdown",
     "fps_from_throughput",
     "ssim",
-    "training_seconds",
     "speedup",
     "energy_efficiency",
-    "ComparisonRow",
-    "format_table",
 ]

@@ -84,6 +84,7 @@ class WorkloadVolume:
         samples_per_ray: float = 13.0,
         duration_s: float = 1.0,
     ) -> "WorkloadVolume":
+        """Real-time rendering: ``fps`` frames per second for ``duration_s``."""
         rays = fps * width * height * duration_s
         return cls(
             total_samples=rays * samples_per_ray,
@@ -103,9 +104,11 @@ class VolumeBreakdown:
 
     @property
     def total_intermediate_bytes(self) -> float:
+        """Inter-stage plus intra-stage bytes (what fusion keeps on chip)."""
         return self.inter_stage_bytes + self.intra_stage_bytes
 
     def rates_gbps(self, deadline_s: float) -> dict:
+        """Each category's bytes as a rate over ``deadline_s``, GB/s."""
         return {
             "inter_stage": self.inter_stage_bytes / deadline_s / 1e9,
             "intra_stage": self.intra_stage_bytes / deadline_s / 1e9,
@@ -122,6 +125,7 @@ class BandwidthModel:
     # -- data volumes (Fig. 3) -------------------------------------------
 
     def training_volume(self, workload: WorkloadVolume) -> VolumeBreakdown:
+        """Bytes a training run moves, by category (Fig. 3)."""
         c = self.constants
         s = workload.total_samples
         inter = s * (
@@ -138,6 +142,7 @@ class BandwidthModel:
         )
 
     def inference_volume(self, workload: WorkloadVolume) -> VolumeBreakdown:
+        """Bytes an inference run moves, by category (forward only)."""
         c = self.constants
         s = workload.total_samples
         inter = s * (c.stage1_to_2_bytes + c.stage2_to_3_fwd_bytes)
@@ -197,28 +202,6 @@ class BandwidthModel:
             bw += volume.inter_stage_bytes / workload.deadline_s
             spill = workload.total_samples * c.stage3_activation_bytes
             bw += spill / workload.deadline_s
-        return bw / 1e9
-
-    def required_inference_bandwidth_gbps(
-        self,
-        workload: WorkloadVolume,
-        table_bytes: float,
-        on_chip_feature_bytes: float = 640 * 1024,
-        end_to_end: bool = True,
-    ) -> float:
-        c = self.constants
-        volume = self.inference_volume(workload)
-        bw = volume.io_bytes / workload.deadline_s
-        miss = max(0.0, 1.0 - on_chip_feature_bytes / max(table_bytes, 1.0))
-        # Inference re-reads missing table entries per frame working set.
-        bw += (
-            workload.total_samples
-            * c.stage2_feature_read_bytes
-            * miss
-            / workload.deadline_s
-        )
-        if not end_to_end:
-            bw += volume.inter_stage_bytes / workload.deadline_s
         return bw / 1e9
 
     def end_to_end_reduction(

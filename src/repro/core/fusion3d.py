@@ -114,40 +114,44 @@ class Fusion3D:
 
     @classmethod
     def single_chip(cls, **overrides) -> "Fusion3D":
+        """A one-chip system; ``overrides`` are :class:`Fusion3DConfig` fields."""
         return cls(Fusion3DConfig(**overrides))
 
     @classmethod
     def multi_chip(cls, n_chips: int = 4, **overrides) -> "Fusion3D":
+        """An ``n_chips`` system that trains one MoE expert per chip."""
         return cls(Fusion3DConfig(multi_chip=True, n_chips=n_chips, **overrides))
 
     @property
     def model(self):
+        """The trained field (raises before :meth:`reconstruct`)."""
         if self._model is None:
             raise RuntimeError("call reconstruct() first")
         return self._model
 
     def reconstruct(self, dataset, iterations: int = 300) -> ReconstructionResult:
         """Train a radiance field on the dataset, co-simulating hardware."""
-        return self._reconstruct(dataset, iterations)
-
-    def reconstruct_until(
-        self,
-        dataset,
-        psnr_target: float = 25.0,
-        max_iterations: int = 2000,
-        check_every: int = 50,
-    ) -> ReconstructionResult:
-        """Train until the paper's quality bar (default: 25 PSNR).
-
-        The paper measures training time as wall clock to 25 PSNR; this
-        is the library's equivalent: iterate until the evaluated PSNR
-        crosses ``psnr_target`` (checked every ``check_every`` steps) or
-        ``max_iterations`` is exhausted, then report as
-        :meth:`reconstruct` does for the samples actually consumed.
-        """
-        if check_every < 1:
-            raise ValueError("check_every must be positive")
-        return self._reconstruct(dataset, max_iterations, psnr_target, check_every)
+        cfg = self.config
+        if cfg.multi_chip:
+            model = MoENeRF(
+                MoEConfig(n_experts=cfg.n_chips, expert_model=cfg.model),
+                seed=cfg.seed,
+            )
+        else:
+            model = InstantNGPModel(cfg.model, seed=cfg.seed)
+        trainer = Trainer(
+            model, dataset.cameras, dataset.images, dataset.normalizer, cfg.trainer
+        )
+        total_samples = 0.0
+        for _ in range(iterations):
+            trainer.train_step()
+            # Per-chip load: each chip marches its own expert's batch.
+            total_samples += float(
+                np.mean([len(batch) for batch in trainer.last_batches])
+            )
+        self._model = model
+        self._trainer = trainer
+        return self._finish_reconstruction(dataset, trainer, iterations, total_samples)
 
     def render(self, dataset, view: int = 0) -> RenderingResult:
         """Render one dataset view with the trained model, co-simulating."""
@@ -172,41 +176,6 @@ class Fusion3D:
         )
 
     # -- internals ---------------------------------------------------------
-
-    def _reconstruct(
-        self, dataset, max_iterations: int, psnr_target: float = None, check_every: int = 1
-    ) -> ReconstructionResult:
-        """Train up to ``max_iterations`` steps (to ``psnr_target``, if set)."""
-        cfg = self.config
-        if cfg.multi_chip:
-            model = MoENeRF(
-                MoEConfig(n_experts=cfg.n_chips, expert_model=cfg.model),
-                seed=cfg.seed,
-            )
-        else:
-            model = InstantNGPModel(cfg.model, seed=cfg.seed)
-        trainer = Trainer(
-            model, dataset.cameras, dataset.images, dataset.normalizer, cfg.trainer
-        )
-        total_samples = 0.0
-        iterations = 0
-        while iterations < max_iterations:
-            trainer.train_step()
-            iterations += 1
-            # Per-chip load: each chip marches its own expert's batch.
-            total_samples += float(
-                np.mean([len(batch) for batch in trainer.last_batches])
-            )
-            if (
-                psnr_target is not None
-                and iterations % check_every == 0
-                and trainer.eval_psnr(n_views=min(2, len(dataset.cameras)))
-                >= psnr_target
-            ):
-                break
-        self._model = model
-        self._trainer = trainer
-        return self._finish_reconstruction(dataset, trainer, iterations, total_samples)
 
     def _finish_reconstruction(
         self, dataset, trainer, iterations: int, total_samples: float

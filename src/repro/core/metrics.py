@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def fps_from_throughput(
     samples_per_second: float,
@@ -18,16 +16,6 @@ def fps_from_throughput(
     return samples_per_second / per_frame
 
 
-def training_seconds(
-    total_samples: float,
-    samples_per_second: float,
-) -> float:
-    """Wall-clock training time for a sample budget."""
-    if samples_per_second <= 0:
-        raise ValueError("throughput must be positive")
-    return total_samples / samples_per_second
-
-
 def speedup(ours_seconds: float, baseline_seconds: float) -> float:
     """How many times faster we are than the baseline."""
     if ours_seconds <= 0:
@@ -40,36 +28,6 @@ def energy_efficiency(ours_joules: float, baseline_joules: float) -> float:
     if ours_joules <= 0:
         raise ValueError("our energy must be positive")
     return baseline_joules / ours_joules
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    """One platform's entry in a speedup/efficiency comparison."""
-
-    platform: str
-    throughput_mps: float = None
-    energy_per_point_nj: float = None
-    speedup: float = None
-    energy_efficiency: float = None
-
-    def formatted(self) -> str:
-        parts = [f"{self.platform:28s}"]
-        if self.throughput_mps is not None:
-            parts.append(f"{self.throughput_mps:9.1f} M/s")
-        if self.energy_per_point_nj is not None:
-            parts.append(f"{self.energy_per_point_nj:8.2f} nJ/pt")
-        if self.speedup is not None:
-            parts.append(f"{self.speedup:7.2f}x speed")
-        if self.energy_efficiency is not None:
-            parts.append(f"{self.energy_efficiency:8.1f}x energy")
-        return "  ".join(parts)
-
-
-def format_table(title: str, rows: list) -> str:
-    """Render comparison rows as the text tables the benches print."""
-    lines = [title, "=" * len(title)]
-    lines.extend(row.formatted() for row in rows)
-    return "\n".join(lines)
 
 
 def _gaussian_kernel(size: int = 7, sigma: float = 1.5):

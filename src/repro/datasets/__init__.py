@@ -7,6 +7,7 @@ on workload statistics, which the analytic scenes control directly.
 from .generator import (
     Primitive,
     AnalyticScene,
+    AnalyticField,
     SceneDataset,
     TRAJECTORIES,
     build_dataset,
@@ -22,6 +23,7 @@ from .nerf360 import NERF360_SCENES
 __all__ = [
     "Primitive",
     "AnalyticScene",
+    "AnalyticField",
     "SceneDataset",
     "TRAJECTORIES",
     "build_dataset",

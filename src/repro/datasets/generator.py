@@ -327,6 +327,28 @@ class AnalyticScene:
         return np.flatnonzero(keep)
 
 
+class AnalyticField:
+    """An :class:`AnalyticScene` as a unit-space field.
+
+    ``forward(positions, directions)`` returns ``(sigma, rgb, None)`` at
+    unit-cube positions: the scene's world density divided by the
+    normalization scale (optical depth is length-invariant, so a unit
+    step sees the opacity of the world step it maps to) and its albedo.
+    It lets code that takes a field, such as the ERT round loop, render
+    the converged field a fully trained model approaches.
+    """
+
+    def __init__(self, scene: AnalyticScene):
+        self.scene = scene
+        self.normalizer = scene.normalizer()
+
+    def forward(self, positions: np.ndarray, directions: np.ndarray) -> tuple:
+        """Unit-space ``(sigma, rgb, None)``; ``directions`` are unused."""
+        world = self.normalizer.from_unit(positions)
+        density, rgb = self.scene.density_and_color(world)
+        return density / self.normalizer.scale, rgb, None
+
+
 @dataclass
 class SceneDataset:
     """A posed multi-view dataset rendered from an analytic scene."""

@@ -33,7 +33,6 @@ from .controller import (
 from .placement import (
     HashRing,
     place_experts,
-    place_scenes,
     rebalance_experts,
     stable_hash,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "SLOW",
     "format_fleet_report",
     "place_experts",
-    "place_scenes",
     "rebalance_experts",
     "stable_hash",
     "workers_from_fault_config",

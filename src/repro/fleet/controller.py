@@ -415,12 +415,12 @@ class FleetController:
         slices = slice_request(active, self.config.slice_rays)
         billed = 0.0
         for item in slices:
-            colors, samples, _ = entry.renderer.render_rays(
+            colors, _, live = entry.renderer.render_rays(
                 active.origins[item.start : item.stop],
                 active.directions[item.start : item.stop],
             )
             active.out[item.start : item.stop] = colors
-            billed += len(samples) * entry.request.hw_scale
+            billed += live * entry.request.hw_scale
         active.finish("completed", now)
         board_s = board_time(self.system, entry.request.scene, handle.trace, billed)
         return active.frame, billed, board_s * worker.service_multiplier(now)

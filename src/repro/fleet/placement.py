@@ -110,15 +110,6 @@ class HashRing:
         return preference
 
 
-def place_scenes(scene_names, ring: HashRing, replication: int) -> dict:
-    """Preference lists for every scene: ``{scene: [primary, replica, ...]}``."""
-    if replication < 1:
-        raise ValueError("replication must be positive")
-    return {
-        scene: ring.preference(scene, replication) for scene in scene_names
-    }
-
-
 def place_experts(n_workers: int) -> dict:
     """Initial MoE expert assignment: expert *i* on worker *i*.
 

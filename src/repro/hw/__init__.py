@@ -22,8 +22,8 @@ from .arith import (
     MultiplierCost,
 )
 from .sram import SramBankSpec, BankedSram, AccessStats
-from .memory_cluster import MemoryCluster, MemoryClusterSpec
-from .noc import Noc, NocSpec, crossbar_area_mm2, one_to_one_area_mm2
+from .memory_cluster import MemoryClusterSpec
+from .noc import crossbar_area_mm2, one_to_one_area_mm2
 from .interconnect import (
     LinkSpec,
     USB_3_2_GEN1,
@@ -61,10 +61,7 @@ __all__ = [
     "SramBankSpec",
     "BankedSram",
     "AccessStats",
-    "MemoryCluster",
     "MemoryClusterSpec",
-    "Noc",
-    "NocSpec",
     "crossbar_area_mm2",
     "one_to_one_area_mm2",
     "LinkSpec",

@@ -23,6 +23,7 @@ class ModuleArea:
 
     @property
     def total_mm2(self) -> float:
+        """Logic plus SRAM area."""
         return self.logic_mm2 + self.sram_mm2
 
 
@@ -33,12 +34,15 @@ class AreaModel:
         self.tech = tech
 
     def logic_area_mm2(self, gates: float) -> float:
+        """Area of ``gates`` logic gates."""
         return gates / self.tech.logic.gates_per_mm2
 
     def sram_area_mm2(self, kb: float) -> float:
+        """Area of ``kb`` KB of SRAM macros."""
         return kb * self.tech.sram.area_mm2_per_kb
 
     def module(self, name: str, gates: float, sram_kb: float) -> ModuleArea:
+        """One module's :class:`ModuleArea` from its gates and SRAM."""
         return ModuleArea(
             name=name,
             logic_mm2=self.logic_area_mm2(gates),

@@ -80,6 +80,7 @@ class MultiplierCost:
     energy_pj: float
 
     def area_mm2(self, tech: Technology = TECH_28NM) -> float:
+        """Silicon area of the multiplier's gates."""
         return self.gates / tech.logic.gates_per_mm2
 
 

@@ -45,6 +45,7 @@ class OpCounts:
         return result
 
     def scaled(self, factor: float) -> "OpCounts":
+        """Every count multiplied by ``factor``."""
         return OpCounts(*[getattr(self, name) * factor for name in _OP_FIELDS])
 
 
@@ -64,6 +65,7 @@ class EnergyBreakdown:
 
     @property
     def total_j(self) -> float:
+        """Sum of every resource's joules."""
         return (
             self.compute_j
             + self.sram_j
@@ -73,6 +75,7 @@ class EnergyBreakdown:
         )
 
     def as_dict(self) -> dict:
+        """Every component and the total, keyed by field name."""
         return {
             "compute_j": self.compute_j,
             "sram_j": self.sram_j,
@@ -140,14 +143,3 @@ class EnergyModel:
         )
         breakdown.leakage_j = leakage_mw * 1e-3 * runtime_s
         return breakdown
-
-    def average_power_w(
-        self,
-        ops: OpCounts,
-        runtime_s: float,
-        sram_kb: float,
-        logic_mgates: float,
-    ) -> float:
-        if runtime_s <= 0:
-            raise ValueError("runtime must be positive")
-        return self.energy(ops, runtime_s, sram_kb, logic_mgates).total_j / runtime_s

@@ -34,12 +34,8 @@ class LinkSpec:
         return self.latency_ns * 1e-9 + nbytes / (self.bandwidth_gbps * 1e9)
 
     def transfer_energy_j(self, nbytes: float) -> float:
+        """Joules to move ``nbytes`` over the link."""
         return nbytes * self.energy_pj_per_byte * 1e-12
-
-    def sustainable_rate_gbps(self, duty_cycle: float = 1.0) -> float:
-        if not 0.0 < duty_cycle <= 1.0:
-            raise ValueError("duty_cycle must be in (0, 1]")
-        return self.bandwidth_gbps * duty_cycle
 
 
 #: USB 3.2 Gen 1 (5 Gbps line rate = 0.625 GB/s), the host-side budget.

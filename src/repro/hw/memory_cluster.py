@@ -4,14 +4,13 @@ Each cluster holds multiple SRAM arrays whose connections to the computing
 modules are software-configurable, enabling a ping-pong scheme: while one
 array is being filled by stage *k*, its twin is drained by stage *k+1*.
 The paper's prototype has two clusters; the scaled-up chip has five.
+:class:`MemoryClusterSpec` sizes them: the chip simulator
+(:mod:`repro.sim.chip`) adds their capacity to its SRAM area and leakage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .sram import SramBankSpec, BankedSram
-from .technology import Technology, TECH_28NM
 
 
 @dataclass(frozen=True)
@@ -27,68 +26,6 @@ class MemoryClusterSpec:
 
     @property
     def total_kb(self) -> float:
+        """Capacity of the whole cluster, KB."""
         return self.n_arrays * self.banks_per_array * self.bank_kb
 
-
-class MemoryCluster:
-    """One memory cluster plus its ping-pong bookkeeping.
-
-    The cluster does not store payload data (the functional NeRF lives in
-    NumPy); it accounts capacity, area, leakage, and whether a
-    producer/consumer pair can run concurrently on complementary arrays.
-    """
-
-    def __init__(self, spec: MemoryClusterSpec, tech: Technology = TECH_28NM):
-        self.spec = spec
-        self.tech = tech
-        bank = SramBankSpec(size_kb=spec.bank_kb)
-        self.arrays = [
-            BankedSram(spec.banks_per_array, bank, tech) for _ in range(spec.n_arrays)
-        ]
-        self._owner = [None] * spec.n_arrays
-
-    @property
-    def total_kb(self) -> float:
-        return self.spec.total_kb
-
-    def area_mm2(self) -> float:
-        return sum(array.area_mm2() for array in self.arrays)
-
-    def leakage_mw(self) -> float:
-        return sum(array.leakage_mw() for array in self.arrays)
-
-    def claim(self, array_idx: int, owner: str) -> BankedSram:
-        """Connect an array to a computing module (software crossbar)."""
-        if not 0 <= array_idx < self.spec.n_arrays:
-            raise IndexError(f"array index {array_idx} out of range")
-        current = self._owner[array_idx]
-        if current is not None and current != owner:
-            raise RuntimeError(
-                f"array {array_idx} already connected to {current!r}"
-            )
-        self._owner[array_idx] = owner
-        return self.arrays[array_idx]
-
-    def release(self, array_idx: int) -> None:
-        self._owner[array_idx] = None
-
-    def owners(self) -> list:
-        return list(self._owner)
-
-    def ping_pong_pair(self, producer: str, consumer: str) -> tuple:
-        """Claim two arrays as a ping-pong pair; returns their indices.
-
-        Raises ``RuntimeError`` when fewer than two arrays are free, which
-        is exactly the condition under which the pipeline must stall.
-        """
-        free = [i for i, owner in enumerate(self._owner) if owner is None]
-        if len(free) < 2:
-            raise RuntimeError("not enough free arrays for a ping-pong pair")
-        ping, pong = free[0], free[1]
-        self.claim(ping, producer)
-        self.claim(pong, consumer)
-        return ping, pong
-
-    def swap(self, ping: int, pong: int) -> None:
-        """Swap the roles of a ping-pong pair at a stage boundary."""
-        self._owner[ping], self._owner[pong] = self._owner[pong], self._owner[ping]

@@ -1,55 +1,17 @@
-"""On-chip network model connecting Fusion-3D's modules.
+"""Area of the on-chip network connecting Fusion-3D's modules.
 
 The NoC links the sampling, feature-interpolation, and post-processing
-modules to the memory clusters and the interface/controller.  We model it
-as a small crossbar with per-hop energy and bandwidth limits; Sec. V-B's
-ablation (Fig. 12(b)) compares this crossbar against the one-to-one wiring
-that the two-level hash tiling makes sufficient.
+modules to the memory clusters and the interface/controller.  Sec. V-B's
+ablation (Fig. 12(b)) compares a full crossbar against the one-to-one
+wiring that the two-level hash tiling makes sufficient; the two area
+functions here are that comparison.  Transfer cycles and energy are
+billed by the stage models (``noc_bytes`` in
+:class:`~repro.hw.energy.OpCounts`), not here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .technology import Technology, TECH_28NM
-
-
-@dataclass(frozen=True)
-class NocSpec:
-    """Static NoC parameters."""
-
-    n_ports: int = 8
-    #: Link width in bytes per cycle per port.
-    link_bytes_per_cycle: int = 16
-    #: Energy to move one byte across the crossbar, pJ.
-    energy_pj_per_byte: float = 0.08
-    #: Router/arbitration latency, cycles.
-    hop_cycles: int = 1
-
-
-class Noc:
-    """Bandwidth/energy accounting for on-chip transfers."""
-
-    def __init__(self, spec: NocSpec, tech: Technology = TECH_28NM):
-        self.spec = spec
-        self.tech = tech
-
-    def transfer_cycles(self, nbytes: int) -> int:
-        """Cycles to move ``nbytes`` over one port, including the hop."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        if nbytes == 0:
-            return 0
-        beats = -(-nbytes // self.spec.link_bytes_per_cycle)
-        return beats + self.spec.hop_cycles
-
-    def transfer_energy_pj(self, nbytes: int) -> float:
-        return nbytes * self.spec.energy_pj_per_byte
-
-    def peak_bandwidth_gbps(self) -> float:
-        """Aggregate bandwidth across all ports, GB/s."""
-        per_port = self.spec.link_bytes_per_cycle * self.tech.clock_hz
-        return self.spec.n_ports * per_port / 1e9
 
 
 def crossbar_area_mm2(n_ports: int, width_bits: int, tech: Technology = TECH_28NM) -> float:

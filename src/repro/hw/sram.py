@@ -25,15 +25,19 @@ class SramBankSpec:
     word_bytes: int = 4
 
     def area_mm2(self, tech: Technology = TECH_28NM) -> float:
+        """Macro area of the bank."""
         return self.size_kb * tech.sram.area_mm2_per_kb
 
     def leakage_mw(self, tech: Technology = TECH_28NM) -> float:
+        """Static leakage of the bank."""
         return self.size_kb * tech.sram.leakage_mw_per_kb
 
     def read_energy_pj(self, nbytes: int, tech: Technology = TECH_28NM) -> float:
+        """Energy to read ``nbytes`` from the bank."""
         return nbytes * tech.sram.read_pj_per_byte
 
     def write_energy_pj(self, nbytes: int, tech: Technology = TECH_28NM) -> float:
+        """Energy to write ``nbytes`` to the bank."""
         return nbytes * tech.sram.write_pj_per_byte
 
 
@@ -52,12 +56,14 @@ class AccessStats:
 
     @property
     def mean_cycles_per_group(self) -> float:
+        """Mean serialized cycles per access group (0 with none)."""
         if not self.group_cycles:
             return 0.0
         return float(np.mean(self.group_cycles))
 
     @property
     def cycle_variance(self) -> float:
+        """Variance of the per-group cycle counts (0 with none)."""
         if not self.group_cycles:
             return 0.0
         return float(np.var(self.group_cycles))
@@ -83,12 +89,15 @@ class BankedSram:
 
     @property
     def total_kb(self) -> float:
+        """Capacity of all banks, KB."""
         return self.n_banks * self.bank.size_kb
 
     def area_mm2(self) -> float:
+        """Macro area of all banks."""
         return self.n_banks * self.bank.area_mm2(self.tech)
 
     def leakage_mw(self) -> float:
+        """Static leakage of all banks."""
         return self.n_banks * self.bank.leakage_mw(self.tech)
 
     def replay_groups(

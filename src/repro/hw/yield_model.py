@@ -74,6 +74,7 @@ class ScalingComparison:
 
     @property
     def cost_saving(self) -> float:
+        """Share of the monolithic cost that chiplets plus packaging save."""
         total_multi = self.multi_chip_cost + self.packaging_cost
         return 1.0 - total_multi / self.monolithic_cost
 

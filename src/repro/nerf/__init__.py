@@ -48,16 +48,7 @@ from .quantization import (
     quantize_model_parameters,
     PeriodicQuantizationHook,
 )
-from .early_termination import (
-    AdaptiveStats,
-    TerminationStats,
-    live_sample_mask,
-    render_batch_adaptive,
-    termination_stats,
-    truncate_batch,
-    per_ray_live_counts,
-    verify_color_preserved,
-)
+from .early_termination import AdaptiveStats, render_batch_adaptive
 from .precision import (
     FULL_PRECISION,
     PRECISION_MODES,
@@ -67,7 +58,6 @@ from .precision import (
     PrecisionReport,
 )
 from .checkpoint import save_model, load_model, deployment_payload_bytes
-from .gradcheck import check_model_gradients, GradCheckReport
 from .moe import MoENeRF, MoEConfig, dominance_map, dominance_ascii
 from .tensorf import (
     DenseGridField,
@@ -129,14 +119,8 @@ __all__ = [
     "quantization_error",
     "quantize_model_parameters",
     "PeriodicQuantizationHook",
-    "TerminationStats",
     "AdaptiveStats",
     "render_batch_adaptive",
-    "live_sample_mask",
-    "termination_stats",
-    "truncate_batch",
-    "per_ray_live_counts",
-    "verify_color_preserved",
     "FULL_PRECISION",
     "PRECISION_MODES",
     "LowPrecisionField",
@@ -146,8 +130,6 @@ __all__ = [
     "save_model",
     "load_model",
     "deployment_payload_bytes",
-    "check_model_gradients",
-    "GradCheckReport",
     "MoENeRF",
     "MoEConfig",
     "dominance_map",

@@ -2,10 +2,11 @@
 
 Once a ray's accumulated transmittance falls below a threshold, the
 remaining samples cannot visibly change the pixel, so the hardware stops
-fetching and evaluating them.  The renderer here applies the same rule to
-*workload accounting*: it reports how many samples a hardware pipeline
-with ERT actually processes, which the chip simulator consumes to
-quantify the inference speedup ERT buys on opaque scenes.
+fetching and evaluating them.  :func:`render_batch_adaptive` is the one
+ERT rule: a round loop that evaluates the field front to back, stops each
+ray at its cutoff, and counts the *live* samples (entry transmittance at
+least the threshold), which is the work a per-sample ERT unit does and
+what serving bills.
 
 ERT is inference-only (training needs gradients from every sample, and
 the paper trains without it), and it composes with the occupancy gating
@@ -21,7 +22,6 @@ import numpy as np
 
 from .sampling import SampleBatch
 from .volume_rendering import (
-    RenderResult,
     evaluate_in_tiles,
     segment_starts,
     segmented_exclusive_cumsum,
@@ -29,103 +29,26 @@ from .volume_rendering import (
 
 
 @dataclass
-class TerminationStats:
-    """Workload effect of ERT on one rendered batch."""
-
-    total_samples: int
-    live_samples: int
-    threshold: float
-
-    @property
-    def terminated_fraction(self) -> float:
-        if self.total_samples == 0:
-            return 0.0
-        return 1.0 - self.live_samples / self.total_samples
-
-    @property
-    def speedup(self) -> float:
-        """Stage II/III work reduction factor."""
-        if self.live_samples == 0:
-            return float("inf")
-        return self.total_samples / self.live_samples
-
-
-def live_sample_mask(
-    result: RenderResult,
-    threshold: float = 1e-3,
-) -> np.ndarray:
-    """Samples a hardware ERT unit would actually evaluate.
-
-    A sample is *live* while its ray's transmittance on entry is at least
-    ``threshold``; everything after the termination point is skipped.
-    The per-sample transmittance already encodes each ray's prefix, so
-    the mask needs only the render result (the former ``ray_idx`` /
-    ``n_rays`` parameters were never consulted and are gone).
-    """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
-    return result.transmittance >= threshold
-
-
-def termination_stats(
-    result: RenderResult,
-    batch: SampleBatch,
-    threshold: float = 1e-3,
-) -> TerminationStats:
-    """ERT workload statistics for one rendered batch."""
-    mask = live_sample_mask(result, threshold)
-    return TerminationStats(
-        total_samples=len(batch),
-        live_samples=int(mask.sum()),
-        threshold=threshold,
-    )
-
-
-def truncate_batch(
-    batch: SampleBatch,
-    result: RenderResult,
-    threshold: float = 1e-3,
-) -> SampleBatch:
-    """The batch an ERT-enabled pipeline would have produced.
-
-    Used to re-drive the chip simulator with the reduced workload; the
-    per-ray front-to-back ordering is preserved because ERT only removes
-    suffixes.
-    """
-    mask = live_sample_mask(result, threshold)
-    return SampleBatch(
-        positions=batch.positions[mask],
-        directions=batch.directions[mask],
-        deltas=batch.deltas[mask],
-        ts=batch.ts[mask],
-        ray_idx=batch.ray_idx[mask],
-        n_rays=batch.n_rays,
-        candidates=batch.candidates,
-    )
-
-
-def per_ray_live_counts(
-    result: RenderResult,
-    batch: SampleBatch,
-    threshold: float = 1e-3,
-) -> np.ndarray:
-    """Live samples per ray — the ERT'd samples_per_ray distribution."""
-    mask = live_sample_mask(result, threshold)
-    return np.bincount(batch.ray_idx[mask], minlength=batch.n_rays)
-
-
-@dataclass
 class AdaptiveStats:
-    """Workload split of one transmittance-adaptive render."""
+    """Workload split of one transmittance-adaptive render.
+
+    ``live_samples`` counts the samples whose entry transmittance is at
+    least ``threshold``: the samples a hardware ERT unit, which stops per
+    sample, evaluates.  ``full_samples`` and ``lowp_samples`` count what
+    the host evaluated, in whole rounds, so their sum is at least the
+    live count.
+    """
 
     total_samples: int
     full_samples: int
     lowp_samples: int
+    live_samples: int
     threshold: float
     switch_threshold: float
 
     @property
     def evaluated(self) -> int:
+        """Samples the host evaluated (whole rounds)."""
         return self.full_samples + self.lowp_samples
 
     @property
@@ -137,9 +60,10 @@ class AdaptiveStats:
 
     @property
     def terminated_fraction(self) -> float:
+        """Fraction of the batch behind every ray's cutoff."""
         if self.total_samples == 0:
             return 0.0
-        return 1.0 - self.evaluated / self.total_samples
+        return 1.0 - self.live_samples / self.total_samples
 
 
 def render_batch_adaptive(
@@ -151,22 +75,18 @@ def render_batch_adaptive(
     switch_threshold: float = 0.1,
     round_size: int = 32,
 ) -> tuple:
-    """Render a sample batch with *actual* early ray termination.
+    """Render a sample batch with early ray termination.
 
-    Unlike :func:`live_sample_mask` — which post-hoc accounts for the
-    work an ERT unit would have skipped — this evaluates the field the
-    way the hardware does: samples are fetched front-to-back in rounds of
-    at most ``round_size`` per ray, transmittance accumulates after every
-    round, and a ray whose transmittance has fallen below ``threshold``
-    fetches no further rounds.  Samples the full render would never have
-    evaluated are never handed to a field.
-
-    A sample contributes to its pixel exactly when its entry
-    transmittance is at least ``threshold`` — the same prefix rule as
-    :func:`live_sample_mask` — so with one field the returned colors
-    equal ``composite(truncate_batch(batch, full_result, threshold))`` up
-    to float-sum reordering (verified to PSNR 1e-4 by the equivalence
-    suite).
+    The field is evaluated the way the hardware does it: samples are
+    fetched front-to-back in rounds of at most ``round_size`` per ray,
+    transmittance accumulates after every round, and a ray whose
+    transmittance has fallen below ``threshold`` fetches no further
+    rounds.  A sample contributes to its pixel exactly when its entry
+    transmittance is at least ``threshold`` (a *live* sample); since
+    transmittance never rises, the live samples are a prefix of each ray,
+    and the colors equal the composite of that prefix up to float-sum
+    reordering.  ``round_size`` only sets host batching: the live count
+    does not depend on it.
 
     Per-ray precision: a ray whose transmittance on entry to a round has
     fallen below ``switch_threshold`` can no longer contribute more than
@@ -179,9 +99,8 @@ def render_batch_adaptive(
     depends only on accumulated optical depth, so re-rendering the same
     rays reproduces the same precision split bit for bit.
 
-    Returns ``(colors, stats)`` with :class:`AdaptiveStats` counting how
-    many samples each field evaluated (round granularity means slightly
-    more than the exact live count).
+    Returns ``(colors, stats)``: :class:`AdaptiveStats` counts the live
+    samples and how many samples each field evaluated.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
@@ -201,6 +120,7 @@ def render_batch_adaptive(
     live = np.flatnonzero(counts > 0)
     full_evaluated = 0
     lowp_evaluated = 0
+    live_samples = 0
     while live.size:
         take = np.minimum(counts[live] - offset[live], round_size)
         round_fences = np.concatenate([[0], np.cumsum(take)])
@@ -238,6 +158,7 @@ def render_batch_adaptive(
         )
         t_entry = np.exp(-entry)
         live_mask = t_entry >= threshold
+        live_samples += int(np.count_nonzero(live_mask))
         alphas = 1.0 - np.exp(-optical)
         weights = np.where(live_mask, t_entry * alphas, 0.0)
         rays = live[seg_id]
@@ -262,17 +183,8 @@ def render_batch_adaptive(
         total_samples=len(batch),
         full_samples=full_evaluated,
         lowp_samples=lowp_evaluated,
+        live_samples=live_samples,
         threshold=threshold,
         switch_threshold=switch_threshold,
     )
     return colors, stats
-
-
-def verify_color_preserved(
-    result: RenderResult,
-    truncated_result: RenderResult,
-    threshold: float = 1e-3,
-) -> float:
-    """Max per-channel color change ERT introduced (bounded by
-    ``threshold`` times the color range, by construction)."""
-    return float(np.max(np.abs(result.colors - truncated_result.colors)))

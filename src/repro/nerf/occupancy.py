@@ -139,17 +139,6 @@ class OccupancyGrid:
         if not self.mask.any():
             self.mask[:] = True
 
-    def occupied_aabbs(self) -> tuple:
-        """Unit-space bounds of every occupied cell: ``(mins, maxs)``.
-
-        The multi-chip gate uses this to decide which samples an expert
-        must process.
-        """
-        cells = np.argwhere(self.mask)
-        mins = cells / self.resolution
-        maxs = (cells + 1) / self.resolution
-        return mins, maxs
-
 
 def traverse_grid(
     origins: np.ndarray,

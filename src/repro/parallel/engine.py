@@ -176,12 +176,6 @@ class RunReport:
             [o.telemetry["metrics"] for o in self.outcomes if o.telemetry]
         )
 
-    def merged_spans(self) -> dict:
-        """One span aggregate combining every job's span aggregate."""
-        return merge_span_aggregates(
-            [o.telemetry["spans"] for o in self.outcomes if o.telemetry]
-        )
-
     def merged_trace_events(self) -> list:
         """All workers' Chrome-trace events (pid column = worker)."""
         events = []

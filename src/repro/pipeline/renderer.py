@@ -132,29 +132,26 @@ class Renderer:
         return sum(p.size for p in self.field.parameters().values())
 
     def render_rays(self, origins: np.ndarray, directions: np.ndarray) -> tuple:
-        """Render a unit-space ray batch: ``(colors, batch, result)``.
+        """Render a unit-space ray batch: ``(colors, batch, live)``.
 
         The compositor evaluates its float32 inference snapshot of
         :attr:`field` when it holds one (every ``ngp`` renderer, see
         :func:`~repro.pipeline.registry.wrap_model`), else the field
         itself; the field stays the float64 master that trains and
-        checkpoints.  Returns the sample batch so callers can bill or
-        trace it, and the
-        per-sample :class:`~repro.nerf.volume_rendering.RenderResult`
-        (``None`` for an empty batch or an ERT compositor).  Colors are
-        float64 and unclipped; a batch with no kept samples is all
-        background.
+        checkpoints.  Returns the sample batch so callers can trace it,
+        and ``live``, the number of samples that reached the composite
+        (``len(batch)`` without early ray termination, 0 for an empty
+        batch), which serving bills.  Colors are float64 and unclipped;
+        a batch with no kept samples is all background.
         """
         batch = self.sampler.sample(origins, directions)
         if len(batch) == 0:
             n = np.atleast_2d(origins).shape[0]
             colors = np.full((n, 3), self.background, dtype=np.float64)
-            return colors, batch, None
-        colors, result = self.compositor.render(
-            self.field, batch, self.background
-        )
+            return colors, batch, 0
+        colors, live = self.compositor.render(self.field, batch, self.background)
         colors = scrub_rendered_colors(colors, self.background)
-        return colors, batch, result
+        return colors, batch, live
 
     def render_image(
         self, camera: Camera, normalizer, chunk: int = 8192

@@ -125,11 +125,11 @@ class Compositor:
     """Per-sample ``(sigma, rgb)`` -> per-ray colors (Stage III)."""
 
     def render(self, field: Field, batch: SampleBatch, background: float) -> tuple:
-        """Render a non-empty sample batch: ``(colors, result)``.
+        """Render a non-empty sample batch: ``(colors, live)``.
 
-        ``result`` is the per-sample
-        :class:`~repro.nerf.volume_rendering.RenderResult` when the
-        compositor evaluates every sample, else ``None``.
+        ``live`` is the number of samples that reached the composite:
+        ``len(batch)`` when every sample is evaluated, fewer when rays
+        terminate early.  Serving bills the board for it.
         """
         raise NotImplementedError
 
@@ -161,10 +161,16 @@ class VolumeCompositor(Compositor):
       each ray until its transmittance drops below
       ``switch_threshold``, the snapshot evaluates the occluded tail.
       Adaptive rendering is round-based, so an ERT threshold always
-      applies (``ert_threshold`` or :attr:`DEFAULT_ERT`).
+      applies (``ert_threshold`` or :attr:`DEFAULT_ERT`).  The head
+      evaluates the float64 master, not a float32 copy, because the
+      compositor holds one snapshot and in this regime it is the rounded
+      tail field: a float32 head would need a second snapshot, and would
+      move every adaptive image the precision sweep reports.
 
-    ``result`` is a per-sample ``RenderResult`` only without ERT, since
-    terminated samples have no per-sample render state.
+    :meth:`render` returns the live sample count with the colors: every
+    sample in the exact regime, the samples before each ray's cutoff
+    (:attr:`~repro.nerf.early_termination.AdaptiveStats.live_samples`)
+    in the other two.
     """
 
     #: ERT threshold adaptive rendering falls back to when none is set.
@@ -201,7 +207,7 @@ class VolumeCompositor(Compositor):
         return self.lowp_field.precision
 
     def render(self, field: Field, batch: SampleBatch, background: float) -> tuple:
-        """Composite one sample batch: ``(colors, result)``."""
+        """Composite one sample batch: ``(colors, live)``."""
         adaptive = self.switch_threshold is not None
         if not adaptive:
             field = self.lowp_field or field
@@ -220,8 +226,8 @@ class VolumeCompositor(Compositor):
                     batch.n_rays,
                     background=background,
                 )
-                return result.colors, result
-        colors, _ = render_batch_adaptive(
+                return result.colors, len(batch)
+        colors, stats = render_batch_adaptive(
             field,
             self.lowp_field if adaptive else None,
             batch,
@@ -230,4 +236,4 @@ class VolumeCompositor(Compositor):
             switch_threshold=self.switch_threshold or 0.0,
             round_size=self.round_size,
         )
-        return colors, None
+        return colors, stats.live_samples

@@ -39,7 +39,6 @@ from .faults import (
     deactivate,
     get_active,
     get_log,
-    get_plan,
     plan_scope,
 )
 from .injection import (
@@ -73,7 +72,6 @@ __all__ = [
     "format_degradation",
     "get_active",
     "get_log",
-    "get_plan",
     "inject_model_faults",
     "inject_trace_faults",
     "plan_remap",

@@ -337,11 +337,6 @@ class FaultPlan:
         with open(path, "r") as fh:
             return cls.from_json(fh.read())
 
-    def to_file(self, path) -> None:
-        """Write the plan's canonical JSON to ``path``."""
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
-
 
 # ----------------------------------------------------------------------
 # process-global activation (mirrors repro.parallel.cache)
@@ -376,11 +371,6 @@ def get_active() -> FaultPlan:
     """
     if _active_plan is None or _active_plan.is_empty:
         return None
-    return _active_plan
-
-
-def get_plan() -> FaultPlan:
-    """The active plan exactly as installed (empty plans included)."""
     return _active_plan
 
 

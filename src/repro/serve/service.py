@@ -190,12 +190,12 @@ class RenderService:
                     self._finish(active, FAILED_SCENE_EVICTED)
                     continue
                 handle = active.handle
-                colors, samples, _ = active.renderer.render_rays(
+                colors, _, live = active.renderer.render_rays(
                     active.origins[item.start : item.stop],
                     active.directions[item.start : item.stop],
                 )
                 active.out[item.start : item.stop] = colors
-                billed_samples += len(samples) * active.request.hw_scale
+                billed_samples += live * active.request.hw_scale
                 active.slices_remaining -= 1
                 if active.slices_remaining == 0:
                     finished.append(active)
@@ -283,11 +283,13 @@ def board_time(
 ) -> float:
     """Simulated board seconds for one dispatch of ``scene``.
 
-    ``billed_samples`` is the kept-sample total scaled by each request's
-    ``hw_scale``; the scene's representative trace is stretched to that
-    volume (the standard ``workload_scale`` linear extrapolation).  An
-    all-background dispatch (zero kept samples) still pays the
-    camera-broadcast round trip.  The one billing rule of
+    ``billed_samples`` is the live-sample total scaled by each request's
+    ``hw_scale``: the samples that reached the composite (every kept
+    sample without early ray termination, see
+    :meth:`~repro.pipeline.renderer.Renderer.render_rays`).  The scene's
+    representative trace is stretched to that volume (the standard
+    ``workload_scale`` linear extrapolation).  An all-background dispatch
+    (zero live samples) still pays the camera-broadcast round trip.  The one billing rule of
     :class:`RenderService` and :class:`~repro.fleet.FleetController`.
     """
     traces = [trace] * system.config.n_chips

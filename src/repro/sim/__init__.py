@@ -21,7 +21,6 @@ from .hash_tiling import (
     replay_feature_fetches,
     compare_tilings,
     TilingComparison,
-    access_pattern_matrix,
 )
 from .sampling_module import SamplingModule, SamplingModuleConfig, SamplingReport
 from .interp_module import InterpModule, InterpModuleConfig, InterpReport
@@ -54,7 +53,6 @@ __all__ = [
     "replay_feature_fetches",
     "compare_tilings",
     "TilingComparison",
-    "access_pattern_matrix",
     "SamplingModule",
     "SamplingModuleConfig",
     "SamplingReport",

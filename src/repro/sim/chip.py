@@ -151,10 +151,6 @@ class ChipReport:
             return 0.0
         return self.energy_j / self.n_samples
 
-    @property
-    def bottleneck_stage(self) -> str:
-        return max(self.stages, key=lambda s: s.cycles).name
-
     def stage_cycles(self) -> dict:
         return {stage.name: stage.cycles for stage in self.stages}
 

@@ -128,21 +128,3 @@ def compare_tilings(
             corners, indices, TwoLevelTiling(), bytes_per_access
         ),
     )
-
-
-def access_pattern_matrix(
-    corners: np.ndarray, indices: np.ndarray, scheme: BankingScheme
-) -> np.ndarray:
-    """``(8, n_banks)`` histogram of which bank each vertex slot hits.
-
-    The paper's Fig. 12(e): under two-level tiling the matrix is a
-    permutation-like diagonal (each slot owns one bank); the baseline
-    smears every slot across all banks.
-    """
-    bank_ids = scheme.bank_ids(corners, indices)
-    n = bank_ids.shape[0]
-    matrix = np.zeros((8, scheme.n_banks), dtype=np.int64)
-    for slot in range(8):
-        counts = np.bincount(bank_ids[:, slot], minlength=scheme.n_banks)
-        matrix[slot] = counts[: scheme.n_banks]
-    return matrix

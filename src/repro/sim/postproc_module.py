@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..hw.energy import OpCounts
 from .trace import WorkloadTrace
 
@@ -30,17 +28,6 @@ class PostProcModuleConfig:
     macs_per_sample: int = 8960
     #: Renderer ops per sample: one exp, a handful of FP32 blends.
     renderer_flops_per_sample: int = 8
-
-    @classmethod
-    def balanced_for(
-        cls,
-        samples_per_cycle: float,
-        macs_per_sample: int,
-        headroom: float = 1.1,
-    ) -> "PostProcModuleConfig":
-        """Size the MAC array to sustain Stage II's sample rate."""
-        lanes = int(np.ceil(samples_per_cycle * macs_per_sample * headroom))
-        return cls(mac_lanes=lanes, macs_per_sample=macs_per_sample)
 
 
 @dataclass

@@ -120,10 +120,6 @@ class Histogram:
             if value > self.max:
                 self.max = value
 
-    def observe_many(self, values) -> None:
-        for value in values:
-            self.observe(value)
-
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -333,9 +329,6 @@ class _NullInstrument:
         pass
 
     def observe(self, value: float, n: int = 1) -> None:
-        pass
-
-    def observe_many(self, values) -> None:
         pass
 
     def percentile(self, q: float) -> float:

@@ -1,9 +1,8 @@
-"""Gradient verification utilities.
+"""Finite-difference gradient checker for the test suite.
 
-Everything in :mod:`repro.nerf` backpropagates by hand, so this module
-provides the finite-difference checker the test suite uses — exposed as
-public API so downstream users extending the field (new encodings, new
-heads) can validate their gradients the same way.
+Everything in :mod:`repro.nerf` backpropagates by hand; this checker
+compares a field's ``backward`` against central differences of its
+``forward``, so a new encoding or head can be validated the same way.
 """
 
 from __future__ import annotations

@@ -84,23 +84,6 @@ def test_flat_until_tables_overflow(model, workload):
     assert fits == pytest.approx(still_fits)
 
 
-def test_inference_bandwidth_small_on_chip(model):
-    workload = WorkloadVolume.realtime_inference()
-    bw = model.required_inference_bandwidth_gbps(
-        workload, table_bytes=model.table_bytes(14)
-    )
-    assert bw < USB_3_2_GEN1.bandwidth_gbps
-
-
-def test_inference_bandwidth_explodes_off_chip(model):
-    workload = WorkloadVolume.realtime_inference()
-    small = model.required_inference_bandwidth_gbps(workload, model.table_bytes(14))
-    big = model.required_inference_bandwidth_gbps(
-        workload, model.table_bytes(19), end_to_end=False
-    )
-    assert big > 10 * small
-
-
 def test_workload_factories():
     trn = WorkloadVolume.instant_training()
     assert trn.total_samples == pytest.approx(398e6)

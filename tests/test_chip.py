@@ -59,7 +59,8 @@ def test_interp_is_designed_bottleneck(scaled_chip, paper_trace):
     """The methodology: Stage II sets the pace; I and III keep up."""
     for training in (False, True):
         report = scaled_chip.simulate(paper_trace, training=training)
-        assert report.bottleneck_stage == "interp"
+        cycles = report.stage_cycles()
+        assert max(cycles, key=cycles.get) == "interp"
 
 
 def test_prototype_half_the_interp_cores(paper_trace):

@@ -55,15 +55,6 @@ def test_energy_breakdown_total_and_dict():
     assert d["total_j"] == pytest.approx(parts)
 
 
-def test_average_power():
-    model = EnergyModel()
-    ops = OpCounts(fp16_mac=1e9)
-    power = model.average_power_w(ops, runtime_s=1.0, sram_kb=0.0, logic_mgates=0.0)
-    assert power == pytest.approx(model.energy(ops, 1.0, 0.0, 0.0).total_j)
-    with pytest.raises(ValueError):
-        model.average_power_w(ops, 0.0, 0.0, 0.0)
-
-
 def test_sram_energy_read_write_asymmetry():
     model = EnergyModel()
     read = model.dynamic_energy(OpCounts(sram_read_bytes=1e6)).sram_j

@@ -14,13 +14,7 @@ from repro.nerf.checkpoint import (
     save_model,
 )
 from repro.nerf.occupancy import OccupancyGrid
-from repro.nerf.early_termination import (
-    live_sample_mask,
-    per_ray_live_counts,
-    termination_stats,
-    truncate_batch,
-    verify_color_preserved,
-)
+from repro.nerf.early_termination import render_batch_adaptive
 from repro.nerf.hash_encoding import HashEncodingConfig
 from repro.nerf.model import InstantNGPModel, ModelConfig
 from repro.nerf.moe import MoEConfig, MoENeRF
@@ -45,62 +39,83 @@ def opaque_batch():
     return batch, sigmas, rgbs
 
 
+class _TableField:
+    """Per-sample ``(sigma, rgb)`` of a one-ray batch along +x, looked up
+    by each position's x coordinate."""
+
+    def __init__(self, batch, sigmas, rgbs):
+        self.x = batch.positions[:, 0]
+        self.sigmas = sigmas
+        self.rgbs = rgbs
+
+    def forward(self, positions, directions):
+        i = np.searchsorted(self.x, positions[:, 0])
+        return self.sigmas[i], self.rgbs[i], None
+
+
 def _render(batch, sigmas, rgbs):
     return composite(
         sigmas, rgbs, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays
     )
 
 
+def _ert(batch, sigmas, rgbs, threshold=1e-3, table=None):
+    """The ERT round loop over the table field of ``table`` (default:
+    ``batch`` itself)."""
+    field = _TableField(table or batch, sigmas, rgbs)
+    return render_batch_adaptive(field, None, batch, threshold=threshold)
+
+
 def test_ert_terminates_behind_opaque_wall(opaque_batch):
-    batch, sigmas, rgbs = opaque_batch
-    result = _render(batch, sigmas, rgbs)
-    stats = termination_stats(result, batch, threshold=1e-3)
+    _, stats = _ert(*opaque_batch)
     assert 0 < stats.live_samples < stats.total_samples
     assert stats.terminated_fraction > 0.5
-    assert stats.speedup > 2.0
+    assert stats.total_samples / stats.live_samples > 2.0
 
 
 def test_ert_mask_is_a_per_ray_prefix(opaque_batch):
     batch, sigmas, rgbs = opaque_batch
-    result = _render(batch, sigmas, rgbs)
-    mask = live_sample_mask(result)
-    # Once terminated, a ray never resumes (monotone prefix property).
-    flips = np.diff(mask.astype(int))
-    assert np.all(flips <= 0)
+    _, stats = _ert(batch, sigmas, rgbs)
+    # The live samples are the ray's prefix up to the wall: once
+    # terminated, a ray never resumes.
+    mask = _render(batch, sigmas, rgbs).transmittance >= 1e-3
+    assert np.all(np.diff(mask.astype(int)) <= 0)
+    assert stats.live_samples == mask.sum()
+    assert mask[: stats.live_samples].all()
 
 
 def test_ert_preserves_colors(opaque_batch):
     batch, sigmas, rgbs = opaque_batch
-    result = _render(batch, sigmas, rgbs)
-    truncated = truncate_batch(batch, result, threshold=1e-3)
-    mask = live_sample_mask(result)
-    result_t = _render(truncated, sigmas[mask], rgbs[mask])
-    assert verify_color_preserved(result, result_t) < 1e-3
+    colors, _ = _ert(batch, sigmas, rgbs)
+    assert np.max(np.abs(_render(batch, sigmas, rgbs).colors - colors)) < 1e-3
 
 
 def test_ert_transparent_scene_keeps_everything(opaque_batch):
     batch, _, rgbs = opaque_batch
-    result = _render(batch, np.zeros(len(batch)), rgbs)
-    stats = termination_stats(result, batch)
+    _, stats = _ert(batch, np.zeros(len(batch)), rgbs)
     assert stats.terminated_fraction == 0.0
-    assert stats.speedup == 1.0
+    assert stats.live_samples == stats.total_samples
 
 
 def test_ert_per_ray_counts(opaque_batch):
+    """Rays terminate independently: two copies of the ray keep twice
+    the live samples of one."""
     batch, sigmas, rgbs = opaque_batch
-    result = _render(batch, sigmas, rgbs)
-    counts = per_ray_live_counts(result, batch)
-    mask = live_sample_mask(result)
-    assert counts.sum() == mask.sum()
+    _, one = _ert(batch, sigmas, rgbs)
+    marcher = RayMarcher(SamplerConfig(max_samples=32))
+    pair = marcher.sample(
+        np.array([[-1.0, 0.5, 0.5]] * 2), np.array([[1.0, 0.0, 0.0]] * 2)
+    )
+    _, two = _ert(pair, sigmas, rgbs, table=batch)
+    assert two.total_samples == 2 * one.total_samples
+    assert two.live_samples == 2 * one.live_samples
 
 
 def test_ert_threshold_validation(opaque_batch):
-    batch, sigmas, rgbs = opaque_batch
-    result = _render(batch, sigmas, rgbs)
     with pytest.raises(ValueError):
-        live_sample_mask(result, threshold=0.0)
+        _ert(*opaque_batch, threshold=0.0)
     with pytest.raises(ValueError):
-        live_sample_mask(result, threshold=1.0)
+        _ert(*opaque_batch, threshold=1.0)
 
 
 # -- checkpointing ----------------------------------------------------------------

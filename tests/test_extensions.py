@@ -136,13 +136,13 @@ def test_chiplet_scaling_experiment():
 # -- gradient checker + power breakdown -------------------------------------------
 
 def test_gradcheck_passes_on_reference_models():
+    from gradcheck import check_model_gradients
     from repro.nerf import (
         DenseGridConfig,
         DenseGridField,
         HashEncodingConfig,
         InstantNGPModel,
         ModelConfig,
-        check_model_gradients,
     )
 
     ngp = InstantNGPModel(
@@ -163,12 +163,8 @@ def test_gradcheck_passes_on_reference_models():
 
 
 def test_gradcheck_detects_broken_backward():
-    from repro.nerf import (
-        HashEncodingConfig,
-        InstantNGPModel,
-        ModelConfig,
-        check_model_gradients,
-    )
+    from gradcheck import check_model_gradients
+    from repro.nerf import HashEncodingConfig, InstantNGPModel, ModelConfig
 
     class Broken(InstantNGPModel):
         def backward(self, grad_sigma, grad_rgb, cache):
@@ -211,37 +207,6 @@ def test_power_breakdown_requires_work():
     empty = WorkloadTrace(n_rays=0, pair_durations=[], n_samples=0, n_candidates=0)
     with pytest.raises(ValueError):
         chip.power_breakdown(empty)
-
-
-def test_reconstruct_until_stops_at_target(lego_dataset):
-    from repro.core.fusion3d import Fusion3D, Fusion3DConfig
-    from repro.nerf.hash_encoding import HashEncodingConfig
-    from repro.nerf.model import ModelConfig
-    from repro.nerf.trainer import TrainerConfig
-
-    system = Fusion3D(
-        Fusion3DConfig(
-            model=ModelConfig(
-                encoding=HashEncodingConfig(
-                    n_levels=3, log2_table_size=8, base_resolution=4,
-                    finest_resolution=16,
-                ),
-                hidden_width=16,
-                geo_features=8,
-            ),
-            trainer=TrainerConfig(
-                batch_rays=128, lr=5e-3, max_samples_per_ray=16,
-                occupancy_resolution=8,
-            ),
-        )
-    )
-    # A trivially low target stops at the first check.
-    result = system.reconstruct_until(lego_dataset, psnr_target=1.0,
-                                      max_iterations=200, check_every=10)
-    assert result.iterations == 10
-    assert result.psnr >= 1.0
-    with pytest.raises(ValueError):
-        system.reconstruct_until(lego_dataset, check_every=0)
 
 
 def test_experiment_json_round_trip():

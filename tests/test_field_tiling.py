@@ -137,7 +137,7 @@ def test_compositor_regimes_match_one_shot(fields, name, regime, n, monkeypatch)
     compositor = _compositor(regime, fields["fp16"])
     calls = _Recorder(field.forward)
     monkeypatch.setattr(field, "forward", calls)
-    colors, result = compositor.render(field, batch, background=1.0)
+    colors, live = compositor.render(field, batch, background=1.0)
     monkeypatch.undo()
     if regime == "full":
         assert len(calls.outputs) == -(-n // T)
@@ -145,10 +145,10 @@ def test_compositor_regimes_match_one_shot(fields, name, regime, n, monkeypatch)
         reference = composite(
             sigma, rgb, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays
         )
-        np.testing.assert_array_equal(result.alphas, reference.alphas)
+        assert live == n
         expected = reference.colors
     else:
-        assert result is None
+        assert 0 <= live <= n
         # The one-shot reference: the same round loop with one call per
         # round, however many samples the round holds.
         monkeypatch.setattr(volume_rendering, "FIELD_TILE", 10 * n)

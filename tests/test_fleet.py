@@ -18,7 +18,6 @@ from repro.fleet import (
     SLOW,
     format_fleet_report,
     place_experts,
-    place_scenes,
     rebalance_experts,
     stable_hash,
     workers_from_fault_config,
@@ -90,7 +89,7 @@ def test_preference_shrinks_with_the_ring():
 
 def test_place_scenes_and_experts():
     ring = HashRing(range(4))
-    placement = place_scenes(["a", "b"], ring, replication=2)
+    placement = {scene: ring.preference(scene, 2) for scene in ("a", "b")}
     assert set(placement) == {"a", "b"}
     assert all(len(p) == 2 for p in placement.values())
     assert place_experts(4) == {0: [0], 1: [1], 2: [2], 3: [3]}

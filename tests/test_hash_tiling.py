@@ -8,7 +8,6 @@ from repro.nerf.hash_encoding import CORNER_OFFSETS, hash_vertices
 from repro.sim.hash_tiling import (
     BaselineBanking,
     TwoLevelTiling,
-    access_pattern_matrix,
     compare_tilings,
     replay_feature_fetches,
 )
@@ -63,19 +62,17 @@ def test_access_pattern_diagonal_when_tiled(rng):
     base = 2 * rng.integers(0, 250, size=(256, 3))  # even-parity bases
     corners = base[:, None, :] + CORNER_OFFSETS[None, :, :]
     indices = hash_vertices(corners, 1 << 12)
-    matrix = access_pattern_matrix(corners, indices, TwoLevelTiling())
-    banks_per_slot = (matrix > 0).sum(axis=1)
-    assert np.all(banks_per_slot == 1)
+    bank_ids = TwoLevelTiling().bank_ids(corners, indices)  # (n, 8 slots)
+    assert np.all(bank_ids == bank_ids[:1])
     # And it is a permutation: each bank serves exactly one slot.
-    slots_per_bank = (matrix > 0).sum(axis=0)
-    assert np.all(slots_per_bank == 1)
+    assert sorted(bank_ids[0]) == list(range(8))
 
 
 def test_access_pattern_smeared_for_baseline(rng):
     corners, indices = _fetch_groups(rng)
-    matrix = access_pattern_matrix(corners, indices, BaselineBanking())
-    banks_per_slot = (matrix > 0).sum(axis=1)
-    assert banks_per_slot.max() > 4
+    bank_ids = BaselineBanking().bank_ids(corners, indices)
+    banks_per_slot = [np.unique(bank_ids[:, slot]).size for slot in range(8)]
+    assert max(banks_per_slot) > 4
 
 
 def test_bank_ids_stable_per_vertex(rng):

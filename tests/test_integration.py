@@ -44,23 +44,23 @@ def test_render_rays_returns_batch_and_result(tiny_model):
     marcher = RayMarcher(SamplerConfig(max_samples=16))
     origins = np.array([[-1.0, 0.5, 0.5]])
     directions = np.array([[1.0, 0.0, 0.0]])
-    colors, batch, result = wrap_model(tiny_model, marcher=marcher).render_rays(
+    colors, batch, live = wrap_model(tiny_model, marcher=marcher).render_rays(
         origins, directions
     )
     assert colors.shape == (1, 3)
     assert len(batch) > 0
-    assert result is not None
+    assert live == len(batch)
     assert batch.n_rays == 1
 
 
 def test_render_rays_all_miss_gives_background(tiny_model):
     marcher = RayMarcher(SamplerConfig(max_samples=16))
     renderer = wrap_model(tiny_model, marcher=marcher, background=0.5)
-    colors, batch, result = renderer.render_rays(
+    colors, batch, live = renderer.render_rays(
         np.array([[9.0, 9.0, 9.0]]), np.array([[1.0, 0.0, 0.0]])
     )
     assert np.allclose(colors, 0.5)
-    assert result is None
+    assert live == 0
 
 
 def test_render_image_chunking_invariant(tiny_model, mic_dataset):

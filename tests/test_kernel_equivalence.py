@@ -10,7 +10,7 @@ would silently drop contributions.
 import numpy as np
 import pytest
 
-from repro.nerf.early_termination import render_batch_adaptive, truncate_batch
+from repro.nerf.early_termination import render_batch_adaptive
 from repro.nerf.hash_encoding import HashEncoding, HashEncodingConfig
 from repro.nerf.model import InstantNGPModel, ModelConfig
 from repro.nerf.occupancy import OccupancyGrid, traverse_grid
@@ -257,42 +257,76 @@ def test_traverse_grid_identical_to_boolean_mask_reference():
     )
 
 
-def test_ert_colors_match_truncated_composite(tiny_model):
-    """Round-based ERT == composite over the exact live-sample prefix."""
-    marcher = RayMarcher(SamplerConfig(max_samples=48))
-    rng = np.random.default_rng(19)
-    n = 64
+class _Scaled:
+    """A field scaled to opacity, so termination actually happens."""
+
+    def __init__(self, field, scale=500.0):
+        self.field = field
+        self.scale = scale
+
+    def forward(self, p, d):
+        s, c, cache = self.field.forward(p, d)
+        return s * self.scale, c, cache
+
+
+def _ert_batch(seed, n=64, max_samples=48):
+    """Jittered rays along +x through the unit cube."""
+    marcher = RayMarcher(SamplerConfig(max_samples=max_samples))
+    rng = np.random.default_rng(seed)
     origins = np.tile([[-1.0, 0.0, 0.0]], (n, 1)) + rng.normal(0, 0.2, (n, 3))
     directions = np.tile([[1.0, 0.0, 0.0]], (n, 1)) + rng.normal(0, 0.2, (n, 3))
-    batch = marcher.sample(origins, directions)
+    return marcher.sample(origins, directions)
+
+
+def test_ert_colors_match_truncated_composite(tiny_model):
+    """Round-based ERT == composite over the exact live-sample prefix."""
+    batch = _ert_batch(19)
     assert len(batch) > 0
-    sigma, rgb, _ = tiny_model.forward(batch.positions, batch.directions)
-    # Opaque-ify the scene so termination actually happens.
-    sigma = sigma * 500.0
-
-    class Scaled:
-        def forward(self, p, d):
-            s, c, cache = tiny_model.forward(p, d)
-            return s * 500.0, c, cache
-
+    field = _Scaled(tiny_model)
+    sigma, rgb, _ = field.forward(batch.positions, batch.directions)
     threshold = 1e-2
     full = composite(
         sigma, rgb, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays
     )
-    truncated = truncate_batch(batch, full, threshold)
-    assert len(truncated) < len(batch)  # some work was actually skipped
-    sigma_t, rgb_t, _ = Scaled().forward(truncated.positions, truncated.directions)
+    # The reference: a sample is live while its ray's entry transmittance
+    # is at least the threshold; composite the live samples alone.
+    live = full.transmittance >= threshold
+    assert live.sum() < len(batch)  # some work was actually skipped
     expected = composite(
-        sigma_t, rgb_t, truncated.deltas, truncated.ts, truncated.ray_idx,
-        truncated.n_rays,
+        sigma[live], rgb[live], batch.deltas[live], batch.ts[live],
+        batch.ray_idx[live], batch.n_rays,
     )
     colors, stats = render_batch_adaptive(
-        Scaled(), None, batch, threshold=threshold, round_size=8
+        field, None, batch, threshold=threshold, round_size=8
     )
     np.testing.assert_allclose(colors, expected.colors, atol=1e-9)
     assert stats.lowp_samples == 0
-    assert stats.evaluated < stats.total_samples
+    assert stats.live_samples == live.sum()
+    assert stats.live_samples <= stats.evaluated < stats.total_samples
     assert stats.terminated_fraction > 0.0
+
+
+@pytest.mark.parametrize("threshold", [1e-3, 1e-2])
+@pytest.mark.parametrize("round_size", [1, 4, 32])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ert_live_count_matches_full_transmittance(
+    tiny_model, seed, round_size, threshold
+):
+    """The round loop's live count is the full composite's live count,
+    whatever the round size: round size only sets host batching."""
+    batch = _ert_batch(seed)
+    field = _Scaled(tiny_model)
+    sigma, rgb, _ = field.forward(batch.positions, batch.directions)
+    full = composite(
+        sigma, rgb, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays
+    )
+    _, stats = render_batch_adaptive(
+        field, None, batch, threshold=threshold, round_size=round_size
+    )
+    live = int((full.transmittance >= threshold).sum())
+    assert 0 < live < len(batch)
+    assert stats.live_samples == live
+    assert stats.live_samples <= stats.evaluated
 
 
 def test_ert_frame_psnr_identical_to_full_render(tiny_model, mic_dataset):
@@ -324,23 +358,23 @@ def test_ert_off_is_bitwise_default(tiny_model, mic_dataset):
     stored = snapshot.parameters()
     for name, value in tiny_model.parameters().items():
         assert np.array_equal(stored[name], value.astype(np.float32)), name
-    colors, batch, result = renderer.render_rays(
+    colors, batch, live = renderer.render_rays(
         np.full((16, 3), -0.5), np.tile([1.0, 0.9, 0.8], (16, 1))
     )
     sigma, rgb, _ = snapshot.forward(batch.positions, batch.directions)
     expected = composite(
         sigma, rgb, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays
     )
-    assert len(batch) > 0 and result is not None
+    assert len(batch) > 0 and live == len(batch)
     assert np.array_equal(colors, expected.colors)
 
 
 def test_render_rays_ert_returns_no_per_sample_result(tiny_model):
     marcher = RayMarcher(SamplerConfig(max_samples=16))
     renderer = wrap_model(tiny_model, marcher=marcher, ert_threshold=1e-3)
-    colors, batch, result = renderer.render_rays(
+    colors, batch, live = renderer.render_rays(
         np.array([[-1.0, 0.5, 0.5]]), np.array([[1.0, 0.0, 0.0]])
     )
     assert colors.shape == (1, 3)
     assert len(batch) > 0
-    assert result is None
+    assert 0 < live <= len(batch)

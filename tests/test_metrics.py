@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.core.metrics import (
-    ComparisonRow,
-    energy_efficiency,
-    format_table,
-    fps_from_throughput,
-    speedup,
-    training_seconds,
-)
+from repro.core.metrics import energy_efficiency, fps_from_throughput, speedup
 
 
 def test_fps_conversion_paper_point():
@@ -30,13 +23,6 @@ def test_fps_validates_frame():
         fps_from_throughput(1e6, width=0)
 
 
-def test_training_seconds_paper_point():
-    """398 M samples at 199 M/s = the 2-second instant-training bar."""
-    assert training_seconds(398e6, 199e6) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        training_seconds(1.0, 0.0)
-
-
 def test_speedup_and_efficiency():
     assert speedup(1.0, 7.3) == pytest.approx(7.3)
     assert energy_efficiency(1.0, 304.0) == pytest.approx(304.0)
@@ -44,26 +30,3 @@ def test_speedup_and_efficiency():
         speedup(0.0, 1.0)
     with pytest.raises(ValueError):
         energy_efficiency(0.0, 1.0)
-
-
-def test_comparison_row_formatting():
-    row = ComparisonRow(
-        platform="This work", throughput_mps=591.0, energy_per_point_nj=2.5,
-        speedup=6.0, energy_efficiency=18.6,
-    )
-    text = row.formatted()
-    assert "This work" in text
-    assert "591.0" in text
-    assert "18.6x" in text
-
-
-def test_comparison_row_omits_missing_fields():
-    row = ComparisonRow(platform="N/S")
-    assert row.formatted().strip() == "N/S"
-
-
-def test_format_table():
-    rows = [ComparisonRow(platform="a", speedup=2.0)]
-    text = format_table("Title", rows)
-    assert text.startswith("Title\n=====")
-    assert "2.00x" in text

@@ -64,17 +64,6 @@ def test_set_from_function_sphere():
     assert 0.02 < grid.occupancy_fraction < 0.2
 
 
-def test_occupied_aabbs_cover_mask():
-    grid = OccupancyGrid(resolution=4, threshold=0.5)
-    grid.density_ema[:] = 0.0
-    grid.mask[:] = False
-    grid.mask[1, 2, 3] = True
-    mins, maxs = grid.occupied_aabbs()
-    assert mins.shape == (1, 3)
-    assert np.allclose(mins[0], [0.25, 0.5, 0.75])
-    assert np.allclose(maxs[0], [0.5, 0.75, 1.0])
-
-
 def test_invalid_construction_args():
     with pytest.raises(ValueError):
         OccupancyGrid(resolution=0)

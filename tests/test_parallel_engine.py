@@ -89,7 +89,6 @@ def test_telemetry_ships_back_from_workers():
     assert outcome.result.telemetry is not None
     merged = report.merged_metrics()
     assert merged["counters"]  # sampler/sim counters crossed the process
-    assert report.merged_spans()
     events = report.merged_trace_events()
     assert events and all("pid" in e for e in events)
 
@@ -363,7 +362,9 @@ def test_merge_histograms_match_pooled_sample_oracle():
     snaps = []
     for shard in shards:
         registry = MetricsRegistry()
-        registry.histogram("h").observe_many(shard.tolist())
+        hist = registry.histogram("h")
+        for value in shard.tolist():
+            hist.observe(value)
         snaps.append(registry.snapshot())
     merged = parallel.merge_metric_snapshots(snaps)["histograms"]["h"]
     pooled = np.concatenate(shards)

@@ -126,8 +126,8 @@ def test_render_rays_empty_batch_background(tiny_model, marcher, unit_rays):
     renderer = pipeline.wrap_model(
         tiny_model, marcher=marcher, occupancy=dead, background=0.25
     )
-    colors, batch, result = renderer.render_rays(origins, directions)
-    assert len(batch) == 0 and result is None
+    colors, batch, live = renderer.render_rays(origins, directions)
+    assert len(batch) == 0 and live == 0
     assert colors.shape == (len(origins), 3)
     assert np.all(colors == 0.25)
 

@@ -106,14 +106,14 @@ def test_default_path_bit_identical():
     assert isinstance(snapshot, LowPrecisionField)
     assert snapshot.mode == "full" and snapshot.precision == "full"
     _assert_float32_copy(snapshot, model)
-    colors, result = staged.compositor.render(model, batch, 1.0)
+    colors, live = staged.compositor.render(model, batch, 1.0)
     sigma, rgb, _ = snapshot.forward(batch.positions, batch.directions)
     assert sigma.dtype == np.float32
     expected = composite(
         sigma, rgb, batch.deltas, batch.ts, batch.ray_idx, batch.n_rays
     )
     assert np.array_equal(colors, expected.colors)
-    assert np.array_equal(result.weights, expected.weights)
+    assert live == len(batch)
 
 
 def test_snapshot_construction_leaves_source_untouched():

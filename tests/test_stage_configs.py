@@ -51,17 +51,15 @@ def _renderer(model, config: str):
     )
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("tier", ["serve", "fleet"])
-@pytest.mark.parametrize("config", sorted(STAGE_CONFIGS))
-def test_served_frame_equals_offline_for_every_stage_config(
-    config, tier, seed, tiny_model_config
-):
-    # Opaque enough that ERT and the precision switch actually fire.
-    model = InstantNGPModel(
+def _opaque_model(tiny_model_config, seed):
+    """Opaque enough that ERT and the precision switch actually fire."""
+    return InstantNGPModel(
         dataclasses.replace(tiny_model_config, density_bias=10.0), seed=seed
     )
-    renderer = _renderer(model, config)
+
+
+def _serve(renderer, tier):
+    """Serve two 16x16 frames of ``renderer``: ``(server, report)``."""
     registry = SceneRegistry()
     registry.deploy("scene", renderer=renderer, normalizer=NORMALIZER)
     assert registry.scenes()[0]["precision"] == renderer.precision
@@ -74,9 +72,23 @@ def test_served_frame_equals_offline_for_every_stage_config(
         server = FleetController(
             registry, config=FleetConfig(slice_rays=SLICE_RAYS, keep_frames=True)
         )
-    camera = demo_camera(16, 16)
-    report = run_closed_loop(server, "scene", n_frames=2, camera=camera)
+    report = run_closed_loop(
+        server, "scene", n_frames=2, camera=demo_camera(16, 16)
+    )
+    return server, report
 
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("tier", ["serve", "fleet"])
+@pytest.mark.parametrize("config", sorted(STAGE_CONFIGS))
+def test_served_frame_equals_offline_for_every_stage_config(
+    config, tier, seed, tiny_model_config
+):
+    model = _opaque_model(tiny_model_config, seed)
+    renderer = _renderer(model, config)
+    _, report = _serve(renderer, tier)
+
+    camera = demo_camera(16, 16)
     offline = renderer.render_image(camera, NORMALIZER, chunk=SLICE_RAYS)
     assert report.completed == 2
     for response in report.responses:
@@ -86,3 +98,22 @@ def test_served_frame_equals_offline_for_every_stage_config(
         camera, NORMALIZER, chunk=SLICE_RAYS
     )
     assert np.array_equal(offline, exact) == (config == "full")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("tier", ["serve", "fleet"])
+def test_early_termination_bills_only_live_samples(tier, seed, tiny_model_config):
+    """A renderer that terminates rays early is billed less board work
+    than the exact one: the samples behind each ray's cutoff never
+    reach the board."""
+    model = _opaque_model(tiny_model_config, seed)
+    bills = {}
+    for config in ("full", "ert", "adaptive"):
+        server, report = _serve(_renderer(model, config), tier)
+        assert report.completed == 2
+        if tier == "serve":
+            bills[config] = server.hardware_busy_s
+        else:
+            bills[config] = sum(w.billed_samples for w in server.workers)
+    assert bills["ert"] < bills["full"]
+    assert bills["adaptive"] < bills["full"]

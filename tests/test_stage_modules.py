@@ -148,13 +148,6 @@ def test_postproc_training_triples_macs(sample_trace):
     assert trn.cycles == pytest.approx(3 * inf.cycles)
 
 
-def test_postproc_balanced_sizing():
-    config = PostProcModuleConfig.balanced_for(
-        samples_per_cycle=1.25, macs_per_sample=8960
-    )
-    assert config.mac_lanes >= 1.25 * 8960
-
-
 def test_postproc_exp_lookups_per_sample(sample_trace):
     report = PostProcModule().simulate(sample_trace)
     assert report.ops.exp_lookup == sample_trace.n_samples

@@ -45,6 +45,9 @@ DEFAULT_PACKAGES = (
     "repro.datasets",
     "repro.sim.trace_traversal",
     "repro.blas",
+    "repro.nerf.early_termination",
+    "repro.core",
+    "repro.hw",
 )
 
 # Runnable straight from a checkout: the in-tree `src/` layout sits next
