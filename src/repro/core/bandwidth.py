@@ -40,8 +40,6 @@ class TrafficConstants:
     #: Per-ray supervision streamed from the host during training
     #: (quantized ray spec + RGB target + ids).
     ray_supervision_bytes: float = 24.0
-    #: Per-pixel output (RGB8) during inference.
-    pixel_out_bytes: float = 3.0
     #: One-off model download/upload (hash tables + MLP weights).
     model_io_bytes: float = 10e6
     #: A non-end-to-end trainer streams the touched table entries through
@@ -73,24 +71,6 @@ class WorkloadVolume:
             total_rays=total / samples_per_ray,
             iterations=iterations,
             deadline_s=deadline_s,
-        )
-
-    @classmethod
-    def realtime_inference(
-        cls,
-        fps: float = 36.0,
-        width: int = 800,
-        height: int = 800,
-        samples_per_ray: float = 13.0,
-        duration_s: float = 1.0,
-    ) -> "WorkloadVolume":
-        """Real-time rendering: ``fps`` frames per second for ``duration_s``."""
-        rays = fps * width * height * duration_s
-        return cls(
-            total_samples=rays * samples_per_ray,
-            total_rays=rays,
-            iterations=1,
-            deadline_s=duration_s,
         )
 
 
@@ -137,17 +117,6 @@ class BandwidthModel:
             + c.stage3_activation_bytes
         )
         io = workload.total_rays * c.ray_supervision_bytes + c.model_io_bytes
-        return VolumeBreakdown(
-            inter_stage_bytes=inter, intra_stage_bytes=intra, io_bytes=io
-        )
-
-    def inference_volume(self, workload: WorkloadVolume) -> VolumeBreakdown:
-        """Bytes an inference run moves, by category (forward only)."""
-        c = self.constants
-        s = workload.total_samples
-        inter = s * (c.stage1_to_2_bytes + c.stage2_to_3_fwd_bytes)
-        intra = s * (c.stage2_feature_read_bytes + c.stage3_activation_bytes)
-        io = workload.total_rays * c.pixel_out_bytes + c.model_io_bytes
         return VolumeBreakdown(
             inter_stage_bytes=inter, intra_stage_bytes=intra, io_bytes=io
         )

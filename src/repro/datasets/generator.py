@@ -223,8 +223,17 @@ class AnalyticScene:
         return total, color
 
     def density_unit(self, unit_points: np.ndarray) -> np.ndarray:
-        """Density sampled at normalized unit-cube coordinates."""
-        return self.density(self.normalizer().from_unit(unit_points))
+        """Density sampled at normalized unit-cube coordinates.
+
+        The points are copied once into a C-ordered ``(3, n)`` block and
+        mapped to world space there with ``from_unit``'s ``/ scale +
+        offset``, so :meth:`density` copies nothing.
+        """
+        normalizer = self.normalizer()
+        world = np.array(np.atleast_2d(unit_points).T, dtype=np.float64, order="C")
+        world /= normalizer.scale
+        world += normalizer.offset[:, None]
+        return self.density(world.T)
 
     def occupancy_fraction(self, resolution: int = 32, threshold: float = 0.5) -> float:
         """Fraction of unit-cube cells containing matter (workload knob)."""

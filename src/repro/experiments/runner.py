@@ -13,8 +13,10 @@ Observability: ``run --trace-out trace.json`` records a Chrome-trace
 --metrics`` appends the metrics snapshot, and ``report NAME`` runs one
 experiment under telemetry and pretty-prints the per-module cycle +
 wall-clock breakdown.  All CLI output goes through the ``repro``
-logger (stdout handler; ``--quiet`` suppresses it); the package itself
-ships a ``NullHandler`` so library users see nothing by default.
+logger: information on stdout (``--quiet`` suppresses it), warnings
+and errors on stderr.  ``run-all --json`` writes its JSON document on
+stdout by itself, ``--quiet`` or not.  The package itself ships a
+``NullHandler`` so library users see nothing by default.
 """
 
 from __future__ import annotations
@@ -177,25 +179,31 @@ def format_metrics(snapshot: dict) -> str:
     return "\n".join(lines)
 
 
-_cli_handler = None
+_cli_handlers = ()
 
 
 def _configure_cli_logging(quiet: bool) -> None:
-    """Attach (or refresh) the CLI's stdout handler on the package logger.
+    """Attach (or refresh) the CLI's handlers on the package logger:
+    records below WARNING go to stdout, warnings and errors to stderr.
 
-    The previous handler is detached first, so repeated ``main()`` calls
-    (tests, embedding) never stack duplicates, and the handler always
-    binds the *current* ``sys.stdout`` (pytest and notebooks swap it).
-    ``--quiet`` raises the threshold to WARNING instead of detaching, so
-    errors still surface.
+    The previous handlers are detached first, so repeated ``main()``
+    calls (tests, embedding) never stack duplicates, and the handlers
+    always bind the *current* ``sys.stdout``/``sys.stderr`` (pytest and
+    notebooks swap them).  ``--quiet`` raises the threshold to WARNING
+    instead of detaching, so errors still surface.
     """
-    global _cli_handler
+    global _cli_handlers
     root = logging.getLogger("repro")
-    if _cli_handler is not None:
-        root.removeHandler(_cli_handler)
-    _cli_handler = logging.StreamHandler(stream=sys.stdout)
-    _cli_handler.setFormatter(logging.Formatter("%(message)s"))
-    root.addHandler(_cli_handler)
+    for handler in _cli_handlers:
+        root.removeHandler(handler)
+    info = logging.StreamHandler(stream=sys.stdout)
+    info.addFilter(lambda record: record.levelno < logging.WARNING)
+    problems = logging.StreamHandler(stream=sys.stderr)
+    problems.setLevel(logging.WARNING)
+    _cli_handlers = (info, problems)
+    for handler in _cli_handlers:
+        handler.setFormatter(logging.Formatter("%(message)s"))
+        root.addHandler(handler)
     root.setLevel(logging.WARNING if quiet else logging.INFO)
 
 
@@ -262,6 +270,8 @@ def _cmd_run_all(args) -> int:
         collect_telemetry=collect,
     )
     if args.json:
+        # The document alone on stdout, whatever the log level; with
+        # ``--metrics`` the merged snapshot rides in it.
         payload = {
             "report": report.summary(),
             "results": {
@@ -270,14 +280,16 @@ def _cmd_run_all(args) -> int:
                 if o.result is not None
             },
         }
-        logger.info("%s", json.dumps(payload, indent=2))
+        if args.metrics:
+            payload["metrics"] = report.merged_metrics()
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
         for outcome in report.outcomes:
             if outcome.result is not None:
                 logger.info("%s\n", outcome.result.to_text())
         logger.info("%s", report.to_text())
-    if args.metrics:
-        logger.info("%s", format_metrics(report.merged_metrics()))
+        if args.metrics:
+            logger.info("%s", format_metrics(report.merged_metrics()))
     if args.trace_out:
         with open(args.trace_out, "w") as fh:
             json.dump(
@@ -287,7 +299,8 @@ def _cmd_run_all(args) -> int:
                 },
                 fh,
             )
-        logger.info("wrote merged Chrome trace to %s", args.trace_out)
+        if not args.json:
+            logger.info("wrote merged Chrome trace to %s", args.trace_out)
     return 1 if report.failures else 0
 
 
@@ -690,7 +703,7 @@ def main(argv: list = None) -> int:
     common.add_argument(
         "--quiet",
         action="store_true",
-        help="suppress informational output (warnings still shown)",
+        help="suppress informational output (warnings still shown, on stderr)",
     )
     parser = argparse.ArgumentParser(
         prog="fusion3d-experiments",
@@ -755,7 +768,8 @@ def main(argv: list = None) -> int:
     run_all_parser.add_argument(
         "--json",
         action="store_true",
-        help="emit one JSON document (report + per-experiment payloads)",
+        help="write one JSON document (report + per-experiment payloads) "
+        "on stdout, alone even without --quiet",
     )
     run_all_parser.add_argument(
         "--timeout",

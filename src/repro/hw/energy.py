@@ -74,17 +74,6 @@ class EnergyBreakdown:
             + self.leakage_j
         )
 
-    def as_dict(self) -> dict:
-        """Every component and the total, keyed by field name."""
-        return {
-            "compute_j": self.compute_j,
-            "sram_j": self.sram_j,
-            "noc_j": self.noc_j,
-            "clock_ctrl_j": self.clock_ctrl_j,
-            "leakage_j": self.leakage_j,
-            "total_j": self.total_j,
-        }
-
 
 class EnergyModel:
     """Fold :class:`OpCounts` into energy using a technology instance."""

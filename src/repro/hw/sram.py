@@ -24,14 +24,6 @@ class SramBankSpec:
     size_kb: float
     word_bytes: int = 4
 
-    def area_mm2(self, tech: Technology = TECH_28NM) -> float:
-        """Macro area of the bank."""
-        return self.size_kb * tech.sram.area_mm2_per_kb
-
-    def leakage_mw(self, tech: Technology = TECH_28NM) -> float:
-        """Static leakage of the bank."""
-        return self.size_kb * tech.sram.leakage_mw_per_kb
-
     def read_energy_pj(self, nbytes: int, tech: Technology = TECH_28NM) -> float:
         """Energy to read ``nbytes`` from the bank."""
         return nbytes * tech.sram.read_pj_per_byte
@@ -86,19 +78,6 @@ class BankedSram:
         self.n_banks = n_banks
         self.bank = bank
         self.tech = tech
-
-    @property
-    def total_kb(self) -> float:
-        """Capacity of all banks, KB."""
-        return self.n_banks * self.bank.size_kb
-
-    def area_mm2(self) -> float:
-        """Macro area of all banks."""
-        return self.n_banks * self.bank.area_mm2(self.tech)
-
-    def leakage_mw(self) -> float:
-        """Static leakage of all banks."""
-        return self.n_banks * self.bank.leakage_mw(self.tech)
 
     def replay_groups(
         self,

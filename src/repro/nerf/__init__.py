@@ -18,7 +18,7 @@ from .aabb import (
     SceneNormalizer,
     RayCubePairs,
 )
-from .occupancy import OccupancyGrid, traverse_grid
+from .occupancy import OccupancyGrid
 from .sampling import RayMarcher, SamplerConfig, SampleBatch
 from .hash_encoding import (
     HashEncoding,
@@ -86,7 +86,6 @@ __all__ = [
     "SceneNormalizer",
     "RayCubePairs",
     "OccupancyGrid",
-    "traverse_grid",
     "RayMarcher",
     "SamplerConfig",
     "SampleBatch",

@@ -113,12 +113,18 @@ class OccupancyGrid:
         r = self.resolution
         base = _cell_origins(r)
         # One jitter round at a time: a single (S, n, 3) draw consumes
-        # the RNG stream identically but holds S times the points.
+        # the RNG stream identically but holds S times the points.  Each
+        # round's ``(base + jitter) / r`` is written axis by axis into
+        # one C-ordered (3, n) block and its transpose is passed on, the
+        # layout the analytic densities read their columns from.
         best = np.zeros(self.n_cells, dtype=np.float32)
         for _ in range(samples_per_cell):
             jitter = rng.uniform(0.0, 1.0, size=base.shape)
-            points = (base + jitter) / r
-            density = np.asarray(density_fn(points), dtype=np.float32).reshape(-1)
+            columns = np.empty((3, self.n_cells), dtype=np.float64)
+            for axis, column in enumerate(columns):
+                np.add(base[:, axis], jitter[:, axis], out=column)
+                column /= r
+            density = np.asarray(density_fn(columns.T), dtype=np.float32).reshape(-1)
             np.maximum(best, density, out=best)
         self.density_ema = best.reshape((r,) * 3)
         self.mask = self.density_ema > self.threshold
@@ -139,75 +145,3 @@ class OccupancyGrid:
         if not self.mask.any():
             self.mask[:] = True
 
-
-def traverse_grid(
-    origins: np.ndarray,
-    directions: np.ndarray,
-    grid: "OccupancyGrid",
-    t_starts: np.ndarray,
-    t_ends: np.ndarray,
-) -> np.ndarray:
-    """Amanatides-Woo DDA: cells each ray visits between entry and exit.
-
-    This is the hardware-aware sampling walk the Stage I cores perform:
-    instead of testing every fine marching step, a core strides the
-    occupancy grid cell by cell and only descends to sample generation
-    inside occupied cells.  Returns the per-ray count of grid cells
-    visited — the workload statistic behind the sampling cores'
-    empty-space-skipping cost.
-
-    Directions must be unit-norm (as the marcher normalizes them) and
-    ``t_starts``/``t_ends`` are the unit-cube entry/exit distances.
-    """
-    origins = np.atleast_2d(origins)
-    directions = np.atleast_2d(directions)
-    t_starts = np.asarray(t_starts, dtype=np.float64).reshape(-1)
-    t_ends = np.asarray(t_ends, dtype=np.float64).reshape(-1)
-    n = origins.shape[0]
-    if not (directions.shape[0] == t_starts.shape[0] == t_ends.shape[0] == n):
-        raise ValueError("per-ray arrays must align")
-    res = grid.resolution
-    counts = np.zeros(n, dtype=np.int64)
-    eps = 1e-9
-    # Vectorized over rays, stepping cell boundaries one at a time; the
-    # loop bound is the maximum Manhattan cell distance (3 * res).  The
-    # live rays' origin, direction, step and exit columns are the rows
-    # of one float64 block, re-compacted in one copy only when a ray
-    # finishes; a ray's count is the number of steps it stayed live.
-    # Along each axis the walk heads for the cell's upper boundary when
-    # the direction is positive and its lower one otherwise: ``cell +
-    # up`` with ``up`` 1 or 0 is that boundary's index exactly.
-    t = np.maximum(t_starts, 0.0) + eps
-    safe_dir = np.where(np.abs(directions) < 1e-12, 1e-12, directions)
-    live = np.flatnonzero(t < t_ends)
-    t = t[live]
-    rays = np.empty((13, live.size), dtype=np.float64)
-    rays[0:3] = origins[live].T
-    rays[3:6] = directions[live].T
-    rays[6:9] = safe_dir[live].T
-    rays[9:12] = rays[6:9] > 0
-    rays[12] = t_ends[live]
-    for step in range(1, 3 * res + 3):
-        if live.size == 0:
-            break
-        o, d, sd, up, t_end = rays[0:3], rays[3:6], rays[6:9], rays[9:12], rays[12]
-        t_next = None
-        for axis in range(3):
-            cell = np.floor((o[axis] + t * d[axis]) * res)
-            np.clip(cell, 0, res - 1, out=cell)
-            # Distance to the next cell boundary along this axis; the
-            # running minimum takes the axes in order x, y, z.
-            cell += up[axis]
-            cell /= res
-            cell -= o[axis]
-            cell /= sd[axis]
-            t_next = cell if t_next is None else np.minimum(t_next, cell, out=t_next)
-        t = np.maximum(t_next, t, out=t_next)
-        t += eps
-        going = t < t_end
-        if not going.all():
-            counts[live[~going]] = step
-            live, t, rays = live[going], t[going], rays[:, going]
-    # Rays still live after the last step made every step.
-    counts[live] = 3 * res + 2
-    return counts

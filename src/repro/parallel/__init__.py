@@ -35,7 +35,6 @@ from .engine import (
     RunReport,
     execute_job,
     merge_metric_snapshots,
-    merge_span_aggregates,
     resolve_names,
     result_cache_key,
     run_experiments,
@@ -67,7 +66,6 @@ __all__ = [
     "fingerprint_files",
     "get_active",
     "merge_metric_snapshots",
-    "merge_span_aggregates",
     "package_source_files",
     "resolve_names",
     "result_cache_key",

@@ -619,16 +619,3 @@ def merge_metric_snapshots(snapshots) -> dict:
             into["min"] = min(into["min"], summ["min"])
             into["max"] = max(into["max"], summ["max"])
     return merged
-
-
-def merge_span_aggregates(aggregates) -> dict:
-    """Combine per-worker span aggregates: counts and totals sum."""
-    merged = {}
-    for aggregate in aggregates:
-        for name, entry in aggregate.items():
-            into = merged.setdefault(name, {"count": 0, "total_s": 0.0})
-            into["count"] += entry["count"]
-            into["total_s"] += entry["total_s"]
-    for entry in merged.values():
-        entry["mean_s"] = entry["total_s"] / entry["count"] if entry["count"] else 0.0
-    return merged

@@ -72,10 +72,12 @@ class WorkloadTrace:
 
     @property
     def n_pairs(self) -> int:
+        """Valid cube-pairs over all rays."""
         return sum(len(p) for p in self.pair_durations)
 
     @property
     def mean_samples_per_ray(self) -> float:
+        """Kept samples per ray (0 with no rays)."""
         if self.n_rays == 0:
             return 0.0
         return self.n_samples / self.n_rays
@@ -170,16 +172,16 @@ def distribute_samples_over_pairs(
     replaces, and ``intersect_octants`` returns pairs sorted by
     ``ray_idx``, so the per-ray slices below reproduce the loop bit for
     bit (see :func:`repro.perf.reference.pair_durations_reference`).
+    The durations become one Python list, sliced at each ray's fences.
     """
     spans = np.asarray(spans, dtype=np.float64)
     span_per_ray = np.bincount(pair_ray_idx, weights=spans, minlength=n_rays)
     total = span_per_ray[pair_ray_idx]
     share = np.divide(spans, total, out=np.zeros_like(spans), where=total > 0)
     dur = np.asarray(kept_per_ray)[pair_ray_idx].astype(np.float64) * share
-    fences = np.concatenate(
-        ([0], np.cumsum(np.bincount(pair_ray_idx, minlength=n_rays)))
-    )
-    return [dur[fences[ray] : fences[ray + 1]].tolist() for ray in range(n_rays)]
+    fences = np.cumsum(np.bincount(pair_ray_idx, minlength=n_rays)).tolist()
+    flat = dur.tolist()
+    return [flat[start:stop] for start, stop in zip([0] + fences, fences)]
 
 
 def trace_from_rays(

@@ -29,13 +29,6 @@ def test_training_volume_matches_fig3(model, workload):
     assert volume.total_intermediate_bytes == pytest.approx(180e9, rel=0.10)
 
 
-def test_inference_volume_smaller_than_training(model, workload):
-    trn = model.training_volume(workload)
-    inf = model.inference_volume(workload)
-    assert inf.total_intermediate_bytes < trn.total_intermediate_bytes
-    assert inf.inter_stage_bytes < trn.inter_stage_bytes
-
-
 def test_paper_config_fits_usb(model, workload):
     """Table I's bottom row: the end-to-end chip needs <= 0.6 GB/s."""
     bw = model.required_training_bandwidth_gbps(
@@ -88,8 +81,6 @@ def test_workload_factories():
     trn = WorkloadVolume.instant_training()
     assert trn.total_samples == pytest.approx(398e6)
     assert trn.deadline_s == 2.0
-    inf = WorkloadVolume.realtime_inference()
-    assert inf.total_rays == pytest.approx(36 * 800 * 800)
 
 
 def test_custom_traffic_constants():

@@ -50,9 +50,14 @@ def test_energy_breakdown_total_and_dict():
     model = EnergyModel()
     ops = OpCounts(fp16_mac=1e6, sram_read_bytes=1e6, noc_bytes=1e5)
     breakdown = model.energy(ops, 1e-3, 100.0, 1.0)
-    d = breakdown.as_dict()
-    parts = d["compute_j"] + d["sram_j"] + d["noc_j"] + d["clock_ctrl_j"] + d["leakage_j"]
-    assert d["total_j"] == pytest.approx(parts)
+    parts = (
+        breakdown.compute_j
+        + breakdown.sram_j
+        + breakdown.noc_j
+        + breakdown.clock_ctrl_j
+        + breakdown.leakage_j
+    )
+    assert breakdown.total_j == pytest.approx(parts)
 
 
 def test_sram_energy_read_write_asymmetry():

@@ -10,10 +10,11 @@ would silently drop contributions.
 import numpy as np
 import pytest
 
+from repro.nerf.aabb import intersect_unit_cube
 from repro.nerf.early_termination import render_batch_adaptive
 from repro.nerf.hash_encoding import HashEncoding, HashEncodingConfig
 from repro.nerf.model import InstantNGPModel, ModelConfig
-from repro.nerf.occupancy import OccupancyGrid, traverse_grid
+from repro.nerf.occupancy import OccupancyGrid
 from repro.nerf.precision import LowPrecisionField
 from repro.nerf.sampling import RayMarcher, SamplerConfig
 from repro.nerf.volume_rendering import composite, psnr, segment_sum
@@ -22,6 +23,7 @@ from repro.pipeline import wrap_model
 from repro.sim.engine import schedule_dynamic
 from repro.sim.sampling_module import SamplingModuleConfig
 from repro.sim.trace import distribute_samples_over_pairs, synthetic_trace
+from repro.sim.trace_traversal import cells_per_ray
 
 
 #: The seeded sweep every hash-encoding kernel is checked over.  Tiny
@@ -213,8 +215,9 @@ def test_dynamic_schedule_bit_identical_to_core_pool_oracle(seed):
 
 def test_traverse_grid_identical_to_boolean_mask_reference():
     def traverse_reference(origins, directions, grid, t_starts, t_ends):
-        # The pre-compaction implementation, verbatim: full-width boolean
-        # masks and a t copy per step.
+        # The DDA walk the closed-form count replaced, in its
+        # pre-compaction form: full-width boolean masks and a t copy
+        # per step.
         origins = np.atleast_2d(origins)
         directions = np.atleast_2d(directions)
         t_starts = np.asarray(t_starts, dtype=np.float64).reshape(-1)
@@ -251,10 +254,24 @@ def test_traverse_grid_identical_to_boolean_mask_reference():
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     t_starts = np.zeros(n)
     t_ends = rng.uniform(0.0, 1.8, size=n)
+    # Past the cube's exit the walk steps 1e-9 at a time along the
+    # clamped boundary cell until its step cap, 3r + 2, so it counts
+    # cells only on segments inside the cube: there the counts agree,
+    # and on every ray's segment cut at the exit.
+    _, exit_t, _ = intersect_unit_cube(origins, directions)
+    inside = t_ends <= exit_t
+    counts = cells_per_ray(origins, directions, grid, t_starts, t_ends)
+    walk = traverse_reference(origins, directions, grid, t_starts, t_ends)
+    assert np.array_equal(counts[inside], walk[inside])
+    assert np.all(walk[~inside] == 3 * grid.resolution + 2)
+    cut = np.minimum(t_ends, exit_t)
     assert np.array_equal(
-        traverse_grid(origins, directions, grid, t_starts, t_ends),
-        traverse_reference(origins, directions, grid, t_starts, t_ends),
+        cells_per_ray(origins, directions, grid, t_starts, cut),
+        traverse_reference(origins, directions, grid, t_starts, cut),
     )
+    assert inside.sum() > 50 and (~inside).sum() > 50
+    # No ray counts more cells than the grid's corner diagonal has.
+    assert counts.max() <= 3 * grid.resolution - 2
 
 
 class _Scaled:

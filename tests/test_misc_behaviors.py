@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.bandwidth import WorkloadVolume
 from repro.datasets.generator import AnalyticScene, Primitive, SceneDataset
 from repro.hw.interconnect import LPDDR4_1866
 from repro.nerf.camera import Camera, look_at
@@ -52,13 +51,6 @@ def test_count_cells_visited_zero_and_nan_directions_are_misses():
         assert count_cells_visited(origins[bad], directions[bad], grid) == 0
     assert total == count_cells_visited(origins[good], directions[good], grid)
     assert total > 0
-
-
-def test_workload_volume_inference_duration_scales():
-    one = WorkloadVolume.realtime_inference(duration_s=1.0)
-    two = WorkloadVolume.realtime_inference(duration_s=2.0)
-    assert two.total_samples == pytest.approx(2 * one.total_samples)
-    assert two.deadline_s == 2.0
 
 
 def test_multichip_report_energy_property():

@@ -81,22 +81,22 @@ def test_n_cells():
     assert OccupancyGrid(resolution=8).n_cells == 512
 
 
-# -- DDA traversal ------------------------------------------------------------
+# -- cell counts: the closed form of the DDA walk ------------------------------
 
 def test_traverse_axis_ray_visits_resolution_cells():
-    from repro.nerf.occupancy import traverse_grid
+    from repro.sim.trace_traversal import cells_per_ray
 
     grid = OccupancyGrid(resolution=8)
     origins = np.array([[-1.0, 0.55, 0.55]])
     directions = np.array([[1.0, 0.0, 0.0]])
-    counts = traverse_grid(origins, directions, grid, np.array([1.0]), np.array([2.0]))
+    counts = cells_per_ray(origins, directions, grid, np.array([1.0]), np.array([2.0]))
     assert counts[0] == 8
 
 
 def test_traverse_generic_ray_bounded():
     """Any unit-cube chord visits between 1 and 3*res cells."""
     from repro.nerf.aabb import intersect_unit_cube
-    from repro.nerf.occupancy import traverse_grid
+    from repro.sim.trace_traversal import cells_per_ray
 
     rng = np.random.default_rng(0)
     grid = OccupancyGrid(resolution=8)
@@ -104,21 +104,21 @@ def test_traverse_generic_ray_bounded():
     directions = rng.uniform(0.2, 1.0, (16, 3))
     directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
     t0, t1, hit = intersect_unit_cube(origins, directions)
-    counts = traverse_grid(origins[hit], directions[hit], grid, t0[hit], t1[hit])
+    counts = cells_per_ray(origins[hit], directions[hit], grid, t0[hit], t1[hit])
     assert np.all(counts >= 1)
     assert np.all(counts <= 3 * 8)
 
 
 def test_traverse_cell_count_scales_with_resolution():
-    from repro.nerf.occupancy import traverse_grid
+    from repro.sim.trace_traversal import cells_per_ray
 
     origins = np.array([[-1.0, 0.51, 0.52]])
     directions = np.array([[1.0, 0.0, 0.0]])
-    coarse = traverse_grid(
+    coarse = cells_per_ray(
         origins, directions, OccupancyGrid(resolution=4),
         np.array([1.0]), np.array([2.0]),
     )
-    fine = traverse_grid(
+    fine = cells_per_ray(
         origins, directions, OccupancyGrid(resolution=16),
         np.array([1.0]), np.array([2.0]),
     )
@@ -126,10 +126,10 @@ def test_traverse_cell_count_scales_with_resolution():
 
 
 def test_traverse_empty_segment():
-    from repro.nerf.occupancy import traverse_grid
+    from repro.sim.trace_traversal import cells_per_ray
 
     grid = OccupancyGrid(resolution=4)
-    counts = traverse_grid(
+    counts = cells_per_ray(
         np.array([[0.5, 0.5, 0.5]]), np.array([[1.0, 0.0, 0.0]]),
         grid, np.array([2.0]), np.array([1.0]),  # t_start > t_end
     )
@@ -137,21 +137,51 @@ def test_traverse_empty_segment():
 
 
 def test_traverse_validates_alignment():
-    from repro.nerf.occupancy import traverse_grid
+    from repro.sim.trace_traversal import cells_per_ray
 
     grid = OccupancyGrid(resolution=4)
     with pytest.raises(ValueError):
-        traverse_grid(
+        cells_per_ray(
             np.zeros((2, 3)), np.ones((2, 3)), grid,
             np.zeros(1), np.ones(2),
         )
 
 
+
+@pytest.mark.parametrize("resolution", [1, 2, 8, 24, 32])
+def test_cell_counts_on_exact_edge_and_vertex_crossings(resolution):
+    """A ray through cell edges or vertices counts one cell per axis
+    crossing: the grid's corner diagonal visits 3r - 2 cells and a face
+    diagonal (x and y cross together, z fixed mid-cell) 2r - 1.  A
+    segment that ends exactly on a cell face (x = 1/2 when r is even)
+    does not count the cell beyond it: ceil(r/2) cells, as the walk."""
+    from repro.nerf.aabb import intersect_unit_cube
+    from repro.sim.trace_traversal import cells_per_ray, count_cells_visited
+
+    r = resolution
+    grid = OccupancyGrid(resolution=r)
+    z = (0.5 + r // 2) / r
+    origins = np.array([[-0.5, -0.5, -0.5], [-0.5, -0.5, z], [1.5, 1.5, z]])
+    directions = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]])
+    directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
+    t0, t1, hit = intersect_unit_cube(origins, directions)
+    assert hit.all()
+    counts = cells_per_ray(origins, directions, grid, t0, t1)
+    assert counts.tolist() == [3 * r - 2, 2 * r - 1, 2 * r - 1]
+    assert count_cells_visited(origins, directions, grid) == 7 * r - 4
+
+    half = (np.array([[-1.0, z, z]]), np.array([[1.0, 0.0, 0.0]]), grid,
+            np.array([1.0]), np.array([1.5]))
+    assert cells_per_ray(*half).tolist() == [(r + 1) // 2]
+    assert _traverse_rows(*half).tolist() == [(r + 1) // 2]
+
+
 # -- column-wise grid kernels: bit-identical to the row-wise forms -------------
 
 def _traverse_rows(origins, directions, grid, t_starts, t_ends):
-    """The DDA walk with its per-step minimum over the length-3 row axis,
-    as the column kernel replaced it."""
+    """The DDA walk the closed-form count replaced, with its per-step
+    minimum over the length-3 row axis: the oracle for every ray that
+    crosses no cell edge or vertex exactly."""
     res = grid.resolution
     counts = np.zeros(origins.shape[0], dtype=np.int64)
     t = np.maximum(t_starts, 0.0) + 1e-9
@@ -183,7 +213,7 @@ def _seeded_grid(resolution, seed):
 @pytest.mark.parametrize("resolution", [1, 5, 24])
 def test_traverse_grid_matches_row_wise_min(resolution):
     from repro.nerf.aabb import intersect_unit_cube
-    from repro.nerf.occupancy import traverse_grid
+    from repro.sim.trace_traversal import cells_per_ray
 
     grid, rng = _seeded_grid(resolution, seed=resolution)
     origins = rng.normal(0.5, 1.0, size=(2000, 3))
@@ -192,7 +222,7 @@ def test_traverse_grid_matches_row_wise_min(resolution):
     directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
     t0, t1, hit = intersect_unit_cube(origins, directions)
     args = (origins[hit], directions[hit], grid, t0[hit], t1[hit])
-    counts = traverse_grid(*args)
+    counts = cells_per_ray(*args)
     assert np.array_equal(counts, _traverse_rows(*args))
     assert hit.sum() > 100 and np.all(counts >= 1)
 
@@ -203,7 +233,7 @@ def test_traverse_grid_matches_row_wise_walk_seeded(resolution, seed):
     """Rays with one or two zero direction components and origins on
     cell boundaries, from inside and outside the unit cube."""
     from repro.nerf.aabb import intersect_unit_cube
-    from repro.nerf.occupancy import traverse_grid
+    from repro.sim.trace_traversal import cells_per_ray
 
     grid, rng = _seeded_grid(resolution, seed=1000 * resolution + seed)
     n = 300
@@ -220,7 +250,7 @@ def test_traverse_grid_matches_row_wise_walk_seeded(resolution, seed):
     t0, t1, hit = intersect_unit_cube(origins, directions)
     args = (origins[hit], directions[hit], grid, t0[hit], t1[hit])
     assert hit.sum() > 30
-    assert np.array_equal(traverse_grid(*args), _traverse_rows(*args))
+    assert np.array_equal(cells_per_ray(*args), _traverse_rows(*args))
 
 
 @pytest.mark.parametrize("resolution", [1, 5, 24])
@@ -281,3 +311,78 @@ def test_fills_match_freshly_built_cell_origins(resolution):
     assert np.array_equal(_cell_origins(r), base)
     with pytest.raises(ValueError):
         _cell_origins(r)[0, 0] = 1.0
+
+
+def _old_fill(grid, density_fn, rng, samples_per_cell=2):
+    """The fill as it was: each round's ``(base + jitter) / r`` as one
+    ``(n, 3)`` array, max-folded into float32."""
+    r = grid.resolution
+    base = (
+        np.stack(np.meshgrid(*([np.arange(r)] * 3), indexing="ij"), axis=-1)
+        .reshape(-1, 3)
+        .astype(np.float64)
+    )
+    best = np.zeros(r**3, dtype=np.float32)
+    for _ in range(samples_per_cell):
+        points = (base + rng.uniform(0.0, 1.0, size=base.shape)) / r
+        density = np.asarray(density_fn(points), dtype=np.float32).reshape(-1)
+        np.maximum(best, density, out=best)
+    return best.reshape((r,) * 3)
+
+
+@pytest.mark.parametrize("resolution", [16, 24, 32])
+def test_scene_fills_match_the_row_wise_fill(resolution):
+    """Every analytic scene's fill through ``density_unit`` equals the
+    row-wise fill through ``from_unit``'s ``/ scale + offset``, bit for
+    bit, and ``density_unit`` leaves its input as it was."""
+    from repro.datasets import nerf360, synthetic
+    from repro.datasets.generator import AnalyticScene, Primitive
+
+    scenes = [synthetic.make_scene(n) for n in synthetic.SYNTHETIC_SCENES]
+    scenes += [nerf360.make_scene(n) for n in nerf360.NERF360_SCENES]
+    # Every registered scene's scale is a power of two; this box's is not.
+    scenes.append(
+        AnalyticScene(
+            name="odd_box",
+            primitives=[Primitive("sphere", (0.1, -0.05, 0.4), (0.55,), (1, 0, 0))],
+            world_min=(-1.3, -0.7, -0.9),
+            world_max=(1.1, 0.6, 1.7),
+        )
+    )
+    for i, scene in enumerate(scenes):
+        normalizer = scene.normalizer()
+
+        def row_wise(points, scene=scene, normalizer=normalizer):
+            world = np.asarray(points, dtype=np.float64) / normalizer.scale
+            return scene.density(world + normalizer.offset)
+
+        grid = OccupancyGrid(resolution=resolution, threshold=0.5)
+        grid.set_from_function(scene.density_unit, rng=np.random.default_rng(i))
+        expected = _old_fill(grid, row_wise, np.random.default_rng(i))
+        assert grid.density_ema.tobytes() == expected.tobytes(), scene.name
+        assert np.array_equal(grid.mask, expected > 0.5), scene.name
+        # The float64 densities themselves, on rows, on a transposed
+        # column block and on float32 points.
+        points = np.random.default_rng(i).uniform(-0.1, 1.1, size=(4000, 3))
+        for p in (points, np.ascontiguousarray(points.T).T, points.astype(np.float32)):
+            assert scene.density_unit(p).tobytes() == row_wise(p).tobytes(), scene.name
+
+    points = np.random.default_rng(0).random((3, 500)).T
+    kept = points.copy()
+    scenes[0].density_unit(points)
+    assert points.tobytes() == kept.tobytes()
+
+
+def test_row_wise_density_fill_matches_the_old_fill():
+    """A density that is not column-wise (it reduces over each point's
+    row and reads ``points`` twice) fills as it did."""
+
+    def density(points):
+        centred = points - np.array([0.45, 0.5, 0.55])
+        return 3.0 * np.exp(-9.0 * (centred * centred).sum(axis=1)) + points[:, 0]
+
+    for r in (16, 24, 32):
+        grid = OccupancyGrid(resolution=r, threshold=1.0)
+        grid.set_from_function(density, samples_per_cell=3, rng=np.random.default_rng(r))
+        expected = _old_fill(grid, density, np.random.default_rng(r), samples_per_cell=3)
+        assert grid.density_ema.tobytes() == expected.tobytes()

@@ -393,11 +393,3 @@ def test_merge_histogram_percentiles_weighted_by_count():
     assert merged["p50"] == pytest.approx(100.0, rel=0.02)
     assert merged["count"] == 10_000
 
-
-def test_merge_span_aggregates():
-    a = {"s": {"count": 2, "total_s": 2.0, "mean_s": 1.0}}
-    b = {"s": {"count": 2, "total_s": 6.0, "mean_s": 3.0},
-         "t": {"count": 1, "total_s": 1.0, "mean_s": 1.0}}
-    merged = parallel.merge_span_aggregates([a, b])
-    assert merged["s"] == {"count": 4, "total_s": 8.0, "mean_s": 2.0}
-    assert merged["t"]["count"] == 1

@@ -83,3 +83,19 @@ def test_cache_info_and_clear(capsys, cache_dir):
 def test_run_all_unknown_name_fails_cleanly(capsys, cache_dir):
     with pytest.raises(KeyError):
         runner.main(["run-all", "definitely_not_real", "--no-cache"])
+
+
+@pytest.mark.parametrize("quiet", [False, True])
+def test_run_all_json_is_parseable_with_a_fleet_experiment(capsys, cache_dir, quiet):
+    """``fleet_churn`` warns on every rebalance: the warnings go to
+    stderr and stdout holds the JSON document alone, ``--quiet`` or not."""
+    argv = [
+        "run-all", "fleet_churn", "fig3", "--jobs", "1", "--no-cache", "--json",
+        *(["--quiet"] if quiet else []),
+    ]
+    assert runner.main(argv) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert set(payload["results"]) == {"fleet_churn", "fig3"}
+    assert payload["report"]["counts"] == {"ok": 2}
+    assert "fleet rebalance: worker" in captured.err

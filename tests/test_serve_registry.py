@@ -147,3 +147,67 @@ def test_representative_trace_built_at_deploy():
     assert handle.trace.n_rays > 0
     assert handle.trace.n_samples > 0
     handle.release()
+
+
+def _old_deploy_trace(occupancy, max_samples, grid=24):
+    """The deploy probe trace as it was built before the closed-form cell
+    count: the boolean-mask DDA walk and one ``tolist`` per ray."""
+    from test_occupancy import _traverse_rows
+
+    from repro.nerf.aabb import intersect_octants, intersect_unit_cube
+    from repro.nerf.rays import unit_directions
+    from repro.nerf.sampling import RayMarcher, SamplerConfig
+
+    u = (np.arange(grid, dtype=np.float64) + 0.5) / grid
+    xx, yy = np.meshgrid(u, u, indexing="ij")
+    origins = np.stack(
+        [xx.reshape(-1), yy.reshape(-1), np.full(grid * grid, -0.25)], axis=-1
+    )
+    directions = np.tile(np.array([0.0, 0.0, 1.0]), (grid * grid, 1))
+    n = grid * grid
+    pairs = intersect_octants(origins, directions)
+    batch = RayMarcher(SamplerConfig(max_samples=max_samples)).sample(
+        origins, directions, occupancy=occupancy
+    )
+    unit, valid = unit_directions(directions)
+    t0, t1, hit = intersect_unit_cube(origins, unit)
+    hit &= valid
+    n_cells = int(
+        _traverse_rows(origins[hit], unit[hit], occupancy, t0[hit], t1[hit]).sum()
+    )
+    spans = pairs.t1 - pairs.t0
+    span_per_ray = np.bincount(pairs.ray_idx, weights=spans, minlength=n)
+    total = span_per_ray[pairs.ray_idx]
+    share = np.divide(spans, total, out=np.zeros_like(spans), where=total > 0)
+    kept = batch.samples_per_ray
+    dur = kept[pairs.ray_idx].astype(np.float64) * share
+    fences = np.concatenate(([0], np.cumsum(np.bincount(pairs.ray_idx, minlength=n))))
+    durations = [dur[fences[r] : fences[r + 1]].tolist() for r in range(n)]
+    return durations, len(batch), batch.candidates, kept, n_cells
+
+
+@pytest.mark.parametrize("max_samples", [32, 128])
+def test_deploy_trace_matches_the_walked_trace(max_samples):
+    """The four demo scenes' deploy traces equal the trace built with the
+    DDA walk and per-ray list builds: every pair duration (type
+    included), sample and candidate count and cell count."""
+    from repro.serve.loadgen import build_demo_registry
+
+    names = ("mic", "ship", "lego", "chair")
+    registry = build_demo_registry(scenes=names, max_samples_per_ray=max_samples)
+    for name in names:
+        handle = registry.acquire(name)
+        trace = handle.trace
+        durations, n_samples, n_candidates, kept, n_cells = _old_deploy_trace(
+            handle.occupancy, max_samples
+        )
+        assert trace.pair_durations == durations, name
+        assert all(
+            type(a) is type(b)
+            for new, old in zip(trace.pair_durations, durations)
+            for a, b in zip(new, old)
+        )
+        assert trace.n_samples == n_samples and trace.n_candidates == n_candidates
+        assert trace.samples_per_ray.tobytes() == kept.tobytes()
+        assert trace.n_cells_visited == n_cells > 0
+        handle.release()

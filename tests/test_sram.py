@@ -67,12 +67,6 @@ def test_bank_count_validation():
         BankedSram(0, SramBankSpec(size_kb=1.0))
 
 
-def test_capacity_and_area(banks):
-    assert banks.total_kb == 32.0
-    assert banks.area_mm2() > 0
-    assert banks.leakage_mw() > 0
-
-
 def test_bank_spec_energy_scales_with_bytes():
     spec = SramBankSpec(size_kb=4.0)
     assert spec.read_energy_pj(64) == pytest.approx(2 * spec.read_energy_pj(32))

@@ -44,6 +44,7 @@ DEFAULT_PACKAGES = (
     "repro.nerf.volume_rendering",
     "repro.datasets",
     "repro.sim.trace_traversal",
+    "repro.sim.trace",
     "repro.blas",
     "repro.nerf.early_termination",
     "repro.core",
