@@ -650,7 +650,7 @@ def _cmd_top(args) -> int:
 
     Drives the demo registry under a recording telemetry session with a
     periodic snapshot publisher, then renders the terminal dashboard:
-    per-module throughput, queue depths, shed/degrade/eviction rates,
+    per-module throughput, queue depths, shed/degrade rates,
     and SLO attainment.
     ``--snapshot`` (the CI mode) prints only the final frame; the
     default replays a few evenly spaced frames of the run's evolution.

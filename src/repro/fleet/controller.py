@@ -14,15 +14,17 @@ The robustness core, in the order a request meets it:
   :class:`~repro.serve.admission.AdmissionController` ladder over the
   fleet-wide outstanding-ray backlog, priced by the serve layer's
   :class:`~repro.serve.admission.CostEstimator` (per-(scene, renderer,
-  precision), reset by a new scene generation, optionally seeded from
-  fitted cost models) divided by the live workers;
+  precision), reset by a new scene generation) divided by the live
+  workers;
 * **placement** — consistent-hash preference lists with replication
-  (:mod:`repro.fleet.placement`): primary first, healthy before slow;
+  (:mod:`repro.fleet.placement`): primary first, healthy before slow (a
+  worker is slow once its service time is :data:`SLOW_FACTOR` times
+  nominal);
 * **per-RPC deadlines** — every dispatch schedules a timeout; a reply
   that never comes (crash, stall, dropped reply) cannot hang a request;
-* **hedging** — the first missed deadline immediately duplicates the
-  request onto an untried replica; the first reply wins, the loser is
-  ignored;
+* **hedging** (always on) — the first missed deadline immediately
+  duplicates the request onto an untried replica; the first reply wins,
+  the loser is ignored;
 * **retries** — further misses retry under the shared
   :class:`~repro.robustness.backoff.BackoffPolicy`: jittered exponential
   delays on the *virtual* clock, budgeted against the request deadline,
@@ -83,6 +85,10 @@ FAILED_RPC_EXPIRED = "failed_rpc_expired"
 #: Terminal status when no live worker remained to dispatch to.
 FAILED_NO_WORKER = "failed_worker_unavailable"
 
+#: Service-time inflation at which a heartbeat marks a worker ``slow``
+#: (routing prefers healthy workers over slow ones).
+SLOW_FACTOR = 2.0
+
 # Event kinds, in tie-break priority order (same-instant replies are
 # handled before deadlines: a reply landing exactly at the deadline
 # still counts).
@@ -104,8 +110,6 @@ class FleetConfig:
     vnodes: int = 32
     #: Per-RPC deadline on the fleet clock.
     rpc_timeout_s: float = 0.25
-    #: Duplicate onto an untried replica at the first missed deadline.
-    hedging: bool = True
     #: Retry pacing after (hedge and) deadline misses; delays elapse on
     #: the virtual clock and are budgeted against the request deadline.
     backoff: BackoffPolicy = field(
@@ -117,14 +121,10 @@ class FleetConfig:
     heartbeat_interval_s: float = 0.05
     #: Consecutive missed heartbeats before a worker is declared dead.
     heartbeat_miss_limit: int = 3
-    #: Service-time inflation at which a worker is marked ``slow``
-    #: (routing prefers healthy workers over slow ones).
-    slow_factor: float = 2.0
     #: Rays of one hardware dispatch chunk — the bit-identity anchor
     #: (frames match ``Renderer.render_image`` at this chunk size).
     slice_rays: int = 4096
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
-    slo_targets: dict = None
     keep_frames: bool = False
 
     def __post_init__(self):
@@ -138,8 +138,6 @@ class FleetConfig:
             raise ValueError("heartbeat_interval_s must be positive")
         if self.heartbeat_miss_limit < 1:
             raise ValueError("heartbeat_miss_limit must be >= 1")
-        if self.slow_factor <= 1.0:
-            raise ValueError("slow_factor must exceed 1")
         if self.slice_rays < 1:
             raise ValueError("slice_rays must be positive")
 
@@ -182,7 +180,6 @@ class FleetController:
         config: FleetConfig = None,
         system: MultiChipSystem = None,
         fault_plan: FaultPlan = None,
-        cost_models: dict = None,
     ):
         self.registry = registry
         self.config = config or FleetConfig()
@@ -201,9 +198,7 @@ class FleetController:
         for worker, experts in place_experts(self.config.n_workers).items():
             self.workers[worker].experts = list(experts)
         self.admission = AdmissionController(self.config.admission)
-        self.ledger = RequestLedger(
-            "fleet", self.config.slo_targets, self.config.keep_frames
-        )
+        self.ledger = RequestLedger("fleet", keep_frames=self.config.keep_frames)
         self.slo = self.ledger.slo
         #: request_id -> RenderResponse once terminal.
         self.responses = self.ledger.responses
@@ -218,7 +213,7 @@ class FleetController:
             else np.random.default_rng(seed)
         )
         #: Seconds-per-ray estimates, fed by RPC service times.
-        self.estimator = CostEstimator(cost_models)
+        self.estimator = CostEstimator()
         #: Fleet clock, virtual seconds.
         self.now_s = 0.0
         self._events = []  # heap of (t, kind, seq, payload)
@@ -410,7 +405,6 @@ class FleetController:
             decision.samples_per_ray,
             decision.resolution_scale,
             decision.degrade_level,
-            now,
         )
         slices = slice_request(active, self.config.slice_rays)
         billed = 0.0
@@ -421,7 +415,7 @@ class FleetController:
             )
             active.out[item.start : item.stop] = colors
             billed += live * entry.request.hw_scale
-        active.finish("completed", now)
+        active.status = "completed"
         board_s = board_time(self.system, entry.request.scene, handle.trace, billed)
         return active.frame, billed, board_s * worker.service_multiplier(now)
 
@@ -450,7 +444,7 @@ class FleetController:
             return  # the reply beat the deadline
         entry.outstanding.discard(rpc_id)
         self.rpc_timeouts += 1
-        if self.config.hedging and not entry.hedged:
+        if not entry.hedged:
             worker = self._pick_worker(
                 entry.request.scene, exclude=entry.tried
             )
@@ -497,7 +491,7 @@ class FleetController:
                 worker.missed_heartbeats = 0
                 worker.health = (
                     SLOW
-                    if worker.service_multiplier(now) >= self.config.slow_factor
+                    if worker.service_multiplier(now) >= SLOW_FACTOR
                     else HEALTHY
                 )
             else:

@@ -8,7 +8,7 @@ fleet will be operated through:
 
 * :mod:`~repro.obs.costmodel` — fit per-scene, per-module cost models
   (s/ray, cycles/sample, samples/ray distributions) from recorded
-  telemetry snapshots and Chrome traces, with Student-t confidence
+  telemetry snapshots, with Student-t confidence
   intervals over repeated runs and a stable on-disk JSON schema;
 * :mod:`~repro.obs.planner` — answer "how many boards / what max
   admission rate" for a target load and latency SLO from a fitted cost
@@ -19,7 +19,7 @@ fleet will be operated through:
 * :mod:`~repro.obs.dashboard` — a stdlib-only terminal dashboard
   (``runner top``) over the periodic metrics snapshots a
   :class:`~repro.telemetry.metrics.SnapshotPublisher` retains:
-  per-module throughput, queue depths, shed/degrade/eviction rates,
+  per-module throughput, queue depths, shed/degrade rates,
   fleet and online-reconstruction panels, SLO attainment.
 
 The whole package is read-only with respect to the pipeline: it
@@ -35,7 +35,6 @@ from .costmodel import (
     fit_cost_model,
     observation_from_run,
     profile_demo_scene,
-    wall_s_per_ray_from_trace,
 )
 from .dashboard import render_dashboard, run_demo_ops
 from .planner import (
@@ -67,5 +66,4 @@ __all__ = [
     "render_dashboard",
     "run_demo_ops",
     "validate_plan",
-    "wall_s_per_ray_from_trace",
 ]

@@ -11,9 +11,7 @@ This module turns recorded telemetry into a :class:`SceneCostModel`:
 
 * each profiled run yields one :class:`CostObservation`, extracted from
   a service's operational stats plus the run's metrics snapshot
-  (:func:`observation_from_run`) — and optionally wall-clock dispatch
-  cost recovered from a recorded Chrome trace
-  (:func:`wall_s_per_ray_from_trace`);
+  (:func:`observation_from_run`);
 * :func:`fit_cost_model` aggregates repeated runs into per-quantity
   :class:`FittedStat` means with Student-t 95% confidence intervals;
 * the model serializes to a stable on-disk JSON schema
@@ -121,8 +119,6 @@ class CostObservation:
     rays: float
     #: Simulated board-busy seconds over the run.
     sim_busy_s: float
-    #: Wall-clock seconds spent inside ``serve.dispatch`` spans.
-    wall_dispatch_s: float = None
     #: Samples kept by the ray marcher (occupancy-gated).
     samples: float = None
     #: Per-module simulated cycle totals (``sim.<module>.cycles``).
@@ -142,15 +138,12 @@ class CostObservation:
         return self.sim_busy_s / self.rays
 
 
-def observation_from_run(
-    stats: dict, snapshot: dict, span_aggregate: dict = None
-) -> CostObservation:
+def observation_from_run(stats: dict, snapshot: dict) -> CostObservation:
     """Extract one :class:`CostObservation` from a recorded serving run.
 
     ``stats`` is :meth:`repro.serve.RenderService.stats`; ``snapshot`` a
     :meth:`~repro.telemetry.metrics.MetricsRegistry.snapshot` taken at
-    the end of the run; ``span_aggregate`` (optional) the tracer's
-    ``aggregate()`` dict supplying wall-clock dispatch time.
+    the end of the run.
     """
     counters = snapshot.get("counters", {})
     histograms = snapshot.get("histograms", {})
@@ -162,38 +155,14 @@ def observation_from_run(
             module = name[len("sim."):-len(".cycles")]
             if module != "total":
                 module_cycles[module] = float(value)
-    wall = None
-    if span_aggregate and "serve.dispatch" in span_aggregate:
-        wall = float(span_aggregate["serve.dispatch"].get("total_s", 0.0))
     samples = counters.get("sampler.kept")
     return CostObservation(
         rays=rays,
         sim_busy_s=float(stats.get("hardware_busy_s", 0.0)),
-        wall_dispatch_s=wall,
         samples=float(samples) if samples is not None else None,
         module_cycles=module_cycles,
         samples_per_ray=histograms.get("sampler.samples_per_ray") or None,
     )
-
-
-def wall_s_per_ray_from_trace(trace_events) -> list:
-    """Per-dispatch wall seconds-per-ray samples from Chrome-trace events.
-
-    Accepts the ``traceEvents`` list of a recorded Chrome trace (the
-    format :meth:`repro.telemetry.Tracer.write_chrome_trace` emits) and
-    returns one wall s/ray sample per ``serve.dispatch`` event that
-    carries a positive ``rays`` arg — the second telemetry source a cost
-    model can be fitted from when only a trace file was kept.
-    """
-    samples = []
-    for event in trace_events:
-        if event.get("name") != "serve.dispatch" or event.get("ph") != "X":
-            continue
-        rays = event.get("args", {}).get("rays", 0)
-        dur_us = event.get("dur", 0.0)
-        if rays and rays > 0 and dur_us > 0:
-            samples.append((dur_us / 1e6) / float(rays))
-    return samples
 
 
 def _merge_hist_summaries(summaries) -> dict:
@@ -234,7 +203,6 @@ class SceneCostModel:
 
     scene: str
     sim_s_per_ray: FittedStat
-    wall_s_per_ray: FittedStat = None
     cycles_per_sample: dict = field(default_factory=dict)
     samples_per_ray: dict = None
     #: Renderer family (``repro.pipeline`` name) the scene was profiled
@@ -272,10 +240,6 @@ class SceneCostModel:
             "scene": self.scene,
             "renderer": self.renderer,
             "sim_s_per_ray": self.sim_s_per_ray.to_payload(),
-            "wall_s_per_ray": (
-                self.wall_s_per_ray.to_payload()
-                if self.wall_s_per_ray is not None else None
-            ),
             "cycles_per_sample": {
                 module: stat.to_payload()
                 for module, stat in sorted(self.cycles_per_sample.items())
@@ -294,7 +258,8 @@ class SceneCostModel:
 
         Unknown schema versions are rejected loudly — a planner running
         on a mis-parsed cost model would emit confidently wrong capacity
-        numbers.
+        numbers.  Keys the model no longer holds are ignored, so a file
+        that still carries the retired ``wall_s_per_ray`` entry loads.
         """
         schema = payload.get("schema")
         if schema != SCHEMA_VERSION:
@@ -302,15 +267,11 @@ class SceneCostModel:
                 f"unsupported cost-model schema {schema!r} "
                 f"(expected {SCHEMA_VERSION})"
             )
-        wall = payload.get("wall_s_per_ray")
         overhead = payload.get("overhead_s")
         return cls(
             scene=payload["scene"],
             renderer=payload.get("renderer", "ngp"),
             sim_s_per_ray=FittedStat.from_payload(payload["sim_s_per_ray"]),
-            wall_s_per_ray=(
-                FittedStat.from_payload(wall) if wall is not None else None
-            ),
             cycles_per_sample={
                 module: FittedStat.from_payload(stat)
                 for module, stat in payload.get("cycles_per_sample", {}).items()
@@ -341,15 +302,12 @@ class SceneCostModel:
 def fit_cost_model(
     scene: str,
     observations,
-    wall_ray_samples=None,
     meta: dict = None,
     renderer: str = "ngp",
 ) -> SceneCostModel:
     """Fit a :class:`SceneCostModel` from repeated-run observations.
 
     ``observations`` is a non-empty sequence of :class:`CostObservation`;
-    ``wall_ray_samples`` optionally adds trace-derived wall s/ray samples
-    (:func:`wall_s_per_ray_from_trace`) to the snapshot-derived ones.
     ``renderer`` tags the fitted model with the renderer family the runs
     were served by (costs do not transfer across renderers).
     """
@@ -357,14 +315,6 @@ def fit_cost_model(
     if not observations:
         raise ValueError("need at least one observation to fit a cost model")
     sim = FittedStat.fit([o.sim_s_per_ray for o in observations])
-    wall_values = [
-        o.wall_dispatch_s / o.rays
-        for o in observations
-        if o.wall_dispatch_s is not None and o.rays > 0
-    ]
-    if wall_ray_samples:
-        wall_values.extend(wall_ray_samples)
-    wall = FittedStat.fit(wall_values) if wall_values else None
     modules = set()
     for o in observations:
         modules.update(o.module_cycles)
@@ -388,7 +338,6 @@ def fit_cost_model(
         scene=scene,
         renderer=renderer,
         sim_s_per_ray=sim,
-        wall_s_per_ray=wall,
         cycles_per_sample=cycles,
         samples_per_ray=spr,
         overhead_s=overhead,
@@ -412,7 +361,7 @@ def profile_demo_scene(
     latency, then ``runs`` low-rate open-loop runs (distinct arrival
     seeds, ~30% utilization so queueing does not pollute the cost) with
     telemetry recording, and fits the cost model from what each run's
-    metrics snapshot, span aggregate, and service stats recorded.
+    metrics snapshot and service stats recorded.
 
     ``batch_policy`` (a :class:`~repro.serve.scheduler.BatchPolicy`, or
     ``None`` for the service default) must match the deployment being
@@ -474,8 +423,7 @@ def profile_demo_scene(
                 hw_scale=hw_scale,
             )
             snapshot = tel.metrics.snapshot()
-            spans = tel.tracer.aggregate()
-        obs = observation_from_run(service.stats(), snapshot, spans)
+        obs = observation_from_run(service.stats(), snapshot)
         if obs.rays > 0:
             # Typical uncongested latency minus pure board time = fixed
             # per-request overhead (coalescing wait, comm round trips).

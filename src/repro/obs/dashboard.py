@@ -1,7 +1,7 @@
 """Live ops dashboard: terminal rendering of the telemetry plane.
 
 ``runner top`` is the operator's view of a running (simulated) service:
-per-module throughput, queue depths, shed/degrade/eviction rates, the
+per-module throughput, queue depths, shed/degrade rates, the
 fleet and online-reconstruction panels, and SLO attainment, rendered as
 plain text (stdlib only — no curses, no ANSI requirements) so the same
 frame works interactively, in CI snapshot mode, and pasted into an
@@ -25,7 +25,6 @@ _REQUEST_COUNTERS = (
     ("completed", "serve.requests.completed"),
     ("shed", "serve.requests.shed_overload"),
     ("degraded", "serve.requests.degraded"),
-    ("evicted", "serve.registry.evictions"),
 )
 
 
@@ -240,7 +239,6 @@ def render_dashboard(
     slo: dict = None,
     fleet: dict = None,
     online: dict = None,
-    title: str = "fusion3d ops",
 ) -> str:
     """Render one dashboard frame from published telemetry.
 
@@ -254,7 +252,7 @@ def render_dashboard(
     """
     first, last, dt = window(history)
     head = (
-        f"{title} dashboard   t={last.get('t_s', 0.0):.2f}s   "
+        f"fusion3d ops dashboard   t={last.get('t_s', 0.0):.2f}s   "
         f"window={dt:.2f}s over {len(history)} snapshot(s)"
     )
     lines = [head, "=" * max(len(head), 64)]

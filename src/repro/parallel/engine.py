@@ -9,16 +9,14 @@ result payload plus span/metric snapshots back to the parent, which
 merges them into one :class:`RunReport`.
 
 Failure policy: a crashed job (any exception, including a dead worker
-process) is retried once by default; a timed-out job is **not** retried
-— it would time out again and double the damage.  Retry pacing is
-delegated to :class:`repro.robustness.backoff.BackoffPolicy` (the
-default reproduces the historical retry-once-immediately behavior;
-callers can pass a jittered exponential schedule instead).  A broken
-pool is rebuilt so one segfaulting experiment cannot take down the rest
-of the sweep — but only :data:`MAX_POOL_REBUILDS` *consecutive* times:
-a worker function that crashes the pool persistently would otherwise
-rebuild forever, so past the cap the remaining jobs fail loudly with a
-structured ``PoolRebuildLimitError`` outcome instead of spinning.
+process) is resubmitted at once, ``retries`` times (once by default); a
+timed-out job is **not** retried — it would time out again and double
+the damage.  A broken pool is rebuilt so one segfaulting experiment
+cannot take down the rest of the sweep — but only
+:data:`MAX_POOL_REBUILDS` *consecutive* times: a worker function that
+crashes the pool persistently would otherwise rebuild forever, so past
+the cap the remaining jobs fail loudly with a structured
+``PoolRebuildLimitError`` outcome instead of spinning.
 
 Caching: with a :class:`~repro.parallel.cache.ResultCache` attached, the
 parent consults the cache *before* submitting anything (a warm sweep
@@ -44,11 +42,8 @@ import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..robustness.backoff import BackoffPolicy, ENGINE_DEFAULT
 from . import cache as cache_mod
 from .fingerprint import RESULT_PACKAGES, source_fingerprint
 
@@ -338,29 +333,18 @@ def run_experiments(
     retries: int = 1,
     cache: cache_mod.ResultCache = None,
     collect_telemetry: bool = False,
-    backoff: BackoffPolicy = None,
-    max_pool_rebuilds: int = MAX_POOL_REBUILDS,
 ) -> RunReport:
     """Run a set of experiments, possibly in parallel, with caching.
 
     ``cache=None`` disables caching entirely (the ``--no-cache`` path).
     ``jobs <= 1`` executes inline in this process; otherwise a process
     pool of ``jobs`` workers is used.  See the module docstring for the
-    retry/timeout/caching policy.  ``backoff`` overrides the retry
-    schedule (and its ``max_retries`` supersedes ``retries``); the
-    default is immediate resubmission, ``retries`` times.  Always
-    returns a :class:`RunReport`; per-experiment errors are reported in
-    it, not raised.
+    retry/timeout/caching policy.  Always returns a :class:`RunReport`;
+    per-experiment errors are reported in it, not raised.
     """
     from ..experiments.base import ExperimentResult
 
     names = resolve_names(names)
-    policy = (
-        backoff
-        if backoff is not None
-        else replace(ENGINE_DEFAULT, max_retries=max(0, retries))
-    )
-    rng = np.random.default_rng(0)
     start = time.perf_counter()
     fingerprint = source_fingerprint(RESULT_PACKAGES) if cache is not None else None
     outcomes = {}
@@ -386,12 +370,12 @@ def run_experiments(
         try:
             if jobs <= 1:
                 fresh = _run_inline(
-                    pending, quick, timeout_s, collect_telemetry, policy, rng
+                    pending, quick, timeout_s, collect_telemetry, retries
                 )
             else:
                 fresh = _run_pool(
                     pending, jobs, quick, timeout_s, collect_telemetry,
-                    policy, rng, cache, max_pool_rebuilds,
+                    retries, cache,
                 )
         finally:
             if previous_active is not None:
@@ -445,7 +429,7 @@ def _failure_outcome(name: str, exc: BaseException, attempts: int) -> JobOutcome
     return JobOutcome(name=name, status=status, attempts=attempts, error=error)
 
 
-def _run_inline(names, quick, timeout_s, collect_telemetry, policy, rng) -> dict:
+def _run_inline(names, quick, timeout_s, collect_telemetry, retries) -> dict:
     """Sequential fallback sharing the worker code path (``jobs=1``)."""
     outcomes = {}
     for name in names:
@@ -459,10 +443,7 @@ def _run_inline(names, quick, timeout_s, collect_telemetry, policy, rng) -> dict
                 break
             except Exception as exc:
                 # Failure number `attempts` asks for retry number `attempts`.
-                if policy.allows(attempts):
-                    delay = policy.delay_s(attempts, rng)
-                    if delay > 0:
-                        time.sleep(delay)
+                if attempts <= retries:
                     continue
                 outcomes[name] = _failure_outcome(name, exc, attempts)
                 break
@@ -472,13 +453,12 @@ def _run_inline(names, quick, timeout_s, collect_telemetry, policy, rng) -> dict
 
 
 def _run_pool(
-    names, jobs, quick, timeout_s, collect_telemetry, policy, rng, cache,
-    max_pool_rebuilds,
+    names, jobs, quick, timeout_s, collect_telemetry, retries, cache,
 ) -> dict:
     """Fan ``names`` out over a process pool with crash retry.
 
     The pool is rebuilt when a worker death poisons it, but only
-    ``max_pool_rebuilds`` *consecutive* times: a job whose worker
+    :data:`MAX_POOL_REBUILDS` *consecutive* times: a job whose worker
     function kills every pool it touches would otherwise rebuild
     forever.  Past the cap, every not-yet-finished job fails with a
     structured :class:`PoolRebuildLimitError` outcome.
@@ -518,7 +498,7 @@ def _run_pool(
                     outcomes[name] = _failure_outcome(name, exc, attempts[name])
                 except BrokenProcessPool as exc:
                     pool_broken = True
-                    if policy.allows(attempts[name]):
+                    if attempts[name] <= retries:
                         resubmit.append(name)
                     else:
                         outcomes[name] = _failure_outcome(
@@ -526,7 +506,7 @@ def _run_pool(
                         )
                 except Exception as exc:
                     saw_live_result = True
-                    if policy.allows(attempts[name]):
+                    if attempts[name] <= retries:
                         resubmit.append(name)
                     else:
                         outcomes[name] = _failure_outcome(
@@ -549,10 +529,10 @@ def _run_pool(
                 futures = {}
                 pool.shutdown(wait=False)
                 consecutive_rebuilds += 1
-                if consecutive_rebuilds > max_pool_rebuilds:
+                if consecutive_rebuilds > MAX_POOL_REBUILDS:
                     exc = PoolRebuildLimitError(
                         f"process pool broke {consecutive_rebuilds} "
-                        f"consecutive times (limit {max_pool_rebuilds}); "
+                        f"consecutive times (limit {MAX_POOL_REBUILDS}); "
                         "a submitted worker function is killing every "
                         "pool it runs in"
                     )
@@ -563,12 +543,6 @@ def _run_pool(
                         )
                     break
                 pool = make_pool()
-            if resubmit:
-                delay = max(
-                    policy.delay_s(attempts[name], rng) for name in resubmit
-                )
-                if delay > 0:
-                    time.sleep(delay)
             for name in resubmit:
                 attempts[name] += 1
                 futures[pool.submit(

@@ -16,16 +16,16 @@ workload traces, and diverging training runs.  It has three halves:
   watchdog that rolls training back to the last good snapshot and backs
   the learning rate off.
 
-:mod:`repro.robustness.backoff` is the shared retry-pacing primitive
-(jittered exponential backoff under a deadline budget) used by both the
-parallel engine and the fleet controller.
+:mod:`repro.robustness.backoff` is the retry-pacing primitive
+(jittered exponential backoff under a deadline budget) the fleet
+controller paces its RPC retries with.
 
 With no plan active (or an empty plan), every instrumented code path is
 bit-identical to the un-instrumented repo: :func:`get_active` is the
 single gate, and it returns ``None`` for both cases.
 """
 
-from .backoff import ENGINE_DEFAULT, BackoffPolicy
+from .backoff import BackoffPolicy
 from .degradation import format_degradation, plan_remap
 from .errors import DivergenceError, DivergenceEvent, FaultConfigError, FaultLog
 from .faults import (
@@ -54,7 +54,6 @@ from .watchdog import DivergenceWatchdog
 __all__ = [
     "BackoffPolicy",
     "ChipletFaultConfig",
-    "ENGINE_DEFAULT",
     "DivergenceError",
     "DivergenceEvent",
     "DivergenceWatchdog",

@@ -1,13 +1,11 @@
 """Jittered exponential backoff with a deadline budget.
 
-Every retry loop in the repo wants the same three properties: delays
-that grow geometrically (so a persistently failing dependency is not
-hammered), jitter (so independent retriers do not synchronize into
-retry storms), and a hard budget (so retrying never outlives the
-caller's deadline).  :class:`BackoffPolicy` packages them once;
-:mod:`repro.parallel.engine` uses it for crashed-experiment retries and
-the fleet controller (:mod:`repro.fleet`) for its per-RPC retry
-schedule.
+A retry loop under churn wants three properties: delays that grow
+geometrically (so a persistently failing dependency is not hammered),
+jitter (so independent retriers do not synchronize into retry storms),
+and a hard budget (so retrying never outlives the caller's deadline).
+:class:`BackoffPolicy` packages them once; the fleet controller
+(:mod:`repro.fleet`) paces its per-RPC retries with it.
 
 Determinism: jitter draws come from a caller-supplied seeded
 :class:`numpy.random.Generator`, so a retry schedule is reproducible
@@ -100,9 +98,3 @@ class BackoffPolicy:
             return False
         return budget_s is None or budget_s > 0.0
 
-
-#: Policy reproducing :mod:`repro.parallel.engine`'s historical behavior:
-#: crashed jobs are resubmitted immediately (no sleep) and exactly once.
-ENGINE_DEFAULT = BackoffPolicy(
-    base_s=0.0, multiplier=1.0, max_delay_s=0.0, jitter=0.0, max_retries=1
-)

@@ -5,7 +5,7 @@ rendering service — the deployment story of the paper's second half
 (sustained FPS under a latency budget) made concrete:
 
 * :mod:`~repro.serve.registry` — named multi-scene store with refcounted
-  hot-swap, LRU eviction under a memory budget, and checkpoint
+  hot-swap (a scene lives until a hot-swap replaces it) and checkpoint
   cold-start (occupancy grid restored without re-warmup);
 * :mod:`~repro.serve.batching` / :mod:`~repro.serve.scheduler` — render
   requests sliced into fixed ray batches and coalesced across requests
@@ -47,7 +47,6 @@ from .loadgen import (
     run_open_loop,
 )
 from .registry import (
-    MemoryBudgetError,
     SceneHandle,
     SceneRegistry,
     SceneRegistryError,
@@ -69,7 +68,6 @@ __all__ = [
     "DispatchBatch",
     "DynamicRayBatchScheduler",
     "LoadReport",
-    "MemoryBudgetError",
     "PRIORITY_BATCH",
     "PRIORITY_INTERACTIVE",
     "PRIORITY_STANDARD",

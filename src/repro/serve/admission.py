@@ -37,6 +37,14 @@ FAILED_UNKNOWN_SCENE = "failed_unknown_scene"
 #: EWMA smoothing of each delivered seconds-per-ray estimate.
 EWMA_ALPHA = 0.2
 
+#: Degradation never cuts a request below this many samples per ray.
+MIN_SAMPLES_PER_RAY = 4
+#: Priority classes at or below this value (interactive) are degraded,
+#: not shed, until the queue passes ``max_queue_rays`` times
+#: :data:`PRIORITY_HEADROOM`.
+SHED_SPARES_PRIORITY = 0
+PRIORITY_HEADROOM = 1.5
+
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
@@ -44,27 +52,20 @@ class AdmissionPolicy:
 
     ``degrade_rays`` starts level-1 degradation, ``heavy_degrade_rays``
     starts level-2, and ``max_queue_rays`` is the hard cap past which
-    requests are shed; ``shed_spares_priority`` classes at or below that
-    priority value are degraded (never shed) until the queue exceeds
-    ``max_queue_rays`` times ``priority_headroom``.
+    requests are shed; interactive requests
+    (:data:`SHED_SPARES_PRIORITY`) are degraded, not shed, until the
+    queue exceeds ``max_queue_rays`` times :data:`PRIORITY_HEADROOM`.
     """
 
     max_queue_rays: int = 1 << 18
     degrade_rays: int = 1 << 16
     heavy_degrade_rays: int = 1 << 17
-    min_samples_per_ray: int = 4
-    shed_spares_priority: int = 0
-    priority_headroom: float = 1.5
 
     def __post_init__(self):
         if not 0 < self.degrade_rays <= self.heavy_degrade_rays <= self.max_queue_rays:
             raise ValueError(
                 "need 0 < degrade_rays <= heavy_degrade_rays <= max_queue_rays"
             )
-        if self.min_samples_per_ray < 1:
-            raise ValueError("min_samples_per_ray must be positive")
-        if self.priority_headroom < 1.0:
-            raise ValueError("priority_headroom must be >= 1.0")
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,8 @@ class AdmissionController:
         over_cap = queued_rays > policy.max_queue_rays
         if over_cap:
             spared = (
-                request.priority <= policy.shed_spares_priority
-                and queued_rays
-                <= policy.max_queue_rays * policy.priority_headroom
+                request.priority <= SHED_SPARES_PRIORITY
+                and queued_rays <= policy.max_queue_rays * PRIORITY_HEADROOM
             )
             if not spared:
                 self.shed += 1
@@ -133,7 +133,7 @@ class AdmissionController:
         samples = full_samples_per_ray
         resolution_scale = 1.0
         if level >= DEGRADE_SAMPLES:
-            samples = max(samples // 2, policy.min_samples_per_ray)
+            samples = max(samples // 2, MIN_SAMPLES_PER_RAY)
         if level >= DEGRADE_RESOLUTION:
             resolution_scale = 0.5
         if deadline is not None and est_s_per_ray is not None:
@@ -172,38 +172,25 @@ class CostEstimator:
     2x-cost hot-swap would otherwise admit doomed deadline work for
     ~1/alpha observations), the *same* generation blends in by
     :data:`EWMA_ALPHA`, and an *older* one (a request still draining
-    after a hot-swap) is dropped.  A key starts from its fitted cost
-    model when one applies, else ``None`` (feasibility check skipped).
+    after a hot-swap) is dropped.  A key starts with no estimate, so
+    the feasibility check is skipped until its first observation.
     """
 
-    def __init__(self, cost_models: dict = None):
-        #: ``{scene: SceneCostModel}`` priors (:mod:`repro.obs.costmodel`).
-        self._cost_models = dict(cost_models or {})
+    def __init__(self):
         self._estimates = {}  # key -> (s_per_ray, generation)
         self.reblends = 0
 
     def estimate(self, key: tuple, generation: int) -> float:
         """The estimate admission at ``generation`` prices ``key`` with.
 
-        A stale estimate still prices a newer generation until that
-        generation's first observation.  An *older* generation means the
-        name was deployed afresh after an undeploy or eviction
-        (generations restart at 1): the key starts over from its prior.
+        ``None`` before the key's first observation.  A stale estimate
+        still prices a newer generation until that generation's first
+        observation.  ``generation`` is the admitting handle's; it is
+        never below the stored estimate's, because a name's generation
+        never decreases (only a hot-swap replaces a scene).
         """
         entry = self._estimates.get(key)
-        if entry is None or generation < entry[1]:
-            self._estimates.pop(key, None)
-            scene, renderer, precision = key
-            model = self._cost_models.get(scene)
-            # Cost models are profiled on one renderer family at full
-            # precision; their costs do not transfer to other keys.
-            if model is None or model.renderer != renderer or precision != "full":
-                return None
-            seed = float(model.sim_s_per_ray.mean)
-            if seed <= 0.0:
-                return None
-            entry = self._estimates[key] = (seed, generation)
-        return entry[0]
+        return None if entry is None else entry[0]
 
     def observe(self, key: tuple, generation: int, s_per_ray: float) -> None:
         """Fold one measured seconds-per-ray of ``generation`` into ``key``."""

@@ -94,9 +94,8 @@ class ActiveRequest:
     """An admitted request's in-flight state.
 
     Holds the unit-space rays, the output pixel buffer, and completion
-    bookkeeping.  ``status`` stays ``None`` while in flight and becomes a
-    terminal string (``"completed"``, ``"failed_scene_evicted"``, ...)
-    exactly once.
+    bookkeeping.  ``status`` stays ``None`` while in flight and becomes
+    ``"completed"`` once every slice has rendered.
     """
 
     request: RenderRequest
@@ -112,8 +111,6 @@ class ActiveRequest:
     resolution_scale: float = 1.0
     out: np.ndarray = None
     slices_remaining: int = 0
-    admitted_s: float = 0.0
-    completed_s: float = None
     status: str = None
     #: ``(height, width)`` of the (possibly degraded) output frame.
     frame_shape: tuple = None
@@ -122,12 +119,6 @@ class ActiveRequest:
     def n_rays(self) -> int:
         """Rays this request actually marches (after degradation)."""
         return self.origins.shape[0]
-
-    def finish(self, status: str, now: float) -> None:
-        """Terminally mark the request; idempotent for the first status."""
-        if self.status is None:
-            self.status = status
-            self.completed_s = now
 
     @property
     def frame(self) -> np.ndarray:
@@ -212,7 +203,6 @@ def activate_request(
     samples_per_ray: int,
     resolution_scale: float,
     degrade_level: int,
-    now: float,
 ) -> ActiveRequest:
     """Expand an admitted request into its in-flight state.
 
@@ -250,7 +240,6 @@ def activate_request(
         # float64 buffer would double the frame-memory footprint.
         out=np.empty((n, 3), dtype=np.float32),
         slices_remaining=0,
-        admitted_s=now,
         frame_shape=frame_shape,
     )
 

@@ -90,7 +90,6 @@ def build_demo_registry(
     n_scenes: int = 2,
     occupancy_resolution: int = 24,
     max_samples_per_ray: int = 32,
-    memory_budget_bytes: int = None,
     seed: int = 0,
 ) -> SceneRegistry:
     """Deploy analytic object scenes into a fresh registry.
@@ -101,10 +100,7 @@ def build_demo_registry(
     radiance fields are untrained.
     """
     names = tuple(scenes) if scenes else synthetic.SYNTHETIC_SCENES[:n_scenes]
-    registry = SceneRegistry(
-        memory_budget_bytes=memory_budget_bytes,
-        max_samples_per_ray=max_samples_per_ray,
-    )
+    registry = SceneRegistry(max_samples_per_ray=max_samples_per_ray)
     for i, name in enumerate(names):
         scene = synthetic.make_scene(name)
         occupancy = OccupancyGrid(resolution=occupancy_resolution, threshold=0.5)
@@ -182,15 +178,14 @@ def run_open_loop(
     rng: np.random.Generator = None,
     priority_mix=DEFAULT_PRIORITY_MIX,
     hw_scale: float = 1.0,
-    deadline_slack_s: float = None,
     id_start: int = 0,
 ) -> LoadReport:
     """Drive a Poisson arrival trace through the service and drain it.
 
     Scenes and priority classes are drawn independently per request;
-    ``deadline_slack_s`` (when given) sets each request's deadline that
-    far past its arrival.  ``hw_scale`` bills each probe frame as that
-    many full frames (see :class:`~repro.serve.batching.RenderRequest`).
+    every request is best effort (no deadline).  ``hw_scale`` bills each
+    probe frame as that many full frames (see
+    :class:`~repro.serve.batching.RenderRequest`).
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     camera = camera or demo_camera()
@@ -202,11 +197,6 @@ def run_open_loop(
     for i, arrival_s in enumerate(arrivals):
         scene = scene_names[int(rng.integers(len(scene_names)))]
         priority = priorities[int(rng.choice(len(priorities), p=weights))]
-        deadline = (
-            float(arrival_s) + deadline_slack_s
-            if deadline_slack_s is not None
-            else None
-        )
         service.submit(
             RenderRequest(
                 request_id=id_start + i,
@@ -214,7 +204,6 @@ def run_open_loop(
                 camera=camera,
                 arrival_s=float(arrival_s),
                 priority=priority,
-                deadline_s=deadline,
                 hw_scale=hw_scale,
             )
         )
@@ -236,10 +225,11 @@ def run_closed_loop(
     camera: Camera = None,
     priority: int = PRIORITY_INTERACTIVE,
     hw_scale: float = 1.0,
-    think_s: float = 0.0,
     id_start: int = 0,
 ) -> LoadReport:
     """One interactive client: submit, await the frame, submit the next.
+
+    Each frame is requested the moment the previous one completes.
 
     Returns the report with per-frame :class:`RenderResponse` objects
     (frames included), which is what the bit-identity checks compare
@@ -259,7 +249,7 @@ def run_closed_loop(
                     request_id=id_start + done,
                     scene=scene,
                     camera=camera,
-                    arrival_s=service.now_s + think_s,
+                    arrival_s=service.now_s,
                     priority=priority,
                     hw_scale=hw_scale,
                 ),

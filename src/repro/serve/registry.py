@@ -1,15 +1,16 @@
-"""Multi-scene registry: named, refcounted, memory-budgeted scene store.
+"""Multi-scene registry: named, refcounted scene store with hot-swap.
 
 The serving layer multiplexes many trained scenes over one simulated
 board (the Uni-Render deployment argument): scenes are *deployed* into
 the registry — from a checkpoint archive or from in-memory objects — and
 request handling *acquires* a refcounted :class:`SceneHandle` for the
-lifetime of each request.  The registry enforces a configurable memory
-budget with LRU eviction of idle scenes (a stand-in for the board-side
-DRAM the paper's ~10 MB-per-scene payload is shipped into), and
-re-deploying a live name hot-swaps it: new acquisitions see the new
-generation immediately while in-flight requests keep rendering against
-the old weights until their refcount drains.
+lifetime of each request.
+
+One lifecycle rule: a deployed scene lives until a hot-swap replaces
+it.  Re-deploying a live name installs the next generation: new
+acquisitions see it immediately, while in-flight requests keep rendering
+against the old weights until their refcount drains.  Nothing else
+removes a name, so a name's generation never decreases.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class UnknownSceneError(SceneRegistryError):
     """The named scene is not deployed."""
 
 
-class MemoryBudgetError(SceneRegistryError):
-    """A deploy cannot fit: the budget is exhausted and nothing is evictable."""
-
-
 @dataclass
 class SceneRecord:
     """One deployed scene generation and its serving state."""
@@ -70,20 +67,17 @@ class SceneRecord:
 class SceneHandle:
     """A refcounted view of one scene generation.
 
-    Handles pin their generation in memory: the registry never evicts or
-    frees a record while handles to it are live.  ``release()`` is
-    idempotent; a force-undeploy invalidates the handle (``valid`` turns
-    ``False``) so dispatch can fail the affected requests cleanly.
+    Handles pin their generation in memory: the registry never frees a
+    hot-swapped-out record while handles to it are live.  ``release()``
+    is idempotent.
     """
 
-    __slots__ = ("_registry", "_record", "_released", "valid")
+    __slots__ = ("_registry", "_record", "_released")
 
     def __init__(self, registry: "SceneRegistry", record: SceneRecord):
         self._registry = registry
         self._record = record
         self._released = False
-        #: Cleared by a force-undeploy; dispatch checks this before rendering.
-        self.valid = True
 
     @property
     def name(self) -> str:
@@ -92,8 +86,8 @@ class SceneHandle:
 
     @property
     def generation(self) -> int:
-        """Generation counter of the pinned record (bumps on hot-swap,
-        restarts at 1 when a name is deployed afresh)."""
+        """Generation counter of the pinned record (1 at the first
+        deploy, bumped by each hot-swap)."""
         return self._record.generation
 
     @property
@@ -178,22 +172,14 @@ def _scene_bytes(model, occupancy: OccupancyGrid) -> int:
 
 
 class SceneRegistry:
-    """Named scene store with a memory budget, LRU eviction, and hot-swap."""
+    """Named scene store with refcounted hot-swap."""
 
-    def __init__(
-        self,
-        memory_budget_bytes: int = None,
-        max_samples_per_ray: int = 64,
-    ):
-        if memory_budget_bytes is not None and memory_budget_bytes <= 0:
-            raise ValueError("memory_budget_bytes must be positive (or None)")
-        self.memory_budget_bytes = memory_budget_bytes
+    def __init__(self, max_samples_per_ray: int = 64):
         self.max_samples_per_ray = max_samples_per_ray
         self._records = {}
         #: Hot-swapped-out generations still pinned by live handles.
         self._retiring = []
         self._clock = 0
-        self.evictions = 0
         self.hot_swaps = 0
 
     # -- introspection ---------------------------------------------------
@@ -212,7 +198,7 @@ class SceneRegistry:
         return len(self._records)
 
     def scenes(self) -> list:
-        """Summaries of every deployed scene, LRU-oldest first."""
+        """Summaries of every deployed scene, least recently used first."""
         records = sorted(self._records.values(), key=lambda r: r.last_used)
         return [
             {
@@ -324,35 +310,10 @@ class SceneRegistry:
         self._clock += 1
         record.last_used = self._clock
         self._records[name] = record
-        self._enforce_budget(keep=record)
         self._record_metrics()
         return self.scenes()[-1] if len(self._records) == 1 else next(
             s for s in self.scenes() if s["name"] == name
         )
-
-    def undeploy(self, name: str, force: bool = False) -> None:
-        """Remove a scene from the registry.
-
-        With ``force=False`` (default) live handles keep their pinned
-        generation until released.  ``force=True`` additionally
-        *invalidates* outstanding handles — in-flight requests observe
-        ``handle.valid == False`` at dispatch and fail cleanly (the
-        "scene evicted mid-request" path).
-        """
-        record = self._records.pop(name, None)
-        if record is None:
-            raise UnknownSceneError(f"scene {name!r} is not deployed")
-        if record.refcount > 0:
-            record.retired = True
-            self._retiring.append(record)
-            if force:
-                self._invalidate(record)
-        self._record_metrics()
-
-    def _invalidate(self, record: SceneRecord) -> None:
-        """Mark a record dead for its live handles (force-undeploy)."""
-        for handle in list(getattr(record, "_handles", [])):
-            handle.valid = False
 
     # -- acquisition -----------------------------------------------------
 
@@ -364,11 +325,7 @@ class SceneRegistry:
         record.refcount += 1
         self._clock += 1
         record.last_used = self._clock
-        handle = SceneHandle(self, record)
-        if not hasattr(record, "_handles"):
-            record._handles = []
-        record._handles.append(handle)
-        return handle
+        return SceneHandle(self, record)
 
     def _release(self, record: SceneRecord) -> None:
         if record.refcount <= 0:
@@ -377,37 +334,10 @@ class SceneRegistry:
             )
         record.refcount -= 1
         if record.refcount == 0 and record.retired:
-            # Last in-flight request against a hot-swapped-out or
-            # undeployed generation: free it now.
-            if record in self._retiring:
-                self._retiring.remove(record)
+            # Last in-flight request against a hot-swapped-out
+            # generation: free it now.
+            self._retiring.remove(record)
             self._record_metrics()
-
-    # -- memory budget ---------------------------------------------------
-
-    def _enforce_budget(self, keep: SceneRecord) -> None:
-        """Evict idle LRU scenes until the budget holds (or raise)."""
-        if self.memory_budget_bytes is None:
-            return
-        while self.memory_bytes > self.memory_budget_bytes:
-            victims = [
-                r
-                for r in self._records.values()
-                if r.refcount == 0 and r is not keep
-            ]
-            if not victims:
-                raise MemoryBudgetError(
-                    f"cannot fit scene {keep.name!r} "
-                    f"({keep.n_bytes} B) within the "
-                    f"{self.memory_budget_bytes} B budget: "
-                    f"{self.memory_bytes} B pinned and nothing evictable"
-                )
-            victim = min(victims, key=lambda r: r.last_used)
-            del self._records[victim.name]
-            self.evictions += 1
-            tel = telemetry.get_session()
-            if tel.enabled:
-                tel.metrics.counter("serve.registry.evictions").inc()
 
     def _record_metrics(self) -> None:
         tel = telemetry.get_session()

@@ -55,7 +55,6 @@ class DynamicRayBatchScheduler:
         #: scene name -> deque of ``(RaySlice, enqueue_s)``.
         self._queues = {}
         self.batches_formed = 0
-        self.slices_dropped = 0
 
     # -- enqueue ---------------------------------------------------------
 
@@ -81,24 +80,6 @@ class DynamicRayBatchScheduler:
 
     # -- decision --------------------------------------------------------
 
-    def _purge_dead(self) -> None:
-        """Drop slices whose request already reached a terminal status.
-
-        A force-undeployed scene (or an expired request) terminates its
-        :class:`ActiveRequest` while slices are still queued; those
-        slices must not reach the hardware.
-        """
-        for scene in list(self._queues):
-            queue = self._queues[scene]
-            live = deque(
-                (s, t) for s, t in queue if s.active.status is None
-            )
-            self.slices_dropped += len(queue) - len(live)
-            if live:
-                self._queues[scene] = live
-            else:
-                del self._queues[scene]
-
     def _scene_ready_s(self, queue) -> float:
         """Service-clock time at which this queue's dispatch is due."""
         rays = sum(s.n_rays for s, _ in queue)
@@ -120,7 +101,6 @@ class DynamicRayBatchScheduler:
         flush timer only ever fires on behalf of queued slices, so no
         zero-ray batch can reach the hardware.
         """
-        self._purge_dead()
         if not self._queues:
             if next_arrival_s is not None:
                 return (ACTION_WAIT, next_arrival_s)

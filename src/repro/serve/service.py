@@ -43,10 +43,6 @@ from .scheduler import (
 )
 from .slo import SLOTracker, format_slo_report
 
-#: Terminal status for a request whose scene was force-undeployed mid-flight.
-FAILED_SCENE_EVICTED = "failed_scene_evicted"
-
-
 @dataclass(frozen=True)
 class ServiceConfig:
     """Service-wide policies and bookkeeping knobs."""
@@ -68,13 +64,12 @@ class RenderService:
         registry: SceneRegistry,
         system: MultiChipSystem = None,
         config: ServiceConfig = None,
-        cost_models: dict = None,
     ):
         self.registry = registry
         self.system = system or MultiChipSystem()
         self.config = config or ServiceConfig()
         #: Seconds-per-ray estimates, fed by each dispatched batch.
-        self.estimator = CostEstimator(cost_models)
+        self.estimator = CostEstimator()
         self.scheduler = DynamicRayBatchScheduler(self.config.batch)
         self.admission = AdmissionController(self.config.admission)
         self.ledger = RequestLedger(
@@ -156,7 +151,6 @@ class RenderService:
                 decision.samples_per_ray,
                 decision.resolution_scale,
                 decision.degrade_level,
-                self.now_s,
             )
             self.scheduler.enqueue(
                 request.scene,
@@ -175,7 +169,6 @@ class RenderService:
         tel = telemetry.get_session()
         billed_samples = 0.0
         finished = []
-        handle = None  # the last live slice's: its trace bills the batch
         with tel.tracer.span(
             "serve.dispatch",
             scene=batch.scene,
@@ -184,12 +177,6 @@ class RenderService:
         ):
             for item in batch.slices:
                 active = item.active
-                if active.status is not None:
-                    continue
-                if not active.handle.valid:
-                    self._finish(active, FAILED_SCENE_EVICTED)
-                    continue
-                handle = active.handle
                 colors, _, live = active.renderer.render_rays(
                     active.origins[item.start : item.stop],
                     active.directions[item.start : item.stop],
@@ -199,10 +186,12 @@ class RenderService:
                 active.slices_remaining -= 1
                 if active.slices_remaining == 0:
                     finished.append(active)
-            runtime_s = (
-                0.0  # every slice was dead: nothing reached the board
-                if handle is None
-                else board_time(self.system, batch.scene, handle.trace, billed_samples)
+            # The last slice's pinned generation bills the batch: slices
+            # queue in admission order and a name's generation never
+            # decreases, so it is the newest generation in the batch.
+            handle = batch.slices[-1].active.handle
+            runtime_s = board_time(
+                self.system, batch.scene, handle.trace, billed_samples
             )
         self.now_s += runtime_s
         self.hardware_busy_s += runtime_s
@@ -215,7 +204,7 @@ class RenderService:
                 runtime_s / batch.n_rays,
             )
         for active in finished:
-            self._finish(active, "completed")
+            self._finish(active)
         if tel.enabled:
             tel.metrics.histogram("serve.batch.rays").observe(batch.n_rays)
             tel.metrics.histogram("serve.batch.requests").observe(
@@ -235,13 +224,13 @@ class RenderService:
                 # and rate dynamics line up with simulated time.
                 tel.publisher.maybe_publish(self.now_s)
 
-    def _finish(self, active: ActiveRequest, status: str) -> None:
-        """Terminally resolve an in-flight request at the current clock."""
-        active.finish(status, self.now_s)
+    def _finish(self, active: ActiveRequest) -> None:
+        """Settle a fully rendered request as completed at the current clock."""
+        active.status = "completed"
         active.handle.release()
         self.ledger.settle(
             active.request,
-            status,
+            "completed",
             self.now_s,
             degrade_level=active.degrade_level,
             frame=active.frame,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.robustness.backoff import ENGINE_DEFAULT, BackoffPolicy
+from repro.robustness.backoff import BackoffPolicy
 
 
 def test_nominal_delays_grow_geometrically_and_cap():
@@ -84,11 +84,3 @@ def test_validation_rejects_bad_fields():
         BackoffPolicy(jitter=1.0)
     with pytest.raises(ValueError):
         BackoffPolicy(max_retries=-1)
-
-
-def test_engine_default_reproduces_retry_once_immediately():
-    assert ENGINE_DEFAULT.max_retries == 1
-    assert ENGINE_DEFAULT.allows(1)
-    assert not ENGINE_DEFAULT.allows(2)
-    rng = np.random.default_rng(0)
-    assert ENGINE_DEFAULT.delay_s(1, rng) == 0.0

@@ -1,9 +1,9 @@
 """The one cost estimator behind deadline admission in serve and fleet.
 
-Unit rules of :class:`repro.serve.admission.CostEstimator` (cost-model
-seeding, the per-key EWMA, the generation rule), then seeded sweeps
-driving both tiers through optional priors and a costlier hot-swap, each
-ending in the one exactly-once check both tiers share.
+Unit rules of :class:`repro.serve.admission.CostEstimator` (the
+per-key EWMA, the generation rule), then seeded sweeps driving both
+tiers through a costlier hot-swap, each ending in the one exactly-once
+check both tiers share.
 """
 
 from collections import Counter
@@ -13,45 +13,11 @@ import pytest
 
 from repro.fleet import FleetConfig, FleetController
 from repro.nerf.occupancy import OccupancyGrid
-from repro.obs.costmodel import FittedStat, SceneCostModel
 from repro.serve import RenderRequest, RenderService, build_demo_registry, demo_camera
 from repro.serve.admission import EWMA_ALPHA, CostEstimator
 from repro.serve.loadgen import demo_model
 
 KEY = ("chair", "ngp", "full")
-
-
-def _model(mean=2e-6, renderer="ngp", scene="chair"):
-    return SceneCostModel(
-        scene=scene, sim_s_per_ray=FittedStat.fit([mean]), renderer=renderer
-    )
-
-
-# -- seeding ---------------------------------------------------------------------
-
-
-def test_prior_seeds_a_cold_full_precision_key():
-    estimator = CostEstimator({"chair": _model(2e-6)})
-    assert estimator.estimate(KEY, 1) == 2e-6
-    assert estimator.stats()["ewma_s_per_ray_by_key"] == {"chair/ngp/full": 2e-6}
-
-
-@pytest.mark.parametrize(
-    "cost_models, key",
-    [
-        ({}, KEY),  # no model for the scene
-        ({"drums": _model(scene="drums")}, KEY),  # a model for another scene
-        ({"chair": _model(renderer="tensorf")}, KEY),  # other renderer family
-        ({"chair": _model()}, ("chair", "ngp", "fp16")),  # not full precision
-        ({"chair": _model(0.0)}, KEY),  # non-positive mean
-        ({"chair": _model(-1e-6)}, KEY),
-    ],
-    ids=["no-model", "other-scene", "other-renderer", "fp16", "zero", "negative"],
-)
-def test_prior_rejected_leaves_key_unseeded(cost_models, key):
-    estimator = CostEstimator(cost_models)
-    assert estimator.estimate(key, 1) is None
-    assert estimator.stats()["ewma_s_per_ray_by_key"] == {}
 
 
 # -- the EWMA and the generation rule --------------------------------------------
@@ -86,23 +52,6 @@ def test_older_generation_observation_is_dropped():
     estimator.observe(KEY, 1, 1e-6)  # a request still draining after a swap
     assert estimator.estimate(KEY, 2) == 5e-6
     assert estimator.reblends == 0
-
-
-def test_fresh_deploy_after_undeploy_restarts_from_the_prior():
-    """Generations restart at 1 when a name is deployed afresh: the old
-    lifetime's estimate must not outrank (and so drop) every new
-    observation."""
-    estimator = CostEstimator({"chair": _model(4e-6)})
-    estimator.observe(KEY, 3, 9e-6)
-    assert estimator.estimate(KEY, 1) == 4e-6  # back to the prior
-    estimator.observe(KEY, 1, 1e-6)
-    assert estimator.estimate(KEY, 1) == EWMA_ALPHA * 1e-6 + (1 - EWMA_ALPHA) * 4e-6
-
-    unseeded = CostEstimator()
-    unseeded.observe(KEY, 3, 9e-6)
-    assert unseeded.estimate(KEY, 1) is None
-    unseeded.observe(KEY, 1, 1e-6)
-    assert unseeded.estimate(KEY, 1) == 1e-6
 
 
 # -- both tiers, seeded sweep ----------------------------------------------------
@@ -160,10 +109,10 @@ def _assert_exactly_once(tier, fired, offered) -> dict:
     return accounting
 
 
-def _tier(tier_name, registry, cost_models=None):
+def _tier(tier_name, registry):
     if tier_name == "serve":
-        return RenderService(registry, cost_models=cost_models)
-    return FleetController(registry, FleetConfig(), cost_models=cost_models)
+        return RenderService(registry)
+    return FleetController(registry, FleetConfig())
 
 
 def _redeploy_costlier(registry, scene) -> None:
@@ -180,15 +129,13 @@ def _redeploy_costlier(registry, scene) -> None:
 
 
 @pytest.mark.parametrize("swap", [False, True], ids=["no-swap", "costlier-swap"])
-@pytest.mark.parametrize("prior", [False, True], ids=["no-prior", "prior"])
 @pytest.mark.parametrize("tier_name", ["serve", "fleet"])
-def test_seeded_sweep_over_tiers_priors_and_swaps(tier_name, prior, swap):
-    rng = np.random.default_rng([prior, swap, tier_name == "fleet"])
+def test_seeded_sweep_over_tiers_and_swaps(tier_name, swap):
+    rng = np.random.default_rng([0, swap, tier_name == "fleet"])
     registry = build_demo_registry(n_scenes=1)
     scene = registry.scenes()[0]["name"]
     key = (scene, "ngp", "full")
-    cost_models = {scene: _model(1e-3, scene=scene)} if prior else None
-    tier = _tier(tier_name, registry, cost_models)
+    tier = _tier(tier_name, registry)
     camera = demo_camera(8, 8)  # 64 rays
     fired = Counter()
 

@@ -419,7 +419,7 @@ def test_deadline_budget_bounds_retries():
     plan = FaultPlan(seed=1, fleet=FleetFaultConfig(drop_reply_fraction=1.0))
     registry, scenes, controller = _fresh_fleet(
         config=FleetConfig(
-            n_workers=2, replication=2, rpc_timeout_s=0.05, hedging=False,
+            n_workers=2, replication=2, rpc_timeout_s=0.05,
             backoff=BackoffPolicy(
                 base_s=0.01, multiplier=2.0, max_delay_s=0.1, jitter=0.0,
                 max_retries=10,
@@ -438,47 +438,6 @@ def test_deadline_budget_bounds_retries():
     # the 0.12s budget only has room for ~1 timeout+retry cycle, far
     # below the policy's own 10-retry ceiling
     assert controller.stats()["retries"] < 3
-
-
-def test_cost_model_seed_rejects_infeasible_cold_start():
-    from repro.obs.costmodel import FittedStat, SceneCostModel
-
-    registry, scenes, _ = _fresh_fleet()
-    model = SceneCostModel(
-        scene=scenes[0],
-        sim_s_per_ray=FittedStat.fit([1.0]),  # absurdly slow scene
-    )
-    controller = FleetController(
-        registry, config=FleetConfig(), cost_models={scenes[0]: model}
-    )
-    # tight deadline: only a seeded cost estimate can prove
-    # infeasibility before the first completion trains the EWMA
-    controller.submit(
-        RenderRequest(
-            request_id=0, scene=scenes[0], camera=demo_camera(16, 16),
-            arrival_s=0.0, deadline_s=0.5,
-        )
-    )
-    controller.run()
-    assert controller.responses[0].status.startswith("rejected")
-
-    # a model fitted for a different renderer must be ignored
-    mismatched = SceneCostModel(
-        scene=scenes[0],
-        sim_s_per_ray=FittedStat.fit([1.0]),
-        renderer="tensorf",
-    )
-    controller2 = FleetController(
-        registry, config=FleetConfig(), cost_models={scenes[0]: mismatched}
-    )
-    controller2.submit(
-        RenderRequest(
-            request_id=0, scene=scenes[0], camera=demo_camera(16, 16),
-            arrival_s=0.0, deadline_s=0.5,
-        )
-    )
-    controller2.run()
-    assert controller2.responses[0].completed
 
 
 def test_hot_swap_snaps_stale_cost_estimate_and_blocks_doomed_deadlines():
@@ -577,8 +536,6 @@ def test_fleet_config_validation():
         FleetConfig(n_workers=2, replication=3)
     with pytest.raises(ValueError):
         FleetConfig(rpc_timeout_s=0.0)
-    with pytest.raises(ValueError):
-        FleetConfig(slow_factor=1.0)
 
 
 # -- fleet planning, dashboard panel, experiment, CLI -----------------------

@@ -25,7 +25,6 @@ from repro.obs import (
     format_plan,
     observation_from_run,
     plan_capacity,
-    wall_s_per_ray_from_trace,
 )
 from repro.serve.slo import SLOTracker, SLOTarget
 
@@ -84,14 +83,9 @@ def _snapshot(rays=1000.0, kept=500.0):
 
 
 def test_observation_from_run_extracts_costs():
-    obs = observation_from_run(
-        {"hardware_busy_s": 0.002},
-        _snapshot(),
-        {"serve.dispatch": {"count": 4, "total_s": 0.5, "mean_s": 0.125}},
-    )
+    obs = observation_from_run({"hardware_busy_s": 0.002}, _snapshot())
     assert obs.rays == 1000.0
     assert obs.sim_s_per_ray == pytest.approx(2e-6)
-    assert obs.wall_dispatch_s == 0.5
     assert obs.samples == 500.0
     # sim.total.cycles is the pipelined total, not a module.
     assert set(obs.module_cycles) == {"sampling", "interpolation"}
@@ -104,20 +98,6 @@ def test_observation_without_rays_rejects_ratio():
         obs.sim_s_per_ray
 
 
-def test_wall_s_per_ray_from_trace_filters_dispatch_events():
-    events = [
-        {"name": "serve.dispatch", "ph": "X", "dur": 2000.0,
-         "args": {"rays": 1000}},
-        {"name": "serve.dispatch", "ph": "X", "dur": 500.0,
-         "args": {"rays": 0}},  # no rays arg -> skipped
-        {"name": "trainer.step", "ph": "X", "dur": 9.0,
-         "args": {"rays": 10}},  # wrong span -> skipped
-        {"name": "serve.dispatch", "ph": "B", "args": {"rays": 10}},
-    ]
-    samples = wall_s_per_ray_from_trace(events)
-    assert samples == [pytest.approx(2e-6)]
-
-
 # -- fitting + schema ------------------------------------------------------
 
 
@@ -125,9 +105,7 @@ def _observations(n=3):
     out = []
     for i in range(n):
         obs = observation_from_run(
-            {"hardware_busy_s": 0.002 * (1 + 0.01 * i)},
-            _snapshot(),
-            {"serve.dispatch": {"count": 4, "total_s": 0.5, "mean_s": 0.125}},
+            {"hardware_busy_s": 0.002 * (1 + 0.01 * i)}, _snapshot()
         )
         obs.overhead_s = 0.004 + 1e-4 * i
         out.append(obs)
@@ -141,7 +119,6 @@ def test_fit_cost_model_aggregates_runs():
     assert model.sim_s_per_ray.n == 3
     assert model.sim_s_per_ray.mean == pytest.approx(2.02e-6, rel=1e-3)
     assert model.sim_s_per_ray.ci95 > 0.0
-    assert model.wall_s_per_ray.mean == pytest.approx(5e-4)
     assert model.cycles_per_sample["sampling"].mean == pytest.approx(10.0)
     assert model.cycles_per_sample["interpolation"].mean == pytest.approx(20.0)
     assert model.samples_per_ray["count"] == 3000  # count-weighted merge
@@ -162,6 +139,14 @@ def test_cost_model_schema_round_trip(tmp_path):
     assert again.to_payload() == model.to_payload()
     assert again.to_payload()["schema"] == SCHEMA_VERSION
     assert again.overhead_s == model.overhead_s
+    # a schema-1 file written while the model still fitted a wall-clock
+    # cost carries a wall_s_per_ray entry; it loads, and the entry is
+    # ignored
+    older = dict(
+        model.to_payload(),
+        wall_s_per_ray={"mean": 5e-4, "ci95": 0.0, "n": 3, "values": [5e-4] * 3},
+    )
+    assert SceneCostModel.from_payload(older).to_payload() == model.to_payload()
 
 
 def test_cost_model_rejects_unknown_schema():

@@ -195,24 +195,6 @@ def test_pool_crash_reported():
     assert report.outcomes[0].status == "ok"  # sanity: pool path healthy
 
 
-def test_custom_backoff_policy_drives_retries(fake_registry):
-    from repro.robustness.backoff import BackoffPolicy
-
-    policy = BackoffPolicy(
-        base_s=0.0, multiplier=1.0, max_delay_s=0.0, jitter=0.0, max_retries=2
-    )
-    report = parallel.run_experiments(["_flaky"], jobs=1, backoff=policy)
-    assert report.outcomes[0].status == "ok"
-    assert report.outcomes[0].attempts == 2
-    # The policy's max_retries supersedes the legacy `retries` knob.
-    zero = BackoffPolicy(base_s=0.0, jitter=0.0, max_retries=0)
-    report = parallel.run_experiments(
-        ["_broken"], jobs=1, retries=5, backoff=zero
-    )
-    assert report.outcomes[0].status == "failed"
-    assert report.outcomes[0].attempts == 1
-
-
 class _FakeBrokenPool:
     """Stand-in executor whose every future dies of BrokenProcessPool."""
 
@@ -238,9 +220,10 @@ def test_pool_rebuild_cap_fails_jobs_loudly(monkeypatch, caplog):
     from repro.parallel import engine
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", _FakeBrokenPool)
+    monkeypatch.setattr(engine, "MAX_POOL_REBUILDS", 2)
     with caplog.at_level(logging.ERROR, logger="repro.parallel"):
         report = parallel.run_experiments(
-            ["fig3", "fig6"], jobs=2, retries=10, max_pool_rebuilds=2
+            ["fig3", "fig6"], jobs=2, retries=10
         )
     by_name = {o.name: o for o in report.outcomes}
     for name in ("fig3", "fig6"):
@@ -258,7 +241,7 @@ class _FakeFlakyPool:
     second; ``fig6``'s first future never completes, so the round-1
     breakdown drains it back into the resubmission queue.  Interleaved
     successes must reset the consecutive-rebuild streak, so the run
-    finishes clean even with ``max_pool_rebuilds=1``.
+    finishes clean even with ``MAX_POOL_REBUILDS = 1``.
     """
 
     submissions = {}
@@ -293,9 +276,8 @@ def test_live_results_reset_rebuild_streak(monkeypatch):
 
     _FakeFlakyPool.submissions = {}
     monkeypatch.setattr(engine, "ProcessPoolExecutor", _FakeFlakyPool)
-    report = parallel.run_experiments(
-        ["fig3", "fig6"], jobs=2, retries=10, max_pool_rebuilds=1
-    )
+    monkeypatch.setattr(engine, "MAX_POOL_REBUILDS", 1)
+    report = parallel.run_experiments(["fig3", "fig6"], jobs=2, retries=10)
     # Two non-consecutive breakdowns with a success between them: neither
     # trips a cap of 1, and every job eventually completes.
     assert all(o.status == "ok" for o in report.outcomes)

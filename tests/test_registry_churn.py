@@ -1,18 +1,18 @@
-"""SceneRegistry under churn: undeploy/hot-swap/evict racing live pins."""
+"""SceneRegistry under churn: deploys and hot-swaps racing live pins.
+
+A scene lives until a hot-swap replaces it, so a name's generation never
+decreases and admission never prices a generation older than the one
+its cost estimate was measured on.
+"""
 
 import numpy as np
-import pytest
 
 from repro.datasets import synthetic
+from repro.fleet import FleetConfig, FleetController
 from repro.nerf.occupancy import OccupancyGrid
 from repro.serve import RenderRequest, RenderService
-from repro.serve.loadgen import build_demo_registry, demo_camera, demo_model
-from repro.serve.registry import (
-    MemoryBudgetError,
-    SceneRegistry,
-    UnknownSceneError,
-)
-from repro.serve.service import FAILED_SCENE_EVICTED
+from repro.serve.loadgen import demo_camera, demo_model
+from repro.serve.registry import SceneRegistry
 
 
 def _deploy(registry, name, seed=0):
@@ -34,48 +34,6 @@ def _record(registry, name):
     return registry._records[name]
 
 
-def test_force_undeploy_invalidates_pins_and_parks_generation():
-    registry = build_demo_registry(n_scenes=1)
-    name = registry.scenes()[0]["name"]
-    handle = registry.acquire(name)
-    record = handle._record
-    registry.undeploy(name, force=True)
-    assert not handle.valid
-    assert name not in registry
-    # the generation is parked, not freed, while the pin lives
-    assert record in registry._retiring
-    assert record.refcount == 1
-    handle.release()
-    assert registry._retiring == []
-    assert record.refcount == 0
-    # releasing again is a no-op, never an underflow
-    handle.release()
-    assert record.refcount == 0
-
-
-def test_inflight_request_fails_cleanly_on_force_undeploy():
-    registry = build_demo_registry(n_scenes=1)
-    name = registry.scenes()[0]["name"]
-    service = RenderService(registry)
-    # admit (pinning a handle) before the churn, then yank the scene:
-    # the already-admitted request must fail cleanly, not render stale
-    # weights or crash
-    request = RenderRequest(
-        request_id=0, scene=name, camera=demo_camera(8, 8), arrival_s=0.0
-    )
-    service.ledger.offer(request)  # what submit() does before the arrival
-    service._admit(request)
-    registry.undeploy(name, force=True)
-    # a second undeploy of the same name is an error, not a double-free
-    with pytest.raises(UnknownSceneError):
-        registry.undeploy(name)
-    service.run()
-    assert service.responses[0].status == FAILED_SCENE_EVICTED
-    # the handle was released exactly once: parked generation drained
-    assert registry._retiring == []
-    assert registry.memory_bytes == 0
-
-
 def test_hot_swap_while_pinned_keeps_old_generation_alive():
     registry = SceneRegistry()
     _deploy(registry, "chair", seed=0)
@@ -84,7 +42,6 @@ def test_hot_swap_while_pinned_keeps_old_generation_alive():
     _deploy(registry, "chair", seed=1)  # hot-swap
     assert registry.hot_swaps == 1
     # the pin still reads generation-1 weights...
-    assert handle.valid
     assert handle.model is old_model
     # ...while new acquisitions get generation 2
     fresh = registry.acquire("chair")
@@ -95,57 +52,6 @@ def test_hot_swap_while_pinned_keeps_old_generation_alive():
     handle.release()
     assert registry._retiring == []
     fresh.release()
-    assert _record(registry, "chair").refcount == 0
-
-
-def test_hot_swap_racing_lru_eviction_never_evicts_pinned():
-    registry = SceneRegistry()
-    _deploy(registry, "chair", seed=0)
-    scene_bytes = registry.scenes()[0]["bytes"]
-    # room for ~2.5 generations: chair gen1 (pinned) + gen2 + drums
-    # must force an eviction decision
-    registry.memory_budget_bytes = int(scene_bytes * 2.5)
-    pinned = registry.acquire("chair")
-    _deploy(registry, "chair", seed=1)  # gen1 parks (pinned), gen2 lands
-    assert len(registry._retiring) == 1
-    # deploying drums overflows the budget; the evictor takes the idle
-    # chair gen2 — never the pinned gen1 park, which is not a candidate
-    _deploy(registry, "drums", seed=2)
-    assert "chair" not in registry  # gen2 evicted
-    assert pinned.valid and pinned._record.refcount == 1
-    assert len(registry._retiring) == 1  # gen1 still parked, untouched
-    assert registry.memory_bytes <= registry.memory_budget_bytes
-
-    # with every generation pinned, an overflowing deploy must raise
-    # loudly rather than evict under a live pin
-    drums_pin = registry.acquire("drums")
-    with pytest.raises(MemoryBudgetError):
-        _deploy(registry, "lego", seed=3)
-    assert drums_pin.valid and pinned.valid
-    # draining the park frees its bytes; lego then fits
-    pinned.release()
-    assert registry._retiring == []
-    _deploy(registry, "lego", seed=3)
-    assert "lego" in registry
-    drums_pin.release()
-
-
-def test_redeploy_after_eviction_serves_again():
-    registry = SceneRegistry()
-    _deploy(registry, "chair", seed=0)
-    scene_bytes = registry.scenes()[0]["bytes"]
-    registry.memory_budget_bytes = int(scene_bytes * 1.5)
-    _deploy(registry, "drums", seed=1)  # evicts idle chair
-    assert registry.evictions == 1
-    assert "chair" not in registry
-    with pytest.raises(UnknownSceneError):
-        registry.acquire("chair")
-    # redeploy the evicted scene: fresh generation, fully serviceable
-    _deploy(registry, "chair", seed=0)  # evicts drums in turn
-    handle = registry.acquire("chair")
-    assert handle.valid
-    assert handle._record.generation == 1
-    handle.release()
     assert _record(registry, "chair").refcount == 0
 
 
@@ -185,58 +91,103 @@ def test_fifty_generation_churn_frees_parked_generations_when_drained():
     assert registry.memory_bytes == single_gen_bytes
 
 
-def test_budget_eviction_never_takes_pinned_or_newest():
-    """Under a tight budget, churned deploys only ever evict idle scenes."""
-    registry = SceneRegistry()
-    _deploy(registry, "chair", seed=0)
-    scene_bytes = registry.scenes()[0]["bytes"]
-    registry.memory_budget_bytes = int(scene_bytes * 2.5)
-    pinned = registry.acquire("chair")
-    for step, name in enumerate(["drums", "lego", "mic", "ship"], start=1):
-        _deploy(registry, name, seed=step)
-        assert "chair" in registry  # the pinned scene survives every pass
-        assert name in registry  # the just-deployed scene always lands
-        assert registry.memory_bytes <= registry.memory_budget_bytes
-    assert registry.evictions >= 3
-    assert pinned.valid and pinned._record.refcount == 1
-    pinned.release()
-    assert _record(registry, "chair").refcount == 0
+#: Billing scale putting an 8x8 probe near a millisecond of board time,
+#: so requests queue behind each other and hot-swaps land mid-flight.
+HW_SCALE = 2e4
 
 
-def test_churn_storm_invariants_hold():
-    """Deterministic interleaving of deploy/swap/undeploy/acquire/release.
+def _storm(tier, registry, rng, names):
+    """Poisson traffic whose completion callbacks deploy, hot-swap, pin
+    and release at random; returns ``(asked, generations_seen)``.
 
-    Whatever the order, refcounts stay non-negative, parked generations
-    drain to zero once every pin is released, and memory never exceeds
-    budget + parked bytes.
+    ``asked`` holds ``(generation asked, generation stored)`` for every
+    admission estimate of a key that already had one.
     """
-    rng = np.random.default_rng(42)
-    registry = SceneRegistry()
-    names = ["chair", "drums", "lego"]
-    for i, name in enumerate(names):
-        _deploy(registry, name, seed=i)
-    handles = []
-    for step in range(120):
+    asked = []
+    estimate = tier.estimator.estimate
+
+    def checked_estimate(key, generation):
+        entry = tier.estimator._estimates.get(key)
+        if entry is not None:
+            asked.append((generation, entry[1]))
+        return estimate(key, generation)
+
+    tier.estimator.estimate = checked_estimate
+    seen = {}
+    pins = []
+
+    def check_generations():
+        for summary in registry.scenes():
+            name, generation = summary["name"], summary["generation"]
+            assert generation >= seen.get(name, 1)
+            seen[name] = generation
+
+    def on_complete(response):
         op = int(rng.integers(5))
         name = names[int(rng.integers(len(names)))]
-        if op == 0 and name in registry:
-            handles.append(registry.acquire(name))
-        elif op == 1 and handles:
-            handles.pop(int(rng.integers(len(handles)))).release()
-        elif op == 2:
-            _deploy(registry, name, seed=step)  # deploy or hot-swap
-        elif op == 3 and name in registry:
-            registry.undeploy(name, force=bool(rng.integers(2)))
-        elif op == 4 and handles:
+        if op == 0:
+            _deploy(registry, name, seed=int(rng.integers(1 << 16)))  # deploy or hot-swap
+        elif op == 1 and name in registry:
+            pins.append(registry.acquire(name))
+        elif op == 2 and pins:
+            pins.pop(int(rng.integers(len(pins)))).release()
+        elif op == 3 and pins:
             # double-release somewhere in the middle: must be a no-op
-            victim = handles[int(rng.integers(len(handles)))]
+            victim = pins[int(rng.integers(len(pins)))]
             victim.release()
             victim.release()
         for record in list(registry._records.values()) + registry._retiring:
             assert record.refcount >= 0
-    for handle in handles:
+        check_generations()
+
+    camera = demo_camera(8, 8)
+    t = 0.0
+    for i in range(120):
+        t += float(rng.exponential(0.0005))
+        deadline = t + float(rng.uniform(1e-3, 0.05)) if rng.random() < 0.3 else None
+        tier.submit(
+            RenderRequest(
+                request_id=i, scene=names[int(rng.integers(len(names)))],
+                camera=camera, arrival_s=t, priority=int(rng.integers(3)),
+                deadline_s=deadline, hw_scale=HW_SCALE,
+            ),
+            on_complete=on_complete,
+        )
+    tier.run()
+    for handle in pins:
         handle.release()
         handle.release()
-    assert registry._retiring == []
-    for record in registry._records.values():
-        assert record.refcount == 0
+    return asked, seen
+
+
+def test_churn_storm_invariants_hold():
+    """Deterministic interleaving of deploy/hot-swap/acquire/release
+    against live traffic, through the serve and the fleet tier.
+
+    Each name's generation never decreases, admission never asks the
+    cost estimator about a generation below the one it stores, every
+    request settles exactly once, and parked generations drain to zero
+    once every pin is released.
+    """
+    names = ["chair", "drums", "lego"]
+    for tier_name in ("serve", "fleet"):
+        rng = np.random.default_rng([42, tier_name == "fleet"])
+        registry = SceneRegistry()
+        for i, name in enumerate(names[:2]):  # "lego" arrives by deploy
+            _deploy(registry, name, seed=i)
+        tier = (
+            RenderService(registry)
+            if tier_name == "serve"
+            else FleetController(registry, FleetConfig())
+        )
+        asked, seen = _storm(tier, registry, rng, names)
+        assert all(generation >= stored for generation, stored in asked)
+        # the storm reaches the case the rule is for: a stale estimate
+        # pricing a newer generation before that generation's first
+        # observation
+        assert any(generation > stored for generation, stored in asked)
+        assert max(seen.values()) > 2 and set(seen) == set(names)
+        assert tier.accounting()["unaccounted"] == 0
+        assert registry._retiring == []
+        for record in registry._records.values():
+            assert record.refcount == 0

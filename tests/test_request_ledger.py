@@ -91,7 +91,7 @@ def test_settle_requires_a_pending_request():
     ledger.offer(request)
     ledger.settle(request, "completed", 1.0)
     with pytest.raises(ValueError, match="not pending"):
-        ledger.settle(request, "failed_scene_evicted", 2.0)
+        ledger.settle(request, "failed_unknown_scene", 2.0)
     assert ledger.accounting()["unaccounted"] == 0
 
 
@@ -159,7 +159,6 @@ def test_admission_front_counts_degraded_and_sheds_per_tier(tier_name):
     scene = registry.scenes()[0]["name"]
     policy = AdmissionPolicy(
         max_queue_rays=100, degrade_rays=1, heavy_degrade_rays=50,
-        shed_spares_priority=-1,
     )
     tier = _tier(tier_name, registry, policy)
     for i in range(6):

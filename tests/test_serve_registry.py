@@ -1,4 +1,4 @@
-"""Scene registry: refcounts, LRU eviction, hot-swap, checkpoint cold-start."""
+"""Scene registry: refcounts, hot-swap, checkpoint cold-start."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.nerf.aabb import SceneNormalizer
 from repro.nerf.checkpoint import save_model
 from repro.nerf.occupancy import OccupancyGrid
 from repro.serve import (
-    MemoryBudgetError,
     SceneRegistry,
     SceneRegistryError,
     UnknownSceneError,
@@ -42,7 +41,7 @@ def test_deploy_acquire_release_refcounts():
     assert summary["generation"] == 1 and summary["warmed"]
     handle = registry.acquire("lego")
     assert registry._records["lego"].refcount == 1
-    assert handle.valid and handle.name == "lego"
+    assert handle.name == "lego"
     handle.release()
     handle.release()  # idempotent
     assert registry._records["lego"].refcount == 0
@@ -52,8 +51,6 @@ def test_acquire_unknown_scene_raises():
     registry = SceneRegistry()
     with pytest.raises(UnknownSceneError):
         registry.acquire("nope")
-    with pytest.raises(UnknownSceneError):
-        registry.undeploy("nope")
 
 
 def test_deploy_requires_model_and_normalizer():
@@ -62,30 +59,6 @@ def test_deploy_requires_model_and_normalizer():
         registry.deploy("x")
     with pytest.raises(SceneRegistryError):
         registry.deploy("x", model=demo_model(), occupancy=_occupancy())
-
-
-def test_lru_eviction_under_memory_budget():
-    registry = SceneRegistry()
-    _deploy(registry, "a", seed=0)
-    per_scene = registry.memory_bytes
-    registry.memory_budget_bytes = int(per_scene * 2.5)
-    _deploy(registry, "b", seed=1)
-    # Touch "a" so "b" becomes the LRU victim.
-    registry.acquire("a").release()
-    _deploy(registry, "c", seed=2)
-    assert registry.evictions == 1
-    assert "b" not in registry and "a" in registry and "c" in registry
-
-
-def test_eviction_never_removes_pinned_scenes():
-    registry = SceneRegistry()
-    _deploy(registry, "a", seed=0)
-    per_scene = registry.memory_bytes
-    registry.memory_budget_bytes = int(per_scene * 1.5)
-    handle = registry.acquire("a")
-    with pytest.raises(MemoryBudgetError):
-        _deploy(registry, "b", seed=1)
-    handle.release()
 
 
 def test_hot_swap_keeps_old_generation_until_released():
@@ -97,22 +70,11 @@ def test_hot_swap_keeps_old_generation_until_released():
     assert registry.hot_swaps == 1
     new = registry.acquire("lego")
     assert old.generation == 1 and new.generation == 2
-    assert old.valid  # non-forced swap: in-flight work keeps rendering
     # Both generations are pinned in memory until the old handle drains.
     assert registry.memory_bytes > single
     old.release()
     assert registry.memory_bytes <= 2 * single - single // 2
     new.release()
-
-
-def test_force_undeploy_invalidates_live_handles():
-    registry = SceneRegistry()
-    _deploy(registry, "lego")
-    handle = registry.acquire("lego")
-    registry.undeploy("lego", force=True)
-    assert not handle.valid
-    assert "lego" not in registry
-    handle.release()
 
 
 def test_checkpoint_deploy_cold_starts_warmed(tmp_path):

@@ -103,7 +103,6 @@ def test_overload_sheds_and_degrades_without_unbounded_queues(scenes, registry):
         max_queue_rays=2048,
         degrade_rays=512,
         heavy_degrade_rays=1024,
-        shed_spares_priority=-1,  # nobody spared: force real shedding
     )
     service = RenderService(registry, config=ServiceConfig(admission=policy))
     report = run_open_loop(
@@ -301,67 +300,3 @@ def test_hot_swap_snaps_stale_cost_estimate_and_blocks_doomed_deadlines():
         assert service.responses[i].status == REJECT_DEADLINE_INFEASIBLE
     # zero admitted-then-late requests: the storm never happens
     assert service.slo.completed == 4
-
-
-# -- cost-model admission seeding ------------------------------------------------
-
-
-def test_cost_model_prior_enables_cold_start_feasibility_check(registry, scenes):
-    from repro.obs.costmodel import FittedStat, SceneCostModel
-
-    slow = SceneCostModel(
-        scene=scenes[0], sim_s_per_ray=FittedStat.fit([1.0])
-    )
-    service = RenderService(registry, cost_models={scenes[0]: slow})
-    service.submit(
-        RenderRequest(
-            request_id=0, scene=scenes[0], camera=demo_camera(8, 8),
-            arrival_s=0.0, deadline_s=0.5,
-        )
-    )
-    service.run()
-    # without the prior the first-ever request skips the feasibility
-    # check; with it the doomed deadline is rejected up front
-    assert service.responses[0].status.startswith("rejected")
-
-
-def test_cost_model_prior_ignored_for_other_renderer(registry, scenes):
-    from repro.obs.costmodel import FittedStat, SceneCostModel
-
-    mismatched = SceneCostModel(
-        scene=scenes[0], sim_s_per_ray=FittedStat.fit([1.0]),
-        renderer="tensorf",
-    )
-    service = RenderService(registry, cost_models={scenes[0]: mismatched})
-    service.submit(
-        RenderRequest(
-            request_id=0, scene=scenes[0], camera=demo_camera(8, 8),
-            arrival_s=0.0, deadline_s=0.5,
-        )
-    )
-    service.run()
-    assert service.responses[0].completed
-
-
-def test_cost_model_prior_blends_with_first_observation(registry, scenes):
-    from repro.obs.costmodel import FittedStat, SceneCostModel
-
-    prior_value = 123.0  # wildly wrong on purpose
-    prior = SceneCostModel(
-        scene=scenes[0], sim_s_per_ray=FittedStat.fit([prior_value])
-    )
-    service = RenderService(registry, cost_models={scenes[0]: prior})
-    service.submit(
-        RenderRequest(
-            request_id=0, scene=scenes[0], camera=demo_camera(8, 8),
-            arrival_s=0.0,
-        )
-    )
-    service.run()
-    # the first measurement EWMA-corrects the prior instead of being
-    # discarded (prior counts as the "previous" estimate)...
-    assert service.responses[0].completed
-    estimate = service.stats()["ewma_s_per_ray_by_key"][f"{scenes[0]}/ngp/full"]
-    assert estimate < prior_value
-    # ...but the prior's influence is still present
-    assert estimate > prior_value * 0.5
