@@ -17,7 +17,6 @@ from .metrics import (
     fps_from_throughput,
     ssim,
     speedup,
-    energy_efficiency,
 )
 
 __all__ = [
@@ -32,5 +31,4 @@ __all__ = [
     "fps_from_throughput",
     "ssim",
     "speedup",
-    "energy_efficiency",
 ]

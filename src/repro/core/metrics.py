@@ -23,13 +23,6 @@ def speedup(ours_seconds: float, baseline_seconds: float) -> float:
     return baseline_seconds / ours_seconds
 
 
-def energy_efficiency(ours_joules: float, baseline_joules: float) -> float:
-    """How many times less energy we burn than the baseline."""
-    if ours_joules <= 0:
-        raise ValueError("our energy must be positive")
-    return baseline_joules / ours_joules
-
-
 def _gaussian_kernel(size: int = 7, sigma: float = 1.5):
     import numpy as np
 

@@ -19,7 +19,7 @@ def _rows_for(workloads, suite: str) -> list:
     rows = []
     for w in workloads:
         trace = w.trace
-        pairs = [len(p) for p in trace.pair_durations if p]
+        pairs = trace.pairs_per_ray[trace.pairs_per_ray > 0]
         rows.append(
             {
                 "suite": suite,
@@ -27,7 +27,9 @@ def _rows_for(workloads, suite: str) -> list:
                 "occupancy_frac": round(w.occupancy_fraction, 4),
                 "samples_per_ray": round(trace.mean_samples_per_ray, 2),
                 "keep_fraction": round(trace.occupancy_fraction, 3),
-                "mean_pairs_per_ray": round(float(np.mean(pairs)), 2) if pairs else 0.0,
+                "mean_pairs_per_ray": (
+                    round(float(np.mean(pairs)), 2) if len(pairs) else 0.0
+                ),
                 "cells_visited_per_ray": round(
                     trace.n_cells_visited / max(trace.n_rays, 1), 1
                 ),

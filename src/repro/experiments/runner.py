@@ -315,12 +315,11 @@ def _cmd_cache(args) -> int:
         return 0
     stats = cache.stats()
     logger.info("cache root: %s", stats["root"])
-    for section in ("results", "traces"):
-        entry = stats[section]
-        logger.info(
-            "  %-8s %5d entries  %s", section, entry["entries"],
-            _fmt(entry["bytes"] / 1e6) + " MB",
-        )
+    entry = stats["results"]
+    logger.info(
+        "  %-8s %5d entries  %s", "results", entry["entries"],
+        _fmt(entry["bytes"] / 1e6) + " MB",
+    )
     return 0
 
 
@@ -808,7 +807,7 @@ def main(argv: list = None) -> int:
     cache_parser = sub.add_parser(
         "cache",
         parents=[common],
-        help="inspect or clear the on-disk result/trace cache",
+        help="inspect or clear the on-disk result cache",
     )
     cache_parser.add_argument(
         "action", choices=("info", "clear"), help="what to do with the cache"

@@ -34,10 +34,8 @@ def run(quick: bool = True) -> ExperimentResult:
     rows = []
     gains = []
     for w in workloads:
-        groups = [
-            [0.25 + d for d in pairs] for pairs in w.trace.pair_durations if pairs
-        ]
-        flat = np.array([d for group in groups for d in group])
+        flat = 0.25 + w.trace.pair_durations
+        groups = w.trace.ray_groups(flat)
         dynamic = schedule_dynamic(groups, N_CORES)
         lockstep = schedule_lockstep_batches(flat, N_CORES)
         serial = schedule_ray_by_ray(groups, N_CORES)

@@ -10,7 +10,6 @@ statistics in milliseconds instead of minutes of training.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,31 +45,6 @@ class SceneWorkload:
         return self.trace.mean_samples_per_ray
 
 
-def _scene_signature(scene: AnalyticScene) -> str:
-    """Content signature of a scene's analytic geometry.
-
-    Two scenes with the same signature produce the same trace (given
-    equal extraction parameters), so the trace cache keys on this rather
-    than the name alone — a re-parameterized scene that keeps its name
-    still misses.
-    """
-    return json.dumps(
-        {
-            "name": scene.name,
-            "world_min": scene.world_min.tolist(),
-            "world_max": scene.world_max.tolist(),
-            "background": scene.background,
-            "color_frequency": scene.color_frequency,
-            "primitives": [
-                [p.kind, list(p.center), list(p.size), list(p.color),
-                 p.density, p.edge]
-                for p in scene.primitives
-            ],
-        },
-        sort_keys=True,
-    )
-
-
 def _scene_camera(scene: AnalyticScene, large_scale: bool) -> Camera:
     if large_scale:
         pose = ring_poses(1, radius=3.2, height=1.6)[0]
@@ -91,40 +65,9 @@ def scene_workload(
 ) -> SceneWorkload:
     """Extract a workload trace from a scene's analytic geometry.
 
-    When a :mod:`repro.parallel.cache` is active (the engine activates
-    one in every worker) and the default encoding is in use, the trace
-    is served from / stored to the on-disk cache, keyed by the scene's
-    content signature, the extraction parameters, and the source
-    fingerprint of the packages that determine traces — so identical
-    workloads are extracted once per source revision, not once per
-    experiment per run.
+    The trace is rebuilt on every call: Stage I over one 64 x 64 camera
+    against a 32^3 occupancy grid takes tens of milliseconds.
     """
-    # Local import: only trace extraction consults the cache.
-    from ..parallel import cache as parallel_cache
-    from ..parallel.fingerprint import TRACE_PACKAGES, source_fingerprint
-
-    active = parallel_cache.get_active()
-    key = None
-    if active is not None and encoding is None:
-        key = parallel_cache.cache_key(
-            "scene-workload",
-            scene=_scene_signature(scene),
-            large_scale=bool(large_scale),
-            max_samples=max_samples,
-            occupancy_resolution=occupancy_resolution,
-            seed=seed,
-            fingerprint=source_fingerprint(TRACE_PACKAGES),
-        )
-        arrays = active.get_trace(key)
-        if arrays is not None:
-            occupancy_fraction = float(arrays.pop("occupancy_fraction"))
-            return _maybe_corrupt(
-                SceneWorkload(
-                    name=scene.name,
-                    trace=WorkloadTrace.from_arrays(arrays),
-                    occupancy_fraction=occupancy_fraction,
-                )
-            )
     camera = _scene_camera(scene, large_scale)
     normalizer = scene.normalizer()
     occupancy = OccupancyGrid(resolution=occupancy_resolution, threshold=0.5)
@@ -145,10 +88,6 @@ def scene_workload(
         encoding=encoding,
         max_samples=max_samples,
     )
-    if key is not None:
-        arrays = trace.to_arrays()
-        arrays["occupancy_fraction"] = np.float64(occupancy.occupancy_fraction)
-        active.put_trace(key, arrays)
     return _maybe_corrupt(
         SceneWorkload(
             name=scene.name,
@@ -161,9 +100,7 @@ def scene_workload(
 def _maybe_corrupt(workload: SceneWorkload) -> SceneWorkload:
     """Apply active trace-corruption faults to a freshly built workload.
 
-    Sits *after* the trace cache on both the hit and miss paths, so the
-    cache only ever holds clean traces and a fault run never poisons
-    later clean runs.  The corruption is deterministic per scene
+    The corruption is deterministic per scene
     (:meth:`repro.robustness.faults.FaultPlan.rng` salted with the scene
     name); with no active plan this is a no-op returning the input.
     """
@@ -173,7 +110,7 @@ def _maybe_corrupt(workload: SceneWorkload) -> SceneWorkload:
     trace = inject_trace_faults(
         workload.trace, plan.trace, plan.rng(f"trace:{workload.name}")
     )
-    n_entries = sum(len(p) for p in workload.trace.pair_durations)
+    n_entries = len(workload.trace.pair_durations)
     n_corrupt = min(
         int(round(plan.trace.corrupt_fraction * n_entries)), n_entries
     )

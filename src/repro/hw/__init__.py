@@ -31,7 +31,6 @@ from .interconnect import (
     CHIPLET_LINK,
     LPDDR4_1866,
     required_bandwidth_gbps,
-    fits_link,
 )
 from .energy import OpCounts, EnergyModel, EnergyBreakdown
 from .area import AreaModel, ModuleArea, stage2_sharing_ablation
@@ -70,7 +69,6 @@ __all__ = [
     "CHIPLET_LINK",
     "LPDDR4_1866",
     "required_bandwidth_gbps",
-    "fits_link",
     "OpCounts",
     "EnergyModel",
     "EnergyBreakdown",

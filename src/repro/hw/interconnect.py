@@ -97,8 +97,3 @@ def required_bandwidth_gbps(nbytes: float, deadline_s: float) -> float:
     if deadline_s <= 0:
         raise ValueError("deadline must be positive")
     return nbytes / deadline_s / 1e9
-
-
-def fits_link(nbytes: float, deadline_s: float, link: LinkSpec) -> bool:
-    """Whether a transfer meets a deadline over the given link."""
-    return required_bandwidth_gbps(nbytes, deadline_s) <= link.bandwidth_gbps

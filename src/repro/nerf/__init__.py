@@ -44,7 +44,6 @@ from .trainer import Trainer, TrainerConfig, TrainState
 from .quantization import (
     quantize_int8,
     quantize_int8_fixed,
-    quantization_error,
     quantize_model_parameters,
     PeriodicQuantizationHook,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "TrainState",
     "quantize_int8",
     "quantize_int8_fixed",
-    "quantization_error",
     "quantize_model_parameters",
     "PeriodicQuantizationHook",
     "AdaptiveStats",

@@ -52,13 +52,6 @@ class AdaptiveStats:
         return self.full_samples + self.lowp_samples
 
     @property
-    def lowp_fraction(self) -> float:
-        """Fraction of evaluated samples routed to the cheap field."""
-        if self.evaluated == 0:
-            return 0.0
-        return self.lowp_samples / self.evaluated
-
-    @property
     def terminated_fraction(self) -> float:
         """Fraction of the batch behind every ray's cutoff."""
         if self.total_samples == 0:

@@ -102,11 +102,6 @@ class HashEncodingConfig:
         """Trainable feature values over all levels' tables."""
         return self.n_levels * self.table_size * self.n_features
 
-    @property
-    def table_bytes_fp16(self) -> int:
-        """On-chip footprint of the feature tables at fp16."""
-        return self.n_parameters * 2
-
 
 def hash_vertices(coords: np.ndarray, table_size: int) -> np.ndarray:
     """Spatial-hash integer vertex coordinates into table indices.

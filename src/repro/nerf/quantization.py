@@ -46,12 +46,6 @@ def quantize_int8_fixed(values: np.ndarray, step: float = 1.0 / 16.0) -> np.ndar
     return np.clip(np.round(values / step), -128, 127) * step
 
 
-def quantization_error(values: np.ndarray) -> float:
-    """RMS error introduced by one INT8 round trip."""
-    values = np.asarray(values, dtype=np.float64)
-    return float(np.sqrt(np.mean((quantize_int8(values) - values) ** 2)))
-
-
 def quantize_model_parameters(model, step: float = 1.0 / 16.0) -> None:
     """INT8-round-trip every learnable tensor of the model, in place.
 

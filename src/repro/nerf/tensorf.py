@@ -43,9 +43,6 @@ class DenseGridConfig:
     n_features: int = 8
     hidden_width: int = 64
 
-    @property
-    def n_grid_parameters(self) -> int:
-        return self.resolution**3 * self.n_features
 
 
 @dataclass

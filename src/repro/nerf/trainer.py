@@ -176,11 +176,6 @@ class Trainer:
         """The first expert's occupancy grid (a single field's only one)."""
         return self.occupancies[0]
 
-    @property
-    def last_batch(self):
-        """The first expert's last sample batch (``None`` before a step)."""
-        return self.last_batches[0] if self.last_batches else None
-
     def train_step(self) -> float:
         """One optimization step; returns the batch loss.
 

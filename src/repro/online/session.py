@@ -110,11 +110,6 @@ class SessionResult:
         """Generations that went live during the session."""
         return len(self.deployments)
 
-    @property
-    def reached_target(self) -> bool:
-        """Whether any deployed generation met the target PSNR."""
-        return self.time_to_target_s is not None
-
     def ops_panel(self) -> dict:
         """The dashboard's online-reconstruction panel payload."""
         return {

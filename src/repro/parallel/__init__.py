@@ -7,12 +7,12 @@ The scaling layer of the reproduction, two parts:
   with per-experiment timeouts, retry-once-on-crash, and a merged
   telemetry/metrics :class:`~repro.parallel.engine.RunReport`;
 * :mod:`~repro.parallel.cache` — a content-addressed on-disk cache for
-  :class:`~repro.experiments.base.ExperimentResult` payloads and
-  :class:`~repro.sim.trace.WorkloadTrace` arrays, keyed by experiment
-  name + config + the source fingerprint of the packages the numbers
-  depend on (:mod:`~repro.parallel.fingerprint`), so unchanged
+  :class:`~repro.experiments.base.ExperimentResult` payloads, keyed by
+  experiment name + config + the source fingerprint of the packages the
+  numbers depend on (:mod:`~repro.parallel.fingerprint`), so unchanged
   experiments are skipped and *any* relevant source edit silently
-  invalidates stale entries.
+  invalidates stale entries.  Nothing below the result level is cached:
+  an experiment that runs rebuilds its workload traces.
 
 Host parallelism is the engine's worker processes, never threads inside
 one.  One experiment runs in one process on one thread, BLAS included:
@@ -26,7 +26,7 @@ work (multi-backend, distributed sweeps) plugs into this layer: the
 engine owns "what runs where", the cache owns "what can be skipped".
 """
 
-from .cache import ResultCache, activate, cache_key, deactivate, default_cache_root, get_active
+from .cache import ResultCache, cache_key, default_cache_root
 from .engine import (
     MAX_POOL_REBUILDS,
     ExperimentTimeout,
@@ -41,7 +41,6 @@ from .engine import (
 )
 from .fingerprint import (
     RESULT_PACKAGES,
-    TRACE_PACKAGES,
     clear_fingerprint_cache,
     fingerprint_files,
     package_source_files,
@@ -56,15 +55,11 @@ __all__ = [
     "RESULT_PACKAGES",
     "ResultCache",
     "RunReport",
-    "TRACE_PACKAGES",
-    "activate",
     "cache_key",
     "clear_fingerprint_cache",
-    "deactivate",
     "default_cache_root",
     "execute_job",
     "fingerprint_files",
-    "get_active",
     "merge_metric_snapshots",
     "package_source_files",
     "resolve_names",

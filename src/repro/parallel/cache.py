@@ -1,10 +1,9 @@
-"""Content-addressed on-disk cache for experiment results and traces.
+"""Content-addressed on-disk cache for experiment results.
 
 Layout (under :func:`default_cache_root`, overridable via the
 ``FUSION3D_CACHE_DIR`` environment variable or ``--cache-dir``)::
 
     <root>/results/<sha256>.json   # ExperimentResult payload + metadata
-    <root>/traces/<sha256>.npz     # WorkloadTrace arrays + metadata
 
 Entries are *content addressed*: the filename is the SHA-256 of the
 canonicalized key, and the key includes a source fingerprint
@@ -18,12 +17,9 @@ Writes are atomic (temp file + ``os.replace``) so a crashed or killed
 worker can not leave a half-written entry behind, and concurrent
 writers of the same key simply race to an identical file.
 
-The *active* cache is a process-global installed by the engine (and by
-its worker initializer, so forked pool workers inherit the setting):
-:func:`activate` / :func:`deactivate` / :func:`get_active`.  Library
-code that can exploit trace reuse (``repro.experiments.workloads``)
-asks :func:`get_active` and proceeds uncached when it returns ``None``,
-keeping the default path dependency-free and byte-identical.
+Only the parent process of ``run-all`` reads and writes the cache;
+workloads inside an experiment (scene traces included) are rebuilt
+on every run.
 """
 
 from __future__ import annotations
@@ -33,9 +29,6 @@ import json
 import logging
 import os
 import tempfile
-import zipfile
-
-import numpy as np
 
 logger = logging.getLogger("repro.parallel.cache")
 
@@ -55,9 +48,9 @@ def default_cache_root() -> str:
 def cache_key(kind: str, **fields) -> str:
     """SHA-256 of the canonical JSON encoding of ``kind`` + ``fields``.
 
-    ``kind`` namespaces result vs trace keys; fields must be
-    JSON-serializable (strings, numbers, bools, lists).  Key order is
-    canonicalized by ``sort_keys`` so call sites never coordinate.
+    ``kind`` namespaces the key; fields must be JSON-serializable
+    (strings, numbers, bools, lists).  Key order is canonicalized by
+    ``sort_keys`` so call sites never coordinate.
     """
     payload = {"kind": kind, "version": CACHE_VERSION, **fields}
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -65,12 +58,11 @@ def cache_key(kind: str, **fields) -> str:
 
 
 class ResultCache:
-    """On-disk store of experiment results and workload traces."""
+    """On-disk store of experiment results."""
 
     def __init__(self, root: str = None):
         self.root = root if root is not None else default_cache_root()
         self.results_dir = os.path.join(self.root, "results")
-        self.traces_dir = os.path.join(self.root, "traces")
 
     # -- result entries ------------------------------------------------
 
@@ -106,76 +98,29 @@ class ResultCache:
         self._atomic_write(path, json.dumps(entry, sort_keys=True).encode("utf-8"))
         return path
 
-    # -- trace entries -------------------------------------------------
-
-    def _trace_path(self, key: str) -> str:
-        return os.path.join(self.traces_dir, f"{key}.npz")
-
-    def get_trace(self, key: str):
-        """Stored :class:`~repro.sim.trace.WorkloadTrace` arrays, or ``None``.
-
-        Returns the ``{name: array}`` mapping produced by
-        ``WorkloadTrace.to_arrays`` (reconstruction stays in
-        :mod:`repro.sim.trace`, which owns the schema).  Corrupted or
-        unreadable archives are deleted and reported as misses.
-        """
-        path = self._trace_path(key)
-        try:
-            with np.load(path, allow_pickle=False) as archive:
-                return {name: archive[name] for name in archive.files}
-        except FileNotFoundError:
-            return None
-        except (ValueError, OSError, KeyError, zipfile.BadZipFile):
-            logger.warning("dropping corrupted trace cache entry %s", path)
-            self._remove(path)
-            return None
-
-    def put_trace(self, key: str, arrays: dict) -> str:
-        """Atomically store a trace's array mapping under ``key``."""
-        path = self._trace_path(key)
-        os.makedirs(self.traces_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.traces_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, **arrays)
-            os.replace(tmp, path)
-        except BaseException:
-            self._remove(tmp)
-            raise
-        return path
-
     # -- maintenance ---------------------------------------------------
 
     def clear(self) -> int:
         """Delete every cache entry; returns the number of files removed."""
         removed = 0
-        for directory in (self.results_dir, self.traces_dir):
-            if not os.path.isdir(directory):
-                continue
-            for name in os.listdir(directory):
-                self._remove(os.path.join(directory, name))
+        if os.path.isdir(self.results_dir):
+            for name in os.listdir(self.results_dir):
+                self._remove(os.path.join(self.results_dir, name))
                 removed += 1
         return removed
 
     def stats(self) -> dict:
-        """Entry counts and byte totals per section, for ``cache info``."""
-        out = {"root": self.root}
-        for label, directory in (
-            ("results", self.results_dir),
-            ("traces", self.traces_dir),
-        ):
-            entries = 0
-            size = 0
-            if os.path.isdir(directory):
-                for name in os.listdir(directory):
-                    path = os.path.join(directory, name)
-                    try:
-                        size += os.path.getsize(path)
-                    except OSError:
-                        continue
-                    entries += 1
-            out[label] = {"entries": entries, "bytes": size}
-        return out
+        """Result entry count and byte total, for ``cache info``."""
+        entries = 0
+        size = 0
+        if os.path.isdir(self.results_dir):
+            for name in os.listdir(self.results_dir):
+                try:
+                    size += os.path.getsize(os.path.join(self.results_dir, name))
+                except OSError:
+                    continue
+                entries += 1
+        return {"root": self.root, "results": {"entries": entries, "bytes": size}}
 
     # -- helpers -------------------------------------------------------
 
@@ -198,22 +143,3 @@ class ResultCache:
         except OSError:
             pass
 
-
-_active_cache = None
-
-
-def activate(cache: ResultCache) -> None:
-    """Install ``cache`` as this process's active cache (trace reuse on)."""
-    global _active_cache
-    _active_cache = cache
-
-
-def deactivate() -> None:
-    """Remove the active cache (trace reuse off — the default)."""
-    global _active_cache
-    _active_cache = None
-
-
-def get_active() -> ResultCache:
-    """The process-global active cache, or ``None`` when caching is off."""
-    return _active_cache

@@ -23,9 +23,8 @@ parent consults the cache *before* submitting anything (a warm sweep
 never even spawns workers) and stores fresh results afterwards.  Keys
 include the source fingerprint of every package the numbers depend on
 (:data:`~repro.parallel.fingerprint.RESULT_PACKAGES`), so editing the
-simulator silently invalidates the cache.  Workers additionally activate
-the *trace* cache so repeated scene-workload extraction inside an
-experiment is reused across experiments and runs.
+simulator silently invalidates the cache.  Workers never touch the
+cache: a job that runs rebuilds its workloads (scene traces included).
 
 Determinism: results are bit-identical across ``jobs`` settings because
 every experiment seeds its own RNGs and jobs never share state; the
@@ -315,12 +314,6 @@ def execute_job(
     }
 
 
-def _worker_init(cache_root) -> None:
-    """Pool-worker initializer: activate the trace cache (if caching)."""
-    if cache_root is not None:
-        cache_mod.activate(cache_mod.ResultCache(cache_root))
-
-
 # ----------------------------------------------------------------------
 # parent side
 
@@ -364,24 +357,14 @@ def run_experiments(
             pending.append(name)
 
     if pending:
-        previous_active = cache_mod.get_active()
-        if cache is not None:
-            cache_mod.activate(cache)
-        try:
-            if jobs <= 1:
-                fresh = _run_inline(
-                    pending, quick, timeout_s, collect_telemetry, retries
-                )
-            else:
-                fresh = _run_pool(
-                    pending, jobs, quick, timeout_s, collect_telemetry,
-                    retries, cache,
-                )
-        finally:
-            if previous_active is not None:
-                cache_mod.activate(previous_active)
-            else:
-                cache_mod.deactivate()
+        if jobs <= 1:
+            fresh = _run_inline(
+                pending, quick, timeout_s, collect_telemetry, retries
+            )
+        else:
+            fresh = _run_pool(
+                pending, jobs, quick, timeout_s, collect_telemetry, retries
+            )
         outcomes.update(fresh)
         if cache is not None:
             for outcome in fresh.values():
@@ -452,9 +435,7 @@ def _run_inline(names, quick, timeout_s, collect_telemetry, retries) -> dict:
     return outcomes
 
 
-def _run_pool(
-    names, jobs, quick, timeout_s, collect_telemetry, retries, cache,
-) -> dict:
+def _run_pool(names, jobs, quick, timeout_s, collect_telemetry, retries) -> dict:
     """Fan ``names`` out over a process pool with crash retry.
 
     The pool is rebuilt when a worker death poisons it, but only
@@ -463,17 +444,12 @@ def _run_pool(
     forever.  Past the cap, every not-yet-finished job fails with a
     structured :class:`PoolRebuildLimitError` outcome.
     """
-    cache_root = cache.root if cache is not None else None
     outcomes = {}
     attempts = {name: 0 for name in names}
     queue = list(names)
 
     def make_pool():
-        return ProcessPoolExecutor(
-            max_workers=min(jobs, max(1, len(names))),
-            initializer=_worker_init,
-            initargs=(cache_root,),
-        )
+        return ProcessPoolExecutor(max_workers=min(jobs, max(1, len(names))))
 
     pool = make_pool()
     consecutive_rebuilds = 0

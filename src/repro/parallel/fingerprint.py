@@ -8,15 +8,10 @@ packages changes the digest and silently invalidates every entry keyed
 on it; stale entries are never deleted eagerly, they simply stop being
 found (content addressing).
 
-Two fingerprint scopes are used:
-
-* :data:`RESULT_PACKAGES` — everything an experiment's numbers can
-  depend on (algorithms, simulator, hardware models, datasets, the
-  experiment code itself).  Keys :class:`~repro.parallel.cache.ResultCache`
-  result entries.
-* :data:`TRACE_PACKAGES` — the subset that determines a workload trace
-  (Stage I sampling, occupancy, scene geometry).  Keys cached traces,
-  which therefore survive edits to e.g. ``repro.hw``.
+The scope is :data:`RESULT_PACKAGES`: everything an experiment's
+numbers can depend on (algorithms, simulator, hardware models, datasets,
+the experiment code itself).  It keys
+:class:`~repro.parallel.cache.ResultCache` entries.
 
 Fingerprints are memoized per process: hashing ~90 small files costs a
 few milliseconds, but the engine asks for the same digest once per job.
@@ -42,13 +37,6 @@ RESULT_PACKAGES = (
     "repro.baselines",
     "repro.datasets",
     "repro.experiments",
-)
-
-#: Packages that determine a workload trace (see module docstring).
-TRACE_PACKAGES = (
-    "repro.nerf",
-    "repro.sim",
-    "repro.datasets",
 )
 
 _memo: dict = {}

@@ -26,7 +26,7 @@ site-specific salt so injections are reproducible.
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 
 import numpy as np
 
@@ -148,41 +148,21 @@ def inject_trace_faults(trace, config: TraceFaultConfig, rng: np.random.Generato
 
     A ``corrupt_fraction`` of the trace's pair-duration entries are
     poisoned — NaN for ``mode="nan"``, multiplied by ``spike_factor``
-    for ``mode="spike"``.  The input trace is never mutated (it may be
-    shared with the on-disk trace cache).
+    for ``mode="spike"``.  The input trace is never mutated (traces are
+    immutable, and scene workloads may share one).
     """
-    from ..sim.trace import WorkloadTrace
-
     if config.corrupt_fraction <= 0:
         return trace
-    flat = [d for pairs in trace.pair_durations for d in pairs]
-    n_entries = len(flat)
+    durations = trace.pair_durations.copy()
+    n_entries = len(durations)
     n_corrupt = int(round(config.corrupt_fraction * n_entries))
-    durations = [list(pairs) for pairs in trace.pair_durations]
-    if n_corrupt > 0 and n_entries > 0:
-        targets = set(
-            rng.choice(n_entries, size=min(n_corrupt, n_entries), replace=False)
-            .tolist()
-        )
-        cursor = 0
-        for pairs in durations:
-            for j in range(len(pairs)):
-                if cursor in targets:
-                    if config.mode == "nan":
-                        pairs[j] = float("nan")
-                    else:
-                        pairs[j] = pairs[j] * config.spike_factor
-                cursor += 1
-    return WorkloadTrace(
-        n_rays=trace.n_rays,
-        pair_durations=durations,
-        n_samples=trace.n_samples,
-        n_candidates=trace.n_candidates,
-        vertex_corners=trace.vertex_corners,
-        vertex_indices=trace.vertex_indices,
-        samples_per_ray=trace.samples_per_ray,
-        n_cells_visited=trace.n_cells_visited,
-    )
+    if n_corrupt > 0:
+        targets = rng.choice(n_entries, size=n_corrupt, replace=False)
+        if config.mode == "nan":
+            durations[targets] = np.nan
+        else:
+            durations[targets] *= config.spike_factor
+    return dataclasses.replace(trace, pair_durations=durations)
 
 
 def scrub_trace(trace):
@@ -190,40 +170,24 @@ def scrub_trace(trace):
 
     Non-finite or negative pair durations — the signature of injected
     (or real) SRAM corruption in the trace buffers — are clamped to zero
-    and counted.  Finite spikes are deliberately *not* clamped: their
-    latency cost is the measurable degradation.  When nothing needs
-    scrubbing the input trace is returned unchanged (no copy).  The
-    check is one vectorized pass over the flattened durations; only a
-    corrupted trace pays for copying its lists.
+    and counted, and the per-ray sample counts are recomputed from the
+    clamped durations.  Finite spikes are deliberately *not* clamped:
+    their latency cost is the measurable degradation.  When nothing
+    needs scrubbing the input trace is returned unchanged (no copy).
     """
-    from ..sim.trace import WorkloadTrace
+    from ..sim.trace import per_ray_sums
 
-    lengths = list(map(len, trace.pair_durations))
-    flat = np.fromiter(
-        itertools.chain.from_iterable(trace.pair_durations),
-        dtype=np.float64,
-        count=sum(lengths),
-    )
-    bad = np.flatnonzero(~(np.isfinite(flat) & (flat >= 0)))
-    n_scrubbed = len(bad)
+    durations = trace.pair_durations
+    ok = np.isfinite(durations) & (durations >= 0)
+    n_scrubbed = len(ok) - int(np.count_nonzero(ok))
     if n_scrubbed == 0:
         return trace, 0
-    durations = [list(pairs) for pairs in trace.pair_durations]
-    fences = np.cumsum([0] + lengths)
-    rays = np.searchsorted(fences, bad, side="right") - 1
-    for ray, index in zip(rays.tolist(), (bad - fences[rays]).tolist()):
-        durations[ray][index] = 0.0
-    per_ray = np.array([sum(p) for p in durations], dtype=np.float64)
+    clean = np.where(ok, durations, 0.0)
     return (
-        WorkloadTrace(
-            n_rays=trace.n_rays,
-            pair_durations=durations,
-            n_samples=trace.n_samples,
-            n_candidates=trace.n_candidates,
-            vertex_corners=trace.vertex_corners,
-            vertex_indices=trace.vertex_indices,
-            samples_per_ray=per_ray,
-            n_cells_visited=trace.n_cells_visited,
+        dataclasses.replace(
+            trace,
+            pair_durations=clean,
+            samples_per_ray=per_ray_sums(clean, trace.pairs_per_ray),
         ),
         n_scrubbed,
     )

@@ -11,7 +11,6 @@ from .engine import (
     schedule_dynamic,
     schedule_ray_by_ray,
     schedule_lockstep_batches,
-    pipeline_makespan,
 )
 from .trace import WorkloadTrace, trace_from_rays, synthetic_trace
 from .hash_tiling import (
@@ -43,7 +42,6 @@ __all__ = [
     "schedule_dynamic",
     "schedule_ray_by_ray",
     "schedule_lockstep_batches",
-    "pipeline_makespan",
     "WorkloadTrace",
     "trace_from_rays",
     "synthetic_trace",

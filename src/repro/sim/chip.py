@@ -76,6 +76,7 @@ class ChipConfig:
 
     @property
     def sram_kb(self) -> float:
+        """On-chip SRAM in KB: feature SRAM, memory clusters and the rest."""
         return (
             self.feature_sram_kb
             + self.n_clusters * self.cluster.total_kb
@@ -113,6 +114,7 @@ class ChipConfig:
 
     @property
     def logic_mgates(self) -> float:
+        """Logic gate count of all modules, in millions."""
         return sum(self.module_gate_counts().values()) / 1e6
 
 
@@ -141,17 +143,20 @@ class ChipReport:
 
     @property
     def samples_per_second(self) -> float:
+        """Kept samples processed per second (0 with no runtime)."""
         if self.runtime_s <= 0:
             return 0.0
         return self.n_samples / self.runtime_s
 
     @property
     def energy_per_sample_j(self) -> float:
+        """Joules per kept sample (0 with no samples)."""
         if self.n_samples == 0:
             return 0.0
         return self.energy_j / self.n_samples
 
     def stage_cycles(self) -> dict:
+        """Cycles of each pipeline stage, keyed by stage name."""
         return {stage.name: stage.cycles for stage in self.stages}
 
 
@@ -378,6 +383,7 @@ class SingleChipAccelerator:
         ]
 
     def die_area_mm2(self) -> float:
+        """Total die area of the chip in mm^2."""
         return AreaModel.chip_total_mm2(self.area())
 
     def _pipeline_cycles(self, stage_cycles: list) -> float:

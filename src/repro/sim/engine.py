@@ -26,10 +26,12 @@ class CorePool:
         self.free_at = np.zeros(self.n_cores, dtype=np.float64)
 
     def reset(self) -> None:
+        """Free every core at cycle 0."""
         self.free_at[:] = 0.0
 
     @property
     def makespan(self) -> float:
+        """Cycle at which the last core goes idle."""
         return float(self.free_at.max())
 
     def busy_cycles(self) -> float:
@@ -67,6 +69,7 @@ class ScheduleResult:
 
     @property
     def utilization(self) -> float:
+        """Busy share of the core-cycles up to the makespan (0 if empty)."""
         if self.makespan <= 0:
             return 0.0
         return self.busy_cycles / (self.makespan * self.n_cores)
@@ -134,25 +137,15 @@ def schedule_ray_by_ray(
     return ScheduleResult(makespan=makespan, busy_cycles=busy, n_cores=n_cores)
 
 
-def pipeline_makespan(stage_cycles) -> float:
+def flow_shop_makespan(rows: list, n_stages: int) -> float:
     """Makespan of a linear pipeline over batches.
 
-    ``stage_cycles`` is ``(n_batches, n_stages)``, an array or a list of
-    rows; stage *s* of batch *b* may start once stage *s* finished batch
-    *b-1* and stage *s-1* finished batch *b* — the classic flow-shop
+    ``rows`` holds one sequence of ``n_stages`` stage cycles per batch;
+    stage *s* of batch *b* may start once stage *s* finished batch *b-1*
+    and stage *s-1* finished batch *b* — the classic flow-shop
     recurrence, which models the three-stage chip pipeline fed by
-    ping-pong buffers.  Zero batches take 0.0 cycles.
-    """
-    cycles = np.atleast_2d(np.asarray(stage_cycles, dtype=np.float64))
-    return flow_shop_makespan(cycles.tolist(), cycles.shape[1])
-
-
-def flow_shop_makespan(rows: list, n_stages: int) -> float:
-    """The recurrence of :func:`pipeline_makespan` on rows of floats.
-
-    ``rows`` holds one sequence of ``n_stages`` stage cycles per batch.
-    The recurrence runs on Python floats: the same float64 operations in
-    the same order as on an array, without a NumPy call per element.
+    ping-pong buffers.  Zero batches take 0.0 cycles.  The recurrence
+    runs on Python floats, without a NumPy call per element.
     """
     # finish[s] holds the completion time of the most recent batch at
     # stage s; the flow-shop recurrence is

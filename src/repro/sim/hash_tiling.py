@@ -36,6 +36,7 @@ class BankingScheme:
     n_banks: int = 8
 
     def bank_ids(self, corners: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """SRAM bank of each fetch, shaped like ``indices``."""
         raise NotImplementedError
 
 
@@ -46,6 +47,7 @@ class BaselineBanking(BankingScheme):
         super().__init__(name="baseline", n_banks=n_banks)
 
     def bank_ids(self, corners: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """Bank = table index modulo the bank count."""
         return np.asarray(indices) % self.n_banks
 
 
@@ -56,6 +58,7 @@ class TwoLevelTiling(BankingScheme):
         super().__init__(name="two-level-tiling", n_banks=8)
 
     def bank_ids(self, corners: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """Bank = the vertex's YZ group * 2 + its table-index parity."""
         corners = np.asarray(corners)
         indices = np.asarray(indices)
         if corners.shape[:-1] != indices.shape:
@@ -101,16 +104,19 @@ class TilingComparison:
 
     @property
     def latency_saving(self) -> float:
+        """Fraction of the baseline's fetch cycles the tiling saves."""
         if self.baseline.cycles == 0:
             return 0.0
         return 1.0 - self.tiled.cycles / self.baseline.cycles
 
     @property
     def baseline_variance(self) -> float:
+        """Variance of the untiled baseline's per-group fetch cycles."""
         return self.baseline.cycle_variance
 
     @property
     def tiled_variance(self) -> float:
+        """Variance of the per-group fetch cycles under the tiling."""
         return self.tiled.cycle_variance
 
 

@@ -72,6 +72,7 @@ class InterpModule:
 
     @property
     def tiling(self) -> BankingScheme:
+        """The banking scheme the configuration selects."""
         if self.config.use_two_level_tiling:
             return TwoLevelTiling()
         return BaselineBanking()

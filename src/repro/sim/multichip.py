@@ -68,6 +68,7 @@ class CommunicationReport:
 
     @property
     def saving(self) -> float:
+        """Traffic the MoE split saves against the layer split."""
         if self.layer_split_bytes <= 0:
             return 0.0
         return 1.0 - self.moe_bytes / self.layer_split_bytes
@@ -108,18 +109,21 @@ class MultiChipReport:
 
     @property
     def samples_per_second(self) -> float:
+        """Kept samples processed per second by the system."""
         if self.runtime_s <= 0:
             return 0.0
         return self.n_samples / self.runtime_s
 
     @property
     def throughput_per_watt(self) -> float:
+        """Samples per second per watt (0 without power)."""
         if self.power_w <= 0:
             return 0.0
         return self.samples_per_second / self.power_w
 
     @property
     def energy_j(self) -> float:
+        """Energy of the run: power times runtime."""
         return self.power_w * self.runtime_s
 
     @property
@@ -456,5 +460,6 @@ class MultiChipSystem:
         return chips * (1.0 + self.config.io_area_fraction)
 
     def sram_kb(self) -> float:
+        """SRAM of all chips plus the I/O share, in KB."""
         chips = self.config.n_chips * self.config.chip.sram_kb
         return chips * (1.0 + self.config.io_sram_fraction)

@@ -49,6 +49,7 @@ class PostProcModule:
         self.config = config
 
     def simulate(self, trace: WorkloadTrace, training: bool = False) -> PostProcReport:
+        """Cycles and operations of Stage III for the trace's kept samples."""
         cfg = self.config
         macs = trace.n_samples * cfg.macs_per_sample
         if training:

@@ -99,15 +99,11 @@ class SamplingModule:
 
     def _schedule_optimized(self, trace: WorkloadTrace) -> ScheduleResult:
         cfg = self.config
-        groups = [
-            [
-                cfg.pair_setup_cycles + length / cfg.points_per_core_cycle
-                for length in pairs
-            ]
-            for pairs in trace.pair_durations
-            if pairs
-        ]
-        return schedule_dynamic(groups, cfg.n_cores)
+        durations = (
+            cfg.pair_setup_cycles
+            + trace.pair_durations / cfg.points_per_core_cycle
+        )
+        return schedule_dynamic(trace.ray_groups(durations), cfg.n_cores)
 
     def _schedule_naive(self, trace: WorkloadTrace) -> ScheduleResult:
         cfg = self.config

@@ -33,6 +33,12 @@ from ..nerf.sampling import RayMarcher, SamplerConfig
 class WorkloadTrace:
     """Per-batch workload description consumed by the chip simulator.
 
+    Pair durations are stored flat: ``pair_durations`` holds every
+    cube-pair's duration in ray-major order and ``pairs_per_ray[r]``
+    says how many of them belong to ray r (rays with no valid pair
+    count 0).  Construction coerces both to float64 / int64 arrays and
+    checks that the counts cover the durations exactly.
+
     A trace is immutable after construction: nothing mutates its fields
     in place (fault injection and scrubbing build new traces), which is
     what lets :meth:`~repro.sim.chip.SingleChipAccelerator.simulate`
@@ -40,9 +46,11 @@ class WorkloadTrace:
     """
 
     n_rays: int
-    #: ``pair_durations[r]`` lists, for ray r, the kept-sample count of
-    #: each of its valid cube-pairs (the core-occupancy time of the pair).
-    pair_durations: list
+    #: Kept-sample count of every valid cube-pair (the core-occupancy
+    #: time of the pair), ray-major: ray 0's pairs, then ray 1's, ...
+    pair_durations: np.ndarray
+    #: Valid cube-pairs of each ray; sums to ``len(pair_durations)``.
+    pairs_per_ray: np.ndarray
     #: Samples surviving occupancy gating (Stage II/III work).
     n_samples: int
     #: Candidate points tested by Stage I before gating.
@@ -67,13 +75,13 @@ class WorkloadTrace:
     def __post_init__(self):
         if self.n_rays < 0 or self.n_samples < 0 or self.n_candidates < 0:
             raise ValueError("trace counts must be non-negative")
-        if len(self.pair_durations) != self.n_rays:
-            raise ValueError("one pair-duration list per ray required")
-
-    @property
-    def n_pairs(self) -> int:
-        """Valid cube-pairs over all rays."""
-        return sum(len(p) for p in self.pair_durations)
+        self.pair_durations = np.asarray(self.pair_durations, dtype=np.float64)
+        self.pairs_per_ray = np.asarray(self.pairs_per_ray, dtype=np.int64)
+        if len(self.pairs_per_ray) != self.n_rays:
+            raise ValueError("one pair count per ray required")
+        counts = self.pairs_per_ray
+        if (counts < 0).any() or int(counts.sum()) != len(self.pair_durations):
+            raise ValueError("pair counts must sum to the number of durations")
 
     @property
     def mean_samples_per_ray(self) -> float:
@@ -91,58 +99,21 @@ class WorkloadTrace:
 
     def ray_durations(self) -> np.ndarray:
         """Total kept samples per ray: the naive (unpartitioned) job sizes."""
-        return np.array([sum(p) for p in self.pair_durations], dtype=np.float64)
+        return per_ray_sums(self.pair_durations, self.pairs_per_ray)
 
-    def to_arrays(self) -> dict:
-        """Flatten the trace into named NumPy arrays (``.npz``-ready).
+    def ray_groups(self, per_pair) -> list:
+        """Split a ray-major per-pair array into one list per ray.
 
-        The ragged ``pair_durations`` lists are stored as a flat value
-        array plus per-ray counts; scalars become 0-d arrays.  Inverse of
-        :meth:`from_arrays`, the round trip is exact (durations are
-        float64 on both sides) — this is the on-disk format of the
-        workload-trace cache (``repro.parallel.cache``).
+        Rays without pairs are left out: this is the group layout
+        :func:`~repro.sim.engine.schedule_dynamic` dispatches.
         """
-        pair_counts = np.array(
-            [len(p) for p in self.pair_durations], dtype=np.int64
-        )
-        pair_values = np.array(
-            [d for p in self.pair_durations for d in p], dtype=np.float64
-        )
-        arrays = {
-            "n_rays": np.int64(self.n_rays),
-            "n_samples": np.int64(self.n_samples),
-            "n_candidates": np.int64(self.n_candidates),
-            "n_cells_visited": np.int64(self.n_cells_visited),
-            "pair_counts": pair_counts,
-            "pair_values": pair_values,
-            "samples_per_ray": np.asarray(self.samples_per_ray),
-        }
-        if self.vertex_corners is not None:
-            arrays["vertex_corners"] = self.vertex_corners
-        if self.vertex_indices is not None:
-            arrays["vertex_indices"] = self.vertex_indices
-        return arrays
-
-    @classmethod
-    def from_arrays(cls, arrays: dict) -> "WorkloadTrace":
-        """Rebuild a trace from a :meth:`to_arrays` mapping (cache load)."""
-        pair_counts = np.asarray(arrays["pair_counts"]).astype(np.int64)
-        pair_values = np.asarray(arrays["pair_values"])
-        pair_durations = []
-        cursor = 0
-        for count in pair_counts:
-            pair_durations.append(pair_values[cursor : cursor + count].tolist())
-            cursor += count
-        return cls(
-            n_rays=int(arrays["n_rays"]),
-            pair_durations=pair_durations,
-            n_samples=int(arrays["n_samples"]),
-            n_candidates=int(arrays["n_candidates"]),
-            vertex_corners=arrays.get("vertex_corners"),
-            vertex_indices=arrays.get("vertex_indices"),
-            samples_per_ray=np.asarray(arrays["samples_per_ray"]),
-            n_cells_visited=int(arrays["n_cells_visited"]),
-        )
+        flat = np.asarray(per_pair).tolist()
+        fences = np.cumsum(self.pairs_per_ray).tolist()
+        return [
+            flat[start:stop]
+            for start, stop in zip([0] + fences, fences)
+            if stop > start
+        ]
 
     def scale_for_samples(self, target_samples: float) -> float:
         """Workload-scale factor covering ``target_samples``.
@@ -158,30 +129,40 @@ class WorkloadTrace:
         return target_samples / self.n_samples
 
 
+def per_ray_sums(per_pair: np.ndarray, pairs_per_ray: np.ndarray) -> np.ndarray:
+    """Sum a ray-major per-pair array over each ray (0.0 for no pairs).
+
+    ``np.bincount`` adds each ray's values in input order starting from
+    0.0, which is what Python's ``sum`` over that ray's values gives.
+    (``np.add.reduceat`` would not: it returns the next ray's first
+    value for a ray with no pairs.)
+    """
+    n_rays = len(pairs_per_ray)
+    ray_of_pair = np.repeat(np.arange(n_rays), pairs_per_ray)
+    return np.bincount(ray_of_pair, weights=per_pair, minlength=n_rays)
+
+
 def distribute_samples_over_pairs(
     pair_ray_idx: np.ndarray,
     spans: np.ndarray,
     kept_per_ray: np.ndarray,
     n_rays: int,
-) -> list:
+) -> np.ndarray:
     """Distribute each ray's kept samples over its cube-pairs
     proportionally to the pairs' span lengths.
 
     Vectorized replacement for the original append loop: ``np.bincount``
     accumulates weights in input order exactly like the ``np.add.at`` it
     replaces, and ``intersect_octants`` returns pairs sorted by
-    ``ray_idx``, so the per-ray slices below reproduce the loop bit for
-    bit (see :func:`repro.perf.reference.pair_durations_reference`).
-    The durations become one Python list, sliced at each ray's fences.
+    ``ray_idx``, so the returned flat durations are ray-major and equal
+    the loop's per-ray lists concatenated, bit for bit (see
+    :func:`repro.perf.reference.pair_durations_reference`).
     """
     spans = np.asarray(spans, dtype=np.float64)
     span_per_ray = np.bincount(pair_ray_idx, weights=spans, minlength=n_rays)
     total = span_per_ray[pair_ray_idx]
     share = np.divide(spans, total, out=np.zeros_like(spans), where=total > 0)
-    dur = np.asarray(kept_per_ray)[pair_ray_idx].astype(np.float64) * share
-    fences = np.cumsum(np.bincount(pair_ray_idx, minlength=n_rays)).tolist()
-    flat = dur.tolist()
-    return [flat[start:stop] for start, stop in zip([0] + fences, fences)]
+    return np.asarray(kept_per_ray)[pair_ray_idx].astype(np.float64) * share
 
 
 def trace_from_rays(
@@ -222,6 +203,7 @@ def trace_from_rays(
     return WorkloadTrace(
         n_rays=n_rays,
         pair_durations=pair_durations,
+        pairs_per_ray=np.bincount(pairs.ray_idx, minlength=n_rays),
         n_samples=len(batch),
         n_candidates=batch.candidates,
         vertex_corners=corners,
@@ -263,14 +245,8 @@ def synthetic_trace(
         rng.geometric(min(1.0 / (mean_per_pair + 1.0), 1.0), size=total_pairs) - 1,
         max_samples,
     ).astype(np.float64)
-    pair_durations = []
-    cursor = 0
-    for count in pair_counts:
-        pair_durations.append(lengths[cursor : cursor + count].tolist())
-        cursor += count
     n_samples = int(lengths.sum())
     n_candidates = int(round(n_samples / occupancy_fraction))
-    per_ray = np.array([sum(p) for p in pair_durations])
     # Synthetic finest-level vertex coordinates for conflict replay.
     from ..nerf.hash_encoding import CORNER_OFFSETS, hash_vertices
 
@@ -279,10 +255,11 @@ def synthetic_trace(
     indices = hash_vertices(corners, table_size)
     return WorkloadTrace(
         n_rays=n_rays,
-        pair_durations=pair_durations,
+        pair_durations=lengths,
+        pairs_per_ray=pair_counts,
         n_samples=n_samples,
         n_candidates=n_candidates,
         vertex_corners=corners,
         vertex_indices=indices,
-        samples_per_ray=per_ray,
+        samples_per_ray=per_ray_sums(lengths, pair_counts),
     )

@@ -77,7 +77,6 @@ __all__ = [
     "get_session",
     "get_tracer",
     "session",
-    "set_session",
 ]
 
 
@@ -153,7 +152,7 @@ def get_session() -> TelemetrySession:
     return _active
 
 
-def set_session(session_obj: TelemetrySession) -> TelemetrySession:
+def _install(session_obj: TelemetrySession) -> TelemetrySession:
     """Install ``session_obj`` as active; returns the previous session."""
     global _active
     with _swap_lock:
@@ -167,13 +166,13 @@ def enable(tracer=None, metrics=None, hooks=None) -> TelemetrySession:
     session_obj = TelemetrySession(
         tracer=tracer, metrics=metrics, hooks=hooks, enabled=True
     )
-    set_session(session_obj)
+    _install(session_obj)
     return session_obj
 
 
 def disable() -> None:
     """Restore the zero-overhead disabled default."""
-    set_session(_DISABLED)
+    _install(_DISABLED)
 
 
 def enabled() -> bool:
@@ -186,11 +185,11 @@ def session(tracer=None, metrics=None, hooks=None):
     session_obj = TelemetrySession(
         tracer=tracer, metrics=metrics, hooks=hooks, enabled=True
     )
-    previous = set_session(session_obj)
+    previous = _install(session_obj)
     try:
         yield session_obj
     finally:
-        set_session(previous)
+        _install(previous)
 
 
 def get_tracer():

@@ -69,10 +69,6 @@ class Span:
         self.tracer._record(self)
         return False
 
-    @property
-    def parent_name(self):
-        return self.parent.name if self.parent is not None else None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Span({self.name!r}, {self.duration_s * 1e3:.3f} ms)"
 

@@ -20,7 +20,8 @@ def empty_trace():
     """A batch where every ray missed or was fully gated away."""
     return WorkloadTrace(
         n_rays=16,
-        pair_durations=[[] for _ in range(16)],
+        pair_durations=[],
+        pairs_per_ray=np.zeros(16),
         n_samples=0,
         n_candidates=0,
     )

@@ -9,7 +9,6 @@ from repro.sim.chip import ChipConfig, SingleChipAccelerator
 from repro.sim.engine import (
     CorePool,
     flow_shop_makespan,
-    pipeline_makespan,
     schedule_dynamic,
     schedule_lockstep_batches,
     schedule_ray_by_ray,
@@ -101,19 +100,18 @@ def test_ray_by_ray_serializes_rays():
 
 
 def test_pipeline_makespan_single_stage():
-    assert pipeline_makespan(np.array([[3.0], [4.0]])) == 7.0
+    assert flow_shop_makespan([[3.0], [4.0]], 1) == 7.0
 
 
 def test_pipeline_makespan_overlap():
     # Two balanced stages over four batches: fill (1) + 4 beats.
-    cycles = np.ones((4, 2))
-    assert pipeline_makespan(cycles) == 5.0
+    assert flow_shop_makespan([[1.0, 1.0]] * 4, 2) == 5.0
 
 
 def test_pipeline_makespan_bottleneck_dominates():
     # Stage 2 is 10x slower: makespan ~ fill + n * bottleneck.
-    cycles = np.tile([1.0, 10.0, 1.0], (8, 1))
-    assert pipeline_makespan(cycles) == pytest.approx(1 + 8 * 10 + 1)
+    cycles = [[1.0, 10.0, 1.0]] * 8
+    assert flow_shop_makespan(cycles, 3) == pytest.approx(1 + 8 * 10 + 1)
 
 
 def _makespan_on_array(cycles: np.ndarray) -> float:
@@ -131,10 +129,8 @@ def test_pipeline_makespan_lists_arrays_and_zero_batches(rng):
     for n_batches in (1, 3, 16):
         cycles = rng.uniform(0.1, 1e6, size=(n_batches, 3))
         expected = _makespan_on_array(cycles)
-        assert pipeline_makespan(cycles) == expected
-        assert pipeline_makespan(cycles.tolist()) == expected
         assert flow_shop_makespan(cycles.tolist(), 3) == expected
-    assert pipeline_makespan(np.zeros((0, 3))) == 0.0
+        assert flow_shop_makespan(list(cycles), 3) == expected
     assert flow_shop_makespan([], 3) == 0.0
 
 

@@ -204,7 +204,9 @@ def test_power_breakdown_requires_work():
     from repro.sim.trace import WorkloadTrace
 
     chip = SingleChipAccelerator(ChipConfig.scaled())
-    empty = WorkloadTrace(n_rays=0, pair_durations=[], n_samples=0, n_candidates=0)
+    empty = WorkloadTrace(
+        n_rays=0, pair_durations=[], pairs_per_ray=[], n_samples=0, n_candidates=0
+    )
     with pytest.raises(ValueError):
         chip.power_breakdown(empty)
 

@@ -82,7 +82,6 @@ def test_config_sizes():
     assert cfg.table_size == 1024
     assert cfg.output_dim == 8
     assert cfg.n_parameters == 4 * 1024 * 2
-    assert cfg.table_bytes_fp16 == cfg.n_parameters * 2
 
 
 def test_forward_shapes(tiny_encoding):

@@ -175,7 +175,12 @@ def test_pair_durations_bit_identical():
     kept = rng.integers(0, 40, size=n_rays)
     opt = distribute_samples_over_pairs(pair_ray_idx, spans, kept, n_rays)
     ref = reference.pair_durations_reference(pair_ray_idx, spans, kept, n_rays)
-    assert opt == ref
+    assert opt.dtype == np.float64
+    assert opt.tobytes() == np.array(
+        [d for pairs in ref for d in pairs], dtype=np.float64
+    ).tobytes()
+    counts = np.bincount(pair_ray_idx, minlength=n_rays)
+    assert counts.tolist() == [len(pairs) for pairs in ref]
 
 
 def _schedule_sweep(seed):
@@ -192,10 +197,9 @@ def _schedule_sweep(seed):
         cases.append(([rng.random(k).tolist() for k in widths], n_cores))
     cfg = SamplingModuleConfig()
     trace = synthetic_trace(96, 6.0, 0.3, rng)
-    groups = [
-        [cfg.pair_setup_cycles + length / cfg.points_per_core_cycle for length in pairs]
-        for pairs in trace.pair_durations
-    ]
+    groups = trace.ray_groups(
+        cfg.pair_setup_cycles + trace.pair_durations / cfg.points_per_core_cycle
+    )
     cases.append((groups, cfg.n_cores))
     return cases
 

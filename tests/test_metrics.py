@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.metrics import energy_efficiency, fps_from_throughput, speedup
+from repro.core.metrics import fps_from_throughput, speedup
 
 
 def test_fps_conversion_paper_point():
@@ -25,8 +25,5 @@ def test_fps_validates_frame():
 
 def test_speedup_and_efficiency():
     assert speedup(1.0, 7.3) == pytest.approx(7.3)
-    assert energy_efficiency(1.0, 304.0) == pytest.approx(304.0)
     with pytest.raises(ValueError):
         speedup(0.0, 1.0)
-    with pytest.raises(ValueError):
-        energy_efficiency(0.0, 1.0)

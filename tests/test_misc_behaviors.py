@@ -106,4 +106,5 @@ def test_synthetic_trace_deterministic_per_seed():
     a = synthetic_trace(500, 5.0, 0.2, np.random.default_rng(9))
     b = synthetic_trace(500, 5.0, 0.2, np.random.default_rng(9))
     assert a.n_samples == b.n_samples
-    assert a.pair_durations == b.pair_durations
+    assert np.array_equal(a.pair_durations, b.pair_durations)
+    assert np.array_equal(a.pairs_per_ray, b.pairs_per_ray)

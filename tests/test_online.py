@@ -272,7 +272,7 @@ def test_session_deploys_quality_gated_generations(session_result):
     assert result.generations >= 2
     psnrs = [d["psnr_db"] for d in result.deployments]
     assert all(b > a for a, b in zip(psnrs, psnrs[1:]))  # gate: monotone
-    assert result.reached_target
+    assert result.time_to_target_s is not None
     assert result.time_to_target_s <= result.horizon_s
     gens = [d["generation"] for d in result.deployments]
     assert gens == list(range(1, len(gens) + 1))

@@ -9,7 +9,6 @@ import pytest
 from repro import parallel
 from repro.parallel import cache as cache_mod
 from repro.parallel import engine
-from repro.sim.trace import WorkloadTrace, synthetic_trace
 
 
 @pytest.fixture
@@ -93,66 +92,14 @@ def test_malformed_but_valid_json_entry_recovers(cache):
     assert not os.path.exists(path)
 
 
-def test_trace_roundtrip_exact(cache):
-    rng = np.random.default_rng(7)
-    trace = synthetic_trace(
-        n_rays=64, mean_samples_per_ray=6.0, occupancy_fraction=0.4, rng=rng
-    )
-    key = cache_mod.cache_key("scene-workload", scene="s", fingerprint="fp")
-    assert cache.get_trace(key) is None
-    cache.put_trace(key, trace.to_arrays())
-    loaded = WorkloadTrace.from_arrays(cache.get_trace(key))
-    assert loaded.n_rays == trace.n_rays
-    assert loaded.n_samples == trace.n_samples
-    assert loaded.n_candidates == trace.n_candidates
-    assert loaded.pair_durations == trace.pair_durations
-    assert np.array_equal(loaded.samples_per_ray, trace.samples_per_ray)
-    assert np.array_equal(loaded.vertex_corners, trace.vertex_corners)
-    assert np.array_equal(loaded.vertex_indices, trace.vertex_indices)
-
-
-def test_corrupted_trace_entry_recovers(cache):
-    rng = np.random.default_rng(7)
-    trace = synthetic_trace(
-        n_rays=16, mean_samples_per_ray=4.0, occupancy_fraction=0.4, rng=rng
-    )
-    key = cache_mod.cache_key("scene-workload", scene="s", fingerprint="fp")
-    path = cache.put_trace(key, trace.to_arrays())
-    with open(path, "wb") as fh:
-        fh.write(b"\x00garbage")
-    assert cache.get_trace(key) is None
-    assert not os.path.exists(path)
-
-
 def test_clear_and_stats(cache):
     cache.put_result(engine.result_cache_key("a", True, "fp"), PAYLOAD)
-    rng = np.random.default_rng(0)
-    trace = synthetic_trace(
-        n_rays=8, mean_samples_per_ray=2.0, occupancy_fraction=0.5, rng=rng
-    )
-    cache.put_trace(cache_mod.cache_key("t", x=1), trace.to_arrays())
+    cache.put_result(engine.result_cache_key("b", True, "fp"), PAYLOAD)
     stats = cache.stats()
-    assert stats["results"]["entries"] == 1
-    assert stats["traces"]["entries"] == 1
+    assert stats["results"]["entries"] == 2
     assert stats["results"]["bytes"] > 0
     assert cache.clear() == 2
-    stats = cache.stats()
-    assert stats["results"]["entries"] == 0
-    assert stats["traces"]["entries"] == 0
-
-
-def test_active_cache_install_and_remove(cache):
-    previous = cache_mod.get_active()
-    try:
-        cache_mod.activate(cache)
-        assert cache_mod.get_active() is cache
-        cache_mod.deactivate()
-        assert cache_mod.get_active() is None
-    finally:
-        if previous is not None:
-            cache_mod.activate(previous)
-        else:
-            cache_mod.deactivate()
+    assert cache.stats()["results"]["entries"] == 0
 
 
 def test_cache_key_canonical():

@@ -8,7 +8,7 @@ from repro.nerf.volume_rendering import composite, segment_starts
 from repro.sim.engine import (
     schedule_dynamic,
     schedule_lockstep_batches,
-    pipeline_makespan,
+    flow_shop_makespan,
 )
 
 _durations = st.lists(
@@ -52,7 +52,7 @@ def test_dynamic_never_slower_than_lockstep(groups, n_cores):
 def test_pipeline_makespan_bounds(cycles):
     """Flow-shop makespan >= every stage's total and <= the serial sum."""
     arr = np.array(cycles)
-    makespan = pipeline_makespan(arr)
+    makespan = flow_shop_makespan(cycles, arr.shape[1])
     for s in range(arr.shape[1]):
         assert makespan >= arr[:, s].sum() - 1e-9
     assert makespan <= arr.sum() + 1e-9

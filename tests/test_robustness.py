@@ -271,22 +271,20 @@ def test_inject_model_faults_hits_both_stores():
 
 def test_inject_trace_faults_nan_mode_preserves_input():
     trace = traces(1)[0]
-    original = [list(p) for p in trace.pair_durations]
+    original = trace.pair_durations.copy()
     cfg = TraceFaultConfig(corrupt_fraction=0.25, mode="nan")
     corrupted = inject_trace_faults(trace, cfg, FaultPlan(seed=1).rng("tr"))
     assert corrupted is not trace
-    assert [list(p) for p in trace.pair_durations] == original
-    flat = [d for p in corrupted.pair_durations for d in p]
-    n_nan = sum(1 for d in flat if d != d)
-    assert n_nan == int(round(0.25 * len(flat)))
+    assert np.array_equal(trace.pair_durations, original)
+    n_nan = int(np.isnan(corrupted.pair_durations).sum())
+    assert n_nan == int(round(0.25 * len(original)))
 
 
 def test_inject_trace_faults_spike_mode():
     trace = traces(1)[0]
     cfg = TraceFaultConfig(corrupt_fraction=1.0, mode="spike", spike_factor=10.0)
     corrupted = inject_trace_faults(trace, cfg, FaultPlan(seed=1).rng("tr"))
-    for clean_pairs, bad_pairs in zip(trace.pair_durations, corrupted.pair_durations):
-        assert np.allclose(bad_pairs, np.asarray(clean_pairs) * 10.0)
+    assert np.allclose(corrupted.pair_durations, trace.pair_durations * 10.0)
 
 
 def test_inject_trace_faults_zero_fraction_is_identity():
@@ -301,8 +299,8 @@ def test_scrub_trace_clamps_poison():
     corrupted = inject_trace_faults(trace, cfg, FaultPlan(seed=7).rng("tr"))
     clean, n_scrubbed = scrub_trace(corrupted)
     assert n_scrubbed > 0
-    flat = [d for p in clean.pair_durations for d in p]
-    assert all(np.isfinite(flat)) and min(flat) >= 0.0
+    flat = clean.pair_durations
+    assert np.isfinite(flat).all() and flat.min() >= 0.0
     assert np.all(np.isfinite(clean.samples_per_ray))
     # An already-clean trace comes back untouched, no copy.
     same, zero = scrub_trace(trace)
@@ -319,20 +317,18 @@ def test_chip_scrubs_only_corrupted_traces_under_active_plan():
         TraceFaultConfig(corrupt_fraction=0.2, mode="nan"),
         FaultPlan(seed=7).rng("tr"),
     )
-    poisoned = [list(p) for p in nan_trace.pair_durations]
-    poisoned[0][0] = float("inf")
-    poisoned[-1][-1] = -2.0
+    poisoned = nan_trace.pair_durations.copy()
+    poisoned[0] = float("inf")
+    poisoned[-1] = -2.0
     corrupted = dataclasses.replace(nan_trace, pair_durations=poisoned)
-    expected = [
-        [d if np.isfinite(d) and d >= 0 else 0.0 for d in p] for p in poisoned
-    ]
-    n_bad = sum(not (np.isfinite(d) and d >= 0) for p in poisoned for d in p)
+    bad = ~(np.isfinite(poisoned) & (poisoned >= 0))
+    expected = np.where(bad, 0.0, poisoned)
+    n_bad = int(bad.sum())
     scrubbed, n_scrubbed = scrub_trace(corrupted)
-    assert scrubbed.pair_durations == expected and n_scrubbed == n_bad > 2
-    assert np.array_equal(
-        scrubbed.samples_per_ray, [sum(p) for p in expected]
-    )
-    assert corrupted.pair_durations[0][0] == float("inf")  # input untouched
+    assert np.array_equal(scrubbed.pair_durations, expected)
+    assert n_scrubbed == n_bad > 2
+    assert np.array_equal(scrubbed.samples_per_ray, scrubbed.ray_durations())
+    assert corrupted.pair_durations[0] == float("inf")  # input untouched
     chip = SingleChipAccelerator(ChipConfig.scaled())
     clean_report = chip.simulate(trace)
     scrubbed_report = chip.simulate(scrubbed)

@@ -151,8 +151,8 @@ def _old_deploy_trace(occupancy, max_samples, grid=24):
 @pytest.mark.parametrize("max_samples", [32, 128])
 def test_deploy_trace_matches_the_walked_trace(max_samples):
     """The four demo scenes' deploy traces equal the trace built with the
-    DDA walk and per-ray list builds: every pair duration (type
-    included), sample and candidate count and cell count."""
+    DDA walk and per-ray list builds: every pair duration and per-ray
+    pair count, sample and candidate count and cell count."""
     from repro.serve.loadgen import build_demo_registry
 
     names = ("mic", "ship", "lego", "chair")
@@ -163,12 +163,11 @@ def test_deploy_trace_matches_the_walked_trace(max_samples):
         durations, n_samples, n_candidates, kept, n_cells = _old_deploy_trace(
             handle.occupancy, max_samples
         )
-        assert trace.pair_durations == durations, name
-        assert all(
-            type(a) is type(b)
-            for new, old in zip(trace.pair_durations, durations)
-            for a, b in zip(new, old)
-        )
+        assert trace.ray_groups(trace.pair_durations) == [
+            pairs for pairs in durations if pairs
+        ], name
+        assert trace.pairs_per_ray.tolist() == [len(p) for p in durations]
+        assert trace.pair_durations.dtype == np.float64
         assert trace.n_samples == n_samples and trace.n_candidates == n_candidates
         assert trace.samples_per_ray.tobytes() == kept.tobytes()
         assert trace.n_cells_visited == n_cells > 0

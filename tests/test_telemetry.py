@@ -44,9 +44,9 @@ def test_span_nesting_records_parents():
             pass
     by_name = {s.name: s for s in tracer.finished}
     assert by_name["outer"].parent is None
-    assert by_name["middle"].parent_name == "outer"
-    assert by_name["inner"].parent_name == "middle"
-    assert by_name["sibling"].parent_name == "outer"
+    assert by_name["middle"].parent is by_name["outer"]
+    assert by_name["inner"].parent is by_name["middle"]
+    assert by_name["sibling"].parent is by_name["outer"]
     assert by_name["inner"].depth == 2
     # Completion order: innermost exits first.
     assert [s.name for s in tracer.finished] == [
@@ -80,7 +80,7 @@ def test_tracer_is_thread_safe():
     # Per-thread stacks: every nested span's parent lives on its thread.
     for span in spans:
         if span.name == "nested":
-            assert span.parent_name == "worker"
+            assert span.parent.name == "worker"
             assert span.parent.tid == span.tid
 
 

@@ -24,7 +24,7 @@ def dirs(rng):
 
 def test_config_parameter_accounting():
     cfg = DenseGridConfig(resolution=16, n_features=4)
-    assert cfg.n_grid_parameters == 16**3 * 4
+    assert DenseGridField(cfg, seed=0).grid.size == 16**3 * 4
 
 
 def test_forward_shapes(field, points, dirs):

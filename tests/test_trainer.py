@@ -76,8 +76,7 @@ def test_trainer_requires_views(tiny_model, mic_dataset):
 
 def test_last_batch_exposed(tiny_trainer):
     tiny_trainer.train_step()
-    assert tiny_trainer.last_batch is not None
-    assert tiny_trainer.last_batch.n_rays == tiny_trainer.config.batch_rays
+    assert tiny_trainer.last_batches[0].n_rays == tiny_trainer.config.batch_rays
 
 
 def _paired_trainers(tiny_model_config, mic_dataset):

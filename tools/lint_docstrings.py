@@ -43,8 +43,8 @@ DEFAULT_PACKAGES = (
     "repro.nerf.occupancy",
     "repro.nerf.volume_rendering",
     "repro.datasets",
-    "repro.sim.trace_traversal",
-    "repro.sim.trace",
+    "repro.sim",
+    "repro.robustness",
     "repro.blas",
     "repro.nerf.early_termination",
     "repro.core",
