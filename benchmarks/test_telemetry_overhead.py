@@ -2,8 +2,8 @@
 
 The instrumentation compiled into ``Trainer.train_step`` /
 ``RayMarcher.sample`` costs, when telemetry is disabled, one
-``get_session()`` call, a handful of no-op span context managers, and
-two no-listener hook emits per step.  This benchmark prices that fixed
+``get_session()`` call and a handful of no-op span context managers
+per step.  This benchmark prices that fixed
 per-step toll directly — by running the null primitives many more times
 per step than the real code does — and asserts it stays under 2% of the
 measured wall-clock of a short training run.
@@ -25,8 +25,8 @@ from repro.nerf.hash_encoding import HashEncodingConfig
 from repro.nerf.trainer import Trainer, TrainerConfig
 
 #: Null-telemetry operations charged per training step.  The real
-#: instrumentation performs ~8 spans, ~4 session/metric lookups and two
-#: hook emits per step; 32 of each is a 2-4x safety margin.
+#: instrumentation performs ~8 spans and ~4 session/metric lookups per
+#: step; 32 of each is a 4-8x safety margin.
 NULL_OPS_PER_STEP = 32
 
 
@@ -61,7 +61,6 @@ def _time_null_ops(n_steps: int) -> float:
         with tel.tracer.span("overhead.probe"):
             pass
         tel.metrics.counter("overhead.probe").inc()
-        tel.hooks.emit("overhead_probe")
     return time.perf_counter() - start
 
 

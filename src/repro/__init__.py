@@ -15,9 +15,8 @@ Instant 3D Reconstruction and Real-Time Rendering* (MICRO 2024):
 * :mod:`repro.core` — the :class:`~repro.core.Fusion3D` facade, bandwidth
   accounting, and reporting helpers;
 * :mod:`repro.experiments` — one runner per paper table/figure;
-* :mod:`repro.telemetry` — structured tracing (Chrome-trace export),
-  metrics registry, and profiling hooks, disabled (zero-overhead) by
-  default.
+* :mod:`repro.telemetry` — structured tracing (Chrome-trace export) and
+  a metrics registry, disabled (zero-overhead) by default.
 
 Importing the package sets the OpenBLAS that NumPy loaded to one thread
 (:mod:`repro.blas`): host parallelism is worker processes, never BLAS

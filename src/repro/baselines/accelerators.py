@@ -29,7 +29,7 @@ class AcceleratorModelConfig:
 
 
 class AcceleratorModel:
-    """Per-scene throughput/energy of a prior accelerator."""
+    """Per-scene throughput of a prior accelerator."""
 
     def __init__(
         self,
@@ -61,22 +61,3 @@ class AcceleratorModel:
     def runtime_s(self, trace: WorkloadTrace, training: bool = False) -> float:
         mps = self.throughput_mps(trace, training=training)
         return trace.n_samples / (mps * 1e6)
-
-    def energy_per_point_j(self, trace: WorkloadTrace, training: bool = False) -> float:
-        reported_nj = (
-            self.spec.training_nj_per_point
-            if training
-            else self.spec.inference_nj_per_point
-        )
-        if reported_nj is None:
-            if self.spec.typical_power_w:
-                mps = self.throughput_mps(trace, training=training)
-                return self.spec.typical_power_w / (mps * 1e6)
-            raise ValueError(f"{self.spec.name}: no energy data available")
-        ref = self._utilization(self.config.reference_samples_per_ray)
-        return (
-            reported_nj
-            * 1e-9
-            * ref
-            / self._utilization(trace.mean_samples_per_ray)
-        )

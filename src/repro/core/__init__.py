@@ -16,7 +16,6 @@ from .bandwidth import (
 from .metrics import (
     fps_from_throughput,
     ssim,
-    speedup,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "VolumeBreakdown",
     "fps_from_throughput",
     "ssim",
-    "speedup",
 ]

@@ -16,13 +16,6 @@ def fps_from_throughput(
     return samples_per_second / per_frame
 
 
-def speedup(ours_seconds: float, baseline_seconds: float) -> float:
-    """How many times faster we are than the baseline."""
-    if ours_seconds <= 0:
-        raise ValueError("our runtime must be positive")
-    return baseline_seconds / ours_seconds
-
-
 def _gaussian_kernel(size: int = 7, sigma: float = 1.5):
     import numpy as np
 

@@ -52,7 +52,6 @@ from .precision import (
     FULL_PRECISION,
     PRECISION_MODES,
     LowPrecisionField,
-    PrecisionBudgetError,
     PrecisionGate,
     PrecisionReport,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "FULL_PRECISION",
     "PRECISION_MODES",
     "LowPrecisionField",
-    "PrecisionBudgetError",
     "PrecisionGate",
     "PrecisionReport",
     "save_model",

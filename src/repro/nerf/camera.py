@@ -46,6 +46,7 @@ class Camera:
 
     @property
     def n_pixels(self) -> int:
+        """Pixels per image: ``width * height``."""
         return self.width * self.height
 
 

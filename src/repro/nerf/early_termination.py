@@ -47,11 +47,6 @@ class AdaptiveStats:
     switch_threshold: float
 
     @property
-    def evaluated(self) -> int:
-        """Samples the host evaluated (whole rounds)."""
-        return self.full_samples + self.lowp_samples
-
-    @property
     def terminated_fraction(self) -> float:
         """Fraction of the batch behind every ray's cutoff."""
         if self.total_samples == 0:

@@ -79,10 +79,12 @@ class MoENeRF:
 
     @property
     def n_experts(self) -> int:
+        """How many experts the model fuses."""
         return len(self.experts)
 
     @property
     def n_parameters(self) -> int:
+        """Trainable scalars summed over every expert."""
         return sum(expert.n_parameters for expert in self.experts)
 
     def prefixes(self) -> list:
@@ -90,6 +92,7 @@ class MoENeRF:
         return [f"expert{i}." for i in range(self.n_experts)]
 
     def parameters(self) -> dict:
+        """Every expert's parameters, keyed ``expert{i}.<name>``."""
         params = {}
         for prefix, expert in zip(self.prefixes(), self.experts):
             for name, value in expert.parameters().items():

@@ -68,6 +68,7 @@ class Adam:
             p -= scratch
 
     def set_lr(self, lr: float) -> None:
+        """Set the learning rate; it must be positive."""
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr

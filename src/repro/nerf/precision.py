@@ -222,25 +222,6 @@ class PrecisionGate:
             passed=bool(passed),
         )
 
-    def check(
-        self,
-        full_image: np.ndarray,
-        lowp_image: np.ndarray,
-        ground_truth: np.ndarray = None,
-        mode: str = "low-precision",
-    ) -> "PrecisionReport":
-        """Like :meth:`evaluate` but raises ``PrecisionBudgetError`` on
-        failure — the form serving and deployment call."""
-        report = self.evaluate(full_image, lowp_image, ground_truth)
-        if not report.passed:
-            raise PrecisionBudgetError(
-                f"{mode}: agreement {report.agreement_db:.2f} dB "
-                f"(floor {self.min_agreement_db}), PSNR delta "
-                f"{report.psnr_delta_db:.2f} dB (budget {self.max_delta_db})"
-            )
-        return report
-
-
 @dataclass(frozen=True)
 class PrecisionReport:
     """Outcome of one :class:`PrecisionGate` measurement."""
@@ -248,7 +229,3 @@ class PrecisionReport:
     agreement_db: float
     psnr_delta_db: float
     passed: bool
-
-
-class PrecisionBudgetError(ValueError):
-    """A low-precision mode exceeded its PSNR budget."""

@@ -47,14 +47,6 @@ class RayBundle:
     def __len__(self) -> int:
         return self.origins.shape[0]
 
-    def select(self, mask_or_idx) -> "RayBundle":
-        """Sub-bundle selected by boolean mask or index array."""
-        return RayBundle(
-            origins=self.origins[mask_or_idx],
-            directions=self.directions[mask_or_idx],
-            pixel_ids=self.pixel_ids[mask_or_idx],
-        )
-
 
 def norm3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Euclidean length from the three coordinate columns of vectors.

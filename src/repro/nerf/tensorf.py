@@ -78,6 +78,7 @@ class DenseGridField:
 
     @property
     def n_parameters(self) -> int:
+        """Trainable scalars: the grid plus both MLPs."""
         return (
             self.grid.size
             + self.density_mlp.n_parameters
@@ -124,6 +125,7 @@ class DenseGridField:
         return sigma, rgb, cache
 
     def backward(self, grad_sigma, grad_rgb, cache: DenseForwardCache) -> dict:
+        """Gradients of every parameter from the forward's ``cache``."""
         grad_sigma = np.asarray(grad_sigma).reshape(-1)
         grad_color_in, color_grads = self.color_mlp.backward(
             np.atleast_2d(grad_rgb), cache.color_caches
@@ -153,12 +155,14 @@ class DenseGridField:
         return grads
 
     def parameters(self) -> dict:
+        """The grid and both MLPs' weights, keyed by name."""
         params = {"grid": self.grid}
         params.update(self.density_mlp.parameters())
         params.update(self.color_mlp.parameters())
         return params
 
     def density(self, positions: np.ndarray) -> np.ndarray:
+        """Density (sigma) alone at ``positions``, for occupancy refresh."""
         features, _, _ = self._interp(positions)
         latent, _ = self.density_mlp.forward(features)
         return np.logaddexp(0.0, latent[:, 0] - 3.0)

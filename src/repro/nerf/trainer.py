@@ -160,6 +160,9 @@ class Trainer:
         #: Gradient-norm divergence threshold; 0 disables the check.
         #: Typically set by a robustness watchdog on attach.
         self.grad_norm_threshold = 0.0
+        #: The :class:`~repro.robustness.watchdog.DivergenceWatchdog`
+        #: that recovers diverged steps; set by its ``attach()``.
+        self.watchdog = None
 
     @property
     def cameras(self) -> list:
@@ -202,8 +205,6 @@ class Trainer:
                     for occupancy in self.occupancies
                 ]
             self.last_batches = batches
-            for batch in batches:
-                tel.hooks.emit(telemetry.ON_BATCH, trainer=self, batch=batch)
             n_samples = sum(len(batch) for batch in batches)
             if n_samples == 0:
                 # Degenerate batch (all empty space): skip the step entirely.
@@ -218,10 +219,6 @@ class Trainer:
                     detail="ray marching produced zero samples",
                 )
                 self.state.divergence_events.append(event)
-                tel.hooks.emit(telemetry.ON_DIVERGENCE, trainer=self, event=event)
-                tel.hooks.emit(
-                    telemetry.ON_ITERATION, trainer=self, loss=float("nan")
-                )
                 return float("nan")
             unfit = self._unfit_parameter()
             if unfit:
@@ -337,7 +334,8 @@ class Trainer:
                 m.gauge("trainer.rays_per_s").set(cfg.batch_rays / step_s)
             if tel.publisher is not None:
                 tel.publisher.maybe_publish()
-        tel.hooks.emit(telemetry.ON_ITERATION, trainer=self, loss=loss)
+        if self.watchdog is not None:
+            self.watchdog.after_step()
         return loss
 
     def _unfit_parameter(self) -> str:
@@ -379,14 +377,13 @@ class Trainer:
         grad_norm=None,
         detail: str = "",
     ) -> float:
-        """Record a skipped (diverged) step and dispatch it for recovery.
+        """Record a skipped (diverged) step and hand it to the watchdog.
 
-        Emits ``on_divergence``; if nobody is subscribed, raises
+        With no :attr:`watchdog`, raises
         :class:`~repro.robustness.errors.DivergenceError` — divergence is
-        never silent.  A subscriber (e.g. a
-        :class:`~repro.robustness.watchdog.DivergenceWatchdog`) claims
-        responsibility, so the step is recorded as NaN and training can
-        continue from whatever state the subscriber restored.
+        never silent.  Otherwise the watchdog recovers (or raises once
+        its rollback budget is spent), the step is recorded as NaN and
+        training continues from the state it restored.
         """
         self.state.iteration += 1
         self.state.losses.append(float("nan"))
@@ -400,10 +397,9 @@ class Trainer:
         self.state.divergence_events.append(event)
         if tel.enabled:
             tel.metrics.counter("trainer.divergence_events").inc()
-        handled = tel.hooks.emit(telemetry.ON_DIVERGENCE, trainer=self, event=event)
-        if handled == 0:
+        if self.watchdog is None:
             raise DivergenceError(event)
-        tel.hooks.emit(telemetry.ON_ITERATION, trainer=self, loss=float("nan"))
+        self.watchdog.recover(event)
         return float("nan")
 
     def train(self, n_iterations: int, eval_every: int = 0, eval_views: int = 2) -> TrainState:

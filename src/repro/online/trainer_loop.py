@@ -14,7 +14,8 @@ Every increment runs under the divergence watchdog
 (:class:`~repro.robustness.watchdog.DivergenceWatchdog`): a diverged
 step rolls back to the last good snapshot and backs off the learning
 rate instead of poisoning the next deployment.  Use the loop as a
-context manager so the watchdog's hook subscriptions are scoped::
+context manager so the watchdog is attached to the trainer only while
+the loop is in use::
 
     with IncrementalTrainerLoop(model, store, normalizer, cfg) as loop:
         loop.increment(10)

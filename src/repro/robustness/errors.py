@@ -2,9 +2,9 @@
 
 This module is imported from the ``repro.nerf`` hot paths, so it must
 stay dependency-free (stdlib only): the trainer raises
-:class:`DivergenceError` when a training step goes non-finite and nobody
-is subscribed to handle it, and :class:`DivergenceEvent` is the payload
-both the exception and the ``on_divergence`` telemetry hook carry.
+:class:`DivergenceError` when a training step goes non-finite and no
+watchdog recovers it, and :class:`DivergenceEvent` is the payload both
+the exception and the watchdog's ``recover`` receive.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ class DivergenceEvent:
 
 
 class DivergenceError(RuntimeError):
-    """A training step diverged and no recovery handler was installed.
+    """A training step diverged and no watchdog recovered it.
 
     Raised by :meth:`repro.nerf.trainer.Trainer.train_step` when the loss
-    or gradients go non-finite and no ``on_divergence`` subscriber (for
-    example a :class:`repro.robustness.watchdog.DivergenceWatchdog`)
-    is registered to roll the run back.  The offending step never
+    or gradients go non-finite and the trainer has no
+    :class:`repro.robustness.watchdog.DivergenceWatchdog` attached, or
+    its watchdog has spent its rollback budget.  The offending step never
     reaches the optimizer, so the model the caller holds is still the
     last good one.
     """

@@ -261,11 +261,6 @@ class FaultPlan:
             and self.fleet.is_empty
         )
 
-    @classmethod
-    def empty(cls) -> "FaultPlan":
-        """A plan that injects nothing (bit-identical to no plan)."""
-        return cls()
-
     def rng(self, site: str) -> np.random.Generator:
         """Deterministic per-site generator: seed + CRC32 of ``site``.
 

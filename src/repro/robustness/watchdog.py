@@ -5,30 +5,29 @@ no room for wasted runs: a diverged training job is minutes of battery
 spent producing NaN.  The watchdog makes divergence a recoverable event
 instead of a dead run:
 
-* it subscribes to the trainer's ``on_iteration`` hook and snapshots the
-  model (parameters, Adam state, every expert's occupancy grid) every
-  ``snapshot_interval`` finite iterations — optionally spooling the
+* ``attach()`` binds it to its trainer's one recovery slot
+  (``trainer.watchdog``); the trainer calls it directly, so which
+  telemetry session is active when it attaches or steps does not matter;
+* after each finite step the trainer calls :meth:`after_step`, which
+  snapshots the model (parameters, Adam state, every expert's occupancy
+  grid) every ``snapshot_interval`` iterations — optionally spooling the
   parameters through :mod:`repro.nerf.checkpoint`, so the last good
   state is also a durable on-disk artifact;
-* it subscribes to ``on_divergence`` (emitted when a step's loss or
-  gradient norm goes non-finite — the step never reaches the optimizer,
-  see :mod:`repro.nerf.trainer`); on each event it rolls the trainer
-  back to the last good snapshot, multiplies the learning rate by
-  ``lr_backoff``, records the event in telemetry metrics
-  (``robustness.watchdog.*``), and lets training resume;
+* when a step's loss or gradient norm goes non-finite (the step never
+  reaches the optimizer, see :mod:`repro.nerf.trainer`) the trainer
+  calls :meth:`recover`, which rolls the trainer back to the last good
+  snapshot, multiplies the learning rate by ``lr_backoff``, records the
+  event in telemetry metrics (``robustness.watchdog.*``), and lets
+  training resume;
 * after ``max_rollbacks`` recoveries it gives up and re-raises
   :class:`~repro.robustness.errors.DivergenceError`, so a structurally
   broken run still fails loudly.
 
 Use it scoped::
 
-    with telemetry.session():
-        with DivergenceWatchdog(trainer, WatchdogConfig()) as watchdog:
-            trainer.train(2000)
-        print(watchdog.rollbacks, "rollbacks")
-
-Hooks are registered on the telemetry session active at ``attach()``
-time, matching how the trainer emits them.
+    with DivergenceWatchdog(trainer, WatchdogConfig()) as watchdog:
+        trainer.train(2000)
+    print(watchdog.rollbacks, "rollbacks")
 """
 
 from __future__ import annotations
@@ -54,18 +53,15 @@ class DivergenceWatchdog:
         #: One dict per recovery: iteration, reason, restored iteration, lr.
         self.events = []
         self._snapshot = None
-        self._hooks = None
         self._previous_threshold = None
 
     # -- lifecycle -----------------------------------------------------
 
     def attach(self) -> "DivergenceWatchdog":
-        """Subscribe to the active session's hooks; take the first snapshot."""
-        if self._hooks is not None:
-            raise RuntimeError("watchdog already attached")
-        self._hooks = telemetry.get_session().hooks
-        self._hooks.register(telemetry.ON_ITERATION, self._on_iteration)
-        self._hooks.register(telemetry.ON_DIVERGENCE, self._on_divergence)
+        """Take the trainer's recovery slot; take the first snapshot."""
+        if self.trainer.watchdog is not None:
+            raise RuntimeError("trainer already has a watchdog")
+        self.trainer.watchdog = self
         self._previous_threshold = self.trainer.grad_norm_threshold
         if self.config.grad_norm_threshold > 0:
             self.trainer.grad_norm_threshold = self.config.grad_norm_threshold
@@ -73,12 +69,10 @@ class DivergenceWatchdog:
         return self
 
     def detach(self) -> None:
-        """Unsubscribe; safe to call twice."""
-        if self._hooks is None:
+        """Free the trainer's recovery slot; safe to call twice."""
+        if self.trainer.watchdog is not self:
             return
-        self._hooks.unregister(telemetry.ON_ITERATION, self._on_iteration)
-        self._hooks.unregister(telemetry.ON_DIVERGENCE, self._on_divergence)
-        self._hooks = None
+        self.trainer.watchdog = None
         self.trainer.grad_norm_threshold = self._previous_threshold
 
     def __enter__(self) -> "DivergenceWatchdog":
@@ -147,29 +141,15 @@ class DivergenceWatchdog:
             grid.mask[...] = mask
         return snap["iteration"]
 
-    # -- hook handlers -------------------------------------------------
+    # -- called by the trainer ----------------------------------------
 
-    def _on_iteration(self, trainer=None, loss=None, **_) -> None:
-        """Periodic snapshot on finite iterations of *our* trainer."""
-        if trainer is not self.trainer:
-            return
-        if loss is None or loss != loss:  # NaN guard: never snapshot poison
-            return
-        if trainer.state.iteration % self.config.snapshot_interval == 0:
+    def after_step(self) -> None:
+        """Periodic snapshot, after each finite step."""
+        if self.trainer.state.iteration % self.config.snapshot_interval == 0:
             self.take_snapshot()
 
-    def _on_divergence(self, trainer=None, event=None, **_):
-        """Recover from a divergence event, or give up after the budget.
-
-        Returns ``False`` (explicitly declining the event, see
-        :meth:`~repro.telemetry.hooks.HookDispatcher.emit`) for trainers
-        this watchdog does not guard, so their unrecovered divergence
-        still raises.
-        """
-        if trainer is not self.trainer:
-            return False
-        if event is not None and event.reason == "degenerate_batch":
-            return  # benign skip: nothing was poisoned, nothing to roll back
+    def recover(self, event) -> None:
+        """Recover from a divergence event, or give up after the budget."""
         if self.rollbacks >= self.config.max_rollbacks:
             raise DivergenceError(event)
         restored = self.rollback()
@@ -178,8 +158,8 @@ class DivergenceWatchdog:
         self.rollbacks += 1
         self.events.append(
             {
-                "iteration": event.iteration if event is not None else None,
-                "reason": event.reason if event is not None else "unknown",
+                "iteration": event.iteration,
+                "reason": event.reason,
                 "restored_iteration": restored,
                 "lr_after": optimizer.lr,
             }

@@ -262,7 +262,7 @@ class SingleChipAccelerator:
 
     def _record(self, report: ChipReport, n_scrubbed: int) -> None:
         """Record one simulated run on this chip: the fault log's scrub
-        entry, then per-module cycles, overlap efficiency and hooks."""
+        entry, then per-module cycles and overlap efficiency."""
         tel = telemetry.get_session()
         if n_scrubbed:
             log = faults.get_log()
@@ -303,7 +303,7 @@ class SingleChipAccelerator:
             reports = trace._stage_reports[key] = (s1, s2, s3)
         return reports
 
-    #: StageReport.name -> display name used for spans, metrics and hooks.
+    #: StageReport.name -> display name used for spans and metrics.
     MODULE_NAMES = {
         "sampling": "sampling",
         "interp": "interpolation",
@@ -311,14 +311,7 @@ class SingleChipAccelerator:
     }
 
     def _record_simulation(self, tel, stages: list, total_cycles: float) -> None:
-        """Per-module cycle metrics, overlap efficiency, and hook dispatch."""
-        for stage in stages:
-            tel.hooks.emit(
-                telemetry.ON_MODULE_SIMULATED,
-                module=self.MODULE_NAMES[stage.name],
-                cycles=stage.cycles,
-                chip=self.config.name,
-            )
+        """Per-module cycle metrics and overlap efficiency."""
         if not tel.enabled:
             return
         m = tel.metrics

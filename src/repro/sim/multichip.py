@@ -241,9 +241,8 @@ class MultiChipSystem:
         The chips share one :class:`ChipConfig`, so a trace costs the
         same cycles on every chip that holds it: the first chip's report
         is reused (reports are never mutated) by every later chip holding
-        the same object.  What a chip records stays per chip: module
-        hooks, cycle counters, the overlap gauge and fault-log scrub
-        entries.  Only the ``chip.simulate`` span and the stage-report
+        the same object.  What a chip records stays per chip: cycle
+        counters, the overlap gauge and fault-log scrub entries.  Only the ``chip.simulate`` span and the stage-report
         hit/miss counters count real simulations.
         """
         simulated = {}
@@ -375,13 +374,6 @@ class MultiChipSystem:
 
     def _record_simulation(self, tel, report: MultiChipReport) -> None:
         """Per-chiplet utilization and interconnect-traffic telemetry."""
-        for i, chip_report in enumerate(report.chip_reports):
-            tel.hooks.emit(
-                telemetry.ON_MODULE_SIMULATED,
-                module=f"chiplet{i}",
-                cycles=chip_report.total_cycles,
-                chip=chip_report.config_name,
-            )
         if not tel.enabled:
             return
         m = tel.metrics

@@ -89,14 +89,6 @@ class SamplingModule:
             cycles=cycles, utilization=utilization, ops=ops, scheduler=name
         )
 
-    def speedup(self, trace: WorkloadTrace) -> float:
-        """T1 ablation: naive cycles over optimized cycles (Table VI)."""
-        base = self.simulate(trace, optimized=False)
-        opt = self.simulate(trace, optimized=True)
-        if opt.cycles <= 0:
-            return float("inf")
-        return base.cycles / opt.cycles
-
     def _schedule_optimized(self, trace: WorkloadTrace) -> ScheduleResult:
         cfg = self.config
         durations = (

@@ -1,21 +1,17 @@
-"""Observability for the Fusion-3D reproduction: tracing, metrics, hooks.
+"""Observability for the Fusion-3D reproduction: tracing and metrics.
 
-Three pillars, all stdlib-only (no numpy — importable from every layer):
+Two pillars, all stdlib-only (no numpy — importable from every layer):
 
 * :mod:`~repro.telemetry.tracing` — nestable wall-clock :class:`Span`\\ s
   exported as Chrome ``about:tracing`` / Perfetto JSON;
 * :mod:`~repro.telemetry.metrics` — a process-wide registry of counters,
-  gauges, and log-scale histograms (p50/p95/p99);
-* :mod:`~repro.telemetry.hooks` — a callback protocol (``on_iteration``,
-  ``on_batch``, ``on_module_simulated``) the trainer and simulators emit
-  so experiments can subscribe without coupling.
+  gauges, and log-scale histograms (p50/p95/p99).
 
-The three are bundled into a :class:`TelemetrySession`; exactly one
+The two are bundled into a :class:`TelemetrySession`; exactly one
 session is *active* per process.  The default session is **disabled**:
 its tracer and metrics are shared null singletons, so the instrumentation
 compiled into the hot paths costs a couple of attribute lookups and
-leaves every numerical result bit-identical.  Hooks stay live even when
-disabled — subscribing must not require paying for spans and metrics.
+leaves every numerical result bit-identical.
 
 Typical use::
 
@@ -34,13 +30,6 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 
-from .hooks import (
-    HookDispatcher,
-    ON_BATCH,
-    ON_DIVERGENCE,
-    ON_ITERATION,
-    ON_MODULE_SIMULATED,
-)
 from .metrics import (
     Counter,
     Gauge,
@@ -56,16 +45,11 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "HookDispatcher",
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NullTracer",
     "NULL_METRICS",
     "NULL_TRACER",
-    "ON_BATCH",
-    "ON_DIVERGENCE",
-    "ON_ITERATION",
-    "ON_MODULE_SIMULATED",
     "SnapshotPublisher",
     "Span",
     "TelemetrySession",
@@ -81,7 +65,7 @@ __all__ = [
 
 
 class TelemetrySession:
-    """One tracer + one metrics registry + one hook dispatcher.
+    """One tracer + one metrics registry.
 
     ``enabled`` tells instrumentation sites whether it is worth computing
     derived quantities (rates, per-ray distributions) before recording
@@ -89,14 +73,13 @@ class TelemetrySession:
     entirely.
     """
 
-    def __init__(self, tracer=None, metrics=None, hooks=None, enabled=True):
+    def __init__(self, tracer=None, metrics=None, enabled=True):
         self.tracer = tracer if tracer is not None else (
             Tracer() if enabled else NULL_TRACER
         )
         self.metrics = metrics if metrics is not None else (
             MetricsRegistry() if enabled else NULL_METRICS
         )
-        self.hooks = hooks if hooks is not None else HookDispatcher()
         self.enabled = enabled
         #: Optional :class:`~repro.telemetry.metrics.SnapshotPublisher`;
         #: instrumented loops feed it only inside their ``enabled``
@@ -132,13 +115,13 @@ class TelemetrySession:
         }
 
     def clear(self) -> None:
+        """Drop every recorded span and metric."""
         self.tracer.clear()
         self.metrics.clear()
 
 
-#: The always-available disabled session.  Its hooks dispatcher is real
-#: (subscription works without enabling telemetry); tracer and metrics
-#: are the shared null singletons.
+#: The always-available disabled session: tracer and metrics are the
+#: shared null singletons.
 _DISABLED = TelemetrySession(
     tracer=NULL_TRACER, metrics=NULL_METRICS, enabled=False
 )
@@ -161,11 +144,9 @@ def _install(session_obj: TelemetrySession) -> TelemetrySession:
     return previous
 
 
-def enable(tracer=None, metrics=None, hooks=None) -> TelemetrySession:
+def enable(tracer=None, metrics=None) -> TelemetrySession:
     """Activate a fresh (or caller-supplied) recording session."""
-    session_obj = TelemetrySession(
-        tracer=tracer, metrics=metrics, hooks=hooks, enabled=True
-    )
+    session_obj = TelemetrySession(tracer=tracer, metrics=metrics, enabled=True)
     _install(session_obj)
     return session_obj
 
@@ -176,15 +157,14 @@ def disable() -> None:
 
 
 def enabled() -> bool:
+    """Whether the active session records."""
     return _active.enabled
 
 
 @contextmanager
-def session(tracer=None, metrics=None, hooks=None):
+def session(tracer=None, metrics=None):
     """Scoped recording session: activates on entry, restores on exit."""
-    session_obj = TelemetrySession(
-        tracer=tracer, metrics=metrics, hooks=hooks, enabled=True
-    )
+    session_obj = TelemetrySession(tracer=tracer, metrics=metrics, enabled=True)
     previous = _install(session_obj)
     try:
         yield session_obj
@@ -193,8 +173,10 @@ def session(tracer=None, metrics=None, hooks=None):
 
 
 def get_tracer():
+    """The active session's tracer."""
     return _active.tracer
 
 
 def get_metrics():
+    """The active session's metrics registry."""
     return _active.metrics

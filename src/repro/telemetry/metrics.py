@@ -33,6 +33,7 @@ class Counter:
         self._lock = threading.Lock()
 
     def inc(self, amount: float = 1.0) -> None:
+        """Add a non-negative ``amount``."""
         if amount < 0:
             raise ValueError("counters only go up; use a Gauge")
         with self._lock:
@@ -40,6 +41,7 @@ class Counter:
 
     @property
     def value(self) -> float:
+        """The running total."""
         return self._value
 
 
@@ -54,15 +56,18 @@ class Gauge:
         self._lock = threading.Lock()
 
     def set(self, value: float) -> None:
+        """Replace the value."""
         with self._lock:
             self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount`` (either sign) to the value."""
         with self._lock:
             self._value += amount
 
     @property
     def value(self) -> float:
+        """The last value set."""
         return self._value
 
 
@@ -122,6 +127,7 @@ class Histogram:
 
     @property
     def mean(self) -> float:
+        """Mean of the observed values (0 when empty)."""
         return self.sum / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> float:
@@ -197,12 +203,15 @@ class MetricsRegistry:
             return instrument
 
     def counter(self, name: str) -> Counter:
+        """The counter named ``name``, created on first use."""
         return self._get(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
+        """The gauge named ``name``, created on first use."""
         return self._get(name, Gauge)
 
     def histogram(self, name: str, **kwargs) -> Histogram:
+        """The histogram named ``name``, created on first use."""
         with self._lock:
             instrument = self._instruments.get(name)
             if instrument is None:
@@ -215,6 +224,7 @@ class MetricsRegistry:
             return instrument
 
     def names(self) -> list:
+        """Every registered metric name, sorted."""
         with self._lock:
             return sorted(self._instruments)
 
@@ -234,6 +244,7 @@ class MetricsRegistry:
         return out
 
     def clear(self) -> None:
+        """Forget every registered metric."""
         with self._lock:
             self._instruments.clear()
 
@@ -296,11 +307,6 @@ class SnapshotPublisher:
         with self._lock:
             return list(self._ring)
 
-    def latest(self):
-        """The most recent snapshot (``None`` before the first publish)."""
-        with self._lock:
-            return self._ring[-1] if self._ring else None
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._ring)
@@ -345,21 +351,27 @@ class NullMetricsRegistry:
     """Zero-overhead registry: every lookup is the same null instrument."""
 
     def counter(self, name: str) -> _NullInstrument:
+        """The shared no-op instrument."""
         return _NULL_INSTRUMENT
 
     def gauge(self, name: str) -> _NullInstrument:
+        """The shared no-op instrument."""
         return _NULL_INSTRUMENT
 
     def histogram(self, name: str, **kwargs) -> _NullInstrument:
+        """The shared no-op instrument."""
         return _NULL_INSTRUMENT
 
     def names(self) -> list:
+        """No names: nothing is recorded."""
         return []
 
     def snapshot(self) -> dict:
+        """An empty snapshot."""
         return {"counters": {}, "gauges": {}, "histograms": {}}
 
     def clear(self) -> None:
+        """Nothing to clear."""
         pass
 
 

@@ -107,6 +107,7 @@ class Tracer:
             return list(self._finished)
 
     def clear(self) -> None:
+        """Drop every finished span."""
         with self._lock:
             self._finished.clear()
 
@@ -176,22 +177,28 @@ class NullTracer:
     enabled = False
 
     def span(self, name: str, **args) -> _NullSpan:
+        """The shared no-op span."""
         return _NULL_SPAN
 
     @property
     def finished(self) -> list:
+        """No spans: nothing is recorded."""
         return []
 
     def clear(self) -> None:
+        """Nothing to clear."""
         pass
 
     def aggregate(self) -> dict:
+        """No totals: nothing is recorded."""
         return {}
 
     def to_chrome_trace(self) -> dict:
+        """An empty Chrome trace."""
         return {"traceEvents": [], "displayTimeUnit": "ms"}
 
     def write_chrome_trace(self, path: str) -> None:
+        """Write an empty Chrome trace to ``path``."""
         with open(path, "w") as fh:
             json.dump(self.to_chrome_trace(), fh)
 

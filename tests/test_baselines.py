@@ -111,12 +111,6 @@ def test_accelerator_unsupported_mode_raises(reference_trace):
         acc.throughput_mps(reference_trace, training=True)
 
 
-def test_accelerator_energy_from_reported(reference_trace):
-    acc = AcceleratorModel(RT_NERF_EDGE)
-    energy = acc.energy_per_point_j(reference_trace)
-    assert energy == pytest.approx(27e-9, rel=0.25)
-
-
 def test_accelerator_model_rejects_gpu():
     with pytest.raises(ValueError):
         AcceleratorModel(RTX_2080TI)

@@ -1,8 +1,8 @@
 """In-tree enforcement of the docstring-coverage lint (tools/).
 
-Public functions, classes, and methods of ``repro.parallel``,
-``repro.experiments``, and ``repro.serve`` must carry docstrings; the
-same check gates CI via ``python tools/lint_docstrings.py``.
+Public functions, classes, and methods of every package in the lint's
+``DEFAULT_PACKAGES`` must carry docstrings; the same check gates CI via
+``python tools/lint_docstrings.py``.
 """
 
 import importlib.util

@@ -18,8 +18,8 @@ from repro.nerf.model import InstantNGPModel, ModelConfig
 from repro.nerf.moe import MoEConfig, MoENeRF
 from repro.nerf.precision import LowPrecisionField
 from repro.nerf.trainer import Trainer, TrainerConfig
+from repro.robustness import DivergenceWatchdog
 from repro.robustness.errors import DivergenceError
-from repro.telemetry import session
 
 _MODEL = ModelConfig(
     encoding=HashEncodingConfig(
@@ -152,8 +152,8 @@ def test_float32_refresh_mask_matches_float64(scene):
 def test_out_of_range_master_diverges(moe):
     """A finite master value beyond float32 range takes the divergence
     guard, warning nowhere: unhandled, it raises ``DivergenceError``
-    naming the parameter; handled, the step is NaN and the master is
-    untouched."""
+    naming the parameter; under a watchdog, the step is NaN and the
+    master is untouched."""
     dataset = _dataset("mic")
     trainer = Trainer(
         _model(moe), dataset.cameras, dataset.images, dataset.normalizer, _CONFIG
@@ -170,8 +170,7 @@ def test_out_of_range_master_diverges(moe):
         event = excinfo.value.event
         assert event.reason == "non_finite_loss"
         assert name in event.detail and "float32 range" in event.detail
-        with session() as tel:
-            tel.hooks.on_divergence(lambda **_: None)
+        with DivergenceWatchdog(trainer):
             assert np.isnan(trainer.train_step())
     for key, value in trainer.model.parameters().items():
         assert np.array_equal(value, before[key]), key

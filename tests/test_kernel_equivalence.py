@@ -323,7 +323,8 @@ def test_ert_colors_match_truncated_composite(tiny_model):
     np.testing.assert_allclose(colors, expected.colors, atol=1e-9)
     assert stats.lowp_samples == 0
     assert stats.live_samples == live.sum()
-    assert stats.live_samples <= stats.evaluated < stats.total_samples
+    evaluated = stats.full_samples + stats.lowp_samples
+    assert stats.live_samples <= evaluated < stats.total_samples
     assert stats.terminated_fraction > 0.0
 
 
@@ -347,7 +348,7 @@ def test_ert_live_count_matches_full_transmittance(
     live = int((full.transmittance >= threshold).sum())
     assert 0 < live < len(batch)
     assert stats.live_samples == live
-    assert stats.live_samples <= stats.evaluated
+    assert stats.live_samples <= stats.full_samples + stats.lowp_samples
 
 
 def test_ert_frame_psnr_identical_to_full_render(tiny_model, mic_dataset):

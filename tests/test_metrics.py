@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.metrics import fps_from_throughput, speedup
+from repro.core.metrics import fps_from_throughput
 
 
 def test_fps_conversion_paper_point():
@@ -22,8 +22,3 @@ def test_fps_validates_frame():
     with pytest.raises(ValueError):
         fps_from_throughput(1e6, width=0)
 
-
-def test_speedup_and_efficiency():
-    assert speedup(1.0, 7.3) == pytest.approx(7.3)
-    with pytest.raises(ValueError):
-        speedup(0.0, 1.0)

@@ -55,14 +55,6 @@ def test_corner_pixels_diverge_from_center(camera):
     assert not np.allclose(corner.directions, center.directions)
 
 
-def test_ray_bundle_select_by_mask(camera):
-    rays = generate_rays(camera)
-    mask = rays.pixel_ids % 2 == 0
-    subset = rays.select(mask)
-    assert len(subset) == mask.sum()
-    assert np.all(subset.pixel_ids % 2 == 0)
-
-
 def test_ray_bundle_validates_shapes():
     with pytest.raises(ValueError):
         RayBundle(

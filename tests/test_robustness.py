@@ -1,5 +1,6 @@
 """Fault injection, graceful degradation, and divergence recovery."""
 
+import contextlib
 import dataclasses
 import json
 
@@ -12,6 +13,7 @@ from repro.experiments import runner
 from repro.nerf import checkpoint
 from repro.nerf.hash_encoding import HashEncodingConfig
 from repro.nerf.model import InstantNGPModel, ModelConfig
+from repro.nerf.moe import MoEConfig, MoENeRF
 from repro.nerf.trainer import Trainer, TrainerConfig
 from repro.robustness import (
     ChipletFaultConfig,
@@ -39,26 +41,31 @@ from repro.sim.multichip import MultiChipConfig, MultiChipSystem
 from repro.sim.trace import synthetic_trace
 
 
+TINY_MODEL = ModelConfig(
+    encoding=HashEncodingConfig(
+        n_levels=3, n_features=2, log2_table_size=8,
+        base_resolution=4, finest_resolution=16,
+    ),
+    hidden_width=16,
+    geo_features=8,
+)
+
+
 def tiny_model(seed=0):
-    return InstantNGPModel(
-        ModelConfig(
-            encoding=HashEncodingConfig(
-                n_levels=3, n_features=2, log2_table_size=8,
-                base_resolution=4, finest_resolution=16,
-            ),
-            hidden_width=16,
-            geo_features=8,
-        ),
-        seed=seed,
-    )
+    return InstantNGPModel(TINY_MODEL, seed=seed)
 
 
-def tiny_trainer(seed=0):
+def tiny_trainer(seed=0, moe=False):
     dataset = synthetic.make_dataset(
         "mic", n_views=2, width=16, height=16, gt_steps=16
     )
+    model = (
+        MoENeRF(MoEConfig(n_experts=2, expert_model=TINY_MODEL), seed=seed)
+        if moe
+        else tiny_model(seed)
+    )
     return Trainer(
-        tiny_model(seed),
+        model,
         dataset.cameras,
         dataset.images,
         dataset.normalizer,
@@ -86,7 +93,6 @@ def traces(n=4, n_rays=256):
 
 def test_empty_plan_is_empty():
     assert FaultPlan().is_empty
-    assert FaultPlan.empty().is_empty
     # The watchdog section is recovery policy, not an injection.
     assert FaultPlan(watchdog=WatchdogConfig(snapshot_interval=5)).is_empty
     assert not FaultPlan(sram=SramFaultConfig(hash_table_bit_flips=1)).is_empty
@@ -181,7 +187,7 @@ def test_rng_is_deterministic_per_site():
 
 def test_activation_gate_ignores_empty_plans():
     assert faults.get_active() is None
-    faults.activate(FaultPlan.empty())
+    faults.activate(FaultPlan())
     try:
         # Empty plan and no plan are the same code path by construction.
         assert faults.get_active() is None
@@ -608,6 +614,9 @@ def test_watchdog_detach_restores_threshold():
         watchdog.detach()  # idempotent
         with pytest.raises(RuntimeError):
             DivergenceWatchdog(trainer).attach().attach()
+        # A trainer holds one watchdog.
+        with pytest.raises(RuntimeError, match="already has a watchdog"):
+            DivergenceWatchdog(trainer).attach()
 
 
 def test_watchdog_ignores_other_trainers():
@@ -617,10 +626,45 @@ def test_watchdog_ignores_other_trainers():
         with DivergenceWatchdog(mine, WatchdogConfig()) as watchdog:
             other.train(1)
             poison(other)
-            # The watchdog is subscribed but declines: nobody handles it.
+            # A watchdog guards only its own trainer: the other one
+            # has none, so its divergence still raises.
             with pytest.raises(DivergenceError), np.errstate(invalid="ignore"):
                 other.train_step()
             assert watchdog.rollbacks == 0
+            assert mine.watchdog is watchdog and other.watchdog is None
+    assert mine.watchdog is None
+
+
+@pytest.mark.parametrize("moe", [False, True], ids=["ngp", "moe"])
+@pytest.mark.parametrize(
+    "scoping", ["attach-default-step-session", "attach-closed-session", "one-session"]
+)
+def test_watchdog_recovers_whatever_session_is_active(scoping, moe):
+    """The telemetry session active at attach and at each step does not
+    decide recovery: every poisoned step rolls back once, to the last
+    snapshot the ``snapshot_interval`` put down."""
+    trainer = tiny_trainer(moe=moe)
+    watchdog = DivergenceWatchdog(trainer, WatchdogConfig(snapshot_interval=2))
+    step_scope = telemetry.session()
+    if scoping == "attach-default-step-session":
+        watchdog.attach()
+    elif scoping == "attach-closed-session":
+        with telemetry.session():
+            watchdog.attach()
+        step_scope = contextlib.nullcontext()
+    with step_scope, np.errstate(invalid="ignore"):
+        if scoping == "one-session":
+            watchdog.attach()
+        # Poison after iteration 5, then after 9 (the diverged step
+        # counts as iteration 6): the last snapshots are at 4 and at 8.
+        for n_steps, restored in ((5, 4), (3, 8)):
+            trainer.train(n_steps)
+            poison(trainer)
+            assert np.isnan(trainer.train_step())
+            assert watchdog.events[-1]["restored_iteration"] == restored
+        assert watchdog.rollbacks == 2
+        assert np.isfinite(trainer.train_step())
+    watchdog.detach()
 
 
 def test_watchdog_durable_snapshot(tmp_path):

@@ -117,11 +117,7 @@ def test_hit_and_miss_counters_and_stage_spans():
     trace = _trace(6)
     system = MultiChipSystem()
     traces = [trace] * system.config.n_chips
-    modules = []
     with telemetry.session() as tel:
-        tel.hooks.on_module_simulated(
-            lambda module, **_: modules.append(module)
-        )
         for scale in (1.0, 3.0):
             system.simulate_batch("lego", traces, workload_scale=scale)
         snap = tel.metrics.snapshot()
@@ -131,13 +127,11 @@ def test_hit_and_miss_counters_and_stage_spans():
     assert snap["counters"]["sim.stage_reports.misses"] == 1
     assert snap["counters"]["sim.stage_reports.hits"] == 1
     assert spans["chip.simulate"]["count"] == 2
-    # Stage spans wrap real stage simulation only; hooks and cycle
-    # counters fire on every chip of every dispatch.
+    # Stage spans wrap real stage simulation only; cycle counters count
+    # on every chip of every dispatch: each of the 4 chips counts its
+    # cycles at scale 1 and at scale 3.
     for name in ("sampling", "interpolation", "post-processing"):
         assert spans[name]["count"] == 1, name
-        assert modules.count(name) == 8, name
-    assert modules.count("chiplet0") == 2
-    # Each of the 4 chips counts its cycles at scale 1 and at scale 3.
     unscaled = SingleChipAccelerator().simulate(_copy(trace))
     for name, stage in zip(
         ("sampling", "interpolation", "post-processing"), unscaled.stages
@@ -148,7 +142,11 @@ def test_hit_and_miss_counters_and_stage_spans():
     assert snap["counters"]["sim.total_cycles"] == pytest.approx(
         4 * 4.0 * unscaled.total_cycles
     )
+    # Each dispatch records every chiplet: one board span per dispatch
+    # and a utilization gauge per chiplet.
     assert spans["multichip.simulate_batch"]["count"] == 2
+    for i in range(system.config.n_chips):
+        assert f"multichip.chiplet{i}.utilization" in snap["gauges"], i
 
 
 # -- one simulation per distinct trace --------------------------------------------
@@ -165,23 +163,22 @@ TRACE_FAULTS = TraceFaultConfig(corrupt_fraction=0.2, mode="nan")
 
 
 def _board_dispatch(system, traces, chiplets, corrupt, training, scale):
-    """One dispatch with everything a chip records: ``(report, module
-    hooks, cycle counters, fault-log entries)``."""
+    """One dispatch with everything a chip records: ``(report, gauges,
+    cycle counters, fault-log entries)``."""
     plan = FaultPlan(
         chiplets=chiplets, trace=TRACE_FAULTS if corrupt else TraceFaultConfig()
     )
-    hooks = []
     with telemetry.session() as tel, faults.plan_scope(plan):
-        tel.hooks.on_module_simulated(lambda **event: hooks.append(event))
         report = system.simulate(traces, training=training, workload_scale=scale)
         log = faults.get_log()
-        counters = tel.metrics.snapshot()["counters"]
+        snapshot = tel.metrics.snapshot()
+    counters = snapshot["counters"]
     cycles = {
         name: value for name, value in counters.items()
         if name.startswith("sim.") and name.endswith("cycles")
     }
     cycles["scrubbed"] = counters.get("robustness.trace.scrubbed_entries")
-    return report, hooks, cycles, list(log.entries)
+    return report, snapshot["gauges"], cycles, list(log.entries)
 
 
 @pytest.mark.parametrize("state", sorted(BOARD_STATES))

@@ -1,4 +1,4 @@
-"""The telemetry subsystem: tracing, metrics, hooks, and integration.
+"""The telemetry subsystem: tracing, metrics, and integration.
 
 Covers the acceptance surface of the observability PR: span nesting and
 thread safety, log-scale histogram percentiles, hook dispatch order,
@@ -250,9 +250,9 @@ def test_snapshot_publisher_throttles_on_interval():
     snap = pub.maybe_publish(now_s=1.0)
     assert snap is not None and snap["counters"]["c"] == 2.0
     assert [s["t_s"] for s in pub.history()] == [0.0, 1.0]
-    assert pub.latest()["t_s"] == 1.0 and len(pub) == 2
+    assert len(pub) == 2
     pub.clear()
-    assert pub.history() == [] and pub.latest() is None
+    assert pub.history() == [] and len(pub) == 0
 
 
 def test_snapshot_publisher_ring_buffer_bounds_memory():
@@ -313,63 +313,20 @@ def test_null_registry_is_noop():
     assert null.names() == []
 
 
-# -- hooks -----------------------------------------------------------------
+# -- simulator metrics -------------------------------------------------------
 
 
-def test_hook_dispatch_order_and_unregister():
-    hooks = telemetry.HookDispatcher()
-    calls = []
-    first = hooks.register("custom", lambda **kw: calls.append(("first", kw)))
-    hooks.register("custom", lambda **kw: calls.append(("second", kw)))
-    n = hooks.emit("custom", value=7)
-    assert n == 2
-    assert [name for name, _ in calls] == ["first", "second"]
-    assert calls[0][1] == {"value": 7}
-    hooks.unregister("custom", first)
-    calls.clear()
-    hooks.emit("custom", value=8)
-    assert [name for name, _ in calls] == ["second"]
-    assert hooks.emit("never_registered") == 0
-
-
-def test_hooks_live_on_disabled_session(tiny_trainer):
-    """Subscribing must not require enabling tracing/metrics."""
-    assert not telemetry.enabled()
-    events = []
-    session = telemetry.get_session()
-
-    @session.hooks.on_iteration
-    def _record(trainer, loss, **_):
-        events.append((trainer.state.iteration, float(loss)))
-
-    try:
-        tiny_trainer.train(3)
-    finally:
-        session.hooks.unregister(telemetry.ON_ITERATION, _record)
-    assert [it for it, _ in events] == [1, 2, 3]
-
-
-def test_trainer_emits_batch_then_iteration(tiny_trainer):
-    order = []
-    with telemetry.session() as tel:
-        tel.hooks.on_batch(lambda **kw: order.append("batch"))
-        tel.hooks.on_iteration(lambda **kw: order.append("iteration"))
-        tiny_trainer.train_step()
-    assert order == ["batch", "iteration"]
-
-
-def test_chip_emits_module_hooks(sample_trace):
+def test_chip_counts_module_cycles(sample_trace):
+    """Each simulated module reports its cycles as a counter."""
     from repro.sim.chip import SingleChipAccelerator
 
-    modules = []
     with telemetry.session() as tel:
-        tel.hooks.on_module_simulated(
-            lambda module, cycles, **_: modules.append((module, cycles))
-        )
-        SingleChipAccelerator().simulate(sample_trace)
-    names = [m for m, _ in modules]
-    assert names == ["sampling", "interpolation", "post-processing"]
-    assert all(cycles > 0 for _, cycles in modules)
+        report = SingleChipAccelerator().simulate(sample_trace)
+    counters = tel.metrics.snapshot()["counters"]
+    for name, stage in zip(
+        ("sampling", "interpolation", "post-processing"), report.stages
+    ):
+        assert counters[f"sim.{name}.cycles"] == stage.cycles > 0, name
 
 
 # -- session management ----------------------------------------------------

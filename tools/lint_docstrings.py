@@ -34,21 +34,14 @@ DEFAULT_PACKAGES = (
     "repro.pipeline",
     "repro.fleet",
     "repro.online",
-    "repro.nerf.hash_encoding",
-    "repro.nerf.model",
-    "repro.nerf.mlp",
-    "repro.nerf.precision",
-    "repro.nerf.sampling",
-    "repro.nerf.aabb",
-    "repro.nerf.occupancy",
-    "repro.nerf.volume_rendering",
+    "repro.nerf",
     "repro.datasets",
     "repro.sim",
     "repro.robustness",
     "repro.blas",
-    "repro.nerf.early_termination",
     "repro.core",
     "repro.hw",
+    "repro.telemetry",
 )
 
 # Runnable straight from a checkout: the in-tree `src/` layout sits next
