@@ -14,9 +14,11 @@ death.  Three modules:
   scene/expert placement policies;
 * :mod:`repro.fleet.workers` — the simulated worker: a serial board
   plus the fault surface the chaos plan drives;
-* :mod:`repro.fleet.controller` — the event-loop controller and the
-  fleet report; requests are accounted exactly once on the serve
-  layer's :class:`~repro.serve.ledger.RequestLedger`.
+* :mod:`repro.fleet.controller` — the controller's event handlers and
+  fleet report panel on the serve layer's event core
+  (:class:`~repro.serve.service.ServingCore`), where requests are
+  accounted exactly once on its
+  :class:`~repro.serve.ledger.RequestLedger`.
 
 The whole fleet is a seeded discrete-event simulation on a virtual
 clock, so chaos scenarios (kill 1 of N mid-run) replay bit-exactly,
@@ -28,7 +30,6 @@ from .controller import (
     FAILED_RPC_EXPIRED,
     FleetConfig,
     FleetController,
-    format_fleet_report,
 )
 from .placement import (
     HashRing,
@@ -54,7 +55,6 @@ __all__ = [
     "HEALTHY",
     "HashRing",
     "SLOW",
-    "format_fleet_report",
     "place_experts",
     "rebalance_experts",
     "stable_hash",

@@ -1,16 +1,18 @@
 """The fleet controller: dispatch, churn survival, exact accounting.
 
 :class:`FleetController` runs N simulated render workers
-(:mod:`repro.fleet.workers`) behind one serving surface.  It duck-types
-the client surface of :class:`~repro.serve.service.RenderService`
-(``submit`` / ``run`` / ``now_s`` / ``stats`` / ``slo`` / ``report``),
-so the existing Poisson and closed-loop load generators
+(:mod:`repro.fleet.workers`) behind one serving surface.  It runs on
+the serve layer's event core, :class:`~repro.serve.service.ServingCore`
+(clock, event heap, ``submit`` / ``run``, ledger, ``stats`` and
+``report``), as :class:`~repro.serve.service.RenderService` does, and
+adds only its five event handlers (arrival, reply, deadline, retry,
+heartbeat), so the existing Poisson and closed-loop load generators
 (:mod:`repro.serve.loadgen`) drive a fleet unchanged.
 
 The robustness core, in the order a request meets it:
 
-* **admission** — the serve layer's admission front
-  (:func:`~repro.serve.admission.admit`): the
+* **admission** — the core's admission front
+  (:meth:`~repro.serve.service.ServingCore._admit_front`): the
   :class:`~repro.serve.admission.AdmissionController` ladder over the
   fleet-wide outstanding-ray backlog, priced by the serve layer's
   :class:`~repro.serve.admission.CostEstimator` (per-(scene, renderer,
@@ -56,7 +58,6 @@ fault plan's seed, so a churn scenario replays bit-exactly.
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass, field
 
@@ -65,15 +66,12 @@ import numpy as np
 from .. import telemetry
 from ..robustness.backoff import BackoffPolicy
 from ..robustness.faults import FaultPlan
-from ..serve.admission import (
-    AdmissionController, AdmissionDecision, AdmissionPolicy, CostEstimator, admit,
-)
+from ..serve.admission import AdmissionDecision, AdmissionPolicy
 from ..serve.batching import RenderRequest, activate_request, slice_request
 # status_bucket is re-exported: bench/workloads.py imports it from here.
-from ..serve.ledger import RequestLedger, format_accounting, status_bucket
+from ..serve.ledger import status_bucket  # noqa: F401
 from ..serve.registry import SceneRegistry
-from ..serve.service import board_time
-from ..serve.slo import SLOTracker, format_slo_report
+from ..serve.service import ServingCore, board_time, render_slices
 from ..sim.multichip import MultiChipSystem
 from .placement import HashRing, place_experts, rebalance_experts
 from .workers import DEAD, HEALTHY, SLOW, workers_from_fault_config
@@ -89,10 +87,9 @@ FAILED_NO_WORKER = "failed_worker_unavailable"
 #: (routing prefers healthy workers over slow ones).
 SLOW_FACTOR = 2.0
 
-# Event kinds, in tie-break priority order (same-instant replies are
-# handled before deadlines: a reply landing exactly at the deadline
-# still counts).
-_EV_ARRIVAL = 0
+# Event kinds after EV_ARRIVAL, in tie-break priority order
+# (same-instant replies are handled before deadlines: a reply landing
+# exactly at the deadline still counts).
 _EV_REPLY = 1
 _EV_DEADLINE = 2
 _EV_RETRY = 3
@@ -171,8 +168,10 @@ class _Entry:
     status: str = None
 
 
-class FleetController:
+class FleetController(ServingCore):
     """N sharded, replicated render workers behind one serving surface."""
+
+    tier = "fleet"
 
     def __init__(
         self,
@@ -181,11 +180,14 @@ class FleetController:
         system: MultiChipSystem = None,
         fault_plan: FaultPlan = None,
     ):
-        self.registry = registry
         self.config = config or FleetConfig()
-        #: One board model shared for cost evaluation; per-worker *time*
-        #: lives on the workers (identical boards, like the chip level).
-        self.system = system or MultiChipSystem()
+        # One board model (``system``) is shared for cost evaluation;
+        # per-worker *time* lives on the workers (identical boards, like
+        # the chip level).
+        super().__init__(
+            registry, system, self.config.admission, self.config.keep_frames
+        )
+        self.n_boards = self.config.n_workers  # one per worker, dead or alive
         self.fault_plan = fault_plan
         fleet_cfg = fault_plan.fleet if fault_plan is not None else None
         self.fleet_faults = fleet_cfg
@@ -197,11 +199,6 @@ class FleetController:
         )
         for worker, experts in place_experts(self.config.n_workers).items():
             self.workers[worker].experts = list(experts)
-        self.admission = AdmissionController(self.config.admission)
-        self.ledger = RequestLedger("fleet", keep_frames=self.config.keep_frames)
-        self.slo = self.ledger.slo
-        #: request_id -> RenderResponse once terminal.
-        self.responses = self.ledger.responses
         seed = fault_plan.seed if fault_plan is not None else 0
         self._drop_rng = (
             fault_plan.rng("fleet.drop_reply")
@@ -212,12 +209,6 @@ class FleetController:
             if fault_plan is not None
             else np.random.default_rng(seed)
         )
-        #: Seconds-per-ray estimates, fed by RPC service times.
-        self.estimator = CostEstimator()
-        #: Fleet clock, virtual seconds.
-        self.now_s = 0.0
-        self._events = []  # heap of (t, kind, seq, payload)
-        self._seq = 0
         self._rpcs = {}  # rpc_id -> _Rpc
         self._next_rpc = 0
         self._outstanding_rays = 0
@@ -235,66 +226,29 @@ class FleetController:
         #: attainment studies (churn dip and recovery).
         self.completions = []
 
-    # -- client surface --------------------------------------------------
-
-    def submit(self, request: RenderRequest, on_complete=None) -> int:
-        """Queue a request for its ``arrival_s``; returns the request id.
-
-        Raises ``ValueError`` if a pending request already has this id.
-        """
-        self.ledger.offer(request, on_complete)
-        self._push(request.arrival_s, _EV_ARRIVAL, request)
-        return request.request_id
-
-    def run(self, max_events: int = None) -> SLOTracker:
-        """Replay the fleet timeline until all submitted work is terminal.
-
-        Closed-loop clients may submit from completion callbacks; the
-        loop drains until the event heap empties.  ``max_events`` is a
-        safety valve for open-ended drivers.
-        """
-        handled = 0
-        while self._events:
-            t, kind, _, payload = heapq.heappop(self._events)
-            self.now_s = max(self.now_s, t)
-            if kind == _EV_ARRIVAL:
-                self._admit(payload)
-            elif kind == _EV_REPLY:
-                self._on_reply(payload)
-            elif kind == _EV_DEADLINE:
-                self._on_deadline(payload)
-            elif kind == _EV_RETRY:
-                self._on_retry(payload)
-            elif kind == _EV_HEARTBEAT:
-                self._on_heartbeat()
-            handled += 1
-            if max_events is not None and handled >= max_events:
-                break
-        return self.slo
-
     # -- event plumbing --------------------------------------------------
 
-    def _push(self, t: float, kind: int, payload) -> None:
-        heapq.heappush(self._events, (t, kind, self._seq, payload))
-        self._seq += 1
-        if kind in (_EV_ARRIVAL, _EV_REPLY, _EV_DEADLINE, _EV_RETRY):
+    def _push(self, t: float, kind: int, payload) -> int:
+        seq = super()._push(t, kind, payload)
+        if kind != _EV_HEARTBEAT:
             self._arm_heartbeat()
+        return seq
 
     def _arm_heartbeat(self) -> None:
         if self._hb_armed:
             return
         self._hb_armed = True
-        t = self.now_s + self.config.heartbeat_interval_s
-        heapq.heappush(self._events, (t, _EV_HEARTBEAT, self._seq, None))
-        self._seq += 1
+        super()._push(
+            self.now_s + self.config.heartbeat_interval_s, _EV_HEARTBEAT, None
+        )
 
     # -- admission -------------------------------------------------------
 
     def _admit(self, request: RenderRequest) -> None:
         # The backlog is worked off by every live worker in parallel, so
         # the fleet-effective rate is n_live boards.
-        admitted = admit(
-            self, request, self._outstanding_rays, n_boards=max(len(self.ring), 1)
+        admitted = self._admit_front(
+            request, self._outstanding_rays, n_boards=max(len(self.ring), 1)
         )
         if admitted is None:
             return
@@ -396,27 +350,13 @@ class FleetController:
         by the worker's current service multiplier (inherited experts,
         slow-degrades).
         """
-        handle = entry.handle
-        decision = entry.decision
         active = activate_request(
-            entry.request,
-            handle,
-            entry.renderer,
-            decision.samples_per_ray,
-            decision.resolution_scale,
-            decision.degrade_level,
+            entry.request, entry.handle, entry.renderer, entry.decision
         )
-        slices = slice_request(active, self.config.slice_rays)
-        billed = 0.0
-        for item in slices:
-            colors, _, live = entry.renderer.render_rays(
-                active.origins[item.start : item.stop],
-                active.directions[item.start : item.stop],
-            )
-            active.out[item.start : item.stop] = colors
-            billed += live * entry.request.hw_scale
-        active.status = "completed"
-        board_s = board_time(self.system, entry.request.scene, handle.trace, billed)
+        billed = render_slices(slice_request(active, self.config.slice_rays))
+        board_s = board_time(
+            self.system, entry.request.scene, entry.handle.trace, billed
+        )
         return active.frame, billed, board_s * worker.service_multiplier(now)
 
     # -- replies, deadlines, retries -------------------------------------
@@ -481,7 +421,7 @@ class FleetController:
 
     # -- heartbeats and failure detection --------------------------------
 
-    def _on_heartbeat(self) -> None:
+    def _on_heartbeat(self, _) -> None:
         self._hb_armed = False
         now = self.now_s
         for worker in self.workers:
@@ -561,6 +501,8 @@ class FleetController:
                 float(len(self.dead_workers))
             )
 
+    _handlers = (_admit, _on_reply, _on_deadline, _on_retry, _on_heartbeat)
+
     # -- terminal outcomes -----------------------------------------------
 
     def _complete(self, entry: _Entry, rpc: _Rpc) -> None:
@@ -568,12 +510,8 @@ class FleetController:
         self.completions.append(
             (self.now_s, request.priority, self.now_s - request.arrival_s)
         )
-        if rpc.service_s > 0 and entry.n_rays > 0:
-            self.estimator.observe(
-                (request.scene, entry.renderer.name, entry.renderer.precision),
-                entry.handle.generation,
-                rpc.service_s / entry.n_rays,
-            )
+        self._observe(request.scene, entry.renderer, entry.handle.generation,
+                      rpc.service_s, entry.n_rays)
         self._settle(
             entry,
             "completed",
@@ -601,10 +539,6 @@ class FleetController:
 
     # -- reporting -------------------------------------------------------
 
-    def accounting(self) -> dict:
-        """Exactly-once ledger: offered = completed + shed + failed."""
-        return self.ledger.accounting()
-
     def attainment_between(self, t0: float, t1: float) -> float:
         """SLO attainment over completions in ``[t0, t1)``.
 
@@ -625,24 +559,18 @@ class FleetController:
                 met += 1
         return met / total if total else float("nan")
 
+    def _busy_s(self) -> float:
+        return sum(w.busy_s for w in self.workers)
+
     def stats(self) -> dict:
-        """Operational counters for experiment tables and smoke checks."""
-        busy = sum(w.busy_s for w in self.workers)
-        horizon = self.now_s * self.config.n_workers
+        """The core counters plus the fleet's ledger, RPC and worker counts."""
         accounting = self.accounting()
         return {
-            "now_s": self.now_s,
-            "completed": self.slo.completed,
-            "statuses": self.slo.status_counts(),
+            **super().stats(),
             "offered": accounting["offered"],
             "in_flight": self._in_flight,
             "unaccounted": accounting["unaccounted"],
             "failed": accounting["failed"],
-            "admitted": self.admission.admitted,
-            "degraded": self.admission.degraded,
-            "shed": self.admission.shed,
-            "rejected_deadline": self.admission.rejected_deadline,
-            "utilization": busy / horizon if horizon > 0 else 0.0,
             "rpc_timeouts": self.rpc_timeouts,
             "retries": self.retries,
             "hedges": self.hedges,
@@ -651,42 +579,34 @@ class FleetController:
             "rebalances": len(self.rebalances),
             "dead_workers": list(self.dead_workers),
             "workers": [w.summary() for w in self.workers],
-            **self.estimator.stats(),
         }
 
-    def report(self) -> str:
-        """Greppable fleet report: SLO table + fleet panel + ledger."""
-        return format_fleet_report(self)
-
-
-def format_fleet_report(controller: FleetController) -> str:
-    """Render the fleet run report (the text CI smoke jobs grep)."""
-    stats = controller.stats()
-    lines = [format_slo_report(controller.slo), "-" * 72, "fleet"]
-    lines.append(
-        f"workers: {controller.config.n_workers} "
-        f"({len(controller.dead_workers)} dead)   "
-        f"replication: {controller.config.replication}   "
-        f"utilization: {stats['utilization']:.0%}"
-    )
-    for worker in controller.workers:
-        summ = worker.summary()
+    def _panel(self) -> list:
+        """The fleet panel: workers, RPC counters and rebalances."""
+        lines = [
+            "fleet",
+            f"workers: {self.config.n_workers} "
+            f"({len(self.dead_workers)} dead)   "
+            f"replication: {self.config.replication}   "
+            f"utilization: {self.utilization:.0%}",
+        ]
+        for worker in self.workers:
+            summ = worker.summary()
+            lines.append(
+                f"  worker {summ['index']}: {summ['health']:<8} "
+                f"experts={summ['experts']} "
+                f"rpcs={summ['completed_rpcs']} busy={summ['busy_s']:.3f}s"
+            )
         lines.append(
-            f"  worker {summ['index']}: {summ['health']:<8} "
-            f"experts={summ['experts']} "
-            f"rpcs={summ['completed_rpcs']} busy={summ['busy_s']:.3f}s"
+            f"rpc: timeouts={self.rpc_timeouts} retries={self.retries} "
+            f"hedges={self.hedges} dropped_replies={self.dropped_replies} "
+            f"late_replies={self.late_replies}"
         )
-    lines.append(
-        f"rpc: timeouts={stats['rpc_timeouts']} retries={stats['retries']} "
-        f"hedges={stats['hedges']} dropped_replies={stats['dropped_replies']} "
-        f"late_replies={stats['late_replies']}"
-    )
-    for record in controller.rebalances:
-        lines.append(
-            f"fleet rebalance: worker {record['worker']} declared dead at "
-            f"t={record['t_s']:.3f}s; {record['scenes_promoted']} scene(s) "
-            f"promoted, {record['scenes_moved']} moved; experts remapped "
-            f"onto {record['survivors']} survivor(s)"
-        )
-    lines.append(format_accounting(controller.accounting()))
-    return "\n".join(lines)
+        for record in self.rebalances:
+            lines.append(
+                f"fleet rebalance: worker {record['worker']} declared dead at "
+                f"t={record['t_s']:.3f}s; {record['scenes_promoted']} scene(s) "
+                f"promoted, {record['scenes_moved']} moved; experts remapped "
+                f"onto {record['survivors']} survivor(s)"
+            )
+        return lines

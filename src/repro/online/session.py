@@ -378,7 +378,11 @@ class ReconstructionSession:
                     response.request_id, response.frame
                 ),
             )
-            service.run(max_batches=service.batches_dispatched + 1)
+            # The service is drained, so its clock's instant holds the
+            # proof's arrival (admission pins the outgoing generation)
+            # and the wake that dispatches its first slice; the rest
+            # render after the deploy.
+            service.run(until_s=service.now_s)
             pending = {
                 "pinned_generation": outgoing.generation,
                 "spanned_swap": proof_id not in service.responses,

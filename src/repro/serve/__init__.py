@@ -15,8 +15,9 @@ rendering service — the deployment story of the paper's second half
   per-priority-class SLO attainment tracking;
 * :mod:`~repro.serve.ledger` — the exactly-once request ledger (SLO
   outcomes, responses, callbacks) shared with :mod:`repro.fleet`;
-* :mod:`~repro.serve.service` — the discrete-event loop tying them to
-  the :class:`~repro.sim.multichip.MultiChipSystem` clock;
+* :mod:`~repro.serve.service` — the discrete-event core both serving
+  tiers run on, and the one-board service on it that ties them to the
+  :class:`~repro.sim.multichip.MultiChipSystem` clock;
 * :mod:`~repro.serve.loadgen` — open-loop Poisson and closed-loop
   drivers producing latency–throughput curves.
 """

@@ -9,18 +9,15 @@ half the samples-per-ray budget, then additionally at half resolution,
 and only past the hard queue cap are they shed — lowest priority class
 first.  This is the serving-side twin of the robustness layer's
 degrade-before-fail ladder (``repro.robustness.degradation``).
-:func:`admit` is the one admission front of the serve and fleet tiers:
-scene lookup, pricing by :class:`CostEstimator`, the ladder, and
-settling every refusal on the tier's request ledger.
+Both serving tiers admit through one front,
+:meth:`~repro.serve.service.ServingCore._admit_front`: scene lookup,
+pricing by :class:`CostEstimator`, this ladder, and settling every
+refusal on the tier's request ledger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from .. import telemetry
-from .batching import degraded_renderer
-from .registry import UnknownSceneError
 
 #: Degrade ladder levels applied at admission.
 DEGRADE_NONE = 0
@@ -214,41 +211,3 @@ class CostEstimator:
                 )
             },
         }
-
-
-def admit(tier, request, queued_rays: int, n_boards: int = 1):
-    """Admit one arrival to ``tier`` at ``tier.now_s``, or settle its refusal.
-
-    ``tier`` is a :class:`~repro.serve.service.RenderService` or a
-    :class:`~repro.fleet.FleetController` (its ``registry``,
-    ``estimator``, ``admission``, ``ledger`` and ``now_s`` are read).
-    The estimate at the handle's generation is divided by ``n_boards``,
-    the boards draining the ``queued_rays`` backlog in parallel.  An
-    unknown scene or a rejection is settled here and returns ``None``;
-    otherwise the caller owns the returned ``(handle, renderer,
-    decision)``, the renderer capped at the decided samples per ray.
-    """
-    try:
-        handle = tier.registry.acquire(request.scene)
-    except UnknownSceneError:
-        tier.ledger.settle(request, FAILED_UNKNOWN_SCENE, tier.now_s)
-        return None
-    renderer = handle.renderer
-    est = tier.estimator.estimate(
-        (request.scene, renderer.name, renderer.precision), handle.generation
-    )
-    decision = tier.admission.decide(
-        request,
-        tier.now_s,
-        queued_rays,
-        handle.marcher.config.max_samples,
-        est_s_per_ray=est / n_boards if est is not None else None,
-    )
-    if not decision.admitted:
-        handle.release()
-        tier.ledger.settle(request, decision.status, tier.now_s)
-        return None
-    tel = telemetry.get_session()
-    if tel.enabled and decision.degrade_level:
-        tel.metrics.counter(f"{tier.ledger.tier}.requests.degraded").inc()
-    return handle, degraded_renderer(renderer, decision.samples_per_ray), decision

@@ -105,12 +105,7 @@ class ActiveRequest:
     renderer: object  # repro.pipeline.Renderer (possibly degraded)
     #: Degradation applied at admission: 0 = full quality.
     degrade_level: int = 0
-    #: Effective samples-per-ray budget after degradation.
-    samples_per_ray: int = 0
-    #: Effective output resolution scale after degradation (1.0 = asked-for).
-    resolution_scale: float = 1.0
     out: np.ndarray = None
-    slices_remaining: int = 0
     status: str = None
     #: ``(height, width)`` of the (possibly degraded) output frame.
     frame_shape: tuple = None
@@ -149,7 +144,6 @@ class DispatchBatch:
 
     scene: str
     slices: list
-    formed_s: float
 
     @property
     def n_rays(self) -> int:
@@ -197,25 +191,22 @@ def degraded_renderer(renderer, samples_per_ray: int):
 
 
 def activate_request(
-    request: RenderRequest,
-    handle,
-    renderer,
-    samples_per_ray: int,
-    resolution_scale: float,
-    degrade_level: int,
+    request: RenderRequest, handle, renderer, decision
 ) -> ActiveRequest:
     """Expand an admitted request into its in-flight state.
 
-    Generates the request's rays (full frame, tile crop, or degraded
-    resolution), maps them through the scene normalizer into unit-cube
-    space, and allocates the output pixel buffer.  Ray order is row-major
-    over the requested pixels — identical to
+    ``renderer`` is the scene renderer at the admission ``decision``'s
+    samples per ray.  Generates the request's rays (full frame, tile
+    crop, or the decision's degraded resolution), maps them through the
+    scene normalizer into unit-cube space, and allocates the output
+    pixel buffer.  Ray order is row-major over the requested pixels —
+    identical to
     :meth:`~repro.pipeline.renderer.Renderer.render_image`'s ordering.
     """
     camera = request.camera
     tile = request.tile
-    if resolution_scale < 1.0 and tile is None:
-        camera = degraded_camera(camera, resolution_scale)
+    if decision.resolution_scale < 1.0 and tile is None:
+        camera = degraded_camera(camera, decision.resolution_scale)
     if tile is None:
         rays = generate_rays(camera)
         frame_shape = (camera.height, camera.width)
@@ -232,14 +223,11 @@ def activate_request(
         origins=origins,
         directions=directions,
         renderer=renderer,
-        degrade_level=degrade_level,
-        samples_per_ray=samples_per_ray,
-        resolution_scale=resolution_scale,
+        degrade_level=decision.degrade_level,
         # float32: the pixel format of the rendering pipeline (the
         # offline Renderer.render_image frame buffer is float32 too); a
         # float64 buffer would double the frame-memory footprint.
         out=np.empty((n, 3), dtype=np.float32),
-        slices_remaining=0,
         frame_shape=frame_shape,
     )
 
@@ -254,9 +242,7 @@ def slice_request(active: ActiveRequest, slice_rays: int) -> list:
     if slice_rays < 1:
         raise ValueError("slice_rays must be positive")
     n = active.n_rays
-    slices = [
+    return [
         RaySlice(active=active, start=start, stop=min(start + slice_rays, n))
         for start in range(0, n, slice_rays)
     ]
-    active.slices_remaining = len(slices)
-    return slices

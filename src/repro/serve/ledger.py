@@ -67,11 +67,11 @@ class RenderResponse:
 class RequestLedger:
     """Offered and pending requests, their callbacks, and their outcomes."""
 
-    def __init__(self, tier: str, slo_targets: dict = None, keep_frames: bool = False):
+    def __init__(self, tier: str, keep_frames: bool = False):
         #: Metric prefix: ``"serve"`` or ``"fleet"``.
         self.tier = tier
         self.keep_frames = keep_frames
-        self.slo = SLOTracker(slo_targets)
+        self.slo = SLOTracker()
         self.offered = 0
         #: request_id -> RenderResponse once terminal.
         self.responses = {}

@@ -66,10 +66,8 @@ class DynamicRayBatchScheduler:
 
     # -- introspection ---------------------------------------------------
 
-    def queued_rays(self, scene: str = None) -> int:
-        """Rays waiting in one scene's queue (or across all scenes)."""
-        if scene is not None:
-            return sum(s.n_rays for s, _ in self._queues.get(scene, ()))
+    def queued_rays(self) -> int:
+        """Rays waiting across all scenes."""
         return sum(
             s.n_rays for queue in self._queues.values() for s, _ in queue
         )
@@ -88,22 +86,20 @@ class DynamicRayBatchScheduler:
             return oldest  # already over the batch cap: due immediately
         return oldest + self.policy.max_wait_s
 
-    def next_action(self, now: float, next_arrival_s: float = None) -> tuple:
+    def next_action(self, now: float) -> tuple:
         """Decide the service's next move at service-clock ``now``.
 
         Returns one of::
 
             ("dispatch", DispatchBatch)  # render this batch now
-            ("wait", t)                  # nothing due before absolute time t
-            ("idle", None)               # no queued work and no known arrival
+            ("wait", t)                  # no batch due before absolute time t
+            ("idle", None)               # no queued work
 
         A max-wait expiry with an empty queue is *not* a dispatch — the
         flush timer only ever fires on behalf of queued slices, so no
         zero-ray batch can reach the hardware.
         """
         if not self._queues:
-            if next_arrival_s is not None:
-                return (ACTION_WAIT, next_arrival_s)
             return (ACTION_IDLE, None)
         ready = {
             scene: self._scene_ready_s(queue)
@@ -111,19 +107,16 @@ class DynamicRayBatchScheduler:
         }
         due = [scene for scene, t in ready.items() if t <= now]
         if not due:
-            wake = min(ready.values())
-            if next_arrival_s is not None:
-                wake = min(wake, next_arrival_s)
-            return (ACTION_WAIT, wake)
+            return (ACTION_WAIT, min(ready.values()))
         # Among due scenes, serve the one whose head-of-line slice has the
         # best (lowest) priority class; break ties by oldest enqueue.
         def _rank(scene):
             head_slice, head_t = self._queues[scene][0]
             return (head_slice.active.request.priority, head_t)
 
-        return (ACTION_DISPATCH, self._form_batch(min(due, key=_rank), now))
+        return (ACTION_DISPATCH, self._form_batch(min(due, key=_rank)))
 
-    def _form_batch(self, scene: str, now: float) -> DispatchBatch:
+    def _form_batch(self, scene: str) -> DispatchBatch:
         """Pop FIFO slices of one scene up to the max-batch cap."""
         queue = self._queues[scene]
         slices = []
@@ -138,4 +131,4 @@ class DynamicRayBatchScheduler:
         if not queue:
             del self._queues[scene]
         self.batches_formed += 1
-        return DispatchBatch(scene=scene, slices=slices, formed_s=now)
+        return DispatchBatch(scene=scene, slices=slices)

@@ -14,7 +14,7 @@ import pytest
 from repro.fleet import FleetConfig, FleetController
 from repro.nerf.occupancy import OccupancyGrid
 from repro.serve import RenderRequest, RenderService, build_demo_registry, demo_camera
-from repro.serve.admission import EWMA_ALPHA, CostEstimator
+from repro.serve.admission import EWMA_ALPHA, AdmissionController, CostEstimator
 from repro.serve.loadgen import demo_model
 
 KEY = ("chair", "ngp", "full")
@@ -173,12 +173,18 @@ def test_seeded_sweep_over_tiers_and_swaps(tier_name, swap):
     assert accounting["completed"] > 0 and accounting["shed"] > 0
 
 
-@pytest.mark.parametrize("swap", [False, True], ids=["no-swap", "costlier-swap"])
-@pytest.mark.parametrize("tier_name", ["serve", "fleet"])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_exactly_once_over_seeds_tiers_and_swaps(seed, tier_name, swap):
+def _sweep_exactly_once(seed, tier_name, swap, mean_gap_s, monkeypatch):
     """Deadline traffic, unknown scenes and a hot-swap landing mid-run
-    (from inside a completion callback) all settle exactly once."""
+    (from inside a completion callback) all settle exactly once, and
+    every admission verdict is taken at its request's own arrival."""
+    verdicts = []  # (arrival_s, now) of every AdmissionController.decide
+    decide = AdmissionController.decide
+
+    def recording_decide(self, request, now, *args, **kwargs):
+        verdicts.append((request.arrival_s, now))
+        return decide(self, request, now, *args, **kwargs)
+
+    monkeypatch.setattr(AdmissionController, "decide", recording_decide)
     rng = np.random.default_rng([seed, swap, tier_name == "fleet"])
     registry = build_demo_registry(n_scenes=1)
     scene = registry.scenes()[0]["name"]
@@ -195,12 +201,15 @@ def test_exactly_once_over_seeds_tiers_and_swaps(seed, tier_name, swap):
 
     n = 40
     t = 0.0
+    known = 0
     for i in range(n):
-        t += float(rng.exponential(0.002))
+        t += float(rng.exponential(mean_gap_s))
         deadline = t + float(rng.uniform(1e-4, 0.02)) if rng.random() < 0.5 else None
+        name = scene if rng.random() < 0.9 else "ghost"
+        known += name == scene
         tier.submit(
             _request(
-                i, scene if rng.random() < 0.9 else "ghost", camera, t,
+                i, name, camera, t,
                 priority=int(rng.integers(3)), deadline_s=deadline,
             ),
             on_complete=on_complete,
@@ -210,3 +219,23 @@ def test_exactly_once_over_seeds_tiers_and_swaps(seed, tier_name, swap):
     # the sweep reaches every bucket
     assert min(accounting["completed"], accounting["shed"], accounting["failed"]) > 0
     assert bool(swapped) == swap
+    # every known-scene request got its verdict at its own arrival
+    assert len(verdicts) == known
+    assert all(now == arrival_s for arrival_s, now in verdicts)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["no-swap", "costlier-swap"])
+@pytest.mark.parametrize("tier_name", ["serve", "fleet"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exactly_once_over_seeds_tiers_and_swaps(seed, tier_name, swap, monkeypatch):
+    _sweep_exactly_once(seed, tier_name, swap, 0.002, monkeypatch)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["no-swap", "costlier-swap"])
+@pytest.mark.parametrize("tier_name", ["serve", "fleet"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exactly_once_under_overload(seed, tier_name, swap, monkeypatch):
+    """The same sweep at twice the rate, past what one board serves:
+    serve's backlog drains long after the last arrival, so requests
+    arrive, and are admitted, while the board renders."""
+    _sweep_exactly_once(seed, tier_name, swap, 0.001, monkeypatch)

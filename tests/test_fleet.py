@@ -16,7 +16,6 @@ from repro.fleet import (
     HEALTHY,
     HashRing,
     SLOW,
-    format_fleet_report,
     place_experts,
     rebalance_experts,
     stable_hash,
@@ -523,7 +522,7 @@ def test_report_prints_accounting_invariant():
         controller, scenes, rate_hz=10.0, duration_s=0.5,
         camera=demo_camera(16, 16),
     )
-    report = format_fleet_report(controller)
+    report = controller.report()
     assert "unaccounted requests: 0" in report
     assert "fleet" in report
     assert "workers: 4" in report

@@ -29,10 +29,7 @@ def _tier(tier_name, registry, admission=None):
 
 def _drain(tier) -> None:
     """Run to completion, bounded so a ledger regression cannot hang."""
-    if isinstance(tier, RenderService):
-        tier.run(max_batches=10_000)
-    else:
-        tier.run(max_events=10_000)
+    tier.run(until_s=60.0)
 
 
 def _request(request_id, scene, arrival_s=0.0, **kwargs):

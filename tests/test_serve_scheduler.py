@@ -21,6 +21,7 @@ from repro.serve import (
 )
 from repro.serve.admission import (
     AdmissionController,
+    AdmissionDecision,
     AdmissionPolicy,
     REJECT_DEADLINE_EXPIRED,
     REJECT_SHED,
@@ -48,10 +49,10 @@ def _active(registry, scene, camera, now=0.0, request_id=0, priority=1):
         arrival_s=now,
         priority=priority,
     )
-    return activate_request(
-        request, handle, handle.renderer,
-        handle.marcher.config.max_samples, 1.0, 0,
+    decision = AdmissionDecision(
+        admitted=True, samples_per_ray=handle.marcher.config.max_samples
     )
+    return activate_request(request, handle, handle.renderer, decision)
 
 
 # -- edge case 1: max-wait expiry with an empty queue ----------------------------
@@ -61,9 +62,6 @@ def test_empty_queue_never_flushes_a_batch(registry, scene):
     scheduler = DynamicRayBatchScheduler(BatchPolicy(max_wait_s=1e-3))
     # Far past any max-wait horizon: still idle, never a zero-ray dispatch.
     assert scheduler.next_action(1e6) == (ACTION_IDLE, None)
-    assert scheduler.next_action(1e6, next_arrival_s=1e6 + 1.0) == (
-        ACTION_WAIT, 1e6 + 1.0,
-    )
     # Drain a real queue, then expire the timer again: idle, not dispatch.
     active = _active(registry, scene, demo_camera(4, 4))
     scheduler.enqueue(scene, slice_request(active, 64), now=0.0)
